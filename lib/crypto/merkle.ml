@@ -81,18 +81,32 @@ let encode sg =
   Array.iter (Buffer.add_string buf) sg.auth_path;
   Buffer.contents buf
 
+(* The header fields exactly as [encode] writes them: [len] lowercase
+   hex digits, nothing else, so that a decoded signature re-encodes to
+   the bytes it came from. *)
+let hex_field s off len =
+  let rec go i acc =
+    if i = off + len then Some acc
+    else
+      match s.[i] with
+      | '0' .. '9' as c -> go (i + 1) ((acc lsl 4) lor (Char.code c - Char.code '0'))
+      | 'a' .. 'f' as c -> go (i + 1) ((acc lsl 4) lor (Char.code c - Char.code 'a' + 10))
+      | _ -> None
+  in
+  go off 0
+
 let decode s =
   let ( let* ) r f = Result.bind r f in
   let fail m = Error ("Merkle.decode: " ^ m) in
   if String.length s < 10 + hash_len then fail "truncated header"
   else
     let* leaf_index =
-      match int_of_string_opt ("0x" ^ String.sub s 0 8) with
+      match hex_field s 0 8 with
       | Some v -> Ok v
       | None -> fail "bad index"
     in
     let* path_len =
-      match int_of_string_opt ("0x" ^ String.sub s 8 2) with
+      match hex_field s 8 2 with
       | Some v when v <= 20 -> Ok v
       | Some _ | None -> fail "bad path length"
     in

@@ -29,4 +29,8 @@ val verify : public_key -> string -> signature -> bool
 
 val signature_size : signature -> int
 val encode : signature -> string
+
 val decode : string -> (signature, string) result
+(** Strict inverse of {!encode}: the header's leaf index and path length
+    must be exactly the lowercase hex digits [encode] writes, so
+    [encode (decode s) = s] for every accepted [s]. *)

@@ -294,50 +294,78 @@ type outcome = {
   missing_from_manifest : string list;
 }
 
-(* Walk a CA's chain up to the trust anchor, checking signatures and
-   resource containment along the way. Returns the CA's cert when the
-   whole chain is good. *)
-let validate_chain t name =
-  let rec go name depth =
-    if depth > 32 then Error "certificate chain too deep"
+(* The chain check of one relying-party walk: maps a CA name to the
+   CA's certificate when every certificate from it up to the trust
+   anchor carries a good signature and stays within its issuer's
+   resources. Verdicts are remembered for the walk and shared by a
+   CA's manifest, its objects and its descendants, so each certificate
+   signature is verified at most once per walk. Nothing outlives the
+   walk (DESIGN.md, "Relying-party walk").
+
+   A CA more than 32 certificates below the trust anchor, or on an
+   issuer cycle, is "too deep" before anything else is looked at.
+   Within that bound a verdict does not depend on which descendant
+   asked for it, so one table serves every depth. *)
+let chain_checker t =
+  let verdicts : (string, (Cert.t, string) result) Hashtbl.t = Hashtbl.create 16 in
+  (* Steps from [name] up to the trust anchor or an unknown issuer,
+     counted no further than 33. *)
+  let rec levels name n =
+    if n > 32 then n
     else
       match Hashtbl.find_opt t.cas name with
-      | None -> Error (Printf.sprintf "unknown issuer %S" name)
-      | Some ca ->
-        let cert = ca.cert in
-        if name = root t then
-          if String.equal (Sha256.digest cert.Cert.pubkey) (trust_anchor_key_digest t) then Ok cert
-          else Error "trust anchor key mismatch"
-        else
-          (match go cert.Cert.issuer (depth + 1) with
-           | Error _ as e -> e
-           | Ok issuer_cert ->
-             if not (Cert.verify_signature cert ~issuer_pubkey:issuer_cert.Cert.pubkey) then
-               Error (Printf.sprintf "bad signature on CA %S" name)
-             else if
-               (* The TA claims all space, so containment checks reduce
-                  to prefix coverage plus AS coverage for non-root
-                  issuers. *)
-               not
-                 (List.for_all (Cert.covers_prefix issuer_cert) cert.Cert.resources
-                  && (issuer_cert.Cert.subject = root t
-                      || List.for_all (Cert.covers_asn issuer_cert) cert.Cert.as_resources))
-             then Error (Printf.sprintf "CA %S overclaims resources" name)
-             else Ok cert)
+      | Some ca when not (String.equal name (root t)) -> levels ca.cert.Cert.issuer (n + 1)
+      | Some _ | None -> n
   in
-  go name 0
+  let rec verdict name =
+    match Hashtbl.find_opt verdicts name with
+    | Some v -> v
+    | None ->
+      let v =
+        match Hashtbl.find_opt t.cas name with
+        | None -> Error (Printf.sprintf "unknown issuer %S" name)
+        | Some ca ->
+          let cert = ca.cert in
+          if String.equal name (root t) then
+            if String.equal (Sha256.digest cert.Cert.pubkey) (trust_anchor_key_digest t) then
+              Ok cert
+            else Error "trust anchor key mismatch"
+          else
+            (match verdict cert.Cert.issuer with
+             | Error _ as e -> e
+             | Ok issuer_cert ->
+               if not (Cert.verify_signature cert ~issuer_pubkey:issuer_cert.Cert.pubkey) then
+                 Error (Printf.sprintf "bad signature on CA %S" name)
+               else if
+                 (* The TA claims all space, so containment checks reduce
+                    to prefix coverage plus AS coverage for non-root
+                    issuers. *)
+                 not
+                   (List.for_all (Cert.covers_prefix issuer_cert) cert.Cert.resources
+                    && (issuer_cert.Cert.subject = root t
+                        || List.for_all (Cert.covers_asn issuer_cert) cert.Cert.as_resources))
+               then Error (Printf.sprintf "CA %S overclaims resources" name)
+               else Ok cert)
+      in
+      Hashtbl.replace verdicts name v;
+      v
+  in
+  fun name ->
+    if Hashtbl.mem verdicts name || levels name 0 <= 32 then verdict name
+    else Error "certificate chain too deep"
 
 let validate t =
   let rejections = ref [] and valid = ref [] and valid_aspas = ref [] and missing = ref [] in
   let valid_router_keys = ref [] in
   let reject name reason = rejections := { object_name = name; reason } :: !rejections in
+  let chain = chain_checker t in
   (* Per CA: fetch and verify its signed manifest first; every object
      under the CA is judged against it (RFC 9286 semantics). *)
   let manifests : (string, (Manifest.t, string) result) Hashtbl.t = Hashtbl.create 16 in
   Hashtbl.iter
     (fun name ca ->
       let verified =
-        match validate_chain t name with
+        match chain name with
         | Error e -> Error e
         | Ok ca_cert ->
           (match manifest_wire t ca with
@@ -361,7 +389,7 @@ let validate t =
       Hashtbl.replace manifests name verified)
     t.cas;
   let check o =
-    match validate_chain t o.issuer_ca with
+    match chain o.issuer_ca with
     | Error e -> reject o.name e
     | Ok ca_cert ->
       (match Hashtbl.find_opt manifests o.issuer_ca with

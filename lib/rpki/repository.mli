@@ -119,7 +119,14 @@ type outcome = {
 }
 
 val validate : t -> outcome
-(** The relying-party walk over everything published. *)
+(** The relying-party walk over everything published.
+
+    Each CA's certificate chain is checked once per call: the verdict
+    is shared by the CA's manifest, every object it publishes and its
+    descendant CAs, so each certificate signature is verified at most
+    once per walk. No verdict is kept across calls: any change between
+    two calls (a CA replaced through {!add_ca_unchecked}, a {!revoke},
+    a {!tamper}, an {!advance_time}) is seen by the second. *)
 
 val size_on_wire : t -> int
 (** Total bytes of all published objects — certificates, manifests,

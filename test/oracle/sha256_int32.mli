@@ -1,0 +1,13 @@
+(** SHA-256 on boxed [Int32] words: the library kernel before it moved
+    to native ints, kept as the differential oracle for
+    {!Hashcrypto.Sha256}. Same contract as that module's streaming and
+    one-shot functions. *)
+
+type ctx
+
+val init : unit -> ctx
+val feed : ctx -> string -> unit
+val feed_bytes : ctx -> bytes -> off:int -> len:int -> unit
+val get : ctx -> string
+val digest : string -> string
+val digest_concat : string list -> string

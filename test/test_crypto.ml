@@ -2,6 +2,7 @@ module Sha256 = Hashcrypto.Sha256
 module Hmac = Hashcrypto.Hmac
 module Lamport = Hashcrypto.Lamport
 module Merkle = Hashcrypto.Merkle
+module Sha256_int32 = Oracle.Sha256_int32
 
 let hex = Sha256.to_hex
 let unhex s = Testutil.check_ok (Sha256.of_hex s)
@@ -48,8 +49,27 @@ let test_sha256_streaming () =
         (hex (Sha256.get ctx)))
     [ 1; 3; 63; 64; 65; 127; 128; 1000 ]
 
+(* Known answers from an independent implementation (Python's
+   hashlib), at the lengths where a kernel's padding and block
+   handling can go wrong: one byte short of the length field, exactly
+   one block, and the second block. *)
+let boundary_vectors =
+  [ (55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318");
+    (56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a");
+    (63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34");
+    (64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb");
+    (65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0");
+    (119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb");
+    (120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c");
+    (128, "6836cf13bac400e9105071cd6af47084dfacad4e5e302c94bfed24e013afb73e") ]
+
 let test_sha256_block_boundaries () =
-  (* Lengths around the 55/56/64-byte padding boundaries. *)
+  (* Lengths around the 55/56/64-byte padding boundaries, of 'a's. *)
+  List.iter
+    (fun (n, digest) ->
+      Alcotest.(check string) (Printf.sprintf "length %d" n) digest
+        (hex (Sha256.digest (String.make n 'a'))))
+    boundary_vectors;
   List.iter
     (fun n ->
       let msg = String.make n 'a' in
@@ -60,6 +80,55 @@ let test_sha256_block_boundaries () =
         (hex (Sha256.digest msg))
         (hex (Sha256.get ctx)))
     [ 0; 1; 54; 55; 56; 57; 63; 64; 65; 119; 120; 128 ]
+
+let test_sha256_high_bits () =
+  (* Every message word of an all-0xff input has bit 31 set: a native-int
+     kernel that misses a mask, or sign-extends a word, fails here. *)
+  List.iter
+    (fun (n, digest) ->
+      Alcotest.(check string) (Printf.sprintf "%d bytes of 0xff" n) digest
+        (hex (Sha256.digest (String.make n '\xff'))))
+    [ (1, "a8100ae6aa1940d0b663bb31cd466142ebbdbd5187131b92d93818987832eb89");
+      (64, "8667e718294e9e0df1d30600ba3eeb201f764aad2dad72748643e4a285e1d1f7");
+      (1000, "b4f73dff046400b76728ab32619e3d89e00132653725f660c62ab9fca975b372") ]
+
+let test_sha256_mib_in_small_chunks () =
+  (* 1 MiB fed 7 bytes at a time, at offsets into one buffer: every
+     block is assembled in the context's buffer, and most block
+     boundaries fall inside a chunk. *)
+  let n = 1 lsl 20 in
+  let b = Bytes.init n (fun i -> Char.chr (i mod 251)) in
+  let ctx = Sha256.init () in
+  let rec go off =
+    if off < n then begin
+      let len = Int.min 7 (n - off) in
+      Sha256.feed_bytes ctx b ~off ~len;
+      go (off + len)
+    end
+  in
+  go 0;
+  Alcotest.(check string) "1 MiB in 7-byte chunks"
+    "631b84027d6b9e52b539c4e8373622d23032dfadc64d60af87339c9037e4f769" (hex (Sha256.get ctx))
+
+let test_sha256_allocation () =
+  (* The kernel's words are native ints: hashing allocates nothing per
+     block, and a one-block digest allocates only its context and its
+     32-byte result. Native code only: bytecode boxes each Int32 read. *)
+  if Sys.backend_type = Sys.Native then begin
+    let b = Bytes.make 65536 '\xa5' in
+    let ctx = Sha256.init () in
+    let before = Gc.minor_words () in
+    Sha256.feed_bytes ctx b ~off:1 ~len:65535;
+    let per_mib = (Gc.minor_words () -. before) *. 16. in
+    Alcotest.(check bool) (Printf.sprintf "feed allocates nothing (%.0f words/MiB)" per_mib) true
+      (per_mib < 1.);
+    let msg = String.make 32 'x' in
+    let before = Gc.minor_words () in
+    ignore (Sha256.digest msg);
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool) (Printf.sprintf "32-byte digest allocates %.0f words" words) true
+      (words < 128.)
+  end
 
 let test_hex_roundtrip () =
   let d = Sha256.digest "x" in
@@ -172,6 +241,99 @@ let test_merkle_height_zero () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted excessive height"
 
+(* Random messages of 0-300 bytes cut at random points: the kernel must
+   agree bit for bit with the boxed-Int32 oracle one-shot, over
+   [digest_concat] and streaming through [feed]/[feed_bytes]. *)
+let prop_sha256_matches_oracle =
+  let gen =
+    QCheck2.Gen.(
+      let* msg = string_size (int_bound 300) in
+      let* cuts = list_size (int_bound 8) (int_bound (String.length msg)) in
+      return (msg, List.sort_uniq Int.compare cuts))
+  in
+  (* (offset, length) of each piece between consecutive cuts *)
+  let spans (msg, cuts) =
+    let rec go = function a :: (b :: _ as rest) -> (a, b - a) :: go rest | _ -> [] in
+    go ((0 :: cuts) @ [ String.length msg ])
+  in
+  QCheck2.Test.make ~name:"sha256 matches the Int32 oracle" ~count:500
+    ~print:(fun (msg, cuts) ->
+      Printf.sprintf "%S cut at [%s]" msg (String.concat "; " (List.map string_of_int cuts)))
+    gen
+    (fun ((msg, _) as case) ->
+      let spans = spans case in
+      let parts = List.map (fun (off, len) -> String.sub msg off len) spans in
+      let streamed =
+        let ctx = Sha256.init () and b = Bytes.of_string msg in
+        (* alternate the string and the offset entry points *)
+        List.iteri
+          (fun i (off, len) ->
+            if i land 1 = 0 then Sha256.feed ctx (String.sub msg off len)
+            else Sha256.feed_bytes ctx b ~off ~len)
+          spans;
+        Sha256.get ctx
+      in
+      let oracle_streamed =
+        let ctx = Sha256_int32.init () in
+        List.iter (Sha256_int32.feed ctx) parts;
+        Sha256_int32.get ctx
+      in
+      String.equal (Sha256.digest msg) (Sha256_int32.digest msg)
+      && String.equal (Sha256.digest_concat parts) (Sha256_int32.digest_concat parts)
+      && String.equal streamed oracle_streamed)
+
+(* A well-sized signature encoding with the given header fields and an
+   arbitrary body: [decode] checks only the header and the length. *)
+let merkle_wire ~index ~path_field ~path_len =
+  String.concat ""
+    [ index; path_field; String.make 32 'k'; String.make (256 * 2 * 32) 's';
+      String.make (path_len * 32) 'p' ]
+
+let test_merkle_canonical_header () =
+  let sk, pk = Merkle.generate ~seed:"hdr" ~height:1 in
+  ignore (Merkle.sign sk "first");
+  let enc = Merkle.encode (Merkle.sign sk "second") in
+  Alcotest.(check string) "header as encode writes it" "0000000101" (String.sub enc 0 10);
+  let with_header h = h ^ String.sub enc 10 (String.length enc - 10) in
+  Alcotest.(check bool) "canonical verifies" true
+    (Merkle.verify pk "second" (Testutil.check_ok (Merkle.decode (with_header "0000000101"))));
+  let rejects what s =
+    match Merkle.decode s with
+    | Ok _ -> Alcotest.failf "accepted %s" what
+    | Error _ -> ()
+  in
+  rejects "'_' in the index" (with_header "0000_00101");
+  rejects "'_' in the path length" (merkle_wire ~index:"00000001" ~path_field:"0_" ~path_len:0);
+  rejects "uppercase index" (merkle_wire ~index:"0000000A" ~path_field:"00" ~path_len:0);
+  rejects "uppercase path length" (merkle_wire ~index:"00000000" ~path_field:"0A" ~path_len:10);
+  let lower = merkle_wire ~index:"0000000a" ~path_field:"0a" ~path_len:10 in
+  Alcotest.(check string) "lowercase round-trips" lower
+    (Merkle.encode (Testutil.check_ok (Merkle.decode lower)))
+
+(* Canonical headers, some with one or two characters swapped for
+   characters [int_of_string] would also take, or would not. *)
+let prop_merkle_decode_canonical =
+  let gen =
+    QCheck2.Gen.(
+      let* index = int_bound 0x3fff_ffff in
+      let* path_len = int_bound 3 in
+      let* swaps =
+        list_size (int_bound 2)
+          (pair (int_bound 9) (oneofl (List.of_seq (String.to_seq "0123456789abcdefABCDEF_xX+- "))))
+      in
+      let header = Bytes.of_string (Printf.sprintf "%08x%02x" index path_len) in
+      List.iter (fun (i, c) -> Bytes.set header i c) swaps;
+      return (Bytes.to_string header, path_len))
+  in
+  QCheck2.Test.make ~name:"merkle encode (decode s) = s for every accepted s" ~count:300
+    ~print:(fun (h, n) -> Printf.sprintf "header %S, %d path hashes" h n)
+    gen
+    (fun (header, path_len) ->
+      let s =
+        merkle_wire ~index:(String.sub header 0 8) ~path_field:(String.sub header 8 2) ~path_len
+      in
+      match Merkle.decode s with Ok sg -> String.equal (Merkle.encode sg) s | Error _ -> true)
+
 let prop_merkle_verify =
   QCheck2.Test.make ~name:"merkle sign/verify for random messages" ~count:30
     QCheck2.Gen.(pair (string_size (int_bound 100)) small_int)
@@ -201,6 +363,9 @@ let () =
         [ Alcotest.test_case "NIST vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "streaming chunks" `Quick test_sha256_streaming;
           Alcotest.test_case "padding boundaries" `Quick test_sha256_block_boundaries;
+          Alcotest.test_case "all-ones words" `Quick test_sha256_high_bits;
+          Alcotest.test_case "1 MiB in 7-byte chunks" `Quick test_sha256_mib_in_small_chunks;
+          Alcotest.test_case "no allocation per block" `Quick test_sha256_allocation;
           Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip ] );
       ( "hmac",
         [ Alcotest.test_case "RFC 4231 vectors" `Quick test_hmac_vectors;
@@ -213,6 +378,11 @@ let () =
       ( "merkle",
         [ Alcotest.test_case "multi-sign" `Quick test_merkle_multi_sign;
           Alcotest.test_case "encode/decode" `Quick test_merkle_encode_decode;
+          Alcotest.test_case "canonical header only" `Quick test_merkle_canonical_header;
           Alcotest.test_case "height zero and bounds" `Quick test_merkle_height_zero ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_merkle_verify; prop_hmac_key_sensitivity ] ) ]
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_sha256_matches_oracle;
+            prop_merkle_verify;
+            prop_merkle_decode_canonical;
+            prop_hmac_key_sensitivity ] ) ]

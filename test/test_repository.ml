@@ -215,6 +215,128 @@ let test_determinism_and_size () =
   Alcotest.(check bool) "size is positive" true (Repo.size_on_wire repo1 > 0);
   Alcotest.(check int) "object count" 1 (Repo.object_count repo1)
 
+(* --- the chain walk, pinned -------------------------------------------
+
+   These hold the relying party's chain checks to the outcomes of the
+   walk that re-checked a CA's chain for every object, recorded from it
+   verbatim: a verdict computed once per CA and shared must reject the
+   same objects, for the same reasons, in the same order. *)
+
+let roa_of asn pfxs = Testutil.check_ok (Roa.of_simple (a asn) (List.map (fun s -> (s, None)) pfxs))
+let rejection_list o = List.map (fun r -> (r.Repo.object_name, r.Repo.reason)) o.Repo.rejections
+
+(* [levels] CAs under the trust anchor, each certifying the next, and
+   one ROA under the deepest. *)
+let deep_chain levels =
+  let repo = Repo.create ~ta_height:2 ~seed:"deep" "ta" in
+  let rec grow parent i =
+    if i > levels then parent
+    else
+      grow
+        (Testutil.check_ok
+           (Repo.add_ca repo ~parent ~name:(Printf.sprintf "ca%d" i) ~resources:[ p "10.0.0.0/8" ]
+              ~as_resources:[ a 64500 ] ~height:1 ()))
+        (i + 1)
+  in
+  let deepest = grow (Repo.root repo) 1 in
+  let name = Testutil.check_ok (Repo.issue_roa repo deepest (roa_of 64500 [ "10.1.0.0/16" ])) in
+  (repo, name)
+
+let test_chain_depth_limit () =
+  let outcome = Repo.validate (fst (deep_chain 32)) in
+  Alcotest.(check int) "valid 32 levels down" 1 (List.length outcome.Repo.valid_roas);
+  Alcotest.(check (list (pair string string))) "no rejections" [] (rejection_list outcome);
+  let repo, name = deep_chain 33 in
+  let outcome = Repo.validate repo in
+  Alcotest.(check int) "nothing valid 33 levels down" 0 (List.length outcome.Repo.valid_roas);
+  Alcotest.(check (list (pair string string)))
+    "too deep" [ (name, "certificate chain too deep") ] (rejection_list outcome)
+
+let check_outcome outcome ~valid ~rejections =
+  Alcotest.(check (list Testutil.roa)) "valid_roas" valid outcome.Repo.valid_roas;
+  Alcotest.(check (list (pair string string))) "rejections" rejections (rejection_list outcome);
+  Alcotest.(check (list string)) "missing_from_manifest" [] outcome.Repo.missing_from_manifest
+
+let test_pinned_outcome () =
+  (* One honest RIR CA and one CA forced in beyond the RIR's space,
+     three ROAs each, published interleaved. *)
+  let repo = Repo.create ~ta_height:2 ~seed:"pinned-walk" "ta" in
+  let rir =
+    Testutil.check_ok
+      (Repo.add_ca repo ~parent:(Repo.root repo) ~name:"rir"
+         ~resources:[ p "10.0.0.0/8"; p "192.0.2.0/24" ]
+         ~as_resources:[ a 64500; a 64501; a 64502 ] ~height:3 ())
+  in
+  let rogue =
+    Repo.add_ca_unchecked repo ~parent:rir ~name:"rogue" ~resources:[ p "0.0.0.0/1" ]
+      ~as_resources:[ a 64500; a 64666 ] ~height:3 ()
+  in
+  List.iter
+    (fun (ca, roa) -> ignore (Testutil.check_ok (Repo.issue_roa repo ca roa)))
+    [ (rir, roa_of 64500 [ "10.0.0.0/16"; "10.0.1.0/24" ]);
+      (rogue, roa_of 64666 [ "8.8.8.0/24" ]);
+      (rir, roa_of 64501 [ "192.0.2.0/24" ]);
+      (rogue, roa_of 64500 [ "10.0.0.0/16" ]);
+      (rogue, roa_of 64666 [ "1.1.1.0/24"; "1.0.0.0/24" ]);
+      (rir, roa_of 64502 [ "10.2.0.0/16" ]) ];
+  check_outcome (Repo.validate repo)
+    ~valid:
+      [ roa_of 64502 [ "10.2.0.0/16" ];
+        roa_of 64501 [ "192.0.2.0/24" ];
+        roa_of 64500 [ "10.0.0.0/16"; "10.0.1.0/24" ] ]
+    ~rejections:
+      [ ("rogue/roa-12.roa", "CA \"rogue\" overclaims resources");
+        ("rogue/roa-10.roa", "CA \"rogue\" overclaims resources");
+        ("rogue/roa-6.roa", "CA \"rogue\" overclaims resources") ]
+
+let test_inherited_verdict () =
+  (* A CA properly certified by an overclaiming CA fails with its
+     ancestor's reason. *)
+  let repo = Repo.create ~ta_height:2 ~seed:"inherited" "ta" in
+  let rir =
+    Testutil.check_ok
+      (Repo.add_ca repo ~parent:(Repo.root repo) ~name:"rir" ~resources:[ p "10.0.0.0/8" ]
+         ~as_resources:[ a 64500 ] ~height:3 ())
+  in
+  let rogue =
+    Repo.add_ca_unchecked repo ~parent:rir ~name:"rogue" ~resources:[ p "0.0.0.0/1" ]
+      ~as_resources:[ a 64500 ] ~height:3 ()
+  in
+  let child =
+    Testutil.check_ok
+      (Repo.add_ca repo ~parent:rogue ~name:"child" ~resources:[ p "10.0.0.0/16" ]
+         ~as_resources:[ a 64500 ] ~height:2 ())
+  in
+  List.iter
+    (fun (ca, roa) -> ignore (Testutil.check_ok (Repo.issue_roa repo ca roa)))
+    [ (child, roa_of 64500 [ "10.0.0.0/24" ]);
+      (rir, roa_of 64500 [ "10.9.0.0/16" ]);
+      (rogue, roa_of 64500 [ "10.8.0.0/16" ]) ];
+  check_outcome (Repo.validate repo)
+    ~valid:[ roa_of 64500 [ "10.9.0.0/16" ] ]
+    ~rejections:
+      [ ("rogue/roa-9.roa", "CA \"rogue\" overclaims resources");
+        ("child/roa-5.roa", "CA \"rogue\" overclaims resources") ]
+
+let test_verdicts_per_walk () =
+  (* Re-certifying a CA beyond its parent's space between two walks:
+     the second walk must judge the new certificate, not remember the
+     first walk's verdict. *)
+  let repo, arin = fresh () in
+  let sub =
+    Testutil.check_ok
+      (Repo.add_ca repo ~parent:arin ~name:"sub" ~resources:[ p "168.122.0.0/16" ]
+         ~as_resources:[ a 111 ] ~height:2 ())
+  in
+  let name = Testutil.check_ok (Repo.issue_roa repo sub (roa_bu ())) in
+  Alcotest.(check int) "valid at first" 1 (List.length (Repo.validate repo).Repo.valid_roas);
+  ignore
+    (Repo.add_ca_unchecked repo ~parent:arin ~name:"sub" ~resources:[ p "0.0.0.0/1" ]
+       ~as_resources:[ a 111 ] ~height:2 ());
+  Alcotest.(check (list (pair string string)))
+    "re-judged" [ (name, "CA \"sub\" overclaims resources") ]
+    (rejection_list (Repo.validate repo))
+
 let () =
   Alcotest.run "rpki.repository"
     [ ( "honest path",
@@ -232,4 +354,9 @@ let () =
           Alcotest.test_case "tampered manifest" `Quick test_manifest_tamper;
           Alcotest.test_case "stale manifest" `Quick test_manifest_staleness;
           Alcotest.test_case "manifest econtent" `Quick test_manifest_econtent_roundtrip;
-          Alcotest.test_case "key exhaustion" `Quick test_key_exhaustion ] ) ]
+          Alcotest.test_case "key exhaustion" `Quick test_key_exhaustion ] );
+      ( "chain walk",
+        [ Alcotest.test_case "depth limit at 32 levels" `Quick test_chain_depth_limit;
+          Alcotest.test_case "pinned outcome" `Quick test_pinned_outcome;
+          Alcotest.test_case "inherited verdict" `Quick test_inherited_verdict;
+          Alcotest.test_case "verdicts last one walk" `Quick test_verdicts_per_walk ] ) ]

@@ -21,8 +21,12 @@ let kernel_mode = function Strict -> Kernel.Strict | Paper -> Kernel.Paper
    disjoint ranges over the shared read-only columns. A worker's
    per-group trie is a scratch {!Arena.Itrie} whose [value] is the
    tuple's maxLength and whose [aux] remembers the store index, so the
-   merged output travels back as packed ints — boxed [Vrp.t] records
-   are rebuilt only at the final canonical sort.
+   merged output travels back as packed ints. No step sorts by
+   comparison when the input arrives in [Vrp.compare] order, as every
+   hot caller's does: the store groups rows with a radix and records
+   each row's canonical rank, and the merge puts outputs back in
+   canonical order by walking those ranks. Boxed [Vrp.t] records are
+   rebuilt only at that last walk.
 
    The original record path (per-group boxed lists and a record-node
    trie) is kept below as [run_reference]/[eliminate_covered_reference]
@@ -333,18 +337,27 @@ let eliminate_covered_reference vrps =
    A worker owns one contiguous run of group ranges and a pair of
    scratch tries recycled across them with {!Itrie.reset} — the
    columns stay allocated (and warm) from group to group instead of
-   being rebuilt thousands of times. *)
+   being rebuilt thousands of times. Each trie is created on its
+   family's first multi-tuple group: a single-tuple group passes
+   through [Kernel.singleton_out] without one, and the small per-ROA
+   calls of an advisor audit (hundreds per pass) mostly hold one
+   family, often one tuple. *)
+let scratch_tries () =
+  let v4 = lazy (Itrie.create ~capacity:256 Pfx.Afi_v4)
+  and v6 = lazy (Itrie.create ~capacity:256 Pfx.Afi_v6) in
+  fun st lo -> Lazy.force (match Vrp_store.fam st lo with Pfx.Afi_v4 -> v4 | Pfx.Afi_v6 -> v6)
+
 let compress_chunk st mode eliminate (ranges : (int * int) array) (r_lo, r_hi) =
-  let v4 = Itrie.create ~capacity:256 Pfx.Afi_v4 in
-  let v6 = Itrie.create ~capacity:256 Pfx.Afi_v6 in
+  let trie = scratch_tries () in
   Array.init (r_hi - r_lo) (fun k ->
       let lo, hi = ranges.(r_lo + k) in
-      let tr = match Vrp_store.fam st lo with Pfx.Afi_v4 -> v4 | Pfx.Afi_v6 -> v6 in
-      Kernel.compress_range tr st ~mode ~eliminate ~lo ~hi)
+      if hi - lo = 1 then
+        { Kernel.out = Kernel.singleton_out st lo; eliminated = 0; merges = 0; absorbed = 0 }
+      else Kernel.compress_range (trie st lo) st ~mode ~eliminate ~lo ~hi)
 
 (* Sizing the columns to the input up front matters: the push loop
-   never doubles, so the store allocates its nine columns exactly once
-   instead of strewing doubling-copies across the major heap. *)
+   never doubles, so the store allocates its eight columns exactly
+   once instead of strewing doubling-copies across the major heap. *)
 let store_of_vrps vrps =
   let st = Vrp_store.create ~capacity:(List.length vrps) in
   List.iter
@@ -359,47 +372,89 @@ let materialize st acc packed =
   Vrp.make_exn (Vrp_store.prefix st idx) ~max_len (Asnum.of_int (Vrp_store.asn st idx))
   :: acc
 
-(* [Vrp.compare] on packed outputs, read off the store columns:
-   family (v4 < v6, as [Pfx.compare]), then address-then-length
-   ([K.compare_key] is [Pfx.compare] within a family), then maxLength,
-   then ASN — so the final merge sorts ints, never boxed records. *)
-let packed_compare (st : Vrp_store.t) p q =
-  let i = p lsr 8 and j = q lsr 8 in
-  let c = Int.compare st.Vrp_store.s_fam.(i) st.Vrp_store.s_fam.(j) in
-  if c <> 0 then c
+(* --- the rank walk: outputs back in [Vrp.compare] order ------------- *)
+
+(* Each packed output goes to the slot of its store row's canonical
+   rank. Ranks are distinct and a group emits a prefix at most once,
+   so no two outputs share a slot. *)
+let place (st : Vrp_store.t) slot out =
+  let rank = st.Vrp_store.s_rank in
+  for k = 0 to Array.length out - 1 do
+    let p = out.(k) in
+    slot.(rank.(p lsr 8)) <- p
+  done
+  [@@hot]
+
+(* Move the occupied slots (empty ones hold -1) to the front, keeping
+   rank order; returns how many there are. *)
+let rec compact slot n r w =
+  if r >= n then w
   else begin
-    let c =
-      K.compare_key st.Vrp_store.s_c0.(i) st.Vrp_store.s_c1.(i) st.Vrp_store.s_c2.(i)
-        st.Vrp_store.s_c3.(i) st.Vrp_store.s_len.(i) st.Vrp_store.s_c0.(j)
-        st.Vrp_store.s_c1.(j) st.Vrp_store.s_c2.(j) st.Vrp_store.s_c3.(j)
-        st.Vrp_store.s_len.(j)
-    in
-    if c <> 0 then c
+    let p = slot.(r) in
+    if p < 0 then compact slot n (r + 1) w
     else begin
-      let c = Int.compare (p land 0xff) (q land 0xff) in
-      if c <> 0 then c else Int.compare st.Vrp_store.s_asn.(i) st.Vrp_store.s_asn.(j)
+      slot.(w) <- p;
+      compact slot n (r + 1) (w + 1)
     end
   end
+  [@@hot]
 
-(* Concatenate the per-group packed outputs, sort them in canonical
-   order and box each tuple exactly once, consing from the top so the
-   list comes out ascending. Groups are disjoint in (asn, family) and
-   a group emits each prefix at most once, so no duplicates can exist
-   and the sort needs no dedup pass. *)
+let same_prefix (st : Vrp_store.t) i j =
+  Int.equal st.Vrp_store.s_fam.(i) st.Vrp_store.s_fam.(j)
+  && K.equal_key st.Vrp_store.s_c0.(i) st.Vrp_store.s_c1.(i) st.Vrp_store.s_c2.(i)
+       st.Vrp_store.s_c3.(i) st.Vrp_store.s_len.(i) st.Vrp_store.s_c0.(j)
+       st.Vrp_store.s_c1.(j) st.Vrp_store.s_c2.(j) st.Vrp_store.s_c3.(j)
+       st.Vrp_store.s_len.(j)
+  [@@hot]
+
+(* Sift [slot.(k)] down into the sorted run [slot.(lo .. k-1)] by
+   (maxLength, ASN) — the tail of [Vrp.compare] once prefixes tie. *)
+let rec sift (st : Vrp_store.t) slot lo k =
+  if k > lo then begin
+    let p = slot.(k - 1) and q = slot.(k) in
+    let pm = p land 0xff and qm = q land 0xff in
+    if pm > qm || (pm = qm && st.Vrp_store.s_asn.(p lsr 8) > st.Vrp_store.s_asn.(q lsr 8))
+    then begin
+      slot.(k - 1) <- q;
+      slot.(k) <- p;
+      sift st slot lo (k - 1)
+    end
+  end
+  [@@hot]
+
+(* Rank order is [Vrp.compare] order of the {e input} rows, and a
+   merge may raise an output's maxLength past that of another origin's
+   output for the same prefix (MOAS). So each run of equal prefixes,
+   [lo, k) so far, is re-ordered by (maxLength, ASN); runs are as long
+   as a prefix has origins. *)
+let rec fix_runs (st : Vrp_store.t) slot total lo k =
+  if k < total then begin
+    if same_prefix st (slot.(lo) lsr 8) (slot.(k) lsr 8) then begin
+      sift st slot lo k;
+      fix_runs st slot total lo (k + 1)
+    end
+    else fix_runs st slot total k (k + 1)
+  end
+  [@@hot]
+
+let rank_walk st slot =
+  let total = compact slot (Array.length slot) 0 0 in
+  fix_runs st slot total 0 1;
+  total
+  [@@hot]
+
+(* Gather the per-group packed outputs into rank slots, walk them into
+   canonical order and box each tuple exactly once, consing from the
+   top so the list comes out ascending. Groups are disjoint in
+   (asn, family) and a group emits each prefix at most once, so no
+   duplicates can exist. *)
 let merge_packed st (outs : int array array) =
-  let total = Array.fold_left (fun acc out -> acc + Array.length out) 0 outs in
-  let all = Array.make (max total 1) 0 in
-  let _ =
-    Array.fold_left
-      (fun k out ->
-        Array.blit out 0 all k (Array.length out);
-        k + Array.length out)
-      0 outs
-  in
-  Array.sort (packed_compare st) all;
+  let slot = Array.make (Vrp_store.length st) (-1) in
+  Array.iter (place st slot) outs;
+  let total = rank_walk st slot in
   let result = ref [] in
   for k = total - 1 downto 0 do
-    result := materialize st !result all.(k)
+    result := materialize st !result slot.(k)
   done;
   (!result, total)
 
@@ -411,9 +466,8 @@ let run_with_stats ?(mode = Strict) ?(eliminate = true) ?domains vrps =
   let ranges = Vrp_store.group_ranges st in
   let worker = compress_chunk st mode eliminate ranges in
   let results = map_chunks ~domains worker (Array.length ranges) in
-  (* Deterministic merge: the packed-int sort in canonical VRP order
-     makes the final list independent of both sharding and
-     scheduling. *)
+  (* Deterministic merge: the rank walk emits canonical VRP order,
+     independent of both sharding and scheduling. *)
   let result, output = merge_packed st (Array.map (fun r -> r.Kernel.out) results) in
   let covered_eliminated =
     Array.fold_left (fun acc r -> acc + r.Kernel.eliminated) 0 results
@@ -425,12 +479,11 @@ let run_with_stats ?(mode = Strict) ?(eliminate = true) ?domains vrps =
 let run ?mode ?eliminate ?domains vrps = fst (run_with_stats ?mode ?eliminate ?domains vrps)
 
 let eliminate_chunk st (ranges : (int * int) array) (r_lo, r_hi) =
-  let v4 = Itrie.create ~capacity:256 Pfx.Afi_v4 in
-  let v6 = Itrie.create ~capacity:256 Pfx.Afi_v6 in
+  let trie = scratch_tries () in
   Array.init (r_hi - r_lo) (fun k ->
       let lo, hi = ranges.(r_lo + k) in
-      let tr = match Vrp_store.fam st lo with Pfx.Afi_v4 -> v4 | Pfx.Afi_v6 -> v6 in
-      Kernel.eliminate_range tr st ~lo ~hi)
+      if hi - lo = 1 then Kernel.singleton_out st lo
+      else Kernel.eliminate_range (trie st lo) st ~lo ~hi)
 
 let eliminate_covered ?domains vrps =
   let domains = match domains with Some d -> d | None -> Pool.default_domains () in

@@ -2,11 +2,17 @@ module Pfx = Netaddr.Pfx
 module Vrp = Rpki.Vrp
 module Bgp_table = Dataset.Bgp_table
 
+(* [minimal_vrps], [full_deployment_vrps] and [max_permissive_vrps]
+   emit at most one tuple per announced pair, with a maxLength that
+   depends only on the prefix. [Bgp_table.fold] visits pairs in
+   ascending (prefix, origin) order, so reversing the consed list
+   yields strictly ascending [Vrp.compare] order: no sort, no dedup. *)
+
 let minimal_vrps table vrps =
   let db = Rpki.Validation.create vrps in
   Bgp_table.fold table ~init:[] ~f:(fun acc p a ->
       if Rpki.Validation.authorized db p a then Vrp.exact p a :: acc else acc)
-  |> List.sort_uniq Vrp.compare
+  |> List.rev
 
 let minimal_roas table roas =
   List.filter_map
@@ -28,14 +34,13 @@ let minimal_roas table roas =
     roas
 
 let full_deployment_vrps table =
-  Bgp_table.fold table ~init:[] ~f:(fun acc p a -> Vrp.exact p a :: acc)
-  |> List.sort_uniq Vrp.compare
+  Bgp_table.fold table ~init:[] ~f:(fun acc p a -> Vrp.exact p a :: acc) |> List.rev
 
 let max_permissive_vrps table =
   Bgp_table.fold table ~init:[] ~f:(fun acc p a ->
       if Bgp_table.has_same_origin_ancestor table p a then acc
       else Vrp.make_exn p ~max_len:(Pfx.addr_bits p) a :: acc)
-  |> List.sort_uniq Vrp.compare
+  |> List.rev
 
 (* Minimal iff level i below the prefix is fully announced: 2^i
    subprefixes (capped to avoid overflow; such counts are unreachable

@@ -22,8 +22,19 @@ val mem : t -> Netaddr.Pfx.t -> Rpki.Asnum.t -> bool
 val cardinal : t -> int
 
 val iter : t -> (Netaddr.Pfx.t -> Rpki.Asnum.t -> unit) -> unit
+(** Visit every pair in {!fold} order. *)
+
 val fold : t -> init:'a -> f:('a -> Netaddr.Pfx.t -> Rpki.Asnum.t -> 'a) -> 'a
+(** Fold over every announced pair exactly once, in strictly
+    ascending order: IPv4 pairs before IPv6 pairs, prefixes in
+    [Pfx.compare] order (address, then length), and the origins of one
+    prefix ascending by [Asnum.compare]. [Mlcore.Minimal] relies on
+    this contract: a producer that emits one tuple per pair, with a
+    maxLength fixed by the prefix, is already in [Vrp.compare] order
+    and needs neither a sort nor a dedup. *)
+
 val pairs : t -> (Netaddr.Pfx.t * Rpki.Asnum.t) list
+(** Every pair, in {!fold} order. *)
 
 val origins : t -> Netaddr.Pfx.t -> Rpki.Asnum.t list
 (** Who originates exactly this prefix (usually one AS; several for a

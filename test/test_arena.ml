@@ -261,6 +261,50 @@ let prop_bgp_oracle =
                   (Dataset.Bgp_table_ref.count_by_length_under r q origin ~max_len))
            probes)
 
+(* The order contract of [Bgp_table.fold] (bgp_table.mli): every pair
+   once, strictly ascending by (Pfx.compare, Asnum.compare) — v4
+   before v6, MOAS origins ascending. The [Minimal] corpora rely on it
+   instead of sorting, so each must equal the sorted, deduplicated
+   list of its tuples. *)
+let prop_bgp_fold_order =
+  let open QCheck2 in
+  let gen = Gen.pair (gen_pair_list 150) (gen_pair_list 40) in
+  Test.make ~name:"Bgp_table.fold yields strictly ascending pairs" ~count:150 gen
+    (fun (adds, removes) ->
+      let t = Dataset.Bgp_table.create () in
+      List.iter (fun (q, origin) -> Dataset.Bgp_table.add t q origin) adds;
+      List.iter (fun (q, origin) -> ignore (Dataset.Bgp_table.remove t q origin)) removes;
+      let folded =
+        List.rev (Dataset.Bgp_table.fold t ~init:[] ~f:(fun acc q origin -> (q, origin) :: acc))
+      in
+      let pair_compare (p1, a1) (p2, a2) =
+        let c = Pfx.compare p1 p2 in
+        if c <> 0 then c else Rpki.Asnum.compare a1 a2
+      in
+      let rec ascending = function
+        | x :: (y :: _ as rest) -> pair_compare x y < 0 && ascending rest
+        | [] | [ _ ] -> true
+      in
+      let sorted_vrps f = List.sort_uniq Vrp.compare (List.filter_map f folded) in
+      let exact_where keep =
+        sorted_vrps (fun (q, origin) -> if keep origin then Some (Vrp.exact q origin) else None)
+      in
+      (* Exact VRPs authorize only their own pair, so [minimal_vrps]
+         over the odd origins' exact VRPs must return exactly them. *)
+      let odd = exact_where (fun origin -> Rpki.Asnum.to_int origin land 1 = 1) in
+      if not (ascending folded) then Test.fail_report "fold order is not strictly ascending";
+      List.length folded = Dataset.Bgp_table.cardinal t
+      && List.equal (fun x y -> pair_compare x y = 0) folded (Dataset.Bgp_table.pairs t)
+      && List.equal Vrp.equal
+           (Mlcore.Minimal.full_deployment_vrps t)
+           (exact_where (fun _ -> true))
+      && List.equal Vrp.equal
+           (Mlcore.Minimal.max_permissive_vrps t)
+           (sorted_vrps (fun (q, origin) ->
+                if Dataset.Bgp_table.has_same_origin_ancestor t q origin then None
+                else Some (Vrp.make_exn q ~max_len:(Pfx.addr_bits q) origin)))
+      && List.equal Vrp.equal (Mlcore.Minimal.minimal_vrps t (List.rev odd)) odd)
+
 (* --- Compress vs the record-path reference ---------------------------- *)
 
 let stats_equal (s1 : Mlcore.Compress.stats) (s2 : Mlcore.Compress.stats) =
@@ -304,6 +348,129 @@ let prop_eliminate_oracle =
         (fun domains ->
           List.equal Vrp.equal (Mlcore.Compress.eliminate_covered ~domains vrps) reference)
         [ 1; 2; 4 ])
+
+(* --- Vrp_store.sort_dedup vs a reference comparison sort ------------- *)
+
+module Store = Arena.Vrp_store
+
+(* Store inputs: both families, MOAS prefixes (a handful of origins),
+   ASNs wide enough to need every radix digit, and exact duplicates.
+   Each list comes with a shuffle of itself. *)
+let gen_store_input =
+  let open QCheck2.Gen in
+  let wide_asn =
+    oneof
+      [ int_range 1 8;
+        int_range 0 ((1 lsl 32) - 1);
+        map (fun k -> (1 lsl 21) + k) (int_bound 3);
+        map (fun k -> (1 lsl 32) - 1 - k) (int_bound 3) ]
+  in
+  let* asn = oneofl [ int_range 1 8; return 64500; wide_asn ] in
+  let gen_vrp =
+    let* q = Testutil.gen_clustered_prefix in
+    let* origin = asn in
+    let* extra = int_bound (min 4 (Pfx.addr_bits q - Pfx.length q)) in
+    return (Vrp.make_exn q ~max_len:(Pfx.length q + extra) (Rpki.Asnum.of_int origin))
+  in
+  let* base = list_size (int_range 0 80) gen_vrp in
+  let* dups = list_size (int_bound 10) (match base with [] -> gen_vrp | _ -> oneofl base) in
+  let vrps = base @ dups in
+  let* shuffled = shuffle_l vrps in
+  return (vrps, shuffled)
+
+(* The store's group order, (asn, family, prefix, maxLength), as a
+   plain comparison sort. *)
+let group_compare (x : Vrp.t) (y : Vrp.t) =
+  let c = Rpki.Asnum.compare x.Vrp.asn y.Vrp.asn in
+  if c <> 0 then c
+  else begin
+    let c = Pfx.afi_compare (Pfx.afi x.Vrp.prefix) (Pfx.afi y.Vrp.prefix) in
+    if c <> 0 then c
+    else begin
+      let c = Pfx.compare x.Vrp.prefix y.Vrp.prefix in
+      if c <> 0 then c else Int.compare x.Vrp.max_len y.Vrp.max_len
+    end
+  end
+
+let same_group (x : Vrp.t) (y : Vrp.t) =
+  Rpki.Asnum.equal x.Vrp.asn y.Vrp.asn
+  && Pfx.afi_equal (Pfx.afi x.Vrp.prefix) (Pfx.afi y.Vrp.prefix)
+
+let reference_ranges rows =
+  let n = Array.length rows in
+  let rec go lo i acc =
+    if i >= n then List.rev (if n = 0 then acc else (lo, n) :: acc)
+    else if same_group rows.(i - 1) rows.(i) then go lo (i + 1) acc
+    else go i (i + 1) ((lo, i) :: acc)
+  in
+  Array.of_list (go 0 1 [])
+
+let store_row st i =
+  Vrp.make_exn (Store.prefix st i) ~max_len:(Store.max_len st i)
+    (Rpki.Asnum.of_int (Store.asn st i))
+
+let prop_sort_dedup_reference =
+  let open QCheck2 in
+  Test.make ~name:"sort_dedup equals a reference sort, ranks are canonical" ~count:300
+    gen_store_input (fun (vrps, shuffled) ->
+      let expected = Array.of_list (List.sort_uniq group_compare vrps) in
+      let canonical = List.sort_uniq Vrp.compare vrps in
+      List.for_all
+        (fun (order, input) ->
+          let st = Store.create ~capacity:4 in
+          List.iter
+            (fun (v : Vrp.t) ->
+              Store.push st v.Vrp.prefix ~max_len:v.Vrp.max_len
+                ~asn:(Rpki.Asnum.to_int v.Vrp.asn))
+            input;
+          Store.sort_dedup st;
+          let n = Store.length st in
+          let rows = Array.init n (store_row st) in
+          if not (Array.for_all2 Vrp.equal rows expected) then
+            Test.fail_reportf "%s push order: columns differ from the reference" order;
+          if
+            not
+              (Array.for_all2
+                 (fun (l1, h1) (l2, h2) -> Int.equal l1 l2 && Int.equal h1 h2)
+                 (Store.group_ranges st) (reference_ranges expected))
+          then Test.fail_reportf "%s push order: group ranges differ" order;
+          let by_rank = Array.make n None in
+          Array.iteri (fun i v -> by_rank.(Store.rank st i) <- Some v) rows;
+          if
+            not
+              (List.equal Vrp.equal canonical
+                 (List.filter_map Fun.id (Array.to_list by_rank)))
+          then Test.fail_reportf "%s push order: ranks are not Vrp.compare order" order;
+          let sorts = Store.sort_count st in
+          Store.sort_dedup st;
+          Int.equal sorts (if n = 0 then 0 else 1) && Int.equal (Store.sort_count st) sorts)
+        [ ("canonical", List.sort Vrp.compare vrps);
+          ("reversed", List.rev (List.sort Vrp.compare vrps));
+          ("shuffled", shuffled) ])
+
+(* The rank walk must not depend on the order the input arrived in:
+   canonical input takes the sort-free path, any other order the
+   fallback sort, and both must emit the same list. *)
+let prop_compress_order_independent =
+  let open QCheck2 in
+  Test.make ~name:"compress output is independent of input order" ~count:100
+    gen_store_input (fun (vrps, shuffled) ->
+      let canonical = List.sort Vrp.compare vrps in
+      List.for_all
+        (fun mode ->
+          List.for_all
+            (fun eliminate ->
+              let expected = Mlcore.Compress.run ~mode ~eliminate ~domains:1 canonical in
+              List.for_all
+                (fun domains ->
+                  List.for_all
+                    (fun input ->
+                      List.equal Vrp.equal expected
+                        (Mlcore.Compress.run ~mode ~eliminate ~domains input))
+                    [ canonical; List.rev canonical; shuffled ])
+                [ 1; 2 ])
+            [ true; false ])
+        [ Mlcore.Compress.Strict; Mlcore.Compress.Paper ])
 
 let test_figure2_arena_matches_reference () =
   let input, compressed = Mlcore.Compress.figure2_example () in
@@ -519,7 +686,9 @@ let () =
         [ Alcotest.test_case "empty and single" `Quick test_validation_empty_and_single ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_validation_oracle; prop_validation_dynamic ] );
-      ("bgp_table", List.map QCheck_alcotest.to_alcotest [ prop_bgp_oracle ]);
+      ( "bgp_table",
+        List.map QCheck_alcotest.to_alcotest [ prop_bgp_oracle; prop_bgp_fold_order ] );
+      ("vrp_store", List.map QCheck_alcotest.to_alcotest [ prop_sort_dedup_reference ]);
       ( "sanitizer",
         [ Alcotest.test_case "stale handles are refused" `Quick test_sanitizer_fires;
           Alcotest.test_case "disabled means raw handles" `Quick
@@ -528,5 +697,5 @@ let () =
             [ prop_reset_recycle_sanitized; prop_delta_stale_handles ] );
       ( "compress",
         [ Alcotest.test_case "figure 2" `Quick test_figure2_arena_matches_reference ]
-        @ List.map QCheck_alcotest.to_alcotest [ prop_compress_oracle; prop_eliminate_oracle ]
-      ) ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_compress_oracle; prop_eliminate_oracle; prop_compress_order_independent ] ) ]

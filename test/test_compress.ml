@@ -147,6 +147,32 @@ let test_run_with_stats () =
     (stats.Compress.input - stats.Compress.covered_eliminated - stats.Compress.children_absorbed)
     stats.Compress.output
 
+(* MOAS ordering: a merge raises AS 1's 10.0.0.0/16 to maxLength 17,
+   past AS 2's untouched 10.0.0.0/16-16. In input order AS 1's /16
+   comes first (equal maxLength, smaller ASN), so an output order that
+   followed the input tuples would list AS 1 first; [Vrp.compare]
+   wants AS 2's lower maxLength first. Checked in every input order,
+   at 1 and 2 domains, with and without elimination. *)
+let test_moas_order_after_merge () =
+  let input =
+    [ v "10.0.0.0/16" 16 1; v "10.0.0.0/16" 16 2; v "10.0.0.0/17" 17 1; v "10.0.128.0/17" 17 1 ]
+  in
+  let expected = [ v "10.0.0.0/16" 16 2; v "10.0.0.0/16" 17 1 ] in
+  List.iter
+    (fun (name, vrps) ->
+      List.iter
+        (fun domains ->
+          List.iter
+            (fun eliminate ->
+              check_vrps
+                (Printf.sprintf "%s, %d domain(s), eliminate=%b" name domains eliminate)
+                expected
+                (Compress.run ~eliminate ~domains vrps))
+            [ true; false ])
+        [ 1; 2 ])
+    [ ("canonical", input); ("reversed", List.rev input) ];
+  check_vrps "record reference agrees" expected (Compress.run_reference input)
+
 let prop_stats_balance =
   QCheck2.Test.make ~name:"stats always balance input = output + removed" ~count:300
     Testutil.gen_vrp_list (fun vrps ->
@@ -474,7 +500,8 @@ let () =
           Alcotest.test_case "strict vs paper divergence" `Quick test_strict_vs_paper_divergence;
           Alcotest.test_case "direct-child minimal-depth/leftmost tie" `Quick test_direct_child_tie;
           Alcotest.test_case "compression ratio" `Quick test_compression_ratio;
-          Alcotest.test_case "run_with_stats" `Quick test_run_with_stats ] );
+          Alcotest.test_case "run_with_stats" `Quick test_run_with_stats;
+          Alcotest.test_case "MOAS order after a merge" `Quick test_moas_order_after_merge ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_strict_preserves_validation;

@@ -1,7 +1,7 @@
 (* The benchmark & reproduction harness: regenerates every table and
    figure of the paper (printing paper-vs-measured), then times the
-   compress_roas pipeline — sequential vs parallel per domain count,
-   emitted as BENCH_compress.json — and its substrates with Bechamel.
+   compress_roas pipeline — one sequential run per dataset, emitted as
+   BENCH_compress.json — and its substrates with Bechamel.
 
    Environment knobs:
      BENCH_SCALE   dataset scale for Table 1 / section 6 (default 1.0,
@@ -9,8 +9,11 @@
      FIG3_SCALE    dataset scale for the 8-week Figure 3 series
                    (default 0.25 to keep the run minutes-long)
      BENCH_SEED    PRNG seed (default 42)
-     RPKI_DOMAINS  domain count for the parallel pipelines (default
-                   Domain.recommended_domain_count; 1 = sequential)
+     RPKI_DOMAINS  domain count for the fork-join steps of section 6,
+                   Table 1 and the Figure 3 timeline, and one extra
+                   agreement run in the validate and arena sections
+                   (default Domain.recommended_domain_count;
+                   1 = sequential)
      BENCH_ONLY    comma-separated subset of sections to run, among
                    section6, audit, table1, figure3, attack, compress,
                    validate, arena, rtr, fanout, churn, ablation, micro
@@ -196,52 +199,30 @@ let attack_eval () =
      \  Invalid and captures 0%; the traditional forged-origin fallback splits\n\
      \  traffic with the majority staying on the legitimate route."
 
-(* Section 7.2-style wall-clock + allocation measurement, extended
-   with the sequential-vs-parallel comparison and a machine-readable
-   trajectory file (BENCH_compress.json) that later PRs regress
-   against. The paper reports 2.4 s / 19 MB today-scale and 36 s /
-   290 MB full-scale on an i7-6700; absolute numbers differ by machine
-   and implementation, the scaling shape is the claim. *)
-
-type domain_run = { d_domains : int; d_wall : float; d_identical : bool }
+(* Section 7.2-style wall-clock + allocation measurement, with a
+   machine-readable trajectory file (BENCH_compress.json) that later
+   PRs regress against. Compression runs on one domain (DESIGN.md §7).
+   The paper reports 2.4 s / 19 MB today-scale and 36 s / 290 MB
+   full-scale on an i7-6700; absolute numbers differ by machine and
+   implementation, the scaling shape is the claim. *)
 
 type compress_result = {
   c_name : string;
   c_in : int;
   c_out : int;
   c_pct : float; (* compression, percent *)
-  c_seq_wall : float;
-  c_runs : domain_run list;
+  c_wall : float;
 }
-
-let parallel_domain_counts =
-  (* Always probe 2 and 4 (the acceptance axis), plus whatever
-     RPKI_DOMAINS asks for. *)
-  List.sort_uniq Int.compare (List.filter (fun d -> d > 1) [ 2; 4; domains ])
 
 let bench_compress_dataset (name, vrps) =
   let bytes_before = Gc.allocated_bytes () in
   let t0 = Unix.gettimeofday () in
-  let seq_out, stats = Mlcore.Compress.run_with_stats ~domains:1 vrps in
-  let seq_wall = Unix.gettimeofday () -. t0 in
+  let _, stats = Mlcore.Compress.run_with_stats vrps in
+  let wall = Unix.gettimeofday () -. t0 in
   let mb = (Gc.allocated_bytes () -. bytes_before) /. 1_048_576.0 in
-  Printf.printf "  %-24s %8d -> %8d tuples   seq %7.2f s wall   %8.1f MB allocated\n" name
-    stats.Mlcore.Compress.input stats.Mlcore.Compress.output seq_wall mb;
+  Printf.printf "  %-24s %8d -> %8d tuples   %7.2f s wall   %8.1f MB allocated\n" name
+    stats.Mlcore.Compress.input stats.Mlcore.Compress.output wall mb;
   Format.printf "  %-24s (%a)@." "" Mlcore.Compress.pp_stats stats;
-  let runs =
-    List.map
-      (fun d ->
-        let t0 = Unix.gettimeofday () in
-        let out, _ = Mlcore.Compress.run_with_stats ~domains:d vrps in
-        let wall = Unix.gettimeofday () -. t0 in
-        let identical = List.equal Rpki.Vrp.equal out seq_out in
-        Printf.printf "  %-24s %d domains: %7.2f s wall   speedup %5.2fx   output %s\n" ""
-          d wall
-          (if wall > 0.0 then seq_wall /. wall else 0.0)
-          (if identical then "identical" else "DIVERGED");
-        { d_domains = d; d_wall = wall; d_identical = identical })
-      parallel_domain_counts
-  in
   { c_name = name;
     c_in = stats.Mlcore.Compress.input;
     c_out = stats.Mlcore.Compress.output;
@@ -249,8 +230,7 @@ let bench_compress_dataset (name, vrps) =
       100.0
       *. Mlcore.Compress.compression_ratio ~before:stats.Mlcore.Compress.input
            ~after:stats.Mlcore.Compress.output;
-    c_seq_wall = seq_wall;
-    c_runs = runs }
+    c_wall = wall }
 
 (* Hand-rolled JSON writer — the schema is flat and we take no
    dependency for it. Documented in README.md. *)
@@ -258,13 +238,11 @@ let write_bench_json path results =
   let buf = Buffer.create 2048 in
   let spf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   spf "{\n";
-  spf "  \"schema\": \"rpki-maxlen/bench-compress/v1\",\n";
+  spf "  \"schema\": \"rpki-maxlen/bench-compress/v2\",\n";
   spf "  \"ocaml_version\": %S,\n" Sys.ocaml_version;
   spf "  \"word_size\": %d,\n" Sys.word_size;
   spf "  \"seed\": %d,\n" seed;
   spf "  \"scale\": %g,\n" scale;
-  spf "  \"rpki_domains\": %d,\n" domains;
-  spf "  \"recommended_domains\": %d,\n" (Domain.recommended_domain_count ());
   spf "  \"datasets\": [\n";
   List.iteri
     (fun i r ->
@@ -273,29 +251,15 @@ let write_bench_json path results =
       spf "      \"tuples_in\": %d,\n" r.c_in;
       spf "      \"tuples_out\": %d,\n" r.c_out;
       spf "      \"compression_pct\": %.4f,\n" r.c_pct;
-      spf "      \"sequential\": { \"domains\": 1, \"wall_s\": %.6f },\n" r.c_seq_wall;
-      spf "      \"parallel\": [\n";
-      List.iteri
-        (fun j run ->
-          spf
-            "        { \"domains\": %d, \"wall_s\": %.6f, \"speedup\": %.4f, \
-             \"outputs_identical\": %b }%s\n"
-            run.d_domains run.d_wall
-            (if run.d_wall > 0.0 then r.c_seq_wall /. run.d_wall else 0.0)
-            run.d_identical
-            (if j = List.length r.c_runs - 1 then "" else ",")
-        )
-        r.c_runs;
-      spf "      ]\n";
-      spf "    }%s\n" (if i = List.length results - 1 then "" else ",")
-    )
+      spf "      \"wall_s\": %.6f\n" r.c_wall;
+      spf "    }%s\n" (if i = List.length results - 1 then "" else ","))
     results;
   spf "  ]\n";
   spf "}\n";
   Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc (Buffer.contents buf))
 
 let section72 snap =
-  banner "Section 7.2: compress_roas computational cost (sequential vs parallel)";
+  banner "Section 7.2: compress_roas computational cost";
   let results =
     List.map bench_compress_dataset
       [ ("today", Dataset.Snapshot.vrps snap);
@@ -303,14 +267,14 @@ let section72 snap =
   in
   write_bench_json json_path results;
   Printf.printf "  (paper, i7-6700: today 2.4 s / 19 MB; full deployment 36 s / 290 MB)\n";
-  Printf.printf "  wrote %s\n" json_path;
-  if List.exists (fun r -> List.exists (fun run -> not run.d_identical) r.c_runs) results
-  then begin
-    prerr_endline "BENCH FAILURE: parallel compression output diverged from sequential";
-    exit 1
-  end
+  Printf.printf "  wrote %s\n" json_path
 
 (* --- bulk validation data path (BENCH_validate.json) --- *)
+
+(* Always probe 2 and 4 domains (the acceptance axis), plus whatever
+   RPKI_DOMAINS asks for. *)
+let parallel_domain_counts =
+  List.sort_uniq Int.compare (List.filter (fun d -> d > 1) [ 2; 4; domains ])
 
 (* Bulk sweeps over the hot read-side queries the Patricia index
    serves: RFC 6811 origin validation of every announced (prefix,
@@ -348,7 +312,7 @@ let bench_validate_workload name arr f =
       (fun d ->
         let t0 = Unix.gettimeofday () in
         let got =
-          sum (Parallel.Pool.run ~domains:d (fun pool -> Parallel.Pool.parallel_map pool ~f arr))
+          sum (Parallel.Pool.parallel_map ~domains:d ~f arr)
         in
         let wall = Unix.gettimeofday () -. t0 in
         let agrees = got = expected in
@@ -452,7 +416,7 @@ type a_result = {
   a_record_wall : float;
   a_arena_wall : float;
   a_agree : bool;
-  a_runs : a_run list; (* the arena side under a domain pool *)
+  a_runs : a_run list; (* the arena side at 2+ domains; empty for compress *)
 }
 
 (* Each repeat starts from a fully settled heap: with the snapshot's
@@ -520,9 +484,7 @@ let bench_arena_workload name queries ~record ~arena =
         Gc.major ();
         let t0 = Unix.gettimeofday () in
         let got =
-          sum
-            (Parallel.Pool.run ~domains:d (fun pool ->
-                 Parallel.Pool.parallel_map pool ~f:arena idx))
+          sum (Parallel.Pool.parallel_map ~domains:d ~f:arena idx)
         in
         let wall = Unix.gettimeofday () -. t0 in
         let agrees = got = expected in
@@ -539,39 +501,25 @@ let bench_arena_workload name queries ~record ~arena =
     a_agree = agree;
     a_runs = runs }
 
-(* Whole-pipeline comparison: the arena compress (sequential and on a
-   domain pool) against the record-path reference, outputs compared as
-   full VRP lists. *)
+(* Whole-pipeline comparison: the arena compress against the
+   record-path reference, outputs compared as full VRP lists.
+   Compression runs on one domain, so there are no parallel runs. *)
 let bench_arena_compress (name, vrps) =
   let record_out = Mlcore.Compress.run_reference vrps in
-  let arena_out = Mlcore.Compress.run ~domains:1 vrps in
+  let arena_out = Mlcore.Compress.run vrps in
   let agree = List.equal Rpki.Vrp.equal record_out arena_out in
   let record_wall = min_wall (fun () -> Mlcore.Compress.run_reference vrps) in
-  let arena_wall = min_wall (fun () -> Mlcore.Compress.run ~domains:1 vrps) in
+  let arena_wall = min_wall (fun () -> Mlcore.Compress.run vrps) in
   Printf.printf "  %-28s %8d tuples    record %8.3f s     arena %8.3f s     %5.2fx   %s\n" name
     (List.length vrps) record_wall arena_wall
     (if arena_wall > 0.0 then record_wall /. arena_wall else 0.0)
     (if agree then "identical" else "DIVERGED");
-  let runs =
-    List.map
-      (fun d ->
-        Gc.major ();
-        let t0 = Unix.gettimeofday () in
-        let out = Mlcore.Compress.run ~domains:d vrps in
-        let wall = Unix.gettimeofday () -. t0 in
-        let agrees = List.equal Rpki.Vrp.equal out record_out in
-        Printf.printf "  %-28s %d domains: %7.3f s   speedup %5.2fx   %s\n" "" d wall
-          (if wall > 0.0 then arena_wall /. wall else 0.0)
-          (if agrees then "agrees" else "DIVERGED");
-        { a_domains = d; a_wall = wall; a_agrees = agrees })
-      parallel_domain_counts
-  in
   { a_name = name;
     a_queries = List.length vrps;
     a_record_wall = record_wall;
     a_arena_wall = arena_wall;
     a_agree = agree;
-    a_runs = runs }
+    a_runs = [] }
 
 (* Same hand-rolled style as [write_bench_json]; schema documented in
    README.md. *)

@@ -13,7 +13,7 @@ let seed_arg =
 
 let domains_arg =
   let doc =
-    "Domains (OS-level threads) for the parallel pipelines; $(b,1) forces the exact \
+    "Domains (OS-level threads) for the fork-join steps; $(b,1) forces the exact \
      sequential path. Defaults to the $(b,RPKI_DOMAINS) environment variable, else the \
      recommended domain count. Output is bit-identical at every value."
   in
@@ -41,8 +41,7 @@ let measure_cmd =
 
 let table1_cmd =
   let run scale seed mode domains =
-    Mlcore.Scenario.compression_mode := mode;
-    let rows = Mlcore.Scenario.table1 ?domains (snapshot scale seed) in
+    let rows = Mlcore.Scenario.table1 ~mode ?domains (snapshot scale seed) in
     print_string (Mlcore.Report.render_table1 ~scale rows)
   in
   Cmd.v
@@ -59,14 +58,13 @@ let figure3_cmd =
     Arg.(value & flag & info [ "csv" ] ~doc)
   in
   let run scale seed mode panel csv domains =
-    Mlcore.Scenario.compression_mode := mode;
     let weeks =
       Dataset.Timeline.generate ~params:(Dataset.Snapshot.scaled scale) ?domains ~seed ()
     in
     let title, series =
       match panel with
-      | `A -> ("Figure 3a: today's RPKI deployment", Mlcore.Scenario.figure3a weeks)
-      | `B -> ("Figure 3b: RPKI in full deployment", Mlcore.Scenario.figure3b weeks)
+      | `A -> ("Figure 3a: today's RPKI deployment", Mlcore.Scenario.figure3a ~mode weeks)
+      | `B -> ("Figure 3b: RPKI in full deployment", Mlcore.Scenario.figure3b ~mode weeks)
     in
     if csv then print_string (Mlcore.Report.csv_of_series series)
     else print_string (Mlcore.Report.render_series ~title series)
@@ -80,7 +78,7 @@ let compress_cmd =
     let doc = "VRP CSV file (prefix,maxLength,asn per line); - for stdin." in
     Arg.(value & opt string "-" & info [ "input"; "i" ] ~docv:"FILE" ~doc)
   in
-  let run mode input domains =
+  let run mode input =
     let contents =
       if input = "-" then In_channel.input_all stdin
       else In_channel.with_open_text input In_channel.input_all
@@ -90,7 +88,7 @@ let compress_cmd =
       prerr_endline ("error: " ^ e);
       exit 1
     | Ok vrps ->
-      let compressed = Mlcore.Compress.run ~mode ?domains vrps in
+      let compressed = Mlcore.Compress.run ~mode vrps in
       print_string (Rpki.Scan_roas.to_csv compressed);
       Printf.eprintf "compressed %d -> %d tuples (%.2f%%)\n" (List.length vrps)
         (List.length compressed)
@@ -101,7 +99,7 @@ let compress_cmd =
   Cmd.v
     (Cmd.info "compress"
        ~doc:"Run compress_roas on a VRP CSV (drop-in for the scan_roas output format).")
-    Term.(const run $ mode_arg $ input_arg $ domains_arg)
+    Term.(const run $ mode_arg $ input_arg)
 
 let hijack_cmd =
   let ases_arg =

@@ -4,7 +4,7 @@
    the whole [Mlcore.Compress] layer (and its dataset dependencies)
    into scope. Everything here works on one contiguous [lo, hi) range
    of a {!Vrp_store} and a scratch {!Itrie} of the matching family;
-   the batch path shards ranges over domains, the churn path calls it
+   the batch path walks every group range, the churn path calls it
    one dirty group at a time — both get bit-identical outputs because
    the kernel is deterministic in (store contents, range, mode). *)
 

@@ -2,7 +2,7 @@
     the flat arena.
 
     One kernel, two drivers: the batch pipeline ([Mlcore.Compress])
-    shards {!Vrp_store} group ranges over domain workers, and the
+    walks every {!Vrp_store} group range in one pass, and the
     live-churn engine ([Rpki.Churn]) recompresses a single dirty group
     per event batch. Both call {!compress_range} on a contiguous
     [lo, hi) range of a sort-deduped store with a scratch {!Itrie} of

@@ -6,9 +6,9 @@ module K = Pfx_key
    [sort_dedup] puts them in (asn, family, prefix, max_len) order and
    drops exact duplicates in one pass — replacing the per-insert
    duplicate scans of the record path. After that, each (asn, family)
-   group is a contiguous index range: domain workers receive disjoint
-   [lo, hi) handle ranges over shared read-only columns, touch only
-   contiguous memory, and return packed ints, not records. *)
+   group is a contiguous index range: the per-group kernel reads a
+   [lo, hi) slice of the columns, touches only contiguous memory, and
+   returns packed ints, not records. *)
 
 type t = {
   mutable s_asn : int array;

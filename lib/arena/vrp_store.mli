@@ -2,9 +2,9 @@
     compression pipeline.
 
     Push tuples once, {!sort_dedup}, then hand each (asn, family)
-    group to a domain worker as a contiguous [lo, hi) index range:
-    workers read disjoint slices of shared immutable columns and
-    return packed ints. The representation is exposed read-only so the
+    group to the per-group kernel as a contiguous [lo, hi) index
+    range: it reads one slice of the columns and returns packed
+    ints. The representation is exposed read-only so the
     per-group elimination/merge loops can touch the chunk columns
     directly ({!Pfx_key} convention: [s_c0] most significant). *)
 

@@ -13,13 +13,12 @@ type stats = {
 }
 
 let measure ?domains (snap : Dataset.Snapshot.t) =
-  let domains = match domains with Some d -> d | None -> Parallel.Pool.default_domains () in
   let table = snap.Dataset.Snapshot.table in
   let vrps = Dataset.Snapshot.vrps snap in
   let n_vrps = List.length vrps in
   let maxlen = List.filter Vrp.uses_max_len vrps in
-  (* The three expensive passes only read [table] (no interior
-     mutation on the Ptrie lookup paths) and are mutually
+  (* The three expensive passes only read [table] (an
+     [Arena.Bgp_db]; its queries mutate nothing) and are mutually
      independent, so they fork-join as one task each. *)
   let vulnerable_count () =
     List.length (List.filter (fun v -> not (Minimal.is_minimal_vrp table v)) maxlen)
@@ -27,16 +26,12 @@ let measure ?domains (snap : Dataset.Snapshot.t) =
   let valid_pairs_count () = List.length (Minimal.minimal_vrps table vrps) in
   let lower_bound_count () = Dataset.Bgp_table.root_pair_count table in
   let vulnerable, valid_pairs, lower_bound =
-    if domains <= 1 || Parallel.Pool.in_parallel_region () then
-      (vulnerable_count (), valid_pairs_count (), lower_bound_count ())
-    else
-      Parallel.Pool.run ~domains (fun pool ->
-          match
-            Parallel.Pool.parallel_tasks pool
-              [ vulnerable_count; valid_pairs_count; lower_bound_count ]
-          with
-          | [ a; b; c ] -> (a, b, c)
-          | _ -> assert false)
+    match
+      Parallel.Pool.parallel_tasks ?domains
+        [ vulnerable_count; valid_pairs_count; lower_bound_count ]
+    with
+    | [ a; b; c ] -> (a, b, c)
+    | _ -> assert false
   in
   let bgp_pairs = Dataset.Bgp_table.cardinal table in
   {

@@ -24,11 +24,10 @@ type stats = {
 }
 
 val measure : ?domains:int -> Dataset.Snapshot.t -> stats
-(** [?domains] (default: [RPKI_DOMAINS], else the recommended domain
-    count) forks the three independent heavy passes — vulnerability
-    scan, minimal-VRP construction, lower-bound count — onto a domain
-    pool; [1] runs them sequentially. The result is identical either
-    way. *)
+(** [?domains] (default {!Parallel.Pool.default_domains}) forks the
+    three independent heavy passes — vulnerability scan, minimal-VRP
+    construction, lower-bound count — onto that many domains; [1]
+    runs them sequentially. The result is identical either way. *)
 
 val maxlen_usage_fraction : stats -> float
 (** [maxlen_vrps / vrps] (paper: ~12%). *)

@@ -1,7 +1,6 @@
 module Pfx = Netaddr.Pfx
 module Asnum = Rpki.Asnum
 module Vrp = Rpki.Vrp
-module Pool = Parallel.Pool
 module Itrie = Arena.Itrie
 module Vrp_store = Arena.Vrp_store
 module Kernel = Arena.Group_compress
@@ -17,11 +16,10 @@ let kernel_mode = function Strict -> Kernel.Strict | Paper -> Kernel.Paper
 (* The pipeline runs on the flat arena: input tuples are decomposed
    into a {!Arena.Vrp_store} (structure-of-arrays columns), one
    sort-dedup orders them so each (origin AS, family) group is a
-   contiguous [lo, hi) index range, and domain workers process
-   disjoint ranges over the shared read-only columns. A worker's
-   per-group trie is a scratch {!Arena.Itrie} whose [value] is the
-   tuple's maxLength and whose [aux] remembers the store index, so the
-   merged output travels back as packed ints. No step sorts by
+   contiguous [lo, hi) index range, and one sequential pass walks the
+   ranges. Each group's trie is a scratch {!Arena.Itrie} whose [value]
+   is the tuple's maxLength and whose [aux] remembers the store index,
+   so the merged output travels back as packed ints. No step sorts by
    comparison when the input arrives in [Vrp.compare] order, as every
    hot caller's does: the store groups rows with a radix and records
    each row's canonical rank, and the merge puts outputs back in
@@ -66,10 +64,9 @@ let group_by_as_family ?size_hint vrps =
     vrps;
   groups
 
-(* The unit of parallelism: groups are mutually independent (§7 works
-   per origin AS and address family), so they can be processed on any
-   domain in any order. Sorting by key makes the shard layout — and
-   therefore the whole run — deterministic for every domain count. *)
+(* Groups are mutually independent (§7 works per origin AS and address
+   family), so they can be processed in any order; sorting by key
+   makes the run deterministic. *)
 let grouped_array ?size_hint vrps =
   let groups = group_by_as_family ?size_hint vrps in
   let arr =
@@ -78,27 +75,6 @@ let grouped_array ?size_hint vrps =
   in
   Array.sort (fun (k1, _) (k2, _) -> Group_key.compare k1 k2) arr;
   arr
-
-(* Run the arena workers chunk-wise on [domains] domains: [n] items
-   are cut into at most [4 * domains] contiguous runs and [f] maps
-   each [(lo, hi)] run to an array of per-item results. Results
-   concatenate back in item order, so the output is identical for
-   every domain count — only the amount of scratch-trie reuse inside a
-   run varies. Inside an enclosing parallel region (e.g. a Scenario
-   row evaluated on a pool) we degrade to the sequential path rather
-   than nest. *)
-let map_chunks ~domains f n =
-  if n = 0 then [||]
-  else begin
-    let seq = domains <= 1 || n <= 1 || Pool.in_parallel_region () in
-    let chunks = if seq then 1 else min n (4 * domains) in
-    let bounds = Array.init chunks (fun c -> (c * n / chunks, (c + 1) * n / chunks)) in
-    let per_chunk =
-      if seq then Array.map f bounds
-      else Pool.run ~domains (fun pool -> Pool.parallel_map pool ~f bounds)
-    in
-    Array.concat (Array.to_list per_chunk)
-  end
 
 (* --- covered-tuple elimination (one group): record path ------------- *)
 
@@ -331,29 +307,28 @@ let eliminate_covered_reference vrps =
 
 (* The per-group kernel — elimination order, trie fill, the DFS merge
    sweep, packed outputs — lives in {!Arena.Group_compress}; this
-   layer only shards group ranges over domain workers and merges the
-   packed results.
+   layer only walks the group ranges and merges the packed results.
 
-   A worker owns one contiguous run of group ranges and a pair of
-   scratch tries recycled across them with {!Itrie.reset} — the
-   columns stay allocated (and warm) from group to group instead of
-   being rebuilt thousands of times. Each trie is created on its
-   family's first multi-tuple group: a single-tuple group passes
-   through [Kernel.singleton_out] without one, and the small per-ROA
-   calls of an advisor audit (hundreds per pass) mostly hold one
-   family, often one tuple. *)
+   One pass walks every range with a pair of scratch tries recycled
+   across groups with {!Itrie.reset} — the columns stay allocated (and
+   warm) from group to group instead of being rebuilt thousands of
+   times. Each trie is created on its family's first multi-tuple
+   group: a single-tuple group passes through [Kernel.singleton_out]
+   without one, and the small per-ROA calls of an advisor audit
+   (hundreds per pass) mostly hold one family, often one tuple. *)
 let scratch_tries () =
   let v4 = lazy (Itrie.create ~capacity:256 Pfx.Afi_v4)
   and v6 = lazy (Itrie.create ~capacity:256 Pfx.Afi_v6) in
   fun st lo -> Lazy.force (match Vrp_store.fam st lo with Pfx.Afi_v4 -> v4 | Pfx.Afi_v6 -> v6)
 
-let compress_chunk st mode eliminate (ranges : (int * int) array) (r_lo, r_hi) =
+let compress_groups st mode eliminate =
   let trie = scratch_tries () in
-  Array.init (r_hi - r_lo) (fun k ->
-      let lo, hi = ranges.(r_lo + k) in
+  Array.map
+    (fun (lo, hi) ->
       if hi - lo = 1 then
         { Kernel.out = Kernel.singleton_out st lo; eliminated = 0; merges = 0; absorbed = 0 }
       else Kernel.compress_range (trie st lo) st ~mode ~eliminate ~lo ~hi)
+    (Vrp_store.group_ranges st)
 
 (* Sizing the columns to the input up front matters: the push loop
    never doubles, so the store allocates its eight columns exactly
@@ -458,16 +433,10 @@ let merge_packed st (outs : int array array) =
   done;
   (!result, total)
 
-let run_with_stats ?(mode = Strict) ?(eliminate = true) ?domains vrps =
-  let domains = match domains with Some d -> d | None -> Pool.default_domains () in
-  let mode = kernel_mode mode in
+let run_with_stats ?(mode = Strict) ?(eliminate = true) vrps =
   let st = store_of_vrps vrps in
   let input = Vrp_store.length st in
-  let ranges = Vrp_store.group_ranges st in
-  let worker = compress_chunk st mode eliminate ranges in
-  let results = map_chunks ~domains worker (Array.length ranges) in
-  (* Deterministic merge: the rank walk emits canonical VRP order,
-     independent of both sharding and scheduling. *)
+  let results = compress_groups st (kernel_mode mode) eliminate in
   let result, output = merge_packed st (Array.map (fun r -> r.Kernel.out) results) in
   let covered_eliminated =
     Array.fold_left (fun acc r -> acc + r.Kernel.eliminated) 0 results
@@ -476,21 +445,19 @@ let run_with_stats ?(mode = Strict) ?(eliminate = true) ?domains vrps =
   let absorbed = Array.fold_left (fun acc r -> acc + r.Kernel.absorbed) 0 results in
   (result, { input; covered_eliminated; merges; children_absorbed = absorbed; output })
 
-let run ?mode ?eliminate ?domains vrps = fst (run_with_stats ?mode ?eliminate ?domains vrps)
+let run ?mode ?eliminate vrps = fst (run_with_stats ?mode ?eliminate vrps)
 
-let eliminate_chunk st (ranges : (int * int) array) (r_lo, r_hi) =
+let eliminate_groups st =
   let trie = scratch_tries () in
-  Array.init (r_hi - r_lo) (fun k ->
-      let lo, hi = ranges.(r_lo + k) in
+  Array.map
+    (fun (lo, hi) ->
       if hi - lo = 1 then Kernel.singleton_out st lo
       else Kernel.eliminate_range (trie st lo) st ~lo ~hi)
+    (Vrp_store.group_ranges st)
 
-let eliminate_covered ?domains vrps =
-  let domains = match domains with Some d -> d | None -> Pool.default_domains () in
+let eliminate_covered vrps =
   let st = store_of_vrps vrps in
-  let ranges = Vrp_store.group_ranges st in
-  let results = map_chunks ~domains (eliminate_chunk st ranges) (Array.length ranges) in
-  fst (merge_packed st results)
+  fst (merge_packed st (eliminate_groups st))
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -20,33 +20,18 @@
       tuples authorized — the output can be non-minimal even for
       minimal input. The test suite exhibits such a case; see
       EXPERIMENTS.md. Provided for fidelity and for the ablation
-      bench.
-
-    {2 Parallel execution}
-
-    Both elimination and the Algorithm-1 trie operate independently
-    per (origin AS, address family) group, so the whole pipeline is
-    sharded over those groups on a {!Parallel.Pool} domain pool. Every
-    entry point takes [?domains] (default: the [RPKI_DOMAINS]
-    environment variable, else [Domain.recommended_domain_count ()]).
-    [~domains:1] is the exact sequential path; any other count
-    produces {e bit-identical} output and statistics — groups are
-    processed whole, results are merged in canonical VRP order, and
-    the per-group counters are summed — which the test suite checks
-    property-wise at 2, 4 and 8 domains. Calls made from inside an
-    enclosing parallel region degrade to the sequential path instead
-    of nesting. *)
+      bench. *)
 
 type mode = Strict | Paper
 
-val eliminate_covered : ?domains:int -> Rpki.Vrp.t list -> Rpki.Vrp.t list
+val eliminate_covered : Rpki.Vrp.t list -> Rpki.Vrp.t list
 (** Drop every tuple dominated by another of the same origin (prefix
     covered, maxLength no larger). Lossless. Real RPKI corpora carry
     such redundancy (e.g. a legacy enumeration next to a maxLength
     cover), and Figure 3a's "status quo (compressed)" line depends on
     removing it. *)
 
-val run : ?mode:mode -> ?eliminate:bool -> ?domains:int -> Rpki.Vrp.t list -> Rpki.Vrp.t list
+val run : ?mode:mode -> ?eliminate:bool -> Rpki.Vrp.t list -> Rpki.Vrp.t list
 (** Compress. [eliminate] (default true) runs {!eliminate_covered}
     first (fused into the per-group pass, so grouping happens once).
     Output is in canonical VRP order, duplicates removed. *)
@@ -59,8 +44,7 @@ type stats = {
   output : int;
 }
 
-val run_with_stats :
-  ?mode:mode -> ?eliminate:bool -> ?domains:int -> Rpki.Vrp.t list -> Rpki.Vrp.t list * stats
+val run_with_stats : ?mode:mode -> ?eliminate:bool -> Rpki.Vrp.t list -> Rpki.Vrp.t list * stats
 (** Like {!run}, also reporting where the compression came from —
     covered-redundancy removal vs sibling merges (the two effects
     behind Figure 3a's "status quo (compressed)" line). *)
@@ -69,9 +53,8 @@ val run_with_stats :
 
     The pre-arena implementation (per-group boxed [Vrp.t] lists and a
     record-node trie), kept as the differential-test oracle and the
-    "record" side of the bench comparison. Always sequential; output
-    and statistics are bit-identical to the arena path at any domain
-    count. *)
+    "record" side of the bench comparison. Output and statistics are
+    bit-identical to the arena path. *)
 
 val run_reference : ?mode:mode -> ?eliminate:bool -> Rpki.Vrp.t list -> Rpki.Vrp.t list
 

@@ -3,9 +3,6 @@ module Snapshot = Dataset.Snapshot
 type row = { label : string; pdus : int; secure : bool; paper_pdus : int option }
 type series = { name : string; secure : bool; points : (string * int) list }
 
-let compression_mode = ref Compress.Strict
-let compress vrps = Compress.run ~mode:!compression_mode vrps
-
 (* The PDU lists behind every scenario. Computed lazily per snapshot so
    Figure 3 reuses the same pipeline code as Table 1. *)
 type pipelines = {
@@ -18,7 +15,8 @@ type pipelines = {
   bound : Rpki.Vrp.t list lazy_t;
 }
 
-let pipelines_of (snap : Snapshot.t) =
+let pipelines_of ~mode (snap : Snapshot.t) =
+  let compress vrps = Compress.run ~mode vrps in
   let table = snap.Snapshot.table in
   let status_quo = lazy (Snapshot.vrps snap) in
   let minimal = lazy (Minimal.minimal_vrps table (Lazy.force status_quo)) in
@@ -38,11 +36,10 @@ let count p = List.length (Lazy.force p)
 (* Table 1's seven rows hang off four mutually independent pipelines
    (status-quo compression; minimal + its compression; full
    deployment + its compression; the lower bound), so those four run
-   as one pool task each. Compression inside a task degrades to its
-   sequential path rather than nest pools, and each task only reads
-   the snapshot, so the counts equal the sequential ones exactly. *)
-let table1 ?domains snap =
-  let domains = match domains with Some d -> d | None -> Parallel.Pool.default_domains () in
+   as one fork-join task each. Each task only reads the snapshot, so
+   the counts equal the sequential ones exactly. *)
+let table1 ?(mode = Compress.Strict) ?domains snap =
+  let compress vrps = Compress.run ~mode vrps in
   let table = snap.Snapshot.table in
   let status_quo = Snapshot.vrps snap in
   let t_status_quo_compressed () = [ List.length (compress status_quo) ] in
@@ -56,12 +53,7 @@ let table1 ?domains snap =
   in
   let t_bound () = [ List.length (Minimal.max_permissive_vrps table) ] in
   let tasks = [ t_status_quo_compressed; t_minimal; t_full; t_bound ] in
-  let results =
-    if domains <= 1 || Parallel.Pool.in_parallel_region () then
-      List.map (fun task -> task ()) tasks
-    else Parallel.Pool.run ~domains (fun pool -> Parallel.Pool.parallel_tasks pool tasks)
-  in
-  match results with
+  match Parallel.Pool.parallel_tasks ?domains tasks with
   | [ [ sqc ]; [ minimal; minimal_c ]; [ full; full_c ]; [ bound ] ] ->
     [ { label = "Today"; pdus = List.length status_quo; secure = false; paper_pdus = Some 39_949 };
       { label = "Today (compressed)"; pdus = sqc; secure = false; paper_pdus = Some 33_615 };
@@ -87,7 +79,7 @@ let table1 ?domains snap =
         paper_pdus = Some 729_371 } ]
   | _ -> assert false
 
-let over_weeks weeks select =
+let over_weeks ~mode weeks select =
   List.map
     (fun (name, secure, pick) ->
       { name;
@@ -95,20 +87,20 @@ let over_weeks weeks select =
         points =
           List.map
             (fun (w : Dataset.Timeline.week) ->
-              let p = pipelines_of w.Dataset.Timeline.snapshot in
+              let p = pipelines_of ~mode w.Dataset.Timeline.snapshot in
               (w.Dataset.Timeline.label, count (pick p)))
             weeks })
     select
 
-let figure3a weeks =
-  over_weeks weeks
+let figure3a ?(mode = Compress.Strict) weeks =
+  over_weeks ~mode weeks
     [ ("Status quo", false, fun p -> p.status_quo);
       ("Status quo (compressed)", false, fun p -> p.status_quo_compressed);
       ("Minimal ROAs, no maxLength", true, fun p -> p.minimal);
       ("Minimal ROAs, with maxLength", true, fun p -> p.minimal_compressed) ]
 
-let figure3b weeks =
-  over_weeks weeks
+let figure3b ?(mode = Compress.Strict) weeks =
+  over_weeks ~mode weeks
     [ ("Minimal ROAs, no maxLength", true, fun p -> p.full);
       ("Minimal ROAs, with maxLength", true, fun p -> p.full_compressed);
       ("Lower bound on # PDUs", false, fun p -> p.bound) ]

@@ -14,25 +14,23 @@ type row = {
           dataset, when run at paper scale. *)
 }
 
-val table1 : ?domains:int -> Dataset.Snapshot.t -> row list
+val table1 : ?mode:Compress.mode -> ?domains:int -> Dataset.Snapshot.t -> row list
 (** The seven Table 1 scenarios, in the paper's order:
     status quo; status quo compressed; minimal no-maxLength; minimal
     compressed; full-deployment minimal; full-deployment compressed;
-    max-permissive lower bound. [?domains] (default: [RPKI_DOMAINS],
-    else the recommended count) evaluates the four independent
-    pipelines behind the rows on a domain pool; the counts are
-    identical at every domain count. *)
+    max-permissive lower bound. [?mode] (default {!Compress.Strict})
+    is the merge rule of every compressed row. [?domains] (default
+    {!Parallel.Pool.default_domains}) forks the four independent
+    pipelines behind the rows; the counts are identical at every
+    domain count. *)
 
 type series = { name : string; secure : bool; points : (string * int) list }
 
-val figure3a : Dataset.Timeline.week list -> series list
+val figure3a : ?mode:Compress.mode -> Dataset.Timeline.week list -> series list
 (** Today's-deployment PDU counts per week: status quo, status quo
-    compressed, minimal no-maxLength, minimal compressed. *)
+    compressed, minimal no-maxLength, minimal compressed. [?mode] as
+    in {!table1}. *)
 
-val figure3b : Dataset.Timeline.week list -> series list
+val figure3b : ?mode:Compress.mode -> Dataset.Timeline.week list -> series list
 (** Full-deployment PDU counts per week: minimal no-maxLength, minimal
-    compressed, lower bound. *)
-
-val compression_mode : Compress.mode ref
-(** Mode used by all scenario pipelines (default {!Compress.Strict});
-    the ablation bench flips it to {!Compress.Paper}. *)
+    compressed, lower bound. [?mode] as in {!table1}. *)

@@ -3,7 +3,6 @@ type week = { label : string; snapshot : Snapshot.t }
 let labels = [ "4/13"; "4/20"; "4/27"; "5/4"; "5/11"; "5/18"; "5/25"; "6/1" ]
 
 let generate ?(params = Snapshot.default_params) ?(weekly_growth = 0.003) ?domains ~seed () =
-  let domains = match domains with Some d -> d | None -> Parallel.Pool.default_domains () in
   let week_params =
     List.mapi
       (fun i label ->
@@ -24,13 +23,7 @@ let generate ?(params = Snapshot.default_params) ?(weekly_growth = 0.003) ?domai
      week generation below both safe and bit-identical to the
      sequential loop. *)
   let week_of (label, params) = { label; snapshot = Snapshot.generate ~params ~seed () } in
-  let weeks =
-    if domains <= 1 || Parallel.Pool.in_parallel_region () then Array.map week_of week_params
-    else
-      Parallel.Pool.run ~domains (fun pool ->
-          Parallel.Pool.parallel_map pool ~f:week_of week_params)
-  in
-  Array.to_list weeks
+  Array.to_list (Parallel.Pool.parallel_map ?domains ~f:week_of week_params)
 
 (* --- event stream ----------------------------------------------------- *)
 

@@ -21,9 +21,9 @@ val generate :
 (** Eight snapshots. [weekly_growth] is the per-week relative increase
     in table size (default 0.003, matching the paper's ~2% growth over
     the window; week 8 lands on [params.pairs_target]). [?domains]
-    (default: [RPKI_DOMAINS], else the recommended count) generates
-    one week per pool domain; every week derives a private PRNG
-    stream from [seed], so the series is bit-identical at any domain
+    (default {!Parallel.Pool.default_domains}) spreads the eight weeks
+    over that many domains; every week derives a private PRNG stream
+    from [seed], so the series is bit-identical at any domain
     count. *)
 
 (** {2 Event stream}

@@ -1,47 +1,9 @@
-(* Fork-join domain pool. See pool.mli for the contract.
+(* Per-call fork-join. See pool.mli for the contract.
 
-   Shape: [n - 1] resident workers parked on [work]; a job is a
-   closure over chunk indices plus two atomic counters. Chunks are
-   claimed with [Atomic.fetch_and_add] (the "work-stealing lite":
-   more chunks than domains, so imbalance self-corrects without
-   per-deque stealing). The caller participates, then blocks on
-   [done_] until the completion counter reaches the chunk count.
-
-   Memory model: every chunk's writes happen-before the caller's
-   return. A worker's data writes precede its increment of
-   [completed] (an SC atomic); the caller re-reads [completed] after
-   being woken under [mutex], so all increments — and hence all data
-   writes — are visible before any result is read. *)
-
-type job = {
-  run : int -> unit;
-  chunks : int;
-  next : int Atomic.t; (* next chunk index to claim *)
-  completed : int Atomic.t;
-  failed : bool Atomic.t; (* fast path: skip work after a failure *)
-  mutable failure : (exn * Printexc.raw_backtrace) option; (* first one; under [mutex] *)
-}
-
-type t = {
-  domains : int;
-  mutex : Mutex.t;
-  work : Condition.t; (* workers wait for a new generation *)
-  done_ : Condition.t; (* the submitter waits for completion *)
-  submit : Mutex.t; (* serialises submitters; uncontended in normal use *)
-  mutable gen : int;
-  mutable job : job option; (* never reset: a drained job is inert *)
-  mutable closed : bool;
-  mutable workers : unit Domain.t list;
-}
-
-(* True while this domain is executing a pool task (any pool). *)
-let in_task : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
-
-let in_parallel_region () = !(Domain.DLS.get in_task)
-
-let check_not_nested () =
-  if in_parallel_region () then
-    invalid_arg "Parallel.Pool: nested parallel region (call from inside a pool task)"
+   Chunks are claimed with [Atomic.fetch_and_add], so imbalance
+   self-corrects without per-deque stealing. Each item's outcome goes
+   to its own slot; slots are disjoint, and [Domain.join] makes every
+   helper's writes visible to the caller before it reads them. *)
 
 let max_domains = 128
 let clamp n = if n < 1 then 1 else if n > max_domains then max_domains else n
@@ -54,181 +16,44 @@ let default_domains () =
      | Some _ | None -> Domain.recommended_domain_count ())
   | None -> Domain.recommended_domain_count ()
 
-(* Drain chunks of [job] on the current domain until none are left to
-   claim. Failures are recorded (first wins) and later chunks are
-   skipped, but every chunk is still counted so completion is reached
-   without the submitter inspecting worker state. *)
-let execute t job =
-  let flag = Domain.DLS.get in_task in
-  flag := true;
-  Fun.protect
-    ~finally:(fun () -> flag := false)
-    (fun () ->
-      let rec claim () =
-        let i = Atomic.fetch_and_add job.next 1 in
-        if i < job.chunks then begin
-          if not (Atomic.get job.failed) then begin
-            try job.run i
-            with e ->
-              let bt = Printexc.get_raw_backtrace () in
-              Atomic.set job.failed true;
-              Mutex.lock t.mutex;
-              if job.failure = None then job.failure <- Some (e, bt);
-              Mutex.unlock t.mutex
-          end;
-          if Atomic.fetch_and_add job.completed 1 + 1 = job.chunks then begin
-            Mutex.lock t.mutex;
-            Condition.broadcast t.done_;
-            Mutex.unlock t.mutex
-          end;
-          claim ()
-        end
-      in
-      claim ())
+type 'b slot = Pending | Done of 'b | Failed of exn * Printexc.raw_backtrace
 
-let rec worker_loop t last_gen =
-  Mutex.lock t.mutex;
-  while (not t.closed) && t.gen = last_gen do
-    Condition.wait t.work t.mutex
-  done;
-  if t.closed then Mutex.unlock t.mutex
+let parallel_map ?domains ~f arr =
+  let n = Array.length arr in
+  let d = min n (clamp (match domains with Some d -> d | None -> default_domains ())) in
+  if d <= 1 then Array.map f arr
   else begin
-    let gen = t.gen in
-    let job = Option.get t.job in
-    Mutex.unlock t.mutex;
-    execute t job;
-    worker_loop t gen
-  end
-
-let create ?domains () =
-  let domains = clamp (match domains with Some d -> d | None -> default_domains ()) in
-  let t =
-    { domains;
-      mutex = Mutex.create ();
-      work = Condition.create ();
-      done_ = Condition.create ();
-      submit = Mutex.create ();
-      gen = 0;
-      job = None;
-      closed = false;
-      workers = [] }
-  in
-  t.workers <- List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t 0));
-  t
-
-let domain_count t = t.domains
-
-let shutdown t =
-  Mutex.lock t.mutex;
-  if t.closed then Mutex.unlock t.mutex
-  else begin
-    t.closed <- true;
-    Condition.broadcast t.work;
-    Mutex.unlock t.mutex;
-    List.iter Domain.join t.workers;
-    t.workers <- []
-  end
-
-let run_job t job =
-  if job.chunks > 0 then begin
-    Mutex.lock t.submit;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.submit)
-      (fun () ->
-        Mutex.lock t.mutex;
-        if t.closed then begin
-          Mutex.unlock t.mutex;
-          invalid_arg "Parallel.Pool: used after shutdown"
-        end;
-        t.job <- Some job;
-        t.gen <- t.gen + 1;
-        Condition.broadcast t.work;
-        Mutex.unlock t.mutex;
-        execute t job;
-        Mutex.lock t.mutex;
-        while Atomic.get job.completed < job.chunks do
-          Condition.wait t.done_ t.mutex
+    let chunks = min n (4 * d) in
+    let slots = Array.make n Pending in
+    let next = Atomic.make 0 in
+    let rec work () =
+      let c = Atomic.fetch_and_add next 1 in
+      if c < chunks then begin
+        for i = c * n / chunks to ((c + 1) * n / chunks) - 1 do
+          slots.(i) <-
+            (match f arr.(i) with
+             | v -> Done v
+             | exception e -> Failed (e, Printexc.get_raw_backtrace ()))
         done;
-        Mutex.unlock t.mutex);
-    match job.failure with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
-  end
-
-(* More chunks than domains so a heavy chunk overlaps the light ones;
-   4x is enough balance without drowning in scheduling overhead. *)
-let chunk_count t m = if t.domains = 1 then 1 else min m (t.domains * 4)
-
-let make_job ~chunks run =
-  { run;
-    chunks;
-    next = Atomic.make 0;
-    completed = Atomic.make 0;
-    failed = Atomic.make false;
-    failure = None }
-
-let parallel_map t ~f arr =
-  check_not_nested ();
-  let m = Array.length arr in
-  if m = 0 then [||]
-  else begin
-    let out = Array.make m None in
-    let chunks = chunk_count t m in
-    let run i =
-      let lo = i * m / chunks and hi = (i + 1) * m / chunks in
-      for j = lo to hi - 1 do
-        out.(j) <- Some (f arr.(j))
-      done
+        work ()
+      end
     in
-    run_job t (make_job ~chunks run);
-    Array.map (function Some v -> v | None -> assert false) out
+    let helpers = ref [] in
+    Fun.protect
+      ~finally:(fun () -> List.iter Domain.join !helpers)
+      (fun () ->
+        for _ = 2 to d do
+          helpers := Domain.spawn work :: !helpers
+        done;
+        work ());
+    (* In index order, so the first failure met is the lowest-indexed. *)
+    Array.map
+      (function
+        | Done v -> v
+        | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
+        | Pending -> assert false)
+      slots
   end
 
-let parallel_iter t ~f arr =
-  check_not_nested ();
-  let m = Array.length arr in
-  if m > 0 then begin
-    let chunks = chunk_count t m in
-    let run i =
-      let lo = i * m / chunks and hi = (i + 1) * m / chunks in
-      for j = lo to hi - 1 do
-        f arr.(j)
-      done
-    in
-    run_job t (make_job ~chunks run)
-  end
-
-let parallel_tasks t thunks =
-  Array.to_list (parallel_map t ~f:(fun th -> th ()) (Array.of_list thunks))
-
-let with_pool ?domains f =
-  let t = create ?domains () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-(* Cached pools, one per size, joined at process exit (the runtime
-   will not terminate while worker domains are parked). *)
-
-let registry : (int, t) Hashtbl.t = Hashtbl.create 4
-let registry_mutex = Mutex.create ()
-
-let () =
-  at_exit (fun () ->
-      Mutex.lock registry_mutex;
-      let pools = Hashtbl.fold (fun _ p acc -> p :: acc) registry [] in
-      Hashtbl.reset registry;
-      Mutex.unlock registry_mutex;
-      List.iter shutdown pools)
-
-let run ~domains f =
-  let d = clamp domains in
-  Mutex.lock registry_mutex;
-  let pool =
-    match Hashtbl.find_opt registry d with
-    | Some p -> p
-    | None ->
-      let p = create ~domains:d () in
-      Hashtbl.add registry d p;
-      p
-  in
-  Mutex.unlock registry_mutex;
-  f pool
+let parallel_tasks ?domains thunks =
+  Array.to_list (parallel_map ?domains ~f:(fun th -> th ()) (Array.of_list thunks))

@@ -1,66 +1,35 @@
-(** Fixed-size domain pool with fork-join data parallelism.
+(** Per-call fork-join over OCaml 5 domains (stdlib [Domain] and
+    [Atomic] only — no domainslib).
 
-    Built on OCaml 5 [Domain] / [Mutex] / [Condition] only — no
-    domainslib. A pool of [n] domains is the calling domain plus
-    [n - 1] resident workers parked on a condition variable; a
-    parallel call splits its input into more chunks than domains
-    ("work-stealing lite": chunks are claimed from a shared atomic
-    counter, so a slow chunk never serialises the rest), executes
-    them on all [n] domains including the caller, and joins before
-    returning.
+    Nothing stays resident. A call over [n] items at [d > 1] domains
+    spawns [min d n - 1] helper domains; the helpers and the caller
+    claim contiguous chunks of the input (up to four per domain, so a
+    slow chunk never serialises the rest) from one atomic counter, and
+    the caller joins every helper before it returns or raises. At
+    [d <= 1] or [n <= 1] a call is exactly [Array.map] and spawns
+    nothing.
 
     Determinism: results are delivered by input index, so
-    {!parallel_map} returns exactly what the sequential [Array.map]
-    would, regardless of domain count or scheduling. A pool of size 1
-    executes inline in the caller — the exact sequential path, no
-    domains spawned.
+    {!parallel_map} returns what [Array.map] returns, at any domain
+    count and under any scheduling.
 
-    Exceptions: if any chunk raises, the remaining chunks are still
-    drained (cheaply), and the {e first} exception (by completion
-    order) is re-raised in the caller with its backtrace.
+    Exceptions: the exception raised is always the one [Array.map]
+    would raise — the lowest-indexed failing item's, with its
+    backtrace. On the parallel path it is re-raised only after every
+    item has run.
 
-    Nesting: calling a parallel operation from inside a pool task
-    raises [Invalid_argument]. Library code that may run either
-    inside or outside a pool should test {!in_parallel_region} and
-    fall back to its sequential path. *)
+    Nesting: a task may itself call {!parallel_map} or
+    {!parallel_tasks}; each call spawns and joins its own helpers. *)
 
-type t
+val parallel_map : ?domains:int -> f:('a -> 'b) -> 'a array -> 'b array
+(** Order-preserving map. [?domains] counts the caller (default
+    {!default_domains}[ ()]; clamped to [[1, 128]]). *)
 
-val create : ?domains:int -> unit -> t
-(** A fresh pool of [domains] total domains (caller included;
-    default {!default_domains}[ ()]; clamped to [[1, 128]]).
-    [domains = 1] spawns nothing. *)
-
-val domain_count : t -> int
-
-val shutdown : t -> unit
-(** Join and release the worker domains. Idempotent. Using the pool
-    after [shutdown] raises [Invalid_argument]. *)
-
-val with_pool : ?domains:int -> (t -> 'a) -> 'a
-(** [create], run, [shutdown] (also on exception). *)
-
-val parallel_map : t -> f:('a -> 'b) -> 'a array -> 'b array
-(** Order-preserving map over all domains of the pool. *)
-
-val parallel_iter : t -> f:('a -> unit) -> 'a array -> unit
-
-val parallel_tasks : t -> (unit -> 'a) list -> 'a list
-(** Heterogeneous fork-join: run the thunks concurrently, return
-    their results in input order. *)
+val parallel_tasks : ?domains:int -> (unit -> 'a) list -> 'a list
+(** Heterogeneous fork-join: each thunk is one item of
+    {!parallel_map}; results come back in input order. *)
 
 val default_domains : unit -> int
 (** The [RPKI_DOMAINS] environment variable when set to a positive
     integer, else [Domain.recommended_domain_count ()]. [1] means
     "stay sequential". *)
-
-val in_parallel_region : unit -> bool
-(** True while the current domain is executing a pool task (on any
-    pool). Parallel entry points raise instead of nesting; callers
-    that can degrade gracefully should branch on this. *)
-
-val run : domains:int -> (t -> 'a) -> 'a
-(** Run [f] against a cached pool of the given size (pools are
-    created on first use, reused after, and joined at process exit).
-    The cheap way for library code to say "give me [d] domains for
-    this call". *)

@@ -14,5 +14,5 @@ let record k v = Hashtbl.replace log k v
 (* depth-2: the mutation is two calls away from the closure *)
 let deep k v = record k v
 
-let run pool items = Parallel.Pool.parallel_map pool ~f:(fun x -> tally x) items
-let run_tasks pool k = Parallel.Pool.parallel_tasks pool [ (fun () -> deep k 1) ]
+let run items = Parallel.Pool.parallel_map ~domains:2 ~f:(fun x -> tally x) items
+let run_tasks k = Parallel.Pool.parallel_tasks ~domains:2 [ (fun () -> deep k 1) ]

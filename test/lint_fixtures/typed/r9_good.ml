@@ -3,11 +3,11 @@
    middle of the chain. *)
 
 let square x = x * x
-let run pool items = Parallel.Pool.parallel_map pool ~f:(fun x -> square x) items
+let run items = Parallel.Pool.parallel_map ~domains:2 ~f:(fun x -> square x) items
 
 (* local accumulation: the ref is created inside the task *)
-let sum_locally pool items =
-  Parallel.Pool.parallel_map pool
+let sum_locally items =
+  Parallel.Pool.parallel_map ~domains:2
     ~f:(fun arr ->
       let acc = ref 0 in
       Array.iter (fun x -> acc := !acc + x) arr;
@@ -19,7 +19,7 @@ let out = Array.make 8 0
 (* each task writes its own index: disjoint by construction *)
 let write_slot i v = out.(i) <- v [@@lint.domain_safe]
 
-let scatter pool idxs = Parallel.Pool.parallel_iter pool ~f:(fun i -> write_slot i i) idxs
+let scatter idxs = Parallel.Pool.parallel_map ~domains:2 ~f:(fun i -> write_slot i i) idxs
 
 let counter = ref 0
 let note () = incr counter
@@ -30,4 +30,4 @@ let observe x =
   x
 [@@lint.domain_safe]
 
-let run_observed pool items = Parallel.Pool.parallel_map pool ~f:(fun x -> observe x) items
+let run_observed items = Parallel.Pool.parallel_map ~domains:2 ~f:(fun x -> observe x) items

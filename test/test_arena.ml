@@ -316,8 +316,8 @@ let stats_equal (s1 : Mlcore.Compress.stats) (s2 : Mlcore.Compress.stats) =
 
 let prop_compress_oracle =
   let open QCheck2 in
-  Test.make ~name:"compress agrees with run_reference at 1/2/4 domains" ~count:100
-    Testutil.gen_vrp_list (fun vrps ->
+  Test.make ~name:"compress agrees with run_reference at every mode and eliminate setting"
+    ~count:100 Testutil.gen_vrp_list (fun vrps ->
       List.for_all
         (fun mode ->
           List.for_all
@@ -325,17 +325,10 @@ let prop_compress_oracle =
               let ref_out, ref_stats =
                 Mlcore.Compress.run_with_stats_reference ~mode ~eliminate vrps
               in
-              List.for_all
-                (fun domains ->
-                  let out, stats =
-                    Mlcore.Compress.run_with_stats ~mode ~eliminate ~domains vrps
-                  in
-                  if not (List.equal Vrp.equal out ref_out) then
-                    Test.fail_reportf "output diverged (%d domains)" domains;
-                  if not (stats_equal stats ref_stats) then
-                    Test.fail_reportf "stats diverged (%d domains)" domains;
-                  true)
-                [ 1; 2; 4 ])
+              let out, stats = Mlcore.Compress.run_with_stats ~mode ~eliminate vrps in
+              if not (List.equal Vrp.equal out ref_out) then Test.fail_report "output diverged";
+              if not (stats_equal stats ref_stats) then Test.fail_report "stats diverged";
+              true)
             [ true; false ])
         [ Mlcore.Compress.Strict; Mlcore.Compress.Paper ])
 
@@ -343,11 +336,8 @@ let prop_eliminate_oracle =
   let open QCheck2 in
   Test.make ~name:"eliminate_covered agrees with its reference" ~count:150
     Testutil.gen_vrp_list (fun vrps ->
-      let reference = Mlcore.Compress.eliminate_covered_reference vrps in
-      List.for_all
-        (fun domains ->
-          List.equal Vrp.equal (Mlcore.Compress.eliminate_covered ~domains vrps) reference)
-        [ 1; 2; 4 ])
+      List.equal Vrp.equal (Mlcore.Compress.eliminate_covered vrps)
+        (Mlcore.Compress.eliminate_covered_reference vrps))
 
 (* --- Vrp_store.sort_dedup vs a reference comparison sort ------------- *)
 
@@ -460,15 +450,11 @@ let prop_compress_order_independent =
         (fun mode ->
           List.for_all
             (fun eliminate ->
-              let expected = Mlcore.Compress.run ~mode ~eliminate ~domains:1 canonical in
+              let expected = Mlcore.Compress.run ~mode ~eliminate canonical in
               List.for_all
-                (fun domains ->
-                  List.for_all
-                    (fun input ->
-                      List.equal Vrp.equal expected
-                        (Mlcore.Compress.run ~mode ~eliminate ~domains input))
-                    [ canonical; List.rev canonical; shuffled ])
-                [ 1; 2 ])
+                (fun input ->
+                  List.equal Vrp.equal expected (Mlcore.Compress.run ~mode ~eliminate input))
+                [ List.rev canonical; shuffled ])
             [ true; false ])
         [ Mlcore.Compress.Strict; Mlcore.Compress.Paper ])
 

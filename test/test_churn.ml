@@ -6,13 +6,12 @@
    run through the engine, and at every checkpoint the maintained
    state — VRPs, announced pairs, Valid pairs, non-minimal maxLength
    VRPs, and the compressed ROA set — must be bit-identical to
-   rebuilding everything from scratch (Validation.create,
-   Dataset.Bgp_table + Mlcore.Minimal, Mlcore.Compress.run at 1, 2
-   and 4 domains). Engine self_checks run after every single event, so
-   under ARENA_SANITIZE=1 (make check-sanitize) every arena audit and
-   generation check fires mid-churn, not just at the end. A failing
-   sequence is delta-debugged down to a minimal reproduction before
-   being reported. *)
+   rebuilding everything from scratch in one batch (Validation.create,
+   Dataset.Bgp_table + Mlcore.Minimal, Mlcore.Compress.run). Engine
+   self_checks run after every single event, so under ARENA_SANITIZE=1
+   (make check-sanitize) every arena audit and generation check fires
+   mid-churn, not just at the end. A failing sequence is delta-debugged
+   down to a minimal reproduction before being reported. *)
 
 module Churn = Rpki.Churn
 module Compress = Mlcore.Compress
@@ -82,7 +81,7 @@ let gen_events seed n =
 
 (* Compare the engine against a from-scratch recomputation of every
    maintained set. Returns a description of the first divergence. *)
-let checkpoint ~cmode ~domains t ((pairs, vrps) : Timeline.state) =
+let checkpoint ~cmode t ((pairs, vrps) : Timeline.state) =
   let batch_valid =
     let db = V.create vrps in
     List.filter (fun (q, origin) -> V.authorized db q origin) pairs
@@ -103,14 +102,14 @@ let checkpoint ~cmode ~domains t ((pairs, vrps) : Timeline.state) =
   else if not (List.equal Vrp.equal (Churn.non_minimal t) batch_nonmin) then
     Some "non-minimal set diverged"
   else
-    let batch = Compress.run ~mode:cmode ~domains vrps in
+    let batch = Compress.run ~mode:cmode vrps in
     if not (List.equal Vrp.equal (Churn.compressed t) batch) then
-      Some (spf "compressed diverged from batch at %d domains" domains)
+      Some "compressed diverged from batch"
     else None
 
 (* Replay a sequence, self_checking after every event and running the
    full batch comparison every [k] events and at the end. *)
-let run_sequence ?(k = 8) ~kmode ~cmode ~domains events =
+let run_sequence ?(k = 8) ~kmode ~cmode events =
   let t = Churn.create ~mode:kmode () in
   let rec go i state evs =
     match evs with
@@ -137,7 +136,7 @@ let run_sequence ?(k = 8) ~kmode ~cmode ~domains events =
               in
               let failure =
                 if at_checkpoint then
-                  match checkpoint ~cmode ~domains t state' with
+                  match checkpoint ~cmode t state' with
                   | Some m ->
                       Some (spf "event %d (%s): %s" i (Churn.event_to_string ev) m)
                   | None -> None
@@ -165,12 +164,11 @@ let shrink_failing check events =
   in
   fix events
 
-let report_failure ~seed ~domains check events msg =
+let report_failure ~seed check events msg =
   let minimal = shrink_failing check events in
   let msg = Option.value ~default:msg (check minimal) in
-  Alcotest.failf
-    "seed %d, %d domains: %s@.minimal failing sequence (%d events):@.%s" seed
-    domains msg (List.length minimal)
+  Alcotest.failf "seed %d: %s@.minimal failing sequence (%d events):@.%s" seed msg
+    (List.length minimal)
     (String.concat "\n" (List.map Churn.event_to_string minimal))
 
 let test_differential () =
@@ -178,14 +176,11 @@ let test_differential () =
   let paper = List.map (fun s -> (s, Kernel.Paper, Compress.Paper)) [ 101; 103 ] in
   List.iter
     (fun (seed, kmode, cmode) ->
+      let check evs = run_sequence ~kmode ~cmode evs in
       let events = gen_events seed 120 in
-      List.iter
-        (fun domains ->
-          let check evs = run_sequence ~kmode ~cmode ~domains evs in
-          match check events with
-          | None -> ()
-          | Some msg -> report_failure ~seed ~domains check events msg)
-        [ 1; 2; 4 ])
+      match check events with
+      | None -> ()
+      | Some msg -> report_failure ~seed check events msg)
     (strict @ paper)
 
 (* --- timeline-derived churn ----------------------------------------- *)
@@ -340,8 +335,7 @@ let prop_diff_reflexive =
 let () =
   Alcotest.run "rpki.churn"
     [ ( "differential",
-        [ Alcotest.test_case "randomized events vs batch (1/2/4 domains)" `Quick
-            test_differential;
+        [ Alcotest.test_case "randomized events vs one batch" `Quick test_differential;
           Alcotest.test_case "timeline event stream vs batch" `Slow
             test_timeline_differential ] );
       ( "engine",

@@ -152,7 +152,7 @@ let test_run_with_stats () =
    comes first (equal maxLength, smaller ASN), so an output order that
    followed the input tuples would list AS 1 first; [Vrp.compare]
    wants AS 2's lower maxLength first. Checked in every input order,
-   at 1 and 2 domains, with and without elimination. *)
+   with and without elimination. *)
 let test_moas_order_after_merge () =
   let input =
     [ v "10.0.0.0/16" 16 1; v "10.0.0.0/16" 16 2; v "10.0.0.0/17" 17 1; v "10.0.128.0/17" 17 1 ]
@@ -161,15 +161,12 @@ let test_moas_order_after_merge () =
   List.iter
     (fun (name, vrps) ->
       List.iter
-        (fun domains ->
-          List.iter
-            (fun eliminate ->
-              check_vrps
-                (Printf.sprintf "%s, %d domain(s), eliminate=%b" name domains eliminate)
-                expected
-                (Compress.run ~eliminate ~domains vrps))
-            [ true; false ])
-        [ 1; 2 ])
+        (fun eliminate ->
+          check_vrps
+            (Printf.sprintf "%s, eliminate=%b" name eliminate)
+            expected
+            (Compress.run ~eliminate vrps))
+        [ true; false ])
     [ ("canonical", input); ("reversed", List.rev input) ];
   check_vrps "record reference agrees" expected (Compress.run_reference input)
 
@@ -434,41 +431,17 @@ end
 
 let prop_bit_trie_reference =
   QCheck2.Test.make
-    ~name:"patricia trie equals bit-per-node reference (both modes, 1/2/4 domains)" ~count:150
+    ~name:"patricia trie equals bit-per-node reference (both modes)" ~count:150
     Testutil.gen_vrp_list (fun vrps ->
       List.for_all
         (fun mode ->
           (* with elimination: the standalone pass is itself per-group,
              so pre-eliminating for the reference matches compress_group *)
-          let ref_elim = Bit_ref.run ~mode (Compress.eliminate_covered ~domains:1 vrps) in
-          let ref_raw = Bit_ref.run ~mode vrps in
-          List.for_all
-            (fun d ->
-              List.equal Vrp.equal (Compress.run ~mode ~domains:d vrps) ref_elim
-              && List.equal Vrp.equal
-                   (Compress.run ~mode ~eliminate:false ~domains:d vrps)
-                   ref_raw)
-            [ 1; 2; 4 ])
+          List.equal Vrp.equal (Compress.run ~mode vrps)
+            (Bit_ref.run ~mode (Compress.eliminate_covered vrps))
+          && List.equal Vrp.equal (Compress.run ~mode ~eliminate:false vrps)
+               (Bit_ref.run ~mode vrps))
         [ Compress.Strict; Compress.Paper ])
-
-let prop_parallel_bit_identical =
-  (* The tentpole guarantee: sharding the pipeline over a domain pool
-     changes nothing observable. Output lists, stats, and the
-     standalone elimination pass must be exactly equal to the
-     sequential path at every domain count, in both merge modes. *)
-  QCheck2.Test.make ~name:"parallel (2/4/8 domains) equals sequential bit-for-bit" ~count:60
-    Testutil.gen_vrp_list (fun vrps ->
-      let seq_out, seq_stats = Compress.run_with_stats ~domains:1 vrps in
-      let seq_paper = Compress.run ~mode:Compress.Paper ~domains:1 vrps in
-      let seq_elim = Compress.eliminate_covered ~domains:1 vrps in
-      List.for_all
-        (fun d ->
-          let out, stats = Compress.run_with_stats ~domains:d vrps in
-          List.equal Vrp.equal out seq_out
-          && stats = seq_stats
-          && List.equal Vrp.equal (Compress.run ~mode:Compress.Paper ~domains:d vrps) seq_paper
-          && List.equal Vrp.equal (Compress.eliminate_covered ~domains:d vrps) seq_elim)
-        [ 2; 4; 8 ])
 
 let prop_paper_mode_never_shrinks_coverage =
   (* Paper mode may over-authorize but must never lose an authorization:
@@ -512,5 +485,4 @@ let () =
             prop_differential_reference;
             prop_bit_trie_reference;
             prop_stats_balance;
-            prop_parallel_bit_identical;
             prop_paper_mode_never_shrinks_coverage ] ) ]

@@ -1,6 +1,6 @@
-(* The domain pool (lib/parallel): result ordering, exception
-   propagation, nested-use rejection, sequential fallback, lifecycle.
-   These are the invariants the parallel compress/analysis/timeline
+(* The per-call fork-join (lib/parallel): result ordering at any domain
+   count, exception propagation, safe nesting, the sequential path.
+   These are the invariants the parallel analysis/table1/timeline
    paths lean on for bit-identical output. *)
 
 module Pool = Parallel.Pool
@@ -10,113 +10,94 @@ let test_map_ordering () =
   let expected = Array.map (fun x -> x * x) input in
   List.iter
     (fun d ->
-      Pool.with_pool ~domains:d (fun pool ->
-          let got = Pool.parallel_map pool ~f:(fun x -> x * x) input in
-          Alcotest.(check (array int)) (Printf.sprintf "%d domains" d) expected got))
+      let got = Pool.parallel_map ~domains:d ~f:(fun x -> x * x) input in
+      Alcotest.(check (array int)) (Printf.sprintf "%d domains" d) expected got)
     [ 1; 2; 4; 8 ]
 
-let test_empty_input () =
-  Pool.with_pool ~domains:4 (fun pool ->
-      Alcotest.(check (array int)) "empty map" [||] (Pool.parallel_map pool ~f:Fun.id [||]);
-      Pool.parallel_iter pool ~f:(fun _ -> Alcotest.fail "must not run") [||])
+let test_more_domains_than_items () =
+  List.iter
+    (fun n ->
+      let input = Array.init n Fun.id in
+      List.iter
+        (fun d ->
+          Alcotest.(check (array int))
+            (Printf.sprintf "%d items, %d domains" n d)
+            (Array.map succ input)
+            (Pool.parallel_map ~domains:d ~f:succ input))
+        [ 0; 1; 2; 4; 8 ])
+    [ 1; 2; 3; 5 ]
 
-let test_iter_covers_all () =
-  Pool.with_pool ~domains:4 (fun pool ->
-      let out = Array.make 512 0 in
-      (* Writes are disjoint by construction: slot [i] is touched only
-         by the task for input [i]. Exactly the pattern [@lint.domain_safe]
-         exists to bless. *)
-      Pool.parallel_iter pool
-        ~f:((fun i -> out.(i) <- i + 1) [@lint.domain_safe])
-        (Array.init 512 Fun.id);
-      Alcotest.(check (array int)) "every index written" (Array.init 512 (fun i -> i + 1)) out)
+let test_empty_input () =
+  Alcotest.(check (array int)) "empty map" [||]
+    (Pool.parallel_map ~domains:4 ~f:(fun _ -> Alcotest.fail "must not run") [||]);
+  Alcotest.(check (list int)) "no tasks" [] (Pool.parallel_tasks ~domains:4 [])
 
 let test_tasks_ordered () =
-  Pool.with_pool ~domains:3 (fun pool ->
-      let results =
-        Pool.parallel_tasks pool [ (fun () -> "a"); (fun () -> "b"); (fun () -> "c") ]
-      in
-      Alcotest.(check (list string)) "results in input order" [ "a"; "b"; "c" ] results)
+  List.iter
+    (fun d ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "results in input order (%d domains)" d)
+        [ "a"; "b"; "c" ]
+        (Pool.parallel_tasks ~domains:d [ (fun () -> "a"); (fun () -> "b"); (fun () -> "c") ]))
+    [ 1; 3 ]
 
 exception Boom of int
 
+(* Items 1, 251, 501 and 751 fail. Whatever the scheduling, the
+   lowest-indexed failure is the one raised — the same exception the
+   sequential map raises — and on the parallel path it is raised only
+   once every other item has run. *)
 let test_exception_propagation () =
+  let n = 1000 in
   List.iter
     (fun d ->
-      Pool.with_pool ~domains:d (fun pool ->
-          match
-            Pool.parallel_map pool
-              ~f:(fun x -> if x = 500 then raise (Boom x) else x)
-              (Array.init 1000 Fun.id)
-          with
-          | _ -> Alcotest.fail "expected Boom to propagate"
-          | exception Boom 500 -> ()))
-    [ 1; 4 ]
+      let ran = Atomic.make 0 in
+      (match
+         Pool.parallel_map ~domains:d
+           ~f:(fun x ->
+             if x mod 250 = 1 then raise (Boom x);
+             Atomic.incr ran;
+             x)
+           (Array.init n Fun.id)
+       with
+       | _ -> Alcotest.fail "expected Boom to propagate"
+       | exception Boom x ->
+         Alcotest.(check int) (Printf.sprintf "lowest failure (%d domains)" d) 1 x);
+      if d > 1 then
+        Alcotest.(check int)
+          (Printf.sprintf "every other item ran (%d domains)" d)
+          (n - 4) (Atomic.get ran))
+    [ 1; 2; 4; 8 ]
 
 let test_pool_survives_failure () =
-  Pool.with_pool ~domains:4 (fun pool ->
-      (try ignore (Pool.parallel_map pool ~f:(fun _ -> raise Exit) [| 0; 1; 2 |])
-       with Exit -> ());
-      let got = Pool.parallel_map pool ~f:(fun x -> x + 1) [| 1; 2; 3 |] in
-      Alcotest.(check (array int)) "next job runs normally" [| 2; 3; 4 |] got)
+  (try ignore (Pool.parallel_map ~domains:4 ~f:(fun _ -> raise Exit) [| 0; 1; 2 |])
+   with Exit -> ());
+  let got = Pool.parallel_map ~domains:4 ~f:(fun x -> x + 1) [| 1; 2; 3 |] in
+  Alcotest.(check (array int)) "next call runs normally" [| 2; 3; 4 |] got
 
-let test_nested_use_rejected () =
-  List.iter
-    (fun d ->
-      Pool.with_pool ~domains:d (fun pool ->
-          let got =
-            Pool.parallel_map pool
-              ~f:(fun _ ->
-                try
-                  ignore (Pool.parallel_map pool ~f:Fun.id [| 1 |]);
-                  false
-                with Invalid_argument _ -> true)
-              [| 0 |]
-          in
-          Alcotest.(check (array bool))
-            (Printf.sprintf "nested call rejected (%d domains)" d)
-            [| true |] got))
-    [ 1; 2 ]
-
-let test_in_parallel_region () =
-  Alcotest.(check bool) "false outside" false (Pool.in_parallel_region ());
-  Pool.with_pool ~domains:2 (fun pool ->
-      let got = Pool.parallel_map pool ~f:(fun _ -> Pool.in_parallel_region ()) [| 0; 1; 2 |] in
-      Alcotest.(check (array bool)) "true inside tasks" [| true; true; true |] got);
-  Alcotest.(check bool) "false again after" false (Pool.in_parallel_region ())
-
-let test_shutdown_lifecycle () =
-  let pool = Pool.create ~domains:2 () in
-  Alcotest.(check int) "domain_count" 2 (Pool.domain_count pool);
-  Pool.shutdown pool;
-  Pool.shutdown pool;
-  (* idempotent *)
-  match Pool.parallel_map pool ~f:Fun.id [| 1 |] with
-  | _ -> Alcotest.fail "expected Invalid_argument after shutdown"
-  | exception Invalid_argument _ -> ()
+let test_nested_use_safe () =
+  let inner i =
+    Array.fold_left ( + ) 0 (Pool.parallel_map ~domains:2 ~f:(( * ) i) (Array.init 10 Fun.id))
+  in
+  Alcotest.(check (array int)) "nested maps" (Array.init 4 (fun i -> 45 * i))
+    (Pool.parallel_map ~domains:2 ~f:inner (Array.init 4 Fun.id))
 
 let test_domain_count_clamped () =
-  Alcotest.(check int) "0 clamps to 1" 1 (Pool.with_pool ~domains:0 Pool.domain_count);
-  Alcotest.(check int) "4 stays 4" 4 (Pool.with_pool ~domains:4 Pool.domain_count)
-
-let test_cached_run () =
-  let r = Pool.run ~domains:3 (fun pool -> Pool.parallel_map pool ~f:(fun x -> 2 * x) [| 1; 2 |]) in
-  Alcotest.(check (array int)) "first use" [| 2; 4 |] r;
-  (* Same size reuses the cached pool; just exercise it again. *)
-  let r = Pool.run ~domains:3 (fun pool -> Pool.parallel_map pool ~f:(fun x -> x + 1) [| 1; 2 |]) in
-  Alcotest.(check (array int)) "cached reuse" [| 2; 3 |] r
+  let input = Array.init 16 Fun.id in
+  List.iter
+    (fun d ->
+      Alcotest.(check (array int)) (Printf.sprintf "%d domains" d) (Array.map succ input)
+        (Pool.parallel_map ~domains:d ~f:succ input))
+    [ -5; 0; 1000 ]
 
 let () =
   Alcotest.run "parallel.pool"
     [ ( "pool",
         [ Alcotest.test_case "map ordering (1/2/4/8 domains)" `Quick test_map_ordering;
+          Alcotest.test_case "more domains than items" `Quick test_more_domains_than_items;
           Alcotest.test_case "empty input" `Quick test_empty_input;
-          Alcotest.test_case "iter covers all" `Quick test_iter_covers_all;
           Alcotest.test_case "heterogeneous tasks ordered" `Quick test_tasks_ordered;
           Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
           Alcotest.test_case "pool survives a failed job" `Quick test_pool_survives_failure;
-          Alcotest.test_case "nested use rejected" `Quick test_nested_use_rejected;
-          Alcotest.test_case "in_parallel_region flag" `Quick test_in_parallel_region;
-          Alcotest.test_case "shutdown lifecycle" `Quick test_shutdown_lifecycle;
-          Alcotest.test_case "domain count clamped" `Quick test_domain_count_clamped;
-          Alcotest.test_case "cached run pools" `Quick test_cached_run ] ) ]
+          Alcotest.test_case "nested use is safe" `Quick test_nested_use_safe;
+          Alcotest.test_case "domain count clamped" `Quick test_domain_count_clamped ] ) ]

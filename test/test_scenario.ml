@@ -7,6 +7,7 @@ module Analysis = Mlcore.Analysis
 module Scenario = Mlcore.Scenario
 module Minimal = Mlcore.Minimal
 module Compress = Mlcore.Compress
+module Timeline = Dataset.Timeline
 module Vrp = Rpki.Vrp
 
 let p = Testutil.p4
@@ -170,6 +171,70 @@ let test_figure3_series_shape () =
         (point "Minimal ROAs, with maxLength" week fb <= point "Minimal ROAs, no maxLength" week fb))
     Dataset.Timeline.labels
 
+(* --- merge rule and domain count are arguments ------------------------ *)
+
+let small = lazy (Snapshot.generate ~params:(Snapshot.scaled 0.01) ~seed:7 ())
+let triple = Alcotest.(triple int int int)
+
+let row_pdus rows label =
+  (List.find (fun (r : Scenario.row) -> r.Scenario.label = label) rows).Scenario.pdus
+
+(* (status quo, minimal, full deployment) compressed counts, straight
+   from [Compress.run]. *)
+let compress_counts mode snap =
+  let table = snap.Snapshot.table and status_quo = Snapshot.vrps snap in
+  let n vrps = List.length (Compress.run ~mode vrps) in
+  (n status_quo, n (Minimal.minimal_vrps table status_quo), n (Minimal.full_deployment_vrps table))
+
+(* The same counts from Table 1's rows and from Figure 3's series, on
+   the snapshot as a one-week timeline. *)
+let driver_counts ?mode snap =
+  let row = row_pdus (Scenario.table1 ?mode snap) in
+  let weeks = [ { Timeline.label = "w"; snapshot = snap } ] in
+  let point series name =
+    let s = List.find (fun (s : Scenario.series) -> s.Scenario.name = name) series in
+    List.assoc "w" s.Scenario.points
+  in
+  let fa = Scenario.figure3a ?mode weeks and fb = Scenario.figure3b ?mode weeks in
+  ( ( row "Today (compressed)",
+      row "Today, minimal ROAs, with maxLength (compressed)",
+      row "Full deployment, minimal ROAs, with maxLength" ),
+    ( point fa "Status quo (compressed)",
+      point fa "Minimal ROAs, with maxLength",
+      point fb "Minimal ROAs, with maxLength" ) )
+
+let test_mode_argument () =
+  let s = Lazy.force small in
+  let strict = compress_counts Compress.Strict s and paper = compress_counts Compress.Paper s in
+  Alcotest.(check bool) "the snapshot separates the two modes" false (strict = paper);
+  let table1, figure3 = driver_counts ~mode:Compress.Paper s in
+  Alcotest.check triple "table1 ~mode:Paper" paper table1;
+  Alcotest.check triple "figure3 ~mode:Paper" paper figure3;
+  let table1, figure3 = driver_counts s in
+  Alcotest.check triple "table1 default after a Paper call" strict table1;
+  Alcotest.check triple "figure3 default after a Paper call" strict figure3
+
+(* The fork-join call sites give bit-identical results at one and two
+   domains. *)
+let test_domain_determinism () =
+  let s = Lazy.force small in
+  Alcotest.(check bool) "measure" true
+    (Analysis.measure ~domains:1 s = Analysis.measure ~domains:2 s);
+  List.iter
+    (fun mode ->
+      let pdus domains =
+        List.map (fun (r : Scenario.row) -> r.Scenario.pdus) (Scenario.table1 ~mode ~domains s)
+      in
+      Alcotest.(check (list int)) "table1" (pdus 1) (pdus 2))
+    [ Compress.Strict; Compress.Paper ];
+  let states domains =
+    List.map
+      (fun (w : Timeline.week) -> (w.Timeline.label, Timeline.state_of w.Timeline.snapshot))
+      (Timeline.generate ~params:(Snapshot.scaled 0.005) ~domains ~seed:3 ())
+  in
+  let state = Alcotest.(pair (list (pair Testutil.prefix Testutil.asn)) (list Testutil.vrp)) in
+  Alcotest.(check (list (pair string state))) "timeline weeks" (states 1) (states 2)
+
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
@@ -202,5 +267,8 @@ let () =
           Alcotest.test_case "max permissive bound" `Quick test_max_permissive ] );
       ( "figure3",
         [ Alcotest.test_case "series shape" `Quick test_figure3_series_shape ] );
+      ( "arguments",
+        [ Alcotest.test_case "compression mode is an argument" `Quick test_mode_argument;
+          Alcotest.test_case "1 and 2 domains agree" `Quick test_domain_determinism ] );
       ( "report",
         [ Alcotest.test_case "rendering" `Quick test_report_rendering ] ) ]

@@ -50,9 +50,9 @@ type stats = {
 }
 
 (* One (origin AS, family) compression group. [out] caches the group's
-   compressed VRPs and is valid exactly when [dirty] is false; a VRP
-   add/remove in the group only marks it dirty, deferring the kernel
-   run to the next [compressed]/[flush]. *)
+   compressed VRPs in canonical order and is valid exactly when [dirty]
+   is false; a VRP add/remove in the group only marks it dirty,
+   deferring the kernel run to the next [compressed]/[flush]. *)
 type group = {
   mutable members : Vrp.Set.t;
   mutable out : Vrp.t list;
@@ -72,6 +72,8 @@ type t = {
           paper's attack surface, maintained incrementally. *)
   groups : (int, group) Hashtbl.t;
       (** Key = [(asn lsl 1) lor afi_to_int fam]. *)
+  mutable out : Vrp.Set.t;
+      (** Union of every clean group's [out] — the compressed set. *)
   mutable dirty_keys : int list;
   scratch : Store.t;
   tr4 : Itrie.t;
@@ -207,6 +209,7 @@ let create ?(mode = Kernel.Strict) ?(eliminate = true) ?(pairs = [])
       valid = Validation.create [];
       nonmin = Validation.create [];
       groups = Hashtbl.create 64;
+      out = Vrp.Set.empty;
       dirty_keys = [];
       scratch = Store.create ~capacity:64;
       tr4 = Itrie.create ~capacity:256 Pfx.Afi_v4;
@@ -227,8 +230,34 @@ let create ?(mode = Kernel.Strict) ?(eliminate = true) ?(pairs = [])
 
 (* --- compressed state ------------------------------------------------ *)
 
+(* Merge-walk a group's old and new outputs, both canonical: departed
+   tuples leave [t.out], arrivals join it, and every survivor keeps
+   its old value, so successive [compressed] lists share it. Returns
+   the group's new output. *)
+let rec merge_out t old next acc =
+  match (old, next) with
+  | [], [] -> List.rev acc
+  | o :: os, [] ->
+      t.out <- Vrp.Set.remove o t.out;
+      merge_out t os [] acc
+  | [], n :: ns ->
+      t.out <- Vrp.Set.add n t.out;
+      merge_out t [] ns (n :: acc)
+  | o :: os, n :: ns ->
+      let c = Vrp.compare o n in
+      if c = 0 then merge_out t os ns (o :: acc)
+      else if c < 0 then begin
+        t.out <- Vrp.Set.remove o t.out;
+        merge_out t os next acc
+      end
+      else begin
+        t.out <- Vrp.Set.add n t.out;
+        merge_out t old ns (n :: acc)
+      end
+
 let flush_group t key g =
   if g.dirty then begin
+    let old = g.out in
     let n = Vrp.Set.cardinal g.members in
     if n = 0 then g.out <- []
     else begin
@@ -255,6 +284,7 @@ let flush_group t key g =
             Vrp.make_exn (Store.prefix st idx) ~max_len asn :: acc)
           r.Kernel.out []
     end;
+    g.out <- merge_out t old g.out [];
     g.dirty <- false
   end
 
@@ -265,8 +295,7 @@ let flush t =
 
 let compressed t =
   flush t;
-  let all = Hashtbl.fold (fun _ g acc -> List.rev_append g.out acc) t.groups [] in
-  List.sort Vrp.compare all
+  Vrp.Set.elements t.out
 
 (* --- accessors ------------------------------------------------------- *)
 

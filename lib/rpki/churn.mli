@@ -58,11 +58,19 @@ val apply : t -> event -> bool
 val compressed : t -> Vrp.t list
 (** The compressed ROA set for the current VRPs, in canonical order —
     bit-identical to [Mlcore.Compress.run ~mode ~eliminate] on
-    {!vrps}. Flushes dirty groups first; cached groups are reused. *)
+    {!vrps}. Flushes dirty groups first; clean groups are reused.
+
+    Cost: the engine keeps the union of all group outputs as one
+    ordered set, so beyond recompressing the dirty groups a flush costs
+    O(k log n) for the k output tuples that left or arrived (n the
+    set's size), and each call adds an O(n) listing. A tuple that
+    survives a flush keeps its physical value, so successive lists
+    share every unchanged tuple. *)
 
 val flush : t -> unit
-(** Recompress all dirty groups now (what {!compressed} does before
-    reading) — exposed so benchmarks can meter it separately. *)
+(** Recompress all dirty groups now and fold their changed output
+    tuples into the ordered set (what {!compressed} does before
+    listing) — exposed so benchmarks can meter it separately. *)
 
 val vrps : t -> Vrp.t list
 (** Live VRPs, canonical order. *)

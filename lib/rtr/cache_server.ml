@@ -32,6 +32,7 @@ type t = {
   header_wire : string; (* Cache Response for this session, encoded at create *)
   mutable serial : int32;
   mutable current : Vset.t;
+  mutable listing : Rpki.Vrp.t list; (* = Vset.elements current *)
   mutable history : entry list; (* newest first *)
   mutable history_len : int; (* = List.length history, maintained incrementally *)
   mutable oldest : int32; (* oldest serial whose state is still reconstructable *)
@@ -62,9 +63,11 @@ let cache_reset_wire = Pdu.encode Pdu.Cache_reset
 let create ?(session_id = 0x5eed) ?(history_limit = 16) ?(initial_serial = 0l)
     ?(refresh_interval = default_refresh) ?(retry_interval = default_retry)
     ?(expire_interval = default_expire) vrps =
+  let current = Vset.of_list vrps in
   { session_id; history_limit; refresh_interval; retry_interval; expire_interval;
     header_wire = Pdu.encode (Pdu.Cache_response { session_id });
-    serial = initial_serial; current = Vset.of_list vrps; history = []; history_len = 0;
+    serial = initial_serial; current; listing = Vset.elements current; history = [];
+    history_len = 0;
     oldest = initial_serial; epoch = 0; merged = []; snapshot = None; eod = None;
     notify = None; stats = zero_stats }
 
@@ -97,13 +100,35 @@ let rec take n = function
   | [] -> []
   | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
 
+(* Canonical means strictly ascending: the list [Vset.elements] gives. *)
+let rec canonical = function
+  | a :: (b :: _ as rest) -> Rpki.Vrp.compare a b < 0 && canonical rest
+  | [] | [ _ ] -> true
+
+(* One merge walk of two canonical lists: tuples only in [next] were
+   announced, tuples only in [prev] withdrawn. A tuple both lists
+   share physically costs one pointer compare. *)
+let rec diff_walk prev next announced withdrawn =
+  match (prev, next) with
+  | [], [] -> { announced; withdrawn }
+  | p :: ps, [] -> diff_walk ps [] announced (Vset.add p withdrawn)
+  | [], n :: ns -> diff_walk [] ns (Vset.add n announced) withdrawn
+  | p :: ps, n :: ns ->
+    if p == n then diff_walk ps ns announced withdrawn
+    else
+      let c = Rpki.Vrp.compare p n in
+      if c = 0 then diff_walk ps ns announced withdrawn
+      else if c < 0 then diff_walk ps next announced (Vset.add p withdrawn)
+      else diff_walk prev ns (Vset.add n announced) withdrawn
+
 let update t vrps =
-  let next = Vset.of_list vrps in
-  if Vset.equal next t.current then None
+  let next = if canonical vrps then vrps else List.sort_uniq Rpki.Vrp.compare vrps in
+  let delta = diff_walk t.listing next Vset.empty Vset.empty in
+  if Vset.is_empty delta.announced && Vset.is_empty delta.withdrawn then None
   else begin
-    let delta = { announced = Vset.diff next t.current; withdrawn = Vset.diff t.current next } in
     t.serial <- Serial.succ t.serial;
-    t.current <- next;
+    t.current <- Vset.union (Vset.diff t.current delta.withdrawn) delta.announced;
+    t.listing <- next;
     t.epoch <- t.epoch + 1;
     (* The one and only serialization of this serial's payload, however
        many sessions it will be fanned out to. *)
@@ -122,25 +147,33 @@ let update t vrps =
     Some (Pdu.Serial_notify { session_id = t.session_id; serial = t.serial })
   end
 
-(* The VRP set the cache held at serial [s], or None when [s] has been
-   evicted from history (or never existed). All comparisons are RFC
-   1982 serial arithmetic: the history spans at most [history_limit]
-   consecutive serials, far below the half circle, so the ordering is
-   well defined even across the 0xFFFFFFFF -> 0 wrap. *)
-let state_at t s =
+(* The retained entries newer than serial [s], newest first — the
+   deltas that roll the current state back to [s] — or None when [s]
+   is in the future, evicted from history, or never existed. All
+   comparisons are RFC 1982 serial arithmetic: the history spans at
+   most [history_limit] consecutive serials, far below the half
+   circle, so the ordering is well defined even across the
+   0xFFFFFFFF -> 0 wrap. *)
+let newer_than t s =
   if Serial.gt s t.serial then None
-  else if Serial.equal s t.serial then Some t.current
   else
-    let rec roll_back state = function
+    let rec walk newer = function
       | [] ->
-        (* All retained deltas inverted: [state] is the oldest
-           reconstructable serial. *)
-        if Serial.equal s t.oldest then Some state else None
+        (* Every retained delta is newer than [s]: it is reachable
+           only as the oldest reconstructable serial. *)
+        if Serial.equal s t.oldest then Some (List.rev newer) else None
       | (e : entry) :: rest ->
-        if Serial.leq e.serial s then Some state
-        else roll_back (Vset.union (Vset.diff state e.delta.announced) e.delta.withdrawn) rest
+        if Serial.leq e.serial s then Some (List.rev newer) else walk (e :: newer) rest
     in
-    roll_back t.current t.history
+    walk [] t.history
+
+(* Invert [newer]'s deltas, newest first, starting from the current set. *)
+let roll_back t newer =
+  List.fold_left
+    (fun state (e : entry) -> Vset.union (Vset.diff state e.delta.announced) e.delta.withdrawn)
+    t.current newer
+
+let state_at t s = Option.map (roll_back t) (newer_than t s)
 
 let end_of_data t =
   Pdu.End_of_data
@@ -224,35 +257,36 @@ let count_response t ~fresh wires =
       fresh_bytes = t.stats.fresh_bytes + fresh };
   List.filter (fun w -> String.length w > 0) wires
 
-(* The shared catch-up segment for [since]. Three tiers, none of which
-   scale with the session count: a query at the current serial has an
-   empty payload; a query one serial back is answered by the newest
-   entry's eagerly-encoded wire (the dominant, notify-driven refresh
-   case — its delta *is* the minimal diff); anything deeper is a
-   squashed diff encoded on first demand and memoized until the next
-   serial bump. *)
-let merged_wire t since ~since_state =
-  if Serial.equal since t.serial then ""
-  else
-    match t.history with
-    | (e : entry) :: _ when Serial.equal since (Serial.add t.serial (-1)) -> e.wire
-    | _ ->
-      (match List.find_opt (fun (s, _) -> Serial.equal s since) t.merged with
-       | Some (_, w) -> w
-       | None ->
-         let w = Pdu.encode_all (delta_pdus ~tail:[] (catch_up_delta t ~since_state)) in
-         t.merged <- (since, w) :: t.merged;
-         t.stats <- { t.stats with merge_encodes = t.stats.merge_encodes + 1 };
-         w)
+(* The shared catch-up segment for [since], given the entries [newer]
+   than it. Three tiers, none of which scale with the session count: a
+   query at the current serial has an empty payload; a query one serial
+   back is answered by the newest entry's eagerly-encoded wire (the
+   dominant, notify-driven refresh case — its delta *is* the minimal
+   diff); anything deeper is a squashed diff encoded on first demand
+   and memoized until the next serial bump. Only that first encode
+   rolls the state back. *)
+let merged_wire t since newer =
+  match newer with
+  | [] -> ""
+  | [ (e : entry) ] -> e.wire
+  | _ :: _ :: _ ->
+    (match List.find_opt (fun (s, _) -> Serial.equal s since) t.merged with
+     | Some (_, w) -> w
+     | None ->
+       let since_state = roll_back t newer in
+       let w = Pdu.encode_all (delta_pdus ~tail:[] (catch_up_delta t ~since_state)) in
+       t.merged <- (since, w) :: t.merged;
+       t.stats <- { t.stats with merge_encodes = t.stats.merge_encodes + 1 };
+       w)
 
 let handle_wire t query =
   match query with
   | Pdu.Reset_query -> count_response t ~fresh:0 [ t.header_wire; snapshot_wire t; eod_wire t ]
   | Pdu.Serial_query { session_id; serial = since } ->
-    (match (if session_id <> t.session_id then None else state_at t since) with
+    (match (if session_id <> t.session_id then None else newer_than t since) with
      | None -> count_response t ~fresh:0 [ cache_reset_wire ]
-     | Some since_state ->
-       count_response t ~fresh:0 [ t.header_wire; merged_wire t since ~since_state; eod_wire t ])
+     | Some newer ->
+       count_response t ~fresh:0 [ t.header_wire; merged_wire t since newer; eod_wire t ])
   | Pdu.Error_report _ -> []
   | other ->
     let wire =

@@ -56,14 +56,21 @@ val epoch : t -> int
 val state_at : t -> int32 -> Rpki.Vrp.Set.t option
 (** The VRP set held at a given serial, rolled back through the
     retained deltas; [None] once the serial has been evicted (or never
-    existed). Total across the RFC 1982 wrap. *)
+    existed, or lies in the future). Total across the RFC 1982 wrap. *)
 
 val update : t -> Rpki.Vrp.t list -> Pdu.t option
 (** Replace the VRP set. If nothing changed, the serial stays put and
     no notification is due; otherwise the serial increments, the
     delta's wire segment is encoded (exactly once, whatever the
     session count), and the returned [Serial Notify] should be sent to
-    every connected router. *)
+    every connected router.
+
+    Canonical input — strictly ascending in [Rpki.Vrp.compare], as
+    [Rpki.Vrp.Set.elements], [Rpki.Churn.compressed] and
+    [Mlcore.Compress.run] produce — is diffed against the previous set
+    in one merge walk, where a tuple physically shared with the
+    previous input costs one pointer compare. Any other list (unordered,
+    duplicates) is sorted and deduplicated first. *)
 
 val handle : t -> Pdu.t -> Pdu.t list
 (** Response PDUs for one router query, per RFC 8210:

@@ -225,21 +225,26 @@ let receive t ~now pdu =
     (match t.phase with
      | Transfer ->
        touch_deadline t ~now;
+       (* [Vset.add] of a present element and [Vset.remove] of an
+          absent one return the set physically unchanged: one
+          traversal both tests membership and applies the PDU. *)
        (match flags with
         | Pdu.Announce ->
-          if Vset.mem vrp t.staging then
+          let next = Vset.add vrp t.staging in
+          if next == t.staging then
             violation t ~code:Pdu.Duplicate_announcement_received ~pdu
               "duplicate announcement received"
           else begin
-            t.staging <- Vset.add vrp t.staging;
+            t.staging <- next;
             Ok ()
           end
         | Pdu.Withdraw ->
-          if not (Vset.mem vrp t.staging) then
+          let next = Vset.remove vrp t.staging in
+          if next == t.staging then
             violation t ~code:Pdu.Withdrawal_of_unknown_record ~pdu
               "withdrawal of unknown record"
           else begin
-            t.staging <- Vset.remove vrp t.staging;
+            t.staging <- next;
             Ok ()
           end)
      | Awaiting_response | Settled ->

@@ -488,36 +488,53 @@ let prop_wire_path_matches_reference =
   (* The encode-once path must be byte-identical to the reference path
      under every query kind — the old per-PDU encoder serves as the
      oracle. Each query runs twice so the memoized (snapshot, merged
-     catch-up) branches are exercised too. *)
+     catch-up) branches are exercised too. A second cache gets every
+     update in canonical form (sorted, deduplicated), which [update]
+     diffs in one merge walk; the first keeps the raw unordered lists
+     with duplicates, which it sorts first. Both must agree on serial,
+     set and every response byte. A serial one past the current one is
+     unreachable and gets a Cache Reset. *)
   let open QCheck2 in
   Test.make ~name:"handle_wire bytes equal per-PDU encoding of handle" ~count:100
     Gen.(pair (int_range 1 14) (int_range 0 10_000))
     (fun (updates, salt) ->
       let rng = Rng.create salt in
       let cache = Cache.create ~history_limit:4 ~initial_serial:0xFFFF_FFFDl [] in
+      let canon = Cache.create ~history_limit:4 ~initial_serial:0xFFFF_FFFDl [] in
       let serials = ref [ Cache.serial cache ] in
+      let agree = ref true in
       for _ = 1 to updates do
         let vrps =
           List.init (Rng.int rng 6) (fun _ ->
               Vrp.exact (p (Printf.sprintf "10.%d.%d.0/24" (Rng.int rng 4) (Rng.int rng 4))) (a 1))
         in
         ignore (Cache.update cache vrps);
+        ignore (Cache.update canon (List.sort_uniq Vrp.compare vrps));
+        agree :=
+          !agree
+          && Int32.equal (Cache.serial cache) (Cache.serial canon)
+          && Vrp.Set.equal (Cache.vrps cache) (Cache.vrps canon);
         serials := Cache.serial cache :: !serials
       done;
       let sid = Cache.session_id cache in
+      let future = Pdu.Serial_query { session_id = sid; serial = Serial.succ (Cache.serial cache) } in
       let queries =
         Pdu.Reset_query
         :: Pdu.Serial_query { session_id = sid + 1; serial = Cache.serial cache }
+        :: future
         :: Pdu.Cache_reset (* not a query: Error Report path *)
         :: Pdu.Error_report { code = Pdu.Internal_error; erroneous_pdu = ""; message = "" }
         :: List.map (fun serial -> Pdu.Serial_query { session_id = sid; serial }) !serials
       in
-      List.for_all
-        (fun q ->
-          let reference = wire_of_pdus (Cache.handle cache q) in
-          String.equal reference (String.concat "" (Cache.handle_wire cache q))
-          && String.equal reference (String.concat "" (Cache.handle_wire cache q)))
-        queries)
+      !agree
+      && (match Cache.handle cache future with [ Pdu.Cache_reset ] -> true | _ -> false)
+      && List.for_all
+           (fun q ->
+             let reference = wire_of_pdus (Cache.handle cache q) in
+             String.equal reference (String.concat "" (Cache.handle_wire cache q))
+             && String.equal reference (String.concat "" (Cache.handle_wire cache q))
+             && String.equal reference (String.concat "" (Cache.handle_wire canon q)))
+           queries)
 
 let test_encode_once_fanout () =
   (* Serving N sessions costs one delta encode per update and one

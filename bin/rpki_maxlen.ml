@@ -115,12 +115,21 @@ let hijack_cmd =
     Arg.(value & opt int 20 & info [ "trials" ] ~docv:"N" ~doc)
   in
   let run seed n_as rov trials =
-    let results = Experiments.Hijack_eval.hijack_table ~seed ~n_as ~rov ~trials in
-    print_string results
+    print_string (Experiments.Hijack_eval.hijack_table ~seed ~n_as ~rov ~trials);
+    print_newline ();
+    print_string (Experiments.Hijack_eval.aspa_comparison ~seed ~n_as ~trials);
+    print_newline ();
+    print_string
+      (Experiments.Hijack_eval.render_rov_sweep
+         (Experiments.Hijack_eval.rov_sweep ~seed ~n_as ~trials
+            ~fractions:[ 0.0; 0.25; 0.5; 0.75; 1.0 ]))
   in
   Cmd.v
     (Cmd.info "hijack"
-       ~doc:"Reproduce the section-4/5 attack comparison on a synthetic AS topology.")
+       ~doc:
+         "Reproduce the section-4/5 attack comparison on a synthetic AS topology, then the \
+          ASPA counterfactual and the ROV-deployment sweep ($(b,--rov) sets the first table's \
+          deployment only).")
     Term.(const run $ seed_arg $ ases_arg $ rov_arg $ trials_arg)
 
 let audit_cmd =
@@ -130,11 +139,11 @@ let audit_cmd =
   in
   let run scale seed top =
     let snap = snapshot scale seed in
-    let reports =
-      Mlcore.Advisor.audit snap.Dataset.Snapshot.table snap.Dataset.Snapshot.roas
-    in
+    let table = snap.Dataset.Snapshot.table and roas = snap.Dataset.Snapshot.roas in
+    Format.printf "%a@." Mlcore.Advisor.pp_corpus_stats (Mlcore.Advisor.corpus_stats table roas);
+    let reports = Mlcore.Advisor.audit table roas in
     Printf.printf "%d of %d ROAs need attention; worst %d:\n\n" (List.length reports)
-      (List.length snap.Dataset.Snapshot.roas) (min top (List.length reports));
+      (List.length roas) (min top (List.length reports));
     List.iteri
       (fun i (report, suggestion) ->
         if i < top then begin

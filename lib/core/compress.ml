@@ -29,7 +29,8 @@ let kernel_mode = function Strict -> Kernel.Strict | Paper -> Kernel.Paper
    The original record path (per-group boxed lists and a record-node
    trie) is kept below as [run_reference]/[eliminate_covered_reference]
    — the differential-test oracle the arena output must match
-   bit-for-bit, and the "record" side of the bench comparison. *)
+   bit-for-bit, and the "record" side of test_arena's allocation
+   comparison. *)
 
 (* --- grouping by (origin AS, family): record path ------------------- *)
 
@@ -458,11 +459,6 @@ let eliminate_groups st =
 let eliminate_covered vrps =
   let st = store_of_vrps vrps in
   fst (merge_packed st (eliminate_groups st))
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "%d -> %d tuples (%d dropped as covered; %d merges absorbing %d children)" s.input s.output
-    s.covered_eliminated s.merges s.children_absorbed
 
 let compression_ratio ~before ~after =
   if before = 0 then 0.0 else float_of_int (before - after) /. float_of_int before

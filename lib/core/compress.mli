@@ -20,7 +20,7 @@
       tuples authorized — the output can be non-minimal even for
       minimal input. The test suite exhibits such a case; see
       EXPERIMENTS.md. Provided for fidelity and for the ablation
-      bench. *)
+      ([rpki_maxlen table1 --mode paper]). *)
 
 type mode = Strict | Paper
 
@@ -53,8 +53,8 @@ val run_with_stats : ?mode:mode -> ?eliminate:bool -> Rpki.Vrp.t list -> Rpki.Vr
 
     The pre-arena implementation (per-group boxed [Vrp.t] lists and a
     record-node trie), kept as the differential-test oracle and the
-    "record" side of the bench comparison. Output and statistics are
-    bit-identical to the arena path. *)
+    "record" side of test_arena's allocation comparison. Output and
+    statistics are bit-identical to the arena path. *)
 
 val run_reference : ?mode:mode -> ?eliminate:bool -> Rpki.Vrp.t list -> Rpki.Vrp.t list
 
@@ -62,8 +62,6 @@ val run_with_stats_reference :
   ?mode:mode -> ?eliminate:bool -> Rpki.Vrp.t list -> Rpki.Vrp.t list * stats
 
 val eliminate_covered_reference : Rpki.Vrp.t list -> Rpki.Vrp.t list
-
-val pp_stats : Format.formatter -> stats -> unit
 
 val compression_ratio : before:int -> after:int -> float
 (** [(before - after) / before], as the paper reports (e.g. 15.90%). *)

@@ -1,7 +1,7 @@
 (** Experiment drivers: one function per table/figure of the paper.
 
-    Each returns plain data; {!Report} renders it and the bench
-    harness prints paper-vs-measured comparisons. *)
+    Each returns plain data; {!Report} renders it and the
+    [rpki_maxlen] CLI prints it. *)
 
 type row = {
   label : string;

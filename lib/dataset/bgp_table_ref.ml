@@ -3,7 +3,7 @@ module Asnum = Rpki.Asnum
 
 (* The record-backed BGP table ([Ptrie] of [Asnum.Set] refs) that
    {!Bgp_table} wrapped before the flat-arena conversion, kept as the
-   differential-test oracle and the bench's "record path". Same
+   differential-test oracle and test_arena's "record path". Same
    semantics and iteration order as {!Bgp_table}. *)
 
 type t = {

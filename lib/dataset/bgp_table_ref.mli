@@ -1,5 +1,5 @@
 (** Record-backed BGP table: the pre-arena implementation kept as the
-    differential-test oracle and the bench's "record path". Same
+    differential-test oracle and test_arena's "record path". Same
     semantics and iteration order as {!Bgp_table}. *)
 
 type t

@@ -48,7 +48,7 @@ type config = {
       (** Publish exactly these VRP sets, in order, instead of the
           seed-derived synthetic script (default [None]). Overrides
           [updates] with the list length. This is how live churn
-          reaches the wire: the bench feeds each timeline
+          reaches the wire: test_churn feeds each timeline
           transition's incrementally-maintained compressed set here,
           so the RTR fan-out serves real deltas. *)
 }
@@ -91,8 +91,8 @@ type report = {
   framer_errors : int;
   cache_stats : Rtr.Cache_server.stats;
       (** Encode-once accounting: [delta_encodes] must equal
-          [publishes] whatever the router count — the bench asserts
-          this. *)
+          [publishes] whatever the router count — test_netsim
+          asserts this on a 1,000-session fleet. *)
   cache_retained_bytes : int;  (** {!Rtr.Cache_server.retained_bytes} at end time. *)
   trace_events : int;
   fingerprint : string;  (** {!Trace.fingerprint} — the determinism witness. *)

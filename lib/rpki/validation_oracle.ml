@@ -3,9 +3,10 @@ module Pfx = Netaddr.Pfx
 (* The record-backed validation engine ([Ptrie] of boxed (max_len, asn)
    lists) that {!Validation} used before the flat-arena conversion,
    kept verbatim as the differential-test oracle and as the "record
-   path" the arena bench must beat. Semantics are identical to
-   {!Validation}; [covering_vrps] is canonicalized with a final sort
-   so results compare with [=] against the arena's ordered walk. *)
+   path" test_arena holds the arena's allocation against. Semantics
+   are identical to {!Validation}; [covering_vrps] is canonicalized
+   with a final sort so results compare with [=] against the arena's
+   ordered walk. *)
 
 type db = {
   v4 : (int * Asnum.t) list Ptrie.t;

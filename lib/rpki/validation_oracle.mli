@@ -1,5 +1,5 @@
 (** Record-backed origin validation: the pre-arena implementation kept
-    as the differential-test oracle and the bench's "record path".
+    as the differential-test oracle and test_arena's "record path".
 
     Same semantics as {!Validation}; [covering_vrps] is sorted by
     [Vrp.compare] so it compares with [=] against the arena walk. *)

@@ -215,6 +215,32 @@ let gen_pair_list n =
   QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 n)
     (QCheck2.Gen.pair Testutil.gen_clustered_prefix Testutil.gen_small_asn)
 
+let check_bgp_agrees t r probes =
+  let pair_eq (p1, a1) (p2, a2) = Pfx.equal p1 p2 && Rpki.Asnum.equal a1 a2 in
+  Dataset.Bgp_table.cardinal t = Dataset.Bgp_table_ref.cardinal r
+  && List.equal pair_eq (Dataset.Bgp_table.pairs t) (Dataset.Bgp_table_ref.pairs r)
+  && Dataset.Bgp_table.distinct_prefix_count t = Dataset.Bgp_table_ref.distinct_prefix_count r
+  && Dataset.Bgp_table.as_count t = Dataset.Bgp_table_ref.as_count r
+  && Dataset.Bgp_table.root_pair_count t = Dataset.Bgp_table_ref.root_pair_count r
+  && List.for_all
+       (fun (q, origin) ->
+         let max_len = min (Pfx.addr_bits q) (Pfx.length q + 6) in
+         Dataset.Bgp_table.mem t q origin = Dataset.Bgp_table_ref.mem r q origin
+         && Dataset.Bgp_table.origin_count t q = Dataset.Bgp_table_ref.origin_count r q
+         && List.equal Rpki.Asnum.equal
+              (Dataset.Bgp_table.origins t q)
+              (Dataset.Bgp_table_ref.origins r q)
+         && Dataset.Bgp_table.has_same_origin_ancestor t q origin
+            = Dataset.Bgp_table_ref.has_same_origin_ancestor r q origin
+         && List.equal
+              (fun (p1, l1) (p2, l2) -> Pfx.equal p1 p2 && Int.equal l1 l2)
+              (Dataset.Bgp_table.announced_under t q origin)
+              (Dataset.Bgp_table_ref.announced_under r q origin)
+         && Array.for_all2 Int.equal
+              (Dataset.Bgp_table.count_by_length_under t q origin ~max_len)
+              (Dataset.Bgp_table_ref.count_by_length_under r q origin ~max_len))
+       probes
+
 let prop_bgp_oracle =
   let open QCheck2 in
   let gen = Gen.triple (gen_pair_list 120) (gen_pair_list 40) (gen_pair_list 40) in
@@ -235,31 +261,7 @@ let prop_bgp_oracle =
             Test.fail_reportf "remove %s %s disagreed" (Pfx.to_string q)
               (Rpki.Asnum.to_string origin))
         removes;
-      let pair_eq (p1, a1) (p2, a2) = Pfx.equal p1 p2 && Rpki.Asnum.equal a1 a2 in
-      Dataset.Bgp_table.cardinal t = Dataset.Bgp_table_ref.cardinal r
-      && List.equal pair_eq (Dataset.Bgp_table.pairs t) (Dataset.Bgp_table_ref.pairs r)
-      && Dataset.Bgp_table.distinct_prefix_count t
-         = Dataset.Bgp_table_ref.distinct_prefix_count r
-      && Dataset.Bgp_table.as_count t = Dataset.Bgp_table_ref.as_count r
-      && Dataset.Bgp_table.root_pair_count t = Dataset.Bgp_table_ref.root_pair_count r
-      && List.for_all
-           (fun (q, origin) ->
-             let max_len = min (Pfx.addr_bits q) (Pfx.length q + 6) in
-             Dataset.Bgp_table.mem t q origin = Dataset.Bgp_table_ref.mem r q origin
-             && Dataset.Bgp_table.origin_count t q = Dataset.Bgp_table_ref.origin_count r q
-             && List.equal Rpki.Asnum.equal
-                  (Dataset.Bgp_table.origins t q)
-                  (Dataset.Bgp_table_ref.origins r q)
-             && Dataset.Bgp_table.has_same_origin_ancestor t q origin
-                = Dataset.Bgp_table_ref.has_same_origin_ancestor r q origin
-             && List.equal
-                  (fun (p1, l1) (p2, l2) -> Pfx.equal p1 p2 && Int.equal l1 l2)
-                  (Dataset.Bgp_table.announced_under t q origin)
-                  (Dataset.Bgp_table_ref.announced_under r q origin)
-             && Array.for_all2 Int.equal
-                  (Dataset.Bgp_table.count_by_length_under t q origin ~max_len)
-                  (Dataset.Bgp_table_ref.count_by_length_under r q origin ~max_len))
-           probes)
+      check_bgp_agrees t r probes)
 
 (* The order contract of [Bgp_table.fold] (bgp_table.mli): every pair
    once, strictly ascending by (Pfx.compare, Asnum.compare) — v4
@@ -314,23 +316,22 @@ let stats_equal (s1 : Mlcore.Compress.stats) (s2 : Mlcore.Compress.stats) =
   && s1.Mlcore.Compress.children_absorbed = s2.Mlcore.Compress.children_absorbed
   && s1.Mlcore.Compress.output = s2.Mlcore.Compress.output
 
-let prop_compress_oracle =
-  let open QCheck2 in
-  Test.make ~name:"compress agrees with run_reference at every mode and eliminate setting"
-    ~count:100 Testutil.gen_vrp_list (fun vrps ->
+let check_compress_agrees vrps =
+  List.for_all
+    (fun mode ->
       List.for_all
-        (fun mode ->
-          List.for_all
-            (fun eliminate ->
-              let ref_out, ref_stats =
-                Mlcore.Compress.run_with_stats_reference ~mode ~eliminate vrps
-              in
-              let out, stats = Mlcore.Compress.run_with_stats ~mode ~eliminate vrps in
-              if not (List.equal Vrp.equal out ref_out) then Test.fail_report "output diverged";
-              if not (stats_equal stats ref_stats) then Test.fail_report "stats diverged";
-              true)
-            [ true; false ])
-        [ Mlcore.Compress.Strict; Mlcore.Compress.Paper ])
+        (fun eliminate ->
+          let ref_out, ref_stats = Mlcore.Compress.run_with_stats_reference ~mode ~eliminate vrps in
+          let out, stats = Mlcore.Compress.run_with_stats ~mode ~eliminate vrps in
+          if not (List.equal Vrp.equal out ref_out) then QCheck2.Test.fail_report "output diverged";
+          if not (stats_equal stats ref_stats) then QCheck2.Test.fail_report "stats diverged";
+          true)
+        [ true; false ])
+    [ Mlcore.Compress.Strict; Mlcore.Compress.Paper ]
+
+let prop_compress_oracle =
+  QCheck2.Test.make ~name:"compress agrees with run_reference at every mode and eliminate setting"
+    ~count:100 Testutil.gen_vrp_list check_compress_agrees
 
 let prop_eliminate_oracle =
   let open QCheck2 in
@@ -470,6 +471,140 @@ let test_validation_empty_and_single () =
   Alcotest.(check bool) "single VRP agrees" true
     (check_validation_agrees [ v ]
        [ (p "10.0.0.0/12", a 64500); (p "10.0.0.0/24", a 64500); (p "11.0.0.0/8", a 64500) ])
+
+(* --- snapshot scale ------------------------------------------------------ *)
+
+(* The checks above run on small random inputs. These run the same
+   comparisons on a calibrated corpus: the seed-42 snapshot at scale
+   0.05 (38,847 announced pairs, 2,006 VRPs), with every announced
+   pair as a probe. *)
+type corpus = {
+  table : Dataset.Bgp_table.t;
+  vrps : Vrp.t list;
+  full : Vrp.t list;  (** [Minimal.full_deployment_vrps table] *)
+  pairs : (Pfx.t * Rpki.Asnum.t) array;
+  adb : Rpki.Validation.db;
+  odb : Rpki.Validation_oracle.db;
+  rtable : Dataset.Bgp_table_ref.t;
+}
+
+let corpus =
+  lazy
+    (let snap = Dataset.Snapshot.generate ~params:(Dataset.Snapshot.scaled 0.05) ~seed:42 () in
+     let table = snap.Dataset.Snapshot.table in
+     let vrps = Dataset.Snapshot.vrps snap in
+     let pairs = Array.of_list (Dataset.Bgp_table.pairs table) in
+     let rtable = Dataset.Bgp_table_ref.create () in
+     Array.iter (fun (q, origin) -> Dataset.Bgp_table_ref.add rtable q origin) pairs;
+     { table;
+       vrps;
+       full = Mlcore.Minimal.full_deployment_vrps table;
+       pairs;
+       adb = Rpki.Validation.create vrps;
+       odb = Rpki.Validation_oracle.create vrps;
+       rtable })
+
+let state_code = function
+  | Rpki.Validation.Valid -> 1
+  | Rpki.Validation.Invalid -> 2
+  | Rpki.Validation.Not_found -> 3
+
+let test_snapshot_agrees () =
+  let c = Lazy.force corpus in
+  let probes = Array.to_list c.pairs in
+  Alcotest.(check bool) "validation agrees on every announced pair" true
+    (check_validation_agrees c.vrps probes);
+  Alcotest.(check bool) "Bgp_table agrees on every announced pair" true
+    (check_bgp_agrees c.table c.rtable probes);
+  Alcotest.(check bool) "compress agrees on today's VRPs" true (check_compress_agrees c.vrps);
+  Alcotest.(check bool) "compress agrees on the full deployment" true
+    (check_compress_agrees c.full)
+
+(* The read-only sweeps, each as a query over an index array: run at 2
+   and 4 domains, they must return exactly what one domain returns. *)
+let test_snapshot_parallel_sweeps () =
+  let c = Lazy.force corpus in
+  let vrps = Array.of_list c.vrps in
+  let sweeps =
+    [ ( "validate",
+        Array.length c.pairs,
+        fun i ->
+          let q, origin = c.pairs.(i) in
+          state_code (Rpki.Validation.validate c.adb q origin) );
+      ( "same-origin ancestor",
+        Array.length c.pairs,
+        fun i ->
+          let q, origin = c.pairs.(i) in
+          Bool.to_int (Dataset.Bgp_table.has_same_origin_ancestor c.table q origin) );
+      ( "covering_count",
+        Array.length c.pairs,
+        fun i -> Rpki.Validation.covering_count c.adb (fst c.pairs.(i)) );
+      ( "is_minimal_vrp",
+        Array.length vrps,
+        fun i -> Bool.to_int (Mlcore.Minimal.is_minimal_vrp c.table vrps.(i)) ) ]
+  in
+  List.iter
+    (fun (name, n, f) ->
+      let idx = Array.init n Fun.id in
+      let expected = Array.map f idx in
+      List.iter
+        (fun domains ->
+          Alcotest.(check (array int))
+            (Printf.sprintf "%s at %d domains" name domains)
+            expected
+            (Parallel.Pool.parallel_map ~domains ~f idx))
+        [ 2; 4 ])
+    sweeps
+
+(* Words one call of [f] allocates, after a warm-up call (which
+   creates any lazily built scratch state). *)
+let allocated_words f =
+  f ();
+  snd (Testutil.allocated_words f)
+
+(* The arena's advantage over the record oracles is that its queries
+   do not allocate, which a count shows where a wall-clock race on a
+   shared host only suggests. On each workload the arena path must
+   allocate strictly fewer words than the oracle. The sweeps fill a
+   preallocated array, so neither side pays for its results. *)
+let test_snapshot_allocates_less () =
+  let c = Lazy.force corpus in
+  let n = Array.length c.pairs in
+  let scratch = Array.make n 0 in
+  let sweep f () =
+    for i = 0 to n - 1 do
+      let q, origin = c.pairs.(i) in
+      scratch.(i) <- f q origin
+    done
+  in
+  let workloads =
+    [ ( "validate sweep",
+        sweep (fun q origin -> state_code (Rpki.Validation_oracle.validate c.odb q origin)),
+        sweep (fun q origin -> state_code (Rpki.Validation.validate c.adb q origin)) );
+      ( "same-origin ancestor sweep",
+        sweep (fun q origin ->
+            Bool.to_int (Dataset.Bgp_table_ref.has_same_origin_ancestor c.rtable q origin)),
+        sweep (fun q origin ->
+            Bool.to_int (Dataset.Bgp_table.has_same_origin_ancestor c.table q origin)) );
+      ( "covering_count sweep",
+        sweep (fun q _ -> Rpki.Validation_oracle.covering_count c.odb q),
+        sweep (fun q _ -> Rpki.Validation.covering_count c.adb q) );
+      ( "compress, today's VRPs",
+        (fun () -> ignore (Mlcore.Compress.run_reference c.vrps)),
+        fun () -> ignore (Mlcore.Compress.run c.vrps) );
+      ( "compress, full deployment",
+        (fun () -> ignore (Mlcore.Compress.run_reference c.full)),
+        fun () -> ignore (Mlcore.Compress.run c.full) ) ]
+  in
+  List.iter
+    (fun (name, oracle, arena) ->
+      let oracle_words = allocated_words oracle in
+      let arena_words = allocated_words arena in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: arena %.0f words < oracle %.0f words" name arena_words oracle_words)
+        true
+        (arena_words < oracle_words))
+    workloads
 
 (* --- sanitizer: generation-tagged handles ------------------------------ *)
 
@@ -684,4 +819,10 @@ let () =
       ( "compress",
         [ Alcotest.test_case "figure 2" `Quick test_figure2_arena_matches_reference ]
         @ List.map QCheck_alcotest.to_alcotest
-            [ prop_compress_oracle; prop_eliminate_oracle; prop_compress_order_independent ] ) ]
+            [ prop_compress_oracle; prop_eliminate_oracle; prop_compress_order_independent ] );
+      ( "snapshot",
+        [ Alcotest.test_case "arena agrees with the oracles" `Quick test_snapshot_agrees;
+          Alcotest.test_case "2 and 4 domains agree with one" `Quick
+            test_snapshot_parallel_sweeps;
+          Alcotest.test_case "arena allocates less than the oracles" `Quick
+            test_snapshot_allocates_less ] ) ]

@@ -24,6 +24,8 @@ module V = Rpki.Validation
 module Vrp = Rpki.Vrp
 module Asnum = Rpki.Asnum
 module Pfx = Netaddr.Pfx
+module Sim = Netsim.Rtr_sim
+module Fault = Netsim.Fault
 
 let spf = Printf.sprintf
 let a = Testutil.a
@@ -79,20 +81,21 @@ let gen_events seed n =
 
 (* --- the batch oracles ---------------------------------------------- *)
 
+(* What a cache without the engine recomputes from a state and its BGP
+   table: the Valid pairs, the non-minimal maxLength VRPs and the
+   compressed set. *)
+let batch_recompute ~cmode table ((pairs, vrps) : Timeline.state) =
+  let db = V.create vrps in
+  ( List.filter (fun (q, origin) -> V.authorized db q origin) pairs,
+    List.filter (fun w -> Vrp.uses_max_len w && not (Minimal.is_minimal_vrp table w)) vrps,
+    Compress.run ~mode:cmode vrps )
+
 (* Compare the engine against a from-scratch recomputation of every
    maintained set. Returns a description of the first divergence. *)
-let checkpoint ~cmode t ((pairs, vrps) : Timeline.state) =
-  let batch_valid =
-    let db = V.create vrps in
-    List.filter (fun (q, origin) -> V.authorized db q origin) pairs
-  in
-  let batch_nonmin =
-    let table = Bgp_table.create () in
-    List.iter (fun (q, origin) -> Bgp_table.add table q origin) pairs;
-    List.filter
-      (fun w -> Vrp.uses_max_len w && not (Minimal.is_minimal_vrp table w))
-      vrps
-  in
+let checkpoint ~cmode t ((pairs, vrps) as state : Timeline.state) =
+  let table = Bgp_table.create () in
+  List.iter (fun (q, origin) -> Bgp_table.add table q origin) pairs;
+  let batch_valid, batch_nonmin, batch = batch_recompute ~cmode table state in
   if not (List.equal Vrp.equal (Churn.vrps t) vrps) then Some "vrps diverged"
   else if not (List.equal pair_equal (List.sort pair_compare (Churn.pairs t)) pairs)
   then Some "pairs diverged"
@@ -101,11 +104,9 @@ let checkpoint ~cmode t ((pairs, vrps) : Timeline.state) =
   then Some "valid pairs diverged"
   else if not (List.equal Vrp.equal (Churn.non_minimal t) batch_nonmin) then
     Some "non-minimal set diverged"
-  else
-    let batch = Compress.run ~mode:cmode vrps in
-    if not (List.equal Vrp.equal (Churn.compressed t) batch) then
-      Some "compressed diverged from batch"
-    else None
+  else if not (List.equal Vrp.equal (Churn.compressed t) batch) then
+    Some "compressed diverged from batch"
+  else None
 
 (* Replay a sequence, self_checking after every event and running the
    full batch comparison every [k] events and at the end. *)
@@ -185,33 +186,84 @@ let test_differential () =
 
 (* --- timeline-derived churn ----------------------------------------- *)
 
+let is_vrp_event = function
+  | Churn.Add_vrp _ | Churn.Remove_vrp _ -> true
+  | Churn.Announce _ | Churn.Withdraw _ -> false
+
+(* The (origin AS, family) compression groups a VRP set spans. *)
+let group_count vrps =
+  let key (w : Vrp.t) = (Asnum.to_int w.Vrp.asn lsl 1) lor Pfx.afi_to_int (Pfx.afi w.Vrp.prefix) in
+  List.length (List.sort_uniq Int.compare (List.map key vrps))
+
 (* The paper's eight-week series as an event stream: seed the engine
    with week one, replay each transition's diff, and require the
-   engine to land exactly on the next snapshot — including a
-   compressed set bit-identical to batch-compressing that snapshot. *)
-let test_timeline_differential () =
-  let weeks = Timeline.generate ~params:(Snapshot.scaled 0.001) ~seed:5 () in
-  let first = List.hd weeks in
-  let stream = Timeline.event_stream weeks in
-  Alcotest.(check int) "seven transitions" (List.length weeks - 1) (List.length stream);
-  let pairs0, vrps0 = Timeline.state_of first.Timeline.snapshot in
+   engine to land exactly on the next snapshot at every [checkpoint] —
+   VRPs, pairs, Valid pairs, the non-minimal set and a compressed set
+   bit-identical to batch-compressing that snapshot.
+
+   With [~vrp_churn:true] the input must also move VRPs every week, and
+   each transition is held to a work witness against the batch
+   recompute: fewer groups recompressed than the next week spans, and
+   fewer words allocated. The eight compressed sets are then served
+   over RTR to a mixed fleet, which must converge. *)
+let timeline_differential ~scale ~seed ~vrp_churn () =
+  let weeks = Array.of_list (Timeline.generate ~params:(Snapshot.scaled scale) ~seed ()) in
+  let stream = Timeline.event_stream (Array.to_list weeks) in
+  Alcotest.(check int) "seven transitions" (Array.length weeks - 1) (List.length stream);
+  let pairs0, vrps0 = Timeline.state_of weeks.(0).Timeline.snapshot in
   let t = Churn.create ~pairs:pairs0 ~vrps:vrps0 () in
-  List.iteri
-    (fun i (label, events) ->
-      Alcotest.(check bool) (label ^ " transition is not empty") true (events <> []);
-      List.iter (fun ev -> ignore (Churn.apply t ev)) events;
-      (match Churn.self_check t with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "%s: self_check: %s" label e);
-      let pairs, vrps = Timeline.state_of (List.nth weeks (i + 1)).Timeline.snapshot in
-      Alcotest.(check (list Testutil.vrp)) (label ^ " vrps") vrps (Churn.vrps t);
-      Alcotest.(check (list pair_t))
-        (label ^ " pairs") pairs
-        (List.sort pair_compare (Churn.pairs t));
-      Alcotest.(check (list Testutil.vrp))
-        (label ^ " compressed")
-        (Compress.run vrps) (Churn.compressed t))
-    stream
+  let first = Churn.compressed t in
+  let script =
+    List.mapi
+      (fun i (label, events) ->
+        Alcotest.(check bool) (label ^ " transition is not empty") true (events <> []);
+        let recomputes = (Churn.stats t).Churn.group_recomputes in
+        let compressed, incr_words =
+          Testutil.allocated_words (fun () ->
+              List.iter (fun ev -> ignore (Churn.apply t ev)) events;
+              Churn.compressed t)
+        in
+        (match Churn.self_check t with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "%s: self_check: %s" label e);
+        let next = weeks.(i + 1).Timeline.snapshot in
+        let ((_, vrps) as state) = Timeline.state_of next in
+        (match checkpoint ~cmode:Compress.Strict t state with
+        | None -> ()
+        | Some m -> Alcotest.failf "%s: %s" label m);
+        if vrp_churn then begin
+          Alcotest.(check bool)
+            (label ^ " carries VRP events")
+            true (List.exists is_vrp_event events);
+          let recomputed = (Churn.stats t).Churn.group_recomputes - recomputes in
+          let groups = group_count vrps in
+          Alcotest.(check bool)
+            (spf "%s: %d groups recompressed < %d groups" label recomputed groups)
+            true (recomputed < groups);
+          let _, batch_words =
+            Testutil.allocated_words (fun () ->
+                batch_recompute ~cmode:Compress.Strict next.Snapshot.table state)
+          in
+          Alcotest.(check bool)
+            (spf "%s: incremental %.0f words < batch %.0f words" label incr_words batch_words)
+            true (incr_words < batch_words)
+        end;
+        compressed)
+      stream
+  in
+  if vrp_churn then begin
+    let script = first :: script in
+    let config =
+      { Sim.default_config with Sim.routers = 20; trace = false; script = Some script }
+    in
+    let r =
+      Sim.run ~config ~mix:Fault.[ perfect; rechunking; delaying ] ~seed ~policy:Fault.perfect ()
+    in
+    Alcotest.(check bool)
+      (Format.asprintf "churn-scripted RTR run: %a" Sim.pp_report r)
+      true r.Sim.ok;
+    Alcotest.(check int) "every week published" (List.length script) r.Sim.publishes
+  end
 
 (* --- engine semantics, pinned --------------------------------------- *)
 
@@ -336,8 +388,10 @@ let () =
   Alcotest.run "rpki.churn"
     [ ( "differential",
         [ Alcotest.test_case "randomized events vs one batch" `Quick test_differential;
-          Alcotest.test_case "timeline event stream vs batch" `Slow
-            test_timeline_differential ] );
+          Alcotest.test_case "timeline event stream vs batch" `Quick
+            (timeline_differential ~scale:0.001 ~seed:5 ~vrp_churn:false);
+          Alcotest.test_case "timeline with VRP churn vs batch" `Quick
+            (timeline_differential ~scale:0.01 ~seed:42 ~vrp_churn:true) ] );
       ( "engine",
         [ Alcotest.test_case "minimality tracking" `Quick test_minimality_tracking;
           Alcotest.test_case "validity tracking" `Quick test_validity_tracking;

@@ -193,7 +193,30 @@ let test_determinism () =
         (policy.Fault.name ^ " different seed, different trace")
         false
         (String.equal a.Sim.fingerprint c.Sim.fingerprint))
-    [ Fault.perfect; Fault.reordering; Fault.chaos ]
+    Fault.all
+
+(* Encode-once on a simulated fleet: 1,000 sessions on a mix of fast
+   and slow links against one cache. However many sessions ask, each
+   publication is encoded exactly once, and the fleet still ends
+   (almost entirely) Fresh on the exact final set. *)
+let test_fanout_encode_once () =
+  let config = { Sim.default_config with Sim.routers = 1_000; trace = false } in
+  let r =
+    Sim.run ~config ~mix:Fault.[ perfect; rechunking; delaying ] ~seed:42 ~policy:Fault.perfect ()
+  in
+  check_report r;
+  Alcotest.(check int) "one delta encode per publish" r.Sim.publishes
+    r.Sim.cache_stats.Rtr.Cache_server.delta_encodes;
+  let fresh =
+    List.length
+      (List.filter
+         (fun o -> o.Sim.freshness = Rtr.Router_client.Fresh && o.Sim.vrps_ok)
+         r.Sim.outcomes)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 90%% of sessions fresh (%d/%d)" fresh config.Sim.routers)
+    true
+    (fresh * 10 >= config.Sim.routers * 9)
 
 let sweep ~seeds ~policies =
   let total = ref 0 in
@@ -265,5 +288,6 @@ let () =
           Alcotest.test_case "benign links: strict" `Quick test_perfect_strict;
           Alcotest.test_case "serial wrap crossed" `Quick test_serial_wrap_crossed;
           Alcotest.test_case "deterministic replay" `Quick test_determinism;
+          Alcotest.test_case "encode once across 1,000 sessions" `Quick test_fanout_encode_once;
           Alcotest.test_case "sweep (sampled)" `Quick test_sweep_small;
           Alcotest.test_case "sweep (500 seeds, all policies)" `Slow test_sweep_full ] ) ]

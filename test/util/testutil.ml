@@ -75,3 +75,16 @@ let a = Rpki.Asnum.of_int
 let check_ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error: %s" e
+
+(* Words allocated while [f] runs, with its result: a work witness
+   that, unlike a wall clock, does not move with the host's load. The
+   minor part comes from [Gc.minor_words]: on OCaml 5.1 the minor count
+   in [Gc.counters] under-counts the words still in the minor heap, so
+   it jumps whenever a minor collection falls inside the window. *)
+let allocated_words f =
+  let minor0 = Gc.minor_words () in
+  let _, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))

@@ -3,9 +3,26 @@
 
 open Cmdliner
 
+(* [base] restricted to the values [ok] accepts: anything else is a
+   usage error (exit 124) that says what was [expected]. *)
+let bounded base ~expected ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let int_at_least n =
+  bounded Arg.int ~expected:(Printf.sprintf "an integer of at least %d" n) (fun x -> x >= n)
+
 let scale_arg =
   let doc = "Dataset scale relative to the paper's 2017-06-01 snapshot (1.0 = 776,945 pairs)." in
-  Arg.(value & opt float 0.1 & info [ "scale" ] ~docv:"FACTOR" ~doc)
+  let scale =
+    bounded Arg.float ~expected:"a finite number above 0" (fun x -> Float.is_finite x && x > 0.0)
+  in
+  Arg.(value & opt scale 0.1 & info [ "scale" ] ~docv:"FACTOR" ~doc)
 
 let seed_arg =
   let doc = "PRNG seed; every output is deterministic in it." in
@@ -104,15 +121,16 @@ let compress_cmd =
 let hijack_cmd =
   let ases_arg =
     let doc = "Number of ASes in the synthetic topology." in
-    Arg.(value & opt int 1000 & info [ "ases" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 10) 1000 & info [ "ases" ] ~docv:"N" ~doc)
   in
   let rov_arg =
     let doc = "Fraction of ASes performing route-origin validation (drop invalid)." in
-    Arg.(value & opt float 1.0 & info [ "rov" ] ~docv:"FRACTION" ~doc)
+    let fraction = bounded Arg.float ~expected:"a number in [0, 1]" (fun x -> x >= 0.0 && x <= 1.0) in
+    Arg.(value & opt fraction 1.0 & info [ "rov" ] ~docv:"FRACTION" ~doc)
   in
   let trials_arg =
     let doc = "Number of random victim/attacker pairs to average over." in
-    Arg.(value & opt int 20 & info [ "trials" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 1) 20 & info [ "trials" ] ~docv:"N" ~doc)
   in
   let run seed n_as rov trials =
     print_string (Experiments.Hijack_eval.hijack_table ~seed ~n_as ~rov ~trials);
@@ -135,7 +153,7 @@ let hijack_cmd =
 let audit_cmd =
   let top_arg =
     let doc = "Show only the $(docv) worst ROAs." in
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 0) 10 & info [ "top" ] ~docv:"N" ~doc)
   in
   let run scale seed top =
     let snap = snapshot scale seed in

@@ -1,9 +1,9 @@
 module Pfx = Netaddr.Pfx
 module K = Pfx_key
 
-(* Flat-arena Patricia trie: the path-compressed structure of [Ptrie]
-   with every node field stored column-wise in [int array]s instead of
-   a heap record per node. A node is an integer index; -1 ([nil]) is
+(* Flat-arena Patricia trie: a path-compressed binary prefix trie with
+   every node field stored column-wise in [int array]s instead of a
+   heap record per node. A node is an integer index; -1 ([nil]) is
    the null pointer. Traversals therefore touch a handful of adjacent
    arrays instead of chasing boxed records and options, and the whole
    structure is invisible to the GC's minor heap.
@@ -18,13 +18,13 @@ module K = Pfx_key
                (branch nodes); payloads are caller-defined handles;
    - [aux]     a second caller-defined int slot (-1 default).
 
-   Node 0 is the permanent /0 sentinel root, exactly as in [Ptrie],
-   and the same structural invariants hold (valued-or-fork interior
-   nodes, contraction on removal). Freed slots go on a freelist
-   threaded through [left] and are reused by the next allocation;
-   [len] = -1 marks them so stale handles are detectable. Growth
-   doubles the columns and never moves a live node: handles are stable
-   for the lifetime of the binding. *)
+   Node 0 is the permanent /0 sentinel root. Every node carries its
+   full prefix, children branch on the first bit past it, interior
+   valueless nodes are forks, and removal contracts pass-through
+   nodes. Freed slots go on a freelist threaded through [left] and are
+   reused by the next allocation; [len] = -1 marks them so stale
+   handles are detectable. Growth doubles the columns and never moves
+   a live node: handles are stable for the lifetime of the binding. *)
 
 type handle = int
 
@@ -384,7 +384,7 @@ let covering_max_chunks t ~c0 ~c1 ~c2 ~c3 ~len =
   covering_max_go t c0 c1 c2 c3 len root nil
 
 (* Topmost node whose subtree holds exactly the stored prefixes covered
-   by the query (cf. [Ptrie.subtree_root]); [nil] when none. *)
+   by the query; [nil] when none. *)
 let rec subtree_go t q0 q1 q2 q3 ql n =
   let nl = t.len.(n) in
   if nl >= ql then

@@ -1,5 +1,7 @@
-(** Flat-arena Patricia trie: {!Ptrie}'s path-compressed structure with
-    node fields stored column-wise in [int array]s.
+(** Flat-arena Patricia trie: a path-compressed binary prefix trie
+    keyed by {!Netaddr.Pfx.t}, with node fields stored column-wise in
+    [int array]s. It is the one prefix trie of the production
+    libraries.
 
     Nodes are integer handles; -1 is the null pointer. The payload is a
     caller-defined non-negative int ([value], plus a second [aux]
@@ -126,7 +128,7 @@ val covering_max_chunks : t -> c0:int -> c1:int -> c2:int -> c3:int -> len:int -
 
 val subtree_root : t -> Netaddr.Pfx.t -> handle
 (** Topmost node whose subtree holds exactly the stored prefixes the
-    query covers, or {!nil} (cf. {!Ptrie.subtree_root}). *)
+    query covers, or {!nil}. *)
 
 val subtree_root_chunks : t -> c0:int -> c1:int -> c2:int -> c3:int -> len:int -> handle
 
@@ -135,8 +137,7 @@ val prefix_at : t -> handle -> Netaddr.Pfx.t
     allocates. *)
 
 val fold_bound : t -> init:'a -> f:('a -> handle -> 'a) -> 'a
-(** In-order (address, then length) fold over bound node handles — the
-    same visit order as [Ptrie.fold]. *)
+(** In-order (address, then length) fold over bound node handles. *)
 
 val self_check : t -> (unit, string) result
 (** Audit every structural invariant: reachable nodes are live and

@@ -18,9 +18,9 @@ module K = Pfx_key
    with no sorting. Freed entries go on a freelist threaded through
    [nxt] with [pack] = -1.
 
-   The RFC 6811 hot paths ([validate], [covering_count]) are manual
-   loops over these columns: no closures, no options, no tuples — the
-   [@@hot] marks are enforced by lint rule R7. *)
+   The RFC 6811 hot path ([validate]) is a manual loop over these
+   columns: no closures, no options, no tuples — the [@@hot] marks are
+   enforced by lint rule R7. *)
 
 type handle = int
 
@@ -299,51 +299,6 @@ let validate t p ~asn =
   [@@hot]
 
 (* --- covering walks -------------------------------------------------- *)
-
-let rec chain_length nxt e acc = if e < 0 then acc else chain_length nxt nxt.(e) (acc + 1)
-  [@@hot]
-
-let rec covering_count_v4 c0a lena vala lefta righta nxt q0 ql n acc =
-  let nl = lena.(n) in
-  if not (nl <= ql && (q0 lxor c0a.(n)) land K.hi_mask nl = 0) then acc
-  else begin
-    let head = vala.(n) in
-    let acc = if head >= 0 then chain_length nxt head acc else acc in
-    if nl >= ql then acc
-    else begin
-      let c = if (q0 lsr (31 - nl)) land 1 = 1 then righta.(n) else lefta.(n) in
-      if c < 0 then acc else covering_count_v4 c0a lena vala lefta righta nxt q0 ql c acc
-    end
-  end
-  [@@hot]
-
-let rec covering_count_v6 c0a c1a c2a c3a lena vala lefta righta nxt q0 q1 q2 q3 ql n acc =
-  let nl = lena.(n) in
-  if not (K.covers c0a.(n) c1a.(n) c2a.(n) c3a.(n) nl q0 q1 q2 q3 ql) then acc
-  else begin
-    let head = vala.(n) in
-    let acc = if head >= 0 then chain_length nxt head acc else acc in
-    if nl >= ql then acc
-    else begin
-      let c = if K.bit q0 q1 q2 q3 nl then righta.(n) else lefta.(n) in
-      if c < 0 then acc
-      else covering_count_v6 c0a c1a c2a c3a lena vala lefta righta nxt q0 q1 q2 q3 ql c acc
-    end
-  end
-  [@@hot]
-
-let covering_count t p =
-  match p with
-  | Pfx.V4 _ ->
-    let tr = t.v4 in
-    covering_count_v4 tr.Itrie.c0 tr.Itrie.len tr.Itrie.value tr.Itrie.left tr.Itrie.right
-      t.nxt (K.c0 p) (Pfx.length p) Itrie.root 0
-  | Pfx.V6 _ ->
-    let tr = t.v6 in
-    covering_count_v6 tr.Itrie.c0 tr.Itrie.c1 tr.Itrie.c2 tr.Itrie.c3 tr.Itrie.len
-      tr.Itrie.value tr.Itrie.left tr.Itrie.right t.nxt (K.c0 p) (K.c1 p) (K.c2 p) (K.c3 p)
-      (Pfx.length p) Itrie.root 0
-  [@@hot]
 
 (* The covering VRPs in canonical [Vrp.compare] order, built on the
    recursion's unwind: descent order is shortest-covering-prefix first

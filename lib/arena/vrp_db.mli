@@ -9,9 +9,8 @@
     [Vrp.compare] order without sorting. ASNs cross this interface as
     plain ints ([Asnum.to_int]); the view layer re-wraps them.
 
-    [validate] and [covering_count] are single allocation-free
-    descents over the columns, enforced by lint rule R7 via their
-    [@@hot] marks.
+    [validate] is a single allocation-free descent over the columns,
+    enforced by lint rule R7 via its [@@hot] marks.
 
     Under {!San} sanitized mode (captured at [create]) the entry
     columns gain a generation counter: {!remove} bumps the freed
@@ -59,10 +58,6 @@ val entry_asn : t -> handle -> int
 val validate : t -> Netaddr.Pfx.t -> asn:int -> int
 (** RFC 6811 in one allocation-free descent:
     0 = Valid, 1 = Invalid (covered but not matched), 2 = NotFound. *)
-
-val covering_count : t -> Netaddr.Pfx.t -> int
-(** Number of VRPs whose prefix covers the query — the count-only
-    companion of [covering_list], also allocation-free. *)
 
 val covering_list :
   t -> Netaddr.Pfx.t -> make:(Netaddr.Pfx.t -> max_len:int -> asn:int -> 'v) -> 'v list

@@ -47,9 +47,9 @@ let measure ?domains (snap : Dataset.Snapshot.t) =
   }
 
 let frac a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
-let maxlen_usage_fraction s = frac s.maxlen_vrps s.vrps
-let vulnerable_fraction s = frac s.vulnerable_maxlen_vrps s.maxlen_vrps
-let pdu_increase_fraction s = frac s.additional_prefixes s.vrps
+let maxlen_usage_fraction s = frac s.maxlen_vrps s.vrps (* paper: ~12% *)
+let vulnerable_fraction s = frac s.vulnerable_maxlen_vrps s.maxlen_vrps (* paper: ~84% *)
+let pdu_increase_fraction s = frac s.additional_prefixes s.vrps (* paper: ~33% *)
 
 let pp ppf s =
   Format.fprintf ppf

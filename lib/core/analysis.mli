@@ -29,13 +29,4 @@ val measure : ?domains:int -> Dataset.Snapshot.t -> stats
     construction, lower-bound count — onto that many domains; [1]
     runs them sequentially. The result is identical either way. *)
 
-val maxlen_usage_fraction : stats -> float
-(** [maxlen_vrps / vrps] (paper: ~12%). *)
-
-val vulnerable_fraction : stats -> float
-(** [vulnerable_maxlen_vrps / maxlen_vrps] (paper: ~84%). *)
-
-val pdu_increase_fraction : stats -> float
-(** [additional_prefixes / vrps] (paper: ~33%). *)
-
 val pp : Format.formatter -> stats -> unit

@@ -49,20 +49,6 @@ val run_with_stats : ?mode:mode -> ?eliminate:bool -> Rpki.Vrp.t list -> Rpki.Vr
     covered-redundancy removal vs sibling merges (the two effects
     behind Figure 3a's "status quo (compressed)" line). *)
 
-(** {2 Record-path reference}
-
-    The pre-arena implementation (per-group boxed [Vrp.t] lists and a
-    record-node trie), kept as the differential-test oracle and the
-    "record" side of test_arena's allocation comparison. Output and
-    statistics are bit-identical to the arena path. *)
-
-val run_reference : ?mode:mode -> ?eliminate:bool -> Rpki.Vrp.t list -> Rpki.Vrp.t list
-
-val run_with_stats_reference :
-  ?mode:mode -> ?eliminate:bool -> Rpki.Vrp.t list -> Rpki.Vrp.t list * stats
-
-val eliminate_covered_reference : Rpki.Vrp.t list -> Rpki.Vrp.t list
-
 val compression_ratio : before:int -> after:int -> float
 (** [(before - after) / before], as the paper reports (e.g. 15.90%). *)
 

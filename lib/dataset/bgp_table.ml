@@ -5,8 +5,8 @@ module Db = Arena.Bgp_db
 (* Thin view over the flat arena ({!Arena.Bgp_db}): announced pairs
    live as unboxed trie columns plus packed origin chains; [Asnum.t]
    is unwrapped to a plain int at this boundary. Origin chains iterate
-   ascending — the record path's [Asnum.Set] order — so every list and
-   fold below is bit-identical to {!Bgp_table_ref}. *)
+   ascending, so every list and fold below is bit-identical to the
+   record-backed oracle test_arena holds it against. *)
 
 type t = Db.t
 

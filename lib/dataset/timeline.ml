@@ -79,14 +79,3 @@ let apply events (pairs, vrps) =
       (pairs, vrps) events
   in
   (List.sort_uniq pair_compare pairs, List.sort_uniq Rpki.Vrp.compare vrps)
-
-let events ~prev ~next = diff ~prev:(state_of prev) ~next:(state_of next)
-
-let event_stream weeks =
-  let rec go = function
-    | a :: (b :: _ as rest) ->
-        (a.label ^ "->" ^ b.label, events ~prev:a.snapshot ~next:b.snapshot)
-        :: go rest
-    | _ -> []
-  in
-  go weeks

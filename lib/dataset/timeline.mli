@@ -50,10 +50,3 @@ val apply : Rpki.Churn.event list -> state -> state
 (** Replay events against a state at the set level — the model side of
     the round-trip law [apply (diff ~prev ~next) prev = next] that
     [test/test_churn.ml] checks by property. *)
-
-val events : prev:Snapshot.t -> next:Snapshot.t -> Rpki.Churn.event list
-(** [diff] of two snapshots' {!state_of}. *)
-
-val event_stream : week list -> (string * Rpki.Churn.event list) list
-(** One entry per consecutive transition, labelled ["4/13->4/20"],
-    ...; seven entries for the paper's eight weeks. *)

@@ -46,6 +46,10 @@ let stub_array graph =
   if Array.length stubs < 2 then invalid_arg "Hijack_eval: topology has too few stubs";
   stubs
 
+(* Every result is a mean over the trials. *)
+let check_trials fn trials =
+  if trials < 1 then invalid_arg (Printf.sprintf "Hijack_eval.%s: trials must be at least 1" fn)
+
 let kinds_of_trial target_24 =
   [ Attack.Subprefix_hijack target_24;
     Attack.Forged_origin_subprefix target_24;
@@ -53,6 +57,7 @@ let kinds_of_trial target_24 =
     Attack.Prefix_hijack ]
 
 let run ~seed ~n_as ~rov ~trials =
+  check_trials "run" trials;
   let graph =
     Topology.Gen.generate
       ~params:{ Topology.Gen.default_params with Topology.Gen.n_as }
@@ -135,6 +140,7 @@ let render r =
 let hijack_table ~seed ~n_as ~rov ~trials = render (run ~seed ~n_as ~rov ~trials)
 
 let aspa_comparison ~seed ~n_as ~trials =
+  check_trials "aspa_comparison" trials;
   let graph =
     Topology.Gen.generate ~params:{ Topology.Gen.default_params with Topology.Gen.n_as } ~seed ()
   in
@@ -178,6 +184,7 @@ let aspa_comparison ~seed ~n_as ~trials =
     n_as trials (100.0 *. without) (100.0 *. with_aspa)
 
 let rov_sweep ~seed ~n_as ~trials ~fractions =
+  check_trials "rov_sweep" trials;
   let graph =
     Topology.Gen.generate ~params:{ Topology.Gen.default_params with Topology.Gen.n_as } ~seed ()
   in

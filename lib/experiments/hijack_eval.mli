@@ -31,7 +31,9 @@ type result = { trials : int; n_as : int; rov : float; cells : cell list }
 val run : seed:int -> n_as:int -> rov:float -> trials:int -> result
 (** Randomizes victim (a stub AS) and attacker (another stub) each
     trial; ROV deployment is a random [rov]-fraction of ASes (the
-    victim's neighbors always validate, the attacker never does). *)
+    victim's neighbors always validate, the attacker never does).
+    @raise Invalid_argument when [trials < 1]; so do {!hijack_table},
+    {!rov_sweep} and {!aspa_comparison}. *)
 
 val render : result -> string
 (** Aligned text table, one row per (attack, ROA) cell. *)

@@ -60,7 +60,7 @@ let under_prefix prefix path =
   let pl = String.length prefix in
   String.length path >= pl && String.equal (String.sub path 0 pl) prefix
 
-let core_libs = [ "lib/core/"; "lib/rpki/"; "lib/netaddr/"; "lib/ptrie/"; "lib/arena/" ]
+let core_libs = [ "lib/core/"; "lib/rpki/"; "lib/netaddr/"; "lib/arena/" ]
 let in_core_libs path = List.exists (fun p -> under_prefix p path) core_libs
 let is_ml path = Filename.check_suffix path ".ml"
 
@@ -232,7 +232,7 @@ let r2_check ctx st =
           finding ctx ~rule ~severity loc
             (Printf.sprintf
                "%s.* is banned in the core libraries (lib/core, lib/rpki, lib/netaddr, \
-                lib/ptrie, lib/arena)"
+                lib/arena)"
                root)
         | [ "List"; ("hd" | "nth" | "tl") ] | [ "Option"; "get" ] ->
           finding ctx ~rule ~severity loc
@@ -767,7 +767,7 @@ let all : t list =
       name = "unsafe-stdlib";
       severity = Finding.Error;
       doc =
-        "lib/core, lib/rpki, lib/netaddr, lib/ptrie and lib/arena must not use Obj.*, \
+        "lib/core, lib/rpki, lib/netaddr and lib/arena must not use Obj.*, \
          Marshal.*, Str.*, or the partial List.hd/List.tl/List.nth/Option.get. Escape: \
          [@lint.unsafe_ok].";
       kind =

@@ -57,7 +57,6 @@ type report = {
   link : Link.stats;
   framer_errors : int;
   cache_stats : Cache.stats;
-  cache_retained_bytes : int;
   trace_events : int;
   fingerprint : string;
   trace : string;
@@ -544,7 +543,6 @@ let run ?(config = default_config) ?(mix = []) ~seed ~policy () =
     link = t.link_totals;
     framer_errors = t.framer_errors;
     cache_stats = Cache.stats cache;
-    cache_retained_bytes = Cache.retained_bytes cache;
     trace_events = Trace.count t.trace;
     fingerprint = Trace.fingerprint t.trace;
     trace = Trace.to_string t.trace }

@@ -93,7 +93,6 @@ type report = {
       (** Encode-once accounting: [delta_encodes] must equal
           [publishes] whatever the router count — test_netsim
           asserts this on a 1,000-session fleet. *)
-  cache_retained_bytes : int;  (** {!Rtr.Cache_server.retained_bytes} at end time. *)
   trace_events : int;
   fingerprint : string;  (** {!Trace.fingerprint} — the determinism witness. *)
   trace : string;  (** Full event trace, for debugging a failing seed. *)

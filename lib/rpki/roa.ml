@@ -63,48 +63,6 @@ let authorized r p origin =
        (fun e -> Pfx.subset p e.prefix && Pfx.length p <= effective_max_len e)
        r.entries
 
-(* Count of distinct prefixes a "cone" (p, up to maxlen m) contains:
-   2^(m - len + 1) - 1. *)
-let cone_count p m =
-  let l = Pfx.length p in
-  if m < l then 0L else Int64.sub (Int64.shift_left 1L (m - l + 1)) 1L
-
-let authorized_space_count r =
-  (* Process entries shortest-prefix first; each contributes its cone
-     minus the part already covered by ancestor entries, which (being a
-     union of cones of the same apex) is determined by the largest
-     ancestor maxLength. *)
-  let count_family afi =
-    let entries =
-      List.filter (fun e -> Pfx.afi e.prefix = afi) r.entries
-      |> List.sort (fun a b -> Int.compare (Pfx.length a.prefix) (Pfx.length b.prefix))
-    in
-    if entries = [] then 0L
-    else begin
-      let trie = Ptrie.create afi in
-      let total = ref 0L in
-      let add e =
-        let m = effective_max_len e in
-        let covered_up_to =
-          List.fold_left
-            (fun acc (_, m_anc) -> max acc m_anc)
-            (-1)
-            (Ptrie.covering trie e.prefix)
-        in
-        let fresh =
-          Int64.sub (cone_count e.prefix m) (cone_count e.prefix (min m covered_up_to))
-        in
-        if Int64.compare fresh 0L > 0 then total := Int64.add !total fresh;
-        Ptrie.update trie e.prefix (function
-          | Some m' -> Some (max m m')
-          | None -> Some m)
-      in
-      List.iter add entries;
-      !total
-    end
-  in
-  Int64.add (count_family Pfx.Afi_v4) (count_family Pfx.Afi_v6)
-
 let compare a b =
   let c = Asnum.compare a.asn b.asn in
   if c <> 0 then c else List.compare compare_entry a.entries b.entries

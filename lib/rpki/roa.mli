@@ -39,12 +39,6 @@ val authorized : t -> Netaddr.Pfx.t -> Asnum.t -> bool
 (** [authorized roa p origin]: this ROA makes announcement [(p, origin)]
     RPKI-valid. *)
 
-val authorized_space_count : t -> int64
-(** Number of distinct (prefix) announcements this ROA authorizes —
-    [sum over entries of 2^(maxLen - len + 1) - 1], counting overlaps
-    once. Used to quantify how much unannounced space a non-minimal
-    ROA exposes. *)
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -46,7 +46,6 @@ let validate db p origin =
   [@@hot]
 
 let authorized db p origin = Db.validate db p ~asn:(Asnum.to_int origin) = 0 [@@hot]
-let covering_count = Db.covering_count
 
 let covering_vrps db p =
   Db.covering_list db p ~make:(fun prefix ~max_len ~asn ->

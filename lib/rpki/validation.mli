@@ -41,9 +41,6 @@ val covering_vrps : db -> Netaddr.Pfx.t -> Vrp.t list
     consults — in canonical [Vrp.compare] order, allocating only the
     result list. *)
 
-val covering_count : db -> Netaddr.Pfx.t -> int
-(** [List.length (covering_vrps db p)] without building the list. *)
-
 val vrps : db -> Vrp.t list
 (** The distinct VRPs, in canonical order. *)
 

@@ -87,9 +87,10 @@ let retained_bytes t =
   + opt t.eod + opt t.notify
 
 (* The PDU run of a delta, prepended onto [tail]: announces then
-   withdraws, in the set fold's reverse order. Both the in-memory
-   [handle] path and the encoded segments are built from this one
-   function, so their byte streams agree by construction. *)
+   withdraws, each in descending [Vrp.compare] order (the set fold's
+   reverse). Every encoded segment is built from this one function.
+   The test oracle [Oracle.Cache_ref] states the same order on its own,
+   and test_rtr holds the two byte-identical. *)
 let delta_pdus ~tail { announced; withdrawn } =
   Vset.fold
     (fun v acc -> Pdu.Prefix { flags = Pdu.Announce; vrp = v } :: acc)
@@ -183,8 +184,6 @@ let end_of_data t =
       retry_interval = t.retry_interval;
       expire_interval = t.expire_interval }
 
-(* --- the reference (PDU-structure) path ---------------------------- *)
-
 (* An incremental response carries the minimal squashed diff between
    the state at [since] and the current state — one announce or
    withdraw per VRP that actually changed, however many serials the
@@ -193,28 +192,6 @@ let end_of_data t =
    their failure probability grows with their length. *)
 let catch_up_delta t ~since_state =
   { announced = Vset.diff t.current since_state; withdrawn = Vset.diff since_state t.current }
-
-let handle t query =
-  match query with
-  | Pdu.Reset_query ->
-    Pdu.Cache_response { session_id = t.session_id }
-    :: delta_pdus ~tail:[ end_of_data t ] { announced = t.current; withdrawn = Vset.empty }
-  | Pdu.Serial_query { session_id; serial = since } ->
-    (match (if session_id <> t.session_id then None else state_at t since) with
-     | None -> [ Pdu.Cache_reset ]
-     | Some since_state ->
-       Pdu.Cache_response { session_id = t.session_id }
-       :: delta_pdus ~tail:[ end_of_data t ] (catch_up_delta t ~since_state))
-  | Pdu.Error_report _ ->
-    (* RFC 8210 §5.11: never answer an Error Report with an Error
-       Report. The error is terminal for the connection; the transport
-       layer tears it down, the cache sends nothing. *)
-    []
-  | other ->
-    [ Pdu.Error_report
-        { code = Pdu.Invalid_request;
-          erroneous_pdu = Pdu.encode other;
-          message = "cache expected Reset Query or Serial Query" } ]
 
 (* --- the encode-once wire path ------------------------------------- *)
 
@@ -287,7 +264,11 @@ let handle_wire t query =
      | None -> count_response t ~fresh:0 [ cache_reset_wire ]
      | Some newer ->
        count_response t ~fresh:0 [ t.header_wire; merged_wire t since newer; eod_wire t ])
-  | Pdu.Error_report _ -> []
+  | Pdu.Error_report _ ->
+    (* RFC 8210 §5.11: never answer an Error Report with an Error
+       Report. The error is terminal for the connection; the transport
+       layer tears it down, the cache sends nothing. *)
+    []
   | other ->
     let wire =
       Pdu.encode

@@ -72,8 +72,13 @@ val update : t -> Rpki.Vrp.t list -> Pdu.t option
     previous input costs one pointer compare. Any other list (unordered,
     duplicates) is sorted and deduplicated first. *)
 
-val handle : t -> Pdu.t -> Pdu.t list
-(** Response PDUs for one router query, per RFC 8210:
+val end_of_data : t -> Pdu.t
+(** The End of Data PDU that closes every response at the current
+    serial: session id, serial and the three advertised intervals. *)
+
+val handle_wire : t -> Pdu.t -> string list
+(** The response to one router query, per RFC 8210, as wire buffer
+    segments:
     - [Reset Query] → Cache Response, the full set, End of Data;
     - [Serial Query] at a serial in history → Cache Response, the
       minimal squashed diff from that serial's state to the current
@@ -82,20 +87,17 @@ val handle : t -> Pdu.t -> Pdu.t list
     - [Serial Query] at this serial → empty delta response;
     - [Serial Query] for an unknown session or evicted serial →
       Cache Reset;
-    - [Error Report] → nothing (§5.11 forbids answering an error with
+    - [Error Report] → [[]] (§5.11 forbids answering an error with
       an error; the transport should drop the connection);
     - anything else → Error Report (Invalid Request).
 
-    This is the reference path: it builds PDU values and performs no
-    caching. {!handle_wire} produces the identical byte stream from
-    the shared segments — a property test holds the two together. *)
-
-val handle_wire : t -> Pdu.t -> string list
-(** The encode-once path: the same response as {!handle}, as wire
-    buffer segments. All segments except an Error Report payload are
-    shared, immutable and cached — callers must treat them as
-    read-only and may fan the very same strings out to any number of
-    sessions. Returns [[]] exactly when {!handle} returns [[]]. *)
+    Prefix PDUs come announcements first, then withdrawals, each in
+    descending [Rpki.Vrp.compare] order. All segments except an Error
+    Report payload are shared, immutable and cached — callers must
+    treat them as read-only and may fan the very same strings out to
+    any number of sessions. The test oracle [Oracle.Cache_ref] builds
+    the same responses as PDU values from {!state_at} and
+    {!end_of_data}, and a property test holds the two byte-identical. *)
 
 val notify_wire : t -> string
 (** The current serial's Serial Notify, encoded once per bump and

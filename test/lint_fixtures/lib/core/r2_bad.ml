@@ -1,5 +1,5 @@
 (* R2 fixture: unsafe / partial constructs that are banned inside the
-   core libraries (lib/core, lib/rpki, lib/netaddr, lib/ptrie). *)
+   core libraries (lib/core, lib/rpki, lib/netaddr, lib/arena). *)
 
 let sneaky_identity x = Obj.magic x
 

@@ -2,9 +2,9 @@ module Pfx = Netaddr.Pfx
 module Asnum = Rpki.Asnum
 
 (* The record-backed BGP table ([Ptrie] of [Asnum.Set] refs) that
-   {!Bgp_table} wrapped before the flat-arena conversion, kept as the
-   differential-test oracle and test_arena's "record path". Same
-   semantics and iteration order as {!Bgp_table}. *)
+   [Dataset.Bgp_table] wrapped before the flat-arena conversion, kept
+   as the differential-test oracle and test_arena's "record path".
+   Same semantics and iteration order as [Dataset.Bgp_table]. *)
 
 type t = {
   v4 : Asnum.Set.t ref Ptrie.t;

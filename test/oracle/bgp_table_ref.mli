@@ -1,6 +1,7 @@
-(** Record-backed BGP table: the pre-arena implementation kept as the
-    differential-test oracle and test_arena's "record path". Same
-    semantics and iteration order as {!Bgp_table}. *)
+(** Record-backed BGP table: the pre-arena implementation, the
+    differential oracle for [Dataset.Bgp_table] and test_arena's
+    "record path". Same semantics and iteration order as
+    [Dataset.Bgp_table]. *)
 
 type t
 

@@ -1,0 +1,16 @@
+(** The record path of [compress_roas]: the pre-arena implementation
+    (per-group boxed [Vrp.t] lists and a record-node trie), the
+    differential oracle for {!Mlcore.Compress}. Output and statistics
+    are bit-identical to the arena path; it is also the "record" side
+    of test_arena's allocation comparison. *)
+
+val run :
+  ?mode:Mlcore.Compress.mode -> ?eliminate:bool -> Rpki.Vrp.t list -> Rpki.Vrp.t list
+
+val run_with_stats :
+  ?mode:Mlcore.Compress.mode ->
+  ?eliminate:bool ->
+  Rpki.Vrp.t list ->
+  Rpki.Vrp.t list * Mlcore.Compress.stats
+
+val eliminate_covered : Rpki.Vrp.t list -> Rpki.Vrp.t list

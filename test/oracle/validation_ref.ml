@@ -1,12 +1,15 @@
 module Pfx = Netaddr.Pfx
+module Asnum = Rpki.Asnum
+module Vrp = Rpki.Vrp
+module Validation = Rpki.Validation
 
 (* The record-backed validation engine ([Ptrie] of boxed (max_len, asn)
-   lists) that {!Validation} used before the flat-arena conversion,
-   kept verbatim as the differential-test oracle and as the "record
-   path" test_arena holds the arena's allocation against. Semantics
-   are identical to {!Validation}; [covering_vrps] is canonicalized
-   with a final sort so results compare with [=] against the arena's
-   ordered walk. *)
+   lists) that {!Rpki.Validation} used before the flat-arena
+   conversion, kept verbatim as the differential-test oracle and as the
+   "record path" test_arena holds the arena's allocation against.
+   Semantics are identical to {!Rpki.Validation}; [covering_vrps] is
+   canonicalized with a final sort so results compare with [=] against
+   the arena's ordered walk. *)
 
 type db = {
   v4 : (int * Asnum.t) list Ptrie.t;
@@ -47,11 +50,6 @@ let covering_vrps db p =
           (fun (max_len, asn) acc -> { Vrp.prefix = q; max_len; asn } :: acc)
           l !acc);
   List.sort Vrp.compare !acc
-
-let covering_count db p =
-  let acc = ref 0 in
-  Ptrie.iter_covering (trie_for db p) p (fun _ l -> acc := !acc + List.length l);
-  !acc
 
 let validate db p origin =
   let len = Pfx.length p in

@@ -1,14 +1,18 @@
 (* Differential suite for the flat-arena data plane: every arena
-   structure must agree bit-for-bit with its record-backed oracle
-   under randomized workloads — Itrie vs Ptrie, Validation vs
-   Validation_oracle, Bgp_table vs Bgp_table_ref, the compress
-   pipeline vs its record-path reference — plus the handle-reuse
-   safety property (freed trie slots may be recycled, but never so
-   that a surviving handle changes meaning). *)
+   structure must agree bit-for-bit with its record-backed oracle in
+   test/oracle under randomized workloads — Itrie vs Ptrie, Validation
+   vs Validation_ref, Bgp_table vs Bgp_table_ref, the compress pipeline
+   vs Compress_ref — plus the handle-reuse safety property (freed trie
+   slots may be recycled, but never so that a surviving handle changes
+   meaning). *)
 
 module Pfx = Netaddr.Pfx
 module Itrie = Arena.Itrie
 module Vrp = Rpki.Vrp
+module Ptrie = Oracle.Ptrie
+module Validation_ref = Oracle.Validation_ref
+module Bgp_table_ref = Oracle.Bgp_table_ref
+module Compress_ref = Oracle.Compress_ref
 
 let p = Testutil.p4
 let a = Testutil.a
@@ -138,29 +142,28 @@ let prop_handle_reuse =
              || (Pfx.equal (Itrie.prefix_at t n) q && Itrie.value t n = v))
            survivors)
 
-(* --- Validation vs Validation_oracle ---------------------------------- *)
+(* --- Validation vs Validation_ref ------------------------------------- *)
 
 let gen_probe = QCheck2.Gen.pair Testutil.gen_clustered_prefix Testutil.gen_small_asn
 
 let check_validation_agrees vrps probes =
   let adb = Rpki.Validation.create vrps in
-  let odb = Rpki.Validation_oracle.create vrps in
-  if Rpki.Validation.cardinal adb <> Rpki.Validation_oracle.cardinal odb then
+  let odb = Validation_ref.create vrps in
+  if Rpki.Validation.cardinal adb <> Validation_ref.cardinal odb then
     QCheck2.Test.fail_reportf "cardinal %d vs oracle %d" (Rpki.Validation.cardinal adb)
-      (Rpki.Validation_oracle.cardinal odb);
+      (Validation_ref.cardinal odb);
   if
     not
-      (List.equal Vrp.equal (Rpki.Validation.vrps adb) (Rpki.Validation_oracle.vrps odb))
+      (List.equal Vrp.equal (Rpki.Validation.vrps adb) (Validation_ref.vrps odb))
   then QCheck2.Test.fail_report "vrps listing diverged";
   List.for_all
     (fun (q, origin) ->
-      Rpki.Validation.validate adb q origin = Rpki.Validation_oracle.validate odb q origin
+      Rpki.Validation.validate adb q origin = Validation_ref.validate odb q origin
       && Rpki.Validation.authorized adb q origin
-         = Rpki.Validation_oracle.authorized odb q origin
+         = Validation_ref.authorized odb q origin
       && List.equal Vrp.equal
            (Rpki.Validation.covering_vrps adb q)
-           (Rpki.Validation_oracle.covering_vrps odb q)
-      && Rpki.Validation.covering_count adb q = Rpki.Validation_oracle.covering_count odb q)
+           (Validation_ref.covering_vrps odb q))
     probes
 
 let prop_validation_oracle =
@@ -197,16 +200,16 @@ let prop_validation_dynamic =
             model := List.filter (fun w -> not (Vrp.equal v w)) !model
           end)
         ops;
-      let odb = Rpki.Validation_oracle.create !model in
-      Rpki.Validation.cardinal adb = Rpki.Validation_oracle.cardinal odb
-      && List.equal Vrp.equal (Rpki.Validation.vrps adb) (Rpki.Validation_oracle.vrps odb)
+      let odb = Validation_ref.create !model in
+      Rpki.Validation.cardinal adb = Validation_ref.cardinal odb
+      && List.equal Vrp.equal (Rpki.Validation.vrps adb) (Validation_ref.vrps odb)
       && List.for_all
            (fun (q, origin) ->
              Rpki.Validation.validate adb q origin
-             = Rpki.Validation_oracle.validate odb q origin
+             = Validation_ref.validate odb q origin
              && List.equal Vrp.equal
                   (Rpki.Validation.covering_vrps adb q)
-                  (Rpki.Validation_oracle.covering_vrps odb q))
+                  (Validation_ref.covering_vrps odb q))
            probes)
 
 (* --- Bgp_table vs Bgp_table_ref --------------------------------------- *)
@@ -217,28 +220,28 @@ let gen_pair_list n =
 
 let check_bgp_agrees t r probes =
   let pair_eq (p1, a1) (p2, a2) = Pfx.equal p1 p2 && Rpki.Asnum.equal a1 a2 in
-  Dataset.Bgp_table.cardinal t = Dataset.Bgp_table_ref.cardinal r
-  && List.equal pair_eq (Dataset.Bgp_table.pairs t) (Dataset.Bgp_table_ref.pairs r)
-  && Dataset.Bgp_table.distinct_prefix_count t = Dataset.Bgp_table_ref.distinct_prefix_count r
-  && Dataset.Bgp_table.as_count t = Dataset.Bgp_table_ref.as_count r
-  && Dataset.Bgp_table.root_pair_count t = Dataset.Bgp_table_ref.root_pair_count r
+  Dataset.Bgp_table.cardinal t = Bgp_table_ref.cardinal r
+  && List.equal pair_eq (Dataset.Bgp_table.pairs t) (Bgp_table_ref.pairs r)
+  && Dataset.Bgp_table.distinct_prefix_count t = Bgp_table_ref.distinct_prefix_count r
+  && Dataset.Bgp_table.as_count t = Bgp_table_ref.as_count r
+  && Dataset.Bgp_table.root_pair_count t = Bgp_table_ref.root_pair_count r
   && List.for_all
        (fun (q, origin) ->
          let max_len = min (Pfx.addr_bits q) (Pfx.length q + 6) in
-         Dataset.Bgp_table.mem t q origin = Dataset.Bgp_table_ref.mem r q origin
-         && Dataset.Bgp_table.origin_count t q = Dataset.Bgp_table_ref.origin_count r q
+         Dataset.Bgp_table.mem t q origin = Bgp_table_ref.mem r q origin
+         && Dataset.Bgp_table.origin_count t q = Bgp_table_ref.origin_count r q
          && List.equal Rpki.Asnum.equal
               (Dataset.Bgp_table.origins t q)
-              (Dataset.Bgp_table_ref.origins r q)
+              (Bgp_table_ref.origins r q)
          && Dataset.Bgp_table.has_same_origin_ancestor t q origin
-            = Dataset.Bgp_table_ref.has_same_origin_ancestor r q origin
+            = Bgp_table_ref.has_same_origin_ancestor r q origin
          && List.equal
               (fun (p1, l1) (p2, l2) -> Pfx.equal p1 p2 && Int.equal l1 l2)
               (Dataset.Bgp_table.announced_under t q origin)
-              (Dataset.Bgp_table_ref.announced_under r q origin)
+              (Bgp_table_ref.announced_under r q origin)
          && Array.for_all2 Int.equal
               (Dataset.Bgp_table.count_by_length_under t q origin ~max_len)
-              (Dataset.Bgp_table_ref.count_by_length_under r q origin ~max_len))
+              (Bgp_table_ref.count_by_length_under r q origin ~max_len))
        probes
 
 let prop_bgp_oracle =
@@ -247,16 +250,16 @@ let prop_bgp_oracle =
   Test.make ~name:"Bgp_table agrees with the record oracle" ~count:150 gen
     (fun (adds, removes, probes) ->
       let t = Dataset.Bgp_table.create () in
-      let r = Dataset.Bgp_table_ref.create () in
+      let r = Bgp_table_ref.create () in
       List.iter
         (fun (q, origin) ->
           Dataset.Bgp_table.add t q origin;
-          Dataset.Bgp_table_ref.add r q origin)
+          Bgp_table_ref.add r q origin)
         adds;
       List.iter
         (fun (q, origin) ->
           let got = Dataset.Bgp_table.remove t q origin in
-          let expected = Dataset.Bgp_table_ref.remove r q origin in
+          let expected = Bgp_table_ref.remove r q origin in
           if got <> expected then
             Test.fail_reportf "remove %s %s disagreed" (Pfx.to_string q)
               (Rpki.Asnum.to_string origin))
@@ -321,7 +324,7 @@ let check_compress_agrees vrps =
     (fun mode ->
       List.for_all
         (fun eliminate ->
-          let ref_out, ref_stats = Mlcore.Compress.run_with_stats_reference ~mode ~eliminate vrps in
+          let ref_out, ref_stats = Compress_ref.run_with_stats ~mode ~eliminate vrps in
           let out, stats = Mlcore.Compress.run_with_stats ~mode ~eliminate vrps in
           if not (List.equal Vrp.equal out ref_out) then QCheck2.Test.fail_report "output diverged";
           if not (stats_equal stats ref_stats) then QCheck2.Test.fail_report "stats diverged";
@@ -338,7 +341,7 @@ let prop_eliminate_oracle =
   Test.make ~name:"eliminate_covered agrees with its reference" ~count:150
     Testutil.gen_vrp_list (fun vrps ->
       List.equal Vrp.equal (Mlcore.Compress.eliminate_covered vrps)
-        (Mlcore.Compress.eliminate_covered_reference vrps))
+        (Compress_ref.eliminate_covered vrps))
 
 (* --- Vrp_store.sort_dedup vs a reference comparison sort ------------- *)
 
@@ -462,7 +465,7 @@ let prop_compress_order_independent =
 let test_figure2_arena_matches_reference () =
   let input, compressed = Mlcore.Compress.figure2_example () in
   Alcotest.(check (list Testutil.vrp))
-    "figure 2 via the arena equals the reference" (Mlcore.Compress.run_reference input)
+    "figure 2 via the arena equals the reference" (Compress_ref.run input)
     compressed
 
 let test_validation_empty_and_single () =
@@ -484,8 +487,8 @@ type corpus = {
   full : Vrp.t list;  (** [Minimal.full_deployment_vrps table] *)
   pairs : (Pfx.t * Rpki.Asnum.t) array;
   adb : Rpki.Validation.db;
-  odb : Rpki.Validation_oracle.db;
-  rtable : Dataset.Bgp_table_ref.t;
+  odb : Validation_ref.db;
+  rtable : Bgp_table_ref.t;
 }
 
 let corpus =
@@ -494,14 +497,14 @@ let corpus =
      let table = snap.Dataset.Snapshot.table in
      let vrps = Dataset.Snapshot.vrps snap in
      let pairs = Array.of_list (Dataset.Bgp_table.pairs table) in
-     let rtable = Dataset.Bgp_table_ref.create () in
-     Array.iter (fun (q, origin) -> Dataset.Bgp_table_ref.add rtable q origin) pairs;
+     let rtable = Bgp_table_ref.create () in
+     Array.iter (fun (q, origin) -> Bgp_table_ref.add rtable q origin) pairs;
      { table;
        vrps;
        full = Mlcore.Minimal.full_deployment_vrps table;
        pairs;
        adb = Rpki.Validation.create vrps;
-       odb = Rpki.Validation_oracle.create vrps;
+       odb = Validation_ref.create vrps;
        rtable })
 
 let state_code = function
@@ -536,9 +539,6 @@ let test_snapshot_parallel_sweeps () =
         fun i ->
           let q, origin = c.pairs.(i) in
           Bool.to_int (Dataset.Bgp_table.has_same_origin_ancestor c.table q origin) );
-      ( "covering_count",
-        Array.length c.pairs,
-        fun i -> Rpki.Validation.covering_count c.adb (fst c.pairs.(i)) );
       ( "is_minimal_vrp",
         Array.length vrps,
         fun i -> Bool.to_int (Mlcore.Minimal.is_minimal_vrp c.table vrps.(i)) ) ]
@@ -579,21 +579,18 @@ let test_snapshot_allocates_less () =
   in
   let workloads =
     [ ( "validate sweep",
-        sweep (fun q origin -> state_code (Rpki.Validation_oracle.validate c.odb q origin)),
+        sweep (fun q origin -> state_code (Validation_ref.validate c.odb q origin)),
         sweep (fun q origin -> state_code (Rpki.Validation.validate c.adb q origin)) );
       ( "same-origin ancestor sweep",
         sweep (fun q origin ->
-            Bool.to_int (Dataset.Bgp_table_ref.has_same_origin_ancestor c.rtable q origin)),
+            Bool.to_int (Bgp_table_ref.has_same_origin_ancestor c.rtable q origin)),
         sweep (fun q origin ->
             Bool.to_int (Dataset.Bgp_table.has_same_origin_ancestor c.table q origin)) );
-      ( "covering_count sweep",
-        sweep (fun q _ -> Rpki.Validation_oracle.covering_count c.odb q),
-        sweep (fun q _ -> Rpki.Validation.covering_count c.adb q) );
       ( "compress, today's VRPs",
-        (fun () -> ignore (Mlcore.Compress.run_reference c.vrps)),
+        (fun () -> ignore (Compress_ref.run c.vrps)),
         fun () -> ignore (Mlcore.Compress.run c.vrps) );
       ( "compress, full deployment",
-        (fun () -> ignore (Mlcore.Compress.run_reference c.full)),
+        (fun () -> ignore (Compress_ref.run c.full)),
         fun () -> ignore (Mlcore.Compress.run c.full) ) ]
   in
   List.iter

@@ -1,6 +1,5 @@
 module Route = Bgp.Route
 module Wire = Bgp.Wire
-module Rib = Bgp.Rib
 module Policy = Bgp.Policy
 module Rov = Bgp.Rov
 module Pfx = Netaddr.Pfx
@@ -123,53 +122,6 @@ let test_flip () =
   Alcotest.(check bool) "customer flips to provider" true (Policy.flip Policy.Customer = Policy.Provider);
   Alcotest.(check bool) "peer flips to peer" true (Policy.flip Policy.Peer = Policy.Peer)
 
-(* --- RIB --- *)
-
-let prefer (m1, r1) (m2, r2) =
-  let c = Int.compare m1 m2 in
-  if c <> 0 then c else Route.compare r1 r2
-
-let test_rib_lpm () =
-  let rib = Rib.create ~prefer () in
-  Rib.add rib (Route.make_exn (p "168.122.0.0/16") [ a 111 ]) 0;
-  Rib.add rib (Route.make_exn (p "168.122.0.0/24") [ a 666; a 111 ]) 0;
-  (* Longest-prefix match: the hijacker's /24 always wins for
-     addresses it covers — the paper's §2 mechanics. *)
-  (match Rib.lookup rib (p "168.122.0.1/32") with
-   | Some (_, r) -> Alcotest.(check bool) "goes to /24" true (Route.loops_through r (a 666))
-   | None -> Alcotest.fail "no route");
-  (match Rib.lookup rib (p "168.122.225.1/32") with
-   | Some (_, r) -> Alcotest.(check int) "goes to /16" 1 (Route.path_length r)
-   | None -> Alcotest.fail "no route");
-  Alcotest.(check bool) "outside" true (Rib.lookup rib (p "8.8.8.8/32") = None);
-  Alcotest.(check int) "prefix count" 2 (Rib.prefix_count rib)
-
-let test_rib_selection_and_withdraw () =
-  let rib = Rib.create ~prefer () in
-  let good = Route.make_exn (p "10.0.0.0/8") [ a 1 ] in
-  let bad = Route.make_exn (p "10.0.0.0/8") [ a 2; a 1 ] in
-  Rib.add rib bad 5;
-  Rib.add rib good 1;
-  (match Rib.best rib (p "10.0.0.0/8") with
-   | Some (m, r) ->
-     Alcotest.(check int) "best meta" 1 m;
-     Alcotest.check route "best route" good r
-   | None -> Alcotest.fail "no best");
-  Alcotest.(check int) "two candidates" 2 (List.length (Rib.candidates rib (p "10.0.0.0/8")));
-  Rib.withdraw rib good;
-  (match Rib.best rib (p "10.0.0.0/8") with
-   | Some (m, _) -> Alcotest.(check int) "fallback" 5 m
-   | None -> Alcotest.fail "fallback lost");
-  Rib.withdraw rib bad;
-  Alcotest.(check int) "empty" 0 (Rib.prefix_count rib)
-
-let test_rib_replace_same_candidate () =
-  let rib = Rib.create ~prefer () in
-  let r = Route.make_exn (p "10.0.0.0/8") [ a 1 ] in
-  Rib.add rib r 3;
-  Rib.add rib r 3;
-  Alcotest.(check int) "no duplicate candidate" 1 (List.length (Rib.candidates rib (p "10.0.0.0/8")))
-
 (* --- ROV --- *)
 
 let test_rov_filter () =
@@ -207,31 +159,6 @@ let prop_update_roundtrip =
         && List.equal Rpki.Asnum.equal u.Wire.as_path u'.Wire.as_path
       | Error _ -> false)
 
-let prop_rib_lookup_is_lpm =
-  let open QCheck2 in
-  let gen =
-    Gen.pair
-      (Gen.list_size (Gen.int_range 1 40) Testutil.gen_clustered_v4_prefix)
-      Testutil.gen_clustered_v4_prefix
-  in
-  Test.make ~name:"rib lookup picks the longest covering prefix" ~count:300 gen
-    (fun (prefixes, dst) ->
-      let rib = Rib.create ~prefer () in
-      List.iter (fun q -> Rib.add rib (Route.make_exn q [ a 1 ]) 0) prefixes;
-      let expected =
-        List.filter (fun q -> Pfx.subset dst q) prefixes
-        |> List.fold_left
-             (fun acc q ->
-               match acc with
-               | Some best when Pfx.length best >= Pfx.length q -> acc
-               | _ -> Some q)
-             None
-      in
-      match Rib.lookup rib dst, expected with
-      | None, None -> true
-      | Some (_, r), Some q -> Pfx.equal r.Route.prefix q
-      | Some _, None | None, Some _ -> false)
-
 let () =
   Alcotest.run "bgp"
     [ ( "route",
@@ -247,11 +174,7 @@ let () =
           Alcotest.test_case "export rule" `Quick test_export_rule;
           Alcotest.test_case "selection" `Quick test_selection;
           Alcotest.test_case "flip" `Quick test_flip ] );
-      ( "rib",
-        [ Alcotest.test_case "longest-prefix match" `Quick test_rib_lpm;
-          Alcotest.test_case "selection and withdraw" `Quick test_rib_selection_and_withdraw;
-          Alcotest.test_case "candidate replacement" `Quick test_rib_replace_same_candidate ] );
       ( "rov",
         [ Alcotest.test_case "filter" `Quick test_rov_filter ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_update_roundtrip; prop_rib_lookup_is_lpm ] ) ]
+        List.map QCheck_alcotest.to_alcotest [ prop_update_roundtrip ] ) ]

@@ -4,8 +4,78 @@
 
 module Msg = Bgp.Msg
 module Session = Bgp.Session
-module Peering = Bgp.Peering
 module Route = Bgp.Route
+
+(* Two sessions wired back-to-back through the real byte encoding.
+   Every message crosses the link as bytes and is re-decoded on the
+   other side, so these tests exercise [Msg]'s framing, not just the
+   state machines. Pumping is synchronous; the shared logical clock
+   drives both ends. *)
+module Peering = struct
+  type t = {
+    left : Session.t;
+    right : Session.t;
+    mutable partitioned : bool;
+    mutable bytes : int;
+  }
+
+  let left t = t.left
+  let right t = t.right
+  let bytes_on_wire t = t.bytes
+
+  (* A message that fails to decode on the link is a framing bug. *)
+  let transfer t source sink =
+    let msgs = Session.pending source in
+    if not t.partitioned then
+      List.iter
+        (fun m ->
+          let wire = Msg.encode m in
+          t.bytes <- t.bytes + String.length wire;
+          match Msg.decode wire 0 with
+          | Ok (m', off) when off = String.length wire -> Session.receive sink m'
+          | Ok _ -> failwith "Peering: trailing bytes after message"
+          | Error e -> failwith ("Peering: message failed to round-trip: " ^ e))
+        msgs;
+    msgs <> []
+
+  (* Deliver all in-flight messages until quiescent. *)
+  let pump t =
+    let progress = ref true in
+    while !progress do
+      progress := false;
+      if transfer t t.left t.right then progress := true;
+      if transfer t t.right t.left then progress := true
+    done
+
+  (* Start both sessions actively and pump until Established. *)
+  let connect left_cfg right_cfg =
+    let t =
+      { left = Session.create left_cfg; right = Session.create right_cfg; partitioned = false;
+        bytes = 0 }
+    in
+    Session.start t.left;
+    Session.start t.right;
+    pump t;
+    t
+
+  (* Advance both clocks in one-second steps, pumping between steps, so
+     keepalives arrive before hold timers fire. *)
+  let elapse t ~seconds =
+    for _ = 1 to seconds do
+      Session.tick t.left ~seconds:1;
+      Session.tick t.right ~seconds:1;
+      pump t
+    done
+
+  (* Drop all in-flight traffic and stop delivering until [heal]; used
+     to make hold timers expire. *)
+  let partition t =
+    t.partitioned <- true;
+    ignore (Session.pending t.left);
+    ignore (Session.pending t.right)
+
+  let heal t = t.partitioned <- false
+end
 
 let p = Testutil.p4
 let a = Testutil.a

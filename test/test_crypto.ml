@@ -1,5 +1,4 @@
 module Sha256 = Hashcrypto.Sha256
-module Hmac = Hashcrypto.Hmac
 module Lamport = Hashcrypto.Lamport
 module Merkle = Hashcrypto.Merkle
 module Sha256_int32 = Oracle.Sha256_int32
@@ -135,44 +134,6 @@ let test_hex_roundtrip () =
   Alcotest.(check string) "roundtrip" (hex d) (hex (unhex (hex d)));
   (match Sha256.of_hex "0g" with Ok _ -> Alcotest.fail "bad digit" | Error _ -> ());
   match Sha256.of_hex "abc" with Ok _ -> Alcotest.fail "odd length" | Error _ -> ()
-
-(* RFC 4231 HMAC-SHA256 test cases. *)
-let hmac_vectors =
-  [ ( String.make 20 '\x0b',
-      "Hi There",
-      "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" );
-    ( "Jefe",
-      "what do ya want for nothing?",
-      "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" );
-    ( String.make 20 '\xaa',
-      String.make 50 '\xdd',
-      "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe" );
-    ( String.init 25 (fun i -> Char.chr (i + 1)),
-      String.make 50 '\xcd',
-      "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b" );
-    ( String.make 131 '\xaa',
-      "Test Using Larger Than Block-Size Key - Hash Key First",
-      "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" );
-    ( String.make 131 '\xaa',
-      "This is a test using a larger than block-size key and a larger than \
-       block-size data. The key needs to be hashed before being used by the \
-       HMAC algorithm.",
-      "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" ) ]
-
-let test_hmac_vectors () =
-  List.iteri
-    (fun i (key, msg, tag) ->
-      Alcotest.(check string) (Printf.sprintf "RFC 4231 case %d" (i + 1)) tag
-        (hex (Hmac.sha256 ~key msg)))
-    hmac_vectors
-
-let test_hmac_verify () =
-  let key = "k" and msg = "m" in
-  let tag = Hmac.sha256 ~key msg in
-  Alcotest.(check bool) "accepts" true (Hmac.verify ~key ~msg ~tag);
-  Alcotest.(check bool) "rejects wrong tag" false (Hmac.verify ~key ~msg ~tag:(Sha256.digest "no"));
-  Alcotest.(check bool) "rejects short tag" false (Hmac.verify ~key ~msg ~tag:"short");
-  Alcotest.(check bool) "rejects wrong msg" false (Hmac.verify ~key ~msg:"m2" ~tag)
 
 let test_lamport_sign_verify () =
   let sk, pk = Lamport.generate ~seed:"test-1" in
@@ -342,21 +303,6 @@ let prop_merkle_verify =
       let sg = Merkle.sign sk msg in
       Merkle.verify pk msg sg && not (Merkle.verify pk (msg ^ "x") sg))
 
-let prop_hmac_key_sensitivity =
-  (* HMAC zero-pads keys to the block size, so "k" and "k\x00" are the
-     same key; treat zero-padded extensions as equal. *)
-  let zero_ext a b =
-    String.length a <= String.length b
-    && String.sub b 0 (String.length a) = a
-    && String.for_all (fun c -> c = '\x00')
-         (String.sub b (String.length a) (String.length b - String.length a))
-  in
-  QCheck2.Test.make ~name:"distinct keys give distinct tags" ~count:200
-    QCheck2.Gen.(triple (string_size (int_bound 60)) (string_size (int_bound 60)) string)
-    (fun (k1, k2, msg) ->
-      zero_ext k1 k2 || zero_ext k2 k1
-      || not (String.equal (Hmac.sha256 ~key:k1 msg) (Hmac.sha256 ~key:k2 msg)))
-
 let () =
   Alcotest.run "hashcrypto"
     [ ( "sha256",
@@ -367,9 +313,6 @@ let () =
           Alcotest.test_case "1 MiB in 7-byte chunks" `Quick test_sha256_mib_in_small_chunks;
           Alcotest.test_case "no allocation per block" `Quick test_sha256_allocation;
           Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip ] );
-      ( "hmac",
-        [ Alcotest.test_case "RFC 4231 vectors" `Quick test_hmac_vectors;
-          Alcotest.test_case "verify" `Quick test_hmac_verify ] );
       ( "lamport",
         [ Alcotest.test_case "sign/verify" `Quick test_lamport_sign_verify;
           Alcotest.test_case "determinism" `Quick test_lamport_determinism;
@@ -382,7 +325,4 @@ let () =
           Alcotest.test_case "height zero and bounds" `Quick test_merkle_height_zero ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_sha256_matches_oracle;
-            prop_merkle_verify;
-            prop_merkle_decode_canonical;
-            prop_hmac_key_sensitivity ] ) ]
+          [ prop_sha256_matches_oracle; prop_merkle_verify; prop_merkle_decode_canonical ] ) ]

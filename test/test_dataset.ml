@@ -192,54 +192,6 @@ let test_timeline () =
   in
   Alcotest.(check bool) "monotone growth" true (monotone sizes)
 
-(* --- IO --- *)
-
-let test_io_table_roundtrip () =
-  let t = Bgp_table.create () in
-  Bgp_table.add t (p "10.0.0.0/16") (a 1);
-  Bgp_table.add t (p "2001:db8::/32") (a 2);
-  Bgp_table.add t (p "10.0.0.0/24") (a 1);
-  let csv = Dataset.Io.table_to_csv t in
-  let t' = Testutil.check_ok (Dataset.Io.table_of_csv csv) in
-  Alcotest.(check int) "same pairs" (Bgp_table.cardinal t) (Bgp_table.cardinal t');
-  Bgp_table.iter t (fun q origin ->
-      Alcotest.(check bool) "pair survives" true (Bgp_table.mem t' q origin));
-  (* Comments and blanks are fine; garbage is not. *)
-  let with_comments = "# header\n\n" ^ csv in
-  Alcotest.(check int) "comments skipped" (Bgp_table.cardinal t)
-    (Bgp_table.cardinal (Testutil.check_ok (Dataset.Io.table_of_csv with_comments)));
-  (match Dataset.Io.table_of_csv "not-a-prefix,1" with
-   | Ok _ -> Alcotest.fail "garbage accepted"
-   | Error _ -> ());
-  match Dataset.Io.table_of_csv "10.0.0.0/8" with
-  | Ok _ -> Alcotest.fail "missing asn accepted"
-  | Error _ -> ()
-
-let test_io_roas_roundtrip () =
-  let roas =
-    [ Testutil.check_ok
-        (Rpki.Roa.of_simple (a 111) [ ("168.122.0.0/16", Some 24); ("168.122.225.0/24", None) ]);
-      Testutil.check_ok (Rpki.Roa.of_simple (a 31283) [ ("2001:db8::/32", Some 48) ]) ]
-  in
-  let lines = Dataset.Io.roas_to_lines roas in
-  let roas' = Testutil.check_ok (Dataset.Io.roas_of_lines lines) in
-  Alcotest.(check (list Testutil.roa)) "roundtrip" roas roas';
-  match Dataset.Io.roas_of_lines "111" with
-  | Ok _ -> Alcotest.fail "missing separator accepted"
-  | Error _ -> ()
-
-let prop_io_snapshot_roundtrip =
-  QCheck2.Test.make ~name:"generated snapshot survives CSV roundtrip" ~count:5
-    QCheck2.Gen.(int_range 0 100)
-    (fun seed ->
-      let s = Snapshot.generate ~params:(Snapshot.scaled 0.002) ~seed () in
-      let t' = Result.get_ok (Dataset.Io.table_of_csv (Dataset.Io.table_to_csv s.Snapshot.table)) in
-      let roas' = Result.get_ok (Dataset.Io.roas_of_lines (Dataset.Io.roas_to_lines s.Snapshot.roas)) in
-      Bgp_table.cardinal t' = Bgp_table.cardinal s.Snapshot.table
-      && List.equal Rpki.Vrp.equal
-           (Rpki.Scan_roas.vrps_of_roas roas')
-           (Rpki.Scan_roas.vrps_of_roas s.Snapshot.roas))
-
 let prop_table_root_count_naive =
   let open QCheck2 in
   let gen =
@@ -290,9 +242,4 @@ let () =
           Alcotest.test_case "ROAs well-formed" `Quick test_snapshot_roas_well_formed ] );
       ( "timeline",
         [ Alcotest.test_case "weekly series" `Quick test_timeline ] );
-      ( "io",
-        [ Alcotest.test_case "table roundtrip" `Quick test_io_table_roundtrip;
-          Alcotest.test_case "roas roundtrip" `Quick test_io_roas_roundtrip ] );
-      ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_table_root_count_naive; prop_io_snapshot_roundtrip ] ) ]
+      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_table_root_count_naive ]) ]

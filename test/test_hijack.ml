@@ -146,6 +146,23 @@ let test_hijack_eval_table () =
      it includes the verdict column. *)
   ()
 
+(* Every result is a mean over the trials, so zero or fewer trials is
+   refused up front rather than failing mid-run. *)
+let test_hijack_eval_needs_a_trial () =
+  List.iter
+    (fun trials ->
+      let refused name f =
+        match f () with
+        | _ -> Alcotest.failf "%s accepted %d trials" name trials
+        | exception Invalid_argument _ -> ()
+      in
+      refused "run" (fun () -> ignore (Hijack_eval.run ~seed:2 ~n_as:200 ~rov:1.0 ~trials));
+      refused "aspa_comparison" (fun () ->
+          ignore (Hijack_eval.aspa_comparison ~seed:2 ~n_as:200 ~trials));
+      refused "rov_sweep" (fun () ->
+          ignore (Hijack_eval.rov_sweep ~seed:2 ~n_as:200 ~trials ~fractions:[ 0.5 ])))
+    [ 0; -2 ]
+
 let () =
   Alcotest.run "attack-claims"
     [ ( "paper section 4-5",
@@ -166,4 +183,5 @@ let () =
           Alcotest.test_case "partial ROV partial protection" `Quick
             test_partial_rov_partial_protection ] );
       ( "evaluation harness",
-        [ Alcotest.test_case "hijack table" `Quick test_hijack_eval_table ] ) ]
+        [ Alcotest.test_case "hijack table" `Quick test_hijack_eval_table;
+          Alcotest.test_case "at least one trial" `Quick test_hijack_eval_needs_a_trial ] ) ]

@@ -1,4 +1,5 @@
 module Pfx = Netaddr.Pfx
+module Ptrie = Oracle.Ptrie
 
 let p = Testutil.p4
 

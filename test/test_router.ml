@@ -208,6 +208,37 @@ let prop_agrees_with_propagate =
           | Some _, None | None, Some _ -> false)
         (G.as_list g))
 
+(* The data plane's longest-prefix-match law: a lone router that
+   originates every generated prefix forwards each destination along
+   the route of the longest one covering it, or drops it. *)
+let prop_forward_is_lpm =
+  let open QCheck2 in
+  let gen =
+    Gen.pair
+      (Gen.list_size (Gen.int_range 1 40) Testutil.gen_clustered_v4_prefix)
+      Testutil.gen_clustered_v4_prefix
+  in
+  Test.make ~name:"forward picks the longest covering prefix" ~count:300 gen
+    (fun (prefixes, dst) ->
+      let net = Network.create () in
+      let r = make_router 1 in
+      Network.add net r;
+      List.iter (Router.originate r) prefixes;
+      Network.run net;
+      let expected =
+        List.filter (fun q -> Pfx.subset dst q) prefixes
+        |> List.fold_left
+             (fun acc q ->
+               match acc with
+               | Some best when Pfx.length best >= Pfx.length q -> acc
+               | _ -> Some q)
+             None
+      in
+      match Router.forward r dst, expected with
+      | None, None -> true
+      | Some route, Some q -> Pfx.equal route.Route.prefix q
+      | Some _, None | None, Some _ -> false)
+
 let () =
   Alcotest.run "bgp.router"
     [ ( "network",
@@ -219,4 +250,5 @@ let () =
           Alcotest.test_case "traffic engineering via export filters" `Quick
             test_traffic_engineering_export_filter ] );
       ( "differential",
-        [ QCheck_alcotest.to_alcotest prop_agrees_with_propagate ] ) ]
+        [ QCheck_alcotest.to_alcotest prop_agrees_with_propagate ] );
+      ("properties", [ QCheck_alcotest.to_alcotest prop_forward_is_lpm ]) ]

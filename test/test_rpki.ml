@@ -103,22 +103,6 @@ let test_roa_authorization () =
   Alcotest.check Testutil.vrp "vrp" (Vrp.make_exn (p "168.122.0.0/16") ~max_len:24 (a 111))
     (List.hd vrps)
 
-let test_roa_authorized_space () =
-  let count entries = Roa.authorized_space_count (Testutil.check_ok (Roa.of_simple (a 1) entries)) in
-  Alcotest.(check int64) "single exact" 1L (count [ ("10.0.0.0/16", None) ]);
-  Alcotest.(check int64) "16-18 cone" 7L (count [ ("10.0.0.0/16", Some 18) ]);
-  Alcotest.(check int64) "disjoint sum" 8L
-    (count [ ("10.0.0.0/16", Some 18); ("11.0.0.0/16", None) ]);
-  (* Nested entries must not double count. *)
-  Alcotest.(check int64) "nested dedup" 7L
-    (count [ ("10.0.0.0/16", Some 18); ("10.0.0.0/17", Some 18) ]);
-  (* {/16, 2x/17} plus {/17, 2x/18} overlapping at the /17: 3 + 2. *)
-  Alcotest.(check int64) "nested extends" 5L
-    (count [ ("10.0.0.0/16", Some 17); ("10.0.0.0/17", Some 18) ]);
-  (* /16-18 cone (7) plus the /19 level of the deeper entry (4). *)
-  Alcotest.(check int64) "deep extension" 11L
-    (count [ ("10.0.0.0/16", Some 18); ("10.0.0.0/17", Some 19) ])
-
 let test_roa_pp () =
   let roa = Testutil.check_ok (Roa.of_simple (a 111) [ ("168.122.0.0/16", Some 24) ]) in
   Alcotest.(check string) "pp" "ROA:({168.122.0.0/16-24}, AS111)" (Format.asprintf "%a" Roa.pp roa)
@@ -198,7 +182,6 @@ let () =
       ( "roa",
         [ Alcotest.test_case "make" `Quick test_roa_make;
           Alcotest.test_case "authorization" `Quick test_roa_authorization;
-          Alcotest.test_case "authorized space" `Quick test_roa_authorized_space;
           Alcotest.test_case "pp" `Quick test_roa_pp ] );
       ( "roa_der",
         [ Alcotest.test_case "roundtrip" `Quick test_roa_der_roundtrip_simple;

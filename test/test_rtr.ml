@@ -4,6 +4,7 @@
 module Pdu = Rtr.Pdu
 module Serial = Rtr.Serial
 module Cache = Rtr.Cache_server
+module Cache_ref = Oracle.Cache_ref
 module Router = Rtr.Router_client
 module Vrp = Rpki.Vrp
 module Vset = Rpki.Vrp.Set
@@ -11,6 +12,9 @@ module Vset = Rpki.Vrp.Set
 let p = Testutil.p4
 let a = Testutil.a
 let pdu = Alcotest.testable Pdu.pp Pdu.equal
+
+(* The production serve path's response, decoded back to PDU values. *)
+let serve cache q = Testutil.check_ok (Pdu.decode_all (String.concat "" (Cache.handle_wire cache q)))
 
 let sample_pdus =
   [ Pdu.Serial_notify { session_id = 0x1234; serial = 42l };
@@ -119,7 +123,7 @@ let prop_cache_answers_every_retained_serial =
       done;
       List.for_all
         (fun (serial, state) ->
-          match Cache.handle cache (Pdu.Serial_query { session_id = Cache.session_id cache; serial }) with
+          match serve cache (Pdu.Serial_query { session_id = Cache.session_id cache; serial }) with
           | [ Pdu.Cache_reset ] -> true
           | Pdu.Cache_response _ :: rest ->
             (* Apply the delta to the historical state; must land on
@@ -236,7 +240,7 @@ let test_delta_is_minimal () =
   let cache = Cache.create vrps1 in
   ignore (Cache.update cache vrps2);
   let response =
-    Cache.handle cache (Pdu.Serial_query { session_id = Cache.session_id cache; serial = 0l })
+    serve cache (Pdu.Serial_query { session_id = Cache.session_id cache; serial = 0l })
   in
   let announces, withdraws =
     List.fold_left
@@ -277,16 +281,16 @@ let test_cache_reset_on_old_serial () =
   ignore (Cache.update cache vrps2);
   ignore (Cache.update cache vrps1);
   ignore (Cache.update cache vrps2);
-  let response = Cache.handle cache (Pdu.Serial_query { session_id = Cache.session_id cache; serial = 0l }) in
+  let response = serve cache (Pdu.Serial_query { session_id = Cache.session_id cache; serial = 0l }) in
   Alcotest.(check (list pdu)) "cache reset" [ Pdu.Cache_reset ] response;
   (* A reachable serial still gets a delta. *)
-  match Cache.handle cache (Pdu.Serial_query { session_id = Cache.session_id cache; serial = 2l }) with
+  match serve cache (Pdu.Serial_query { session_id = Cache.session_id cache; serial = 2l }) with
   | Pdu.Cache_response _ :: _ -> ()
   | _ -> Alcotest.fail "expected cache response for retained serial"
 
 let test_unknown_session_resets () =
   let cache = Cache.create vrps1 in
-  match Cache.handle cache (Pdu.Serial_query { session_id = Cache.session_id cache + 1; serial = 0l }) with
+  match serve cache (Pdu.Serial_query { session_id = Cache.session_id cache + 1; serial = 0l }) with
   | [ Pdu.Cache_reset ] -> ()
   | _ -> Alcotest.fail "expected cache reset for unknown session"
 
@@ -486,14 +490,17 @@ let wire_of_pdus pdus = String.concat "" (List.map Pdu.encode pdus)
 
 let prop_wire_path_matches_reference =
   (* The encode-once path must be byte-identical to the reference path
-     under every query kind — the old per-PDU encoder serves as the
-     oracle. Each query runs twice so the memoized (snapshot, merged
-     catch-up) branches are exercised too. A second cache gets every
-     update in canonical form (sorted, deduplicated), which [update]
-     diffs in one merge walk; the first keeps the raw unordered lists
-     with duplicates, which it sorts first. Both must agree on serial,
-     set and every response byte. A serial one past the current one is
-     unreachable and gets a Cache Reset. *)
+     under every query kind. The oracle is [Oracle.Cache_ref]: it
+     builds PDU values from the cache's public state and states the
+     Prefix PDU order (announces, then withdrawals, each descending)
+     on its own, so a reordered segment fails here. Each query runs
+     twice so the memoized (snapshot, merged catch-up) branches are
+     exercised too. A second cache gets every update in canonical form
+     (sorted, deduplicated), which [update] diffs in one merge walk;
+     the first keeps the raw unordered lists with duplicates, which it
+     sorts first. Both must agree on serial, set and every response
+     byte. A serial one past the current one is unreachable and gets a
+     Cache Reset. *)
   let open QCheck2 in
   Test.make ~name:"handle_wire bytes equal per-PDU encoding of handle" ~count:100
     Gen.(pair (int_range 1 14) (int_range 0 10_000))
@@ -527,10 +534,10 @@ let prop_wire_path_matches_reference =
         :: List.map (fun serial -> Pdu.Serial_query { session_id = sid; serial }) !serials
       in
       !agree
-      && (match Cache.handle cache future with [ Pdu.Cache_reset ] -> true | _ -> false)
+      && (match Cache_ref.handle cache future with [ Pdu.Cache_reset ] -> true | _ -> false)
       && List.for_all
            (fun q ->
-             let reference = wire_of_pdus (Cache.handle cache q) in
+             let reference = wire_of_pdus (Cache_ref.handle cache q) in
              String.equal reference (String.concat "" (Cache.handle_wire cache q))
              && String.equal reference (String.concat "" (Cache.handle_wire cache q))
              && String.equal reference (String.concat "" (Cache.handle_wire canon q)))

@@ -13,6 +13,9 @@ let p = Testutil.p4
 let a = Testutil.a
 let pdu = Alcotest.testable Pdu.pp Pdu.equal
 
+(* The production serve path's response, decoded back to PDU values. *)
+let serve cache q = Testutil.check_ok (Pdu.decode_all (String.concat "" (Cache.handle_wire cache q)))
+
 let test_ordering () =
   let check name exp a b = Alcotest.(check int) name exp (Serial.compare a b) in
   check "equal" 0 42l 42l;
@@ -77,7 +80,7 @@ let test_cache_serves_deltas_across_wrap () =
   Alcotest.(check int32) "serial wrapped into small positives" 4l (Cache.serial cache);
   List.iter
     (fun serial ->
-      match Cache.handle cache (Pdu.Serial_query { session_id = Cache.session_id cache; serial }) with
+      match serve cache (Pdu.Serial_query { session_id = Cache.session_id cache; serial }) with
       | Pdu.Cache_response _ :: rest ->
         (* The delta must land exactly on the current set when applied
            to that serial's historical state. *)
@@ -93,7 +96,7 @@ let test_current_serial_empty_delta_across_wrap () =
   let cache = Cache.create ~initial_serial:0xFFFFFFFFl (vrps_at 0) in
   ignore (Cache.update cache (vrps_at 1));
   Alcotest.(check int32) "wrapped to 0" 0l (Cache.serial cache);
-  match Cache.handle cache (Pdu.Serial_query { session_id = Cache.session_id cache; serial = 0l }) with
+  match serve cache (Pdu.Serial_query { session_id = Cache.session_id cache; serial = 0l }) with
   | [ Pdu.Cache_response _; Pdu.End_of_data { serial; _ } ] ->
     Alcotest.(check int32) "empty delta at current serial" 0l serial
   | _ -> Alcotest.fail "expected an empty delta at the current serial"
@@ -123,7 +126,7 @@ let test_router_increments_across_wrap () =
          match Router.receive router ~now:0 resp with
          | Ok () -> ()
          | Error e -> Alcotest.fail e)
-       (Cache.handle cache q)
+       (serve cache q)
    | [ q ] -> Alcotest.failf "expected Serial Query, got %s" (Format.asprintf "%a" Pdu.pp q)
    | l -> Alcotest.failf "expected one query, got %d PDUs" (List.length l));
   Alcotest.(check (option int32)) "router followed across the wrap" (Some 0l) (Router.serial router);

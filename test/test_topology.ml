@@ -184,28 +184,74 @@ let test_generator_deterministic () =
 
 (* --- metrics --- *)
 
+(* Sanity metrics over AS graphs and propagation outcomes: generated
+   topologies must look like the Internet (hierarchy depth,
+   heavy-tailed degrees, short average paths), the properties the
+   attack results implicitly rely on. *)
+module Metrics = struct
+  let degree g asn = List.length (G.neighbors g asn)
+
+  (* (min, mean, max) over all ASes. *)
+  let degree_stats g =
+    let degrees = List.map (degree g) (G.as_list g) in
+    let n = max 1 (List.length degrees) in
+    let sum = List.fold_left ( + ) 0 degrees in
+    ( List.fold_left min max_int degrees,
+      float_of_int sum /. float_of_int n,
+      List.fold_left max 0 degrees )
+
+  (* ASes reachable by walking provider→customer edges, the AS itself
+     included: its customer cone (CAIDA's ranking metric). *)
+  let customer_cone_size g asn =
+    let seen = Asnum.Tbl.create 64 in
+    let rec visit a =
+      if not (Asnum.Tbl.mem seen a) then begin
+        Asnum.Tbl.replace seen a ();
+        List.iter visit (G.customers g a)
+      end
+    in
+    visit asn;
+    Asnum.Tbl.length seen
+
+  (* Selected AS-path lengths across the ASes holding a route. *)
+  let path_lengths outcome =
+    Asnum.Map.fold (fun _ (_, r) acc -> Route.path_length r :: acc) outcome []
+
+  let mean_path_length outcome =
+    match path_lengths outcome with
+    | [] -> 0.0
+    | ls -> float_of_int (List.fold_left ( + ) 0 ls) /. float_of_int (List.length ls)
+
+  let max_path_length outcome = List.fold_left max 0 (path_lengths outcome)
+
+  (* Fraction of ASes holding a route. *)
+  let reachability g outcome =
+    if G.as_count g = 0 then 0.0
+    else float_of_int (Asnum.Map.cardinal outcome) /. float_of_int (G.as_count g)
+end
+
 let test_metrics_diamond () =
   let g = diamond () in
-  Alcotest.(check int) "degree of 1" 3 (Topology.Metrics.degree g (a 1));
-  Alcotest.(check int) "cone of 1" 5 (Topology.Metrics.customer_cone_size g (a 1));
-  Alcotest.(check int) "cone of stub" 1 (Topology.Metrics.customer_cone_size g (a 6));
+  Alcotest.(check int) "degree of 1" 3 (Metrics.degree g (a 1));
+  Alcotest.(check int) "cone of 1" 5 (Metrics.customer_cone_size g (a 1));
+  Alcotest.(check int) "cone of stub" 1 (Metrics.customer_cone_size g (a 6));
   let origin = Route.originate (p "10.0.0.0/16") (a 6) in
   let outcome = Propagate.run g ~originations:[ (a 6, origin) ] () in
-  Alcotest.(check (float 0.001)) "full reachability" 1.0 (Topology.Metrics.reachability g outcome);
-  Alcotest.(check int) "max path" 5 (Topology.Metrics.max_path_length outcome);
+  Alcotest.(check (float 0.001)) "full reachability" 1.0 (Metrics.reachability g outcome);
+  Alcotest.(check int) "max path" 5 (Metrics.max_path_length outcome);
   Alcotest.(check bool) "mean below max" true
-    (Topology.Metrics.mean_path_length outcome <= 5.0)
+    (Metrics.mean_path_length outcome <= 5.0)
 
 let test_metrics_generated_shape () =
   (* Internet-like shape: some big cones, short average paths. *)
   let g = Gen.generate ~params:{ Gen.default_params with Gen.n_as = 400 } ~seed:3 () in
-  let dmin, dmean, dmax = Topology.Metrics.degree_stats g in
+  let dmin, dmean, dmax = Metrics.degree_stats g in
   Alcotest.(check bool) "hierarchical degrees" true (dmin >= 1 && dmax > 20 && dmean > 1.5);
-  let tier1_cone = Topology.Metrics.customer_cone_size g (a 1) in
+  let tier1_cone = Metrics.customer_cone_size g (a 1) in
   Alcotest.(check bool) "tier-1 cone is large" true (tier1_cone > 100);
   let stub = List.find (G.is_stub g) (List.rev (G.as_list g)) in
   let outcome = Propagate.run g ~originations:[ (stub, Route.originate (p "10.0.0.0/16") stub) ] () in
-  Alcotest.(check bool) "short mean paths" true (Topology.Metrics.mean_path_length outcome < 7.0)
+  Alcotest.(check bool) "short mean paths" true (Metrics.mean_path_length outcome < 7.0)
 
 let prop_propagation_no_loops =
   QCheck2.Test.make ~name:"no selected route contains a duplicate AS" ~count:20

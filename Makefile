@@ -32,18 +32,20 @@ lint-typed:
 		{ echo "lint-typed: typed phase did not run (no .cmt artifacts?)"; exit 1; }
 	@echo "lint-typed: OK (report in $(LINT_JSON))"
 
-# Handle-safety gate: re-run the arena differential suites and the
-# netsim sweep with the sanitizer on (ARENA_SANITIZE=1), so every
-# store widens its handles with generation tags, poisons freed slots
-# and bounds/liveness/generation-checks every accessor. Any stale or
-# cross-store handle the normal build would silently resolve raises
-# San.Violation here and fails the run. The arena suite also contains
-# a deliberately-stale-handle test asserting the sanitizer does fire.
+# Handle-safety gate: re-run the arena differential suites, the
+# Bgp_table suite and the netsim sweep with the sanitizer on
+# (ARENA_SANITIZE=1), so every store widens its handles with
+# generation tags, poisons freed slots and bounds/liveness/generation-
+# checks every accessor. Any stale or cross-store handle the normal
+# build would silently resolve raises San.Violation here and fails the
+# run. The arena suite also contains a deliberately-stale-handle test
+# asserting the sanitizer does fire.
 check-sanitize: build
 	ARENA_SANITIZE=1 dune exec test/test_arena.exe
 	ARENA_SANITIZE=1 dune exec test/test_compress.exe
 	ARENA_SANITIZE=1 dune exec test/test_validation.exe
 	ARENA_SANITIZE=1 dune exec test/test_churn.exe
+	ARENA_SANITIZE=1 dune exec test/test_dataset.exe
 	ARENA_SANITIZE=1 dune exec test/test_netsim.exe
 	@echo "check-sanitize: OK"
 

@@ -97,10 +97,14 @@ let compress_cmd =
   in
   let run mode input =
     let contents =
-      if input = "-" then In_channel.input_all stdin
-      else In_channel.with_open_text input In_channel.input_all
+      if input = "-" then Ok (In_channel.input_all stdin)
+      else
+        try Ok (In_channel.with_open_text input In_channel.input_all)
+        with Sys_error e ->
+          (* a missing file's message names it; a directory's does not *)
+          Error (if String.starts_with ~prefix:input e then e else input ^ ": " ^ e)
     in
-    match Rpki.Scan_roas.of_csv contents with
+    match Result.bind contents Rpki.Scan_roas.of_csv with
     | Error e ->
       prerr_endline ("error: " ^ e);
       exit 1

@@ -1,215 +1,24 @@
 module Pfx = Netaddr.Pfx
 module K = Pfx_key
 
-(* Arena-backed BGP table: announced (prefix, origin AS) pairs. One
-   {!Itrie} per family; a bound prefix's trie [value] heads a chain of
-   origin entries in two columns:
-
-   - [o_asn]  the origin ASN (plain int; -1 marks a freed slot);
-   - [o_nxt]  next entry, or -1.
-
-   Chains are kept sorted ascending by ASN — the same order
-   [Asnum.Set] iteration gave the record-backed table, so folds and
-   origin lists are bit-identical to the oracle. The trie node's [aux]
-   slot caches the chain length: the per-prefix announcement counter,
-   maintained in place by add/remove.
-
-   [ases] tracks every ASN ever added (the record table's semantics:
-   its AS census never shrank because it had no removal). *)
+(* Arena-backed BGP table: announced (prefix, origin AS) pairs as a
+   {!Chains} store keyed by the origin ASN (a plain int). Chains are
+   kept ascending by ASN — the same order [Asnum.Set] iteration gave
+   the record-backed table, so folds are bit-identical to the
+   oracle. *)
 
 type handle = int
+type t = Chains.t
 
-type t = {
-  v4 : Itrie.t;
-  v6 : Itrie.t;
-  mutable o_asn : int array;
-  mutable o_nxt : int array;
-  mutable o_gen : int array;
-  mutable e_used : int;
-  mutable e_free : int;
-  mutable count : int;
-  ases : (int, unit) Hashtbl.t;
-  san : bool;
-}
-
-let create ?(capacity = 64) () =
-  let cap = if capacity < 8 then 8 else capacity in
-  {
-    v4 = Itrie.create ~capacity:cap ~name:"bgp_db.v4" Pfx.Afi_v4;
-    v6 = Itrie.create ~capacity:cap ~name:"bgp_db.v6" Pfx.Afi_v6;
-    o_asn = Array.make cap (-1);
-    o_nxt = Array.make cap (-1);
-    o_gen = Array.make cap 0;
-    e_used = 0;
-    e_free = -1;
-    count = 0;
-    ases = Hashtbl.create 1024;
-    san = San.enabled ();
-  }
-
-let cardinal t = t.count
-let trie_for t p = match Pfx.afi p with Pfx.Afi_v4 -> t.v4 | Pfx.Afi_v6 -> t.v6
-let distinct_prefix_count t = Itrie.cardinal t.v4 + Itrie.cardinal t.v6
-let as_count t = Hashtbl.length t.ases
-
-let grow_entries t =
-  let cap = Array.length t.o_asn in
-  let ncap = cap * 2 in
-  let extend fill a =
-    let b = Array.make ncap fill in
-    Array.blit a 0 b 0 cap;
-    b
-  in
-  t.o_asn <- extend (-1) t.o_asn;
-  t.o_nxt <- extend (-1) t.o_nxt;
-  t.o_gen <- extend 0 t.o_gen
-
-let alloc_entry t ~asn ~next =
-  let i =
-    if t.e_free >= 0 then begin
-      let i = t.e_free in
-      t.e_free <- t.o_nxt.(i);
-      i
-    end
-    else begin
-      if t.e_used >= Array.length t.o_asn then grow_entries t;
-      let i = t.e_used in
-      t.e_used <- t.e_used + 1;
-      i
-    end
-  in
-  t.o_asn.(i) <- asn;
-  t.o_nxt.(i) <- next;
-  i
-
-let free_entry t e =
-  t.o_asn.(e) <- -1;
-  t.o_nxt.(e) <- t.e_free;
-  t.e_free <- e;
-  if t.san then t.o_gen.(e) <- t.o_gen.(e) + 1
-
-(* --- sanitized entry handles ----------------------------------------- *)
-
-(* Same discipline as {!Itrie}/{!Vrp_db}: public handles carry a
-   generation tag in sanitized mode; internal chain walks stay on raw
-   indices (tag bits zero, bounds/liveness checks only). *)
-let e_tag t e = if t.san && e >= 0 then ((t.o_gen.(e) + 1) lsl 32) lor e else e
-
-let e_stale t ~op h i g =
-  San.fail ~store:"bgp_db" ~op ~handle:h
-    (Printf.sprintf "stale generation %d; entry %d is now at generation %d (slot recycled after remove)"
-       (g - 1) i t.o_gen.(i))
-  [@@lint.alloc_ok] [@@lint.raise_ok]
-
-let e_live t ~op h =
-  if not t.san then h
-  else begin
-    let i = h land 0xffff_ffff in
-    let g = h lsr 32 in
-    if h < 0 || i >= t.e_used then
-      San.fail ~store:"bgp_db" ~op ~handle:h "entry index out of bounds (alien handle?)"
-    else if t.o_asn.(i) < 0 then
-      San.fail ~store:"bgp_db" ~op ~handle:h "use-after-free: entry is on the freelist"
-    else if g <> 0 && g - 1 <> t.o_gen.(i) then e_stale t ~op h i g
-    else i
-  end
-
-let add t p ~asn =
-  Hashtbl.replace t.ases asn ();
-  let tr = trie_for t p in
-  let n = Itrie.probe tr p in
-  let head = Itrie.value tr n in
-  let added =
-    if head < 0 then begin
-      let e = alloc_entry t ~asn ~next:(-1) in
-      Itrie.set_value tr n e;
-      Itrie.set_aux tr n 1;
-      true
-    end
-    else if t.o_asn.(head) = asn then false
-    else if asn < t.o_asn.(head) then begin
-      let e = alloc_entry t ~asn ~next:head in
-      Itrie.set_value tr n e;
-      Itrie.set_aux tr n (Itrie.aux tr n + 1);
-      true
-    end
-    else begin
-      let rec ins e =
-        let nx = t.o_nxt.(e) in
-        if nx < 0 then begin
-          let fresh = alloc_entry t ~asn ~next:(-1) in
-          t.o_nxt.(e) <- fresh;
-          true
-        end
-        else if t.o_asn.(nx) = asn then false
-        else if t.o_asn.(nx) > asn then begin
-          let fresh = alloc_entry t ~asn ~next:nx in
-          t.o_nxt.(e) <- fresh;
-          true
-        end
-        else ins nx
-      in
-      let added = ins head in
-      if added then Itrie.set_aux tr n (Itrie.aux tr n + 1);
-      added
-    end
-  in
-  if added then t.count <- t.count + 1
-
-let remove t p ~asn =
-  let tr = trie_for t p in
-  let n = Itrie.find tr p in
-  if n < 0 || Itrie.value tr n < 0 then false
-  else begin
-    let head = Itrie.value tr n in
-    let removed =
-      if t.o_asn.(head) = asn then begin
-        let rest = t.o_nxt.(head) in
-        free_entry t head;
-        if rest < 0 then ignore (Itrie.remove tr p)
-        else begin
-          Itrie.set_value tr n rest;
-          Itrie.set_aux tr n (Itrie.aux tr n - 1)
-        end;
-        true
-      end
-      else begin
-        let rec unlink e =
-          let nx = t.o_nxt.(e) in
-          if nx < 0 then false
-          else if t.o_asn.(nx) = asn then begin
-            t.o_nxt.(e) <- t.o_nxt.(nx);
-            free_entry t nx;
-            true
-          end
-          else if t.o_asn.(nx) > asn then false
-          else unlink nx
-        in
-        let removed = unlink head in
-        if removed then Itrie.set_aux tr n (Itrie.aux tr n - 1);
-        removed
-      end
-    in
-    if removed then t.count <- t.count - 1;
-    removed
-  end
-
-(* --- public origin-chain cursor -------------------------------------- *)
-
-let first t p =
-  let tr = trie_for t p in
-  let n = Itrie.find tr p in
-  if n < 0 then -1
-  else begin
-    let head = Itrie.value tr n in
-    if head < 0 then -1 else e_tag t head
-  end
-
-let next t h =
-  let nx = t.o_nxt.(e_live t ~op:"next" h) in
-  if nx < 0 then -1 else e_tag t nx
-
-let origin t h = t.o_asn.(e_live t ~op:"origin" h)
+let create ?capacity () = Chains.create ?capacity ~name:"bgp_db" ()
+let cardinal = Chains.cardinal
+let add t p ~asn = ignore (Chains.add t p asn)
+let remove t p ~asn = Chains.remove t p asn
+let first = Chains.first
+let next = Chains.next
+let origin t h = Chains.key t ~op:"origin" h
+let fold_all = Chains.fold_all
+let self_check = Chains.self_check
 
 (* --- hot queries ----------------------------------------------------- *)
 
@@ -221,9 +30,9 @@ let rec chain_mem o_asn o_nxt e asn =
   [@@hot]
 
 let mem t p ~asn =
-  let tr = trie_for t p in
+  let tr = Chains.trie_for t p in
   let n = Itrie.find tr p in
-  n >= 0 && chain_mem t.o_asn t.o_nxt (Itrie.value tr n) asn
+  n >= 0 && chain_mem t.Chains.key t.Chains.nxt (Itrie.value tr n) asn
   [@@hot]
 
 (* Strict same-origin ancestor: a covering node shorter than the query
@@ -261,13 +70,13 @@ let rec ancestor_v6 c0a c1a c2a c3a lena vala lefta righta o_asn o_nxt q0 q1 q2 
 let has_same_origin_ancestor t p ~asn =
   match p with
   | Pfx.V4 _ ->
-    let tr = t.v4 in
-    ancestor_v4 tr.Itrie.c0 tr.Itrie.len tr.Itrie.value tr.Itrie.left tr.Itrie.right t.o_asn
-      t.o_nxt (K.c0 p) (Pfx.length p) asn Itrie.root
+    let tr = t.Chains.v4 in
+    ancestor_v4 tr.Itrie.c0 tr.Itrie.len tr.Itrie.value tr.Itrie.left tr.Itrie.right t.Chains.key
+      t.Chains.nxt (K.c0 p) (Pfx.length p) asn Itrie.root
   | Pfx.V6 _ ->
-    let tr = t.v6 in
+    let tr = t.Chains.v6 in
     ancestor_v6 tr.Itrie.c0 tr.Itrie.c1 tr.Itrie.c2 tr.Itrie.c3 tr.Itrie.len tr.Itrie.value
-      tr.Itrie.left tr.Itrie.right t.o_asn t.o_nxt (K.c0 p) (K.c1 p) (K.c2 p) (K.c3 p)
+      tr.Itrie.left tr.Itrie.right t.Chains.key t.Chains.nxt (K.c0 p) (K.c1 p) (K.c2 p) (K.c3 p)
       (Pfx.length p) asn Itrie.root
   [@@hot]
 
@@ -289,33 +98,19 @@ let rec count_go (tr : Itrie.t) o_asn o_nxt asn base max_len counts n =
   [@@hot]
 
 let count_into t p ~asn ~base ~max_len counts =
-  let tr = trie_for t p in
+  let tr = Chains.trie_for t p in
   let n = Itrie.subtree_root tr p in
   if n >= 0 then
-    count_go tr t.o_asn t.o_nxt asn base max_len counts (Itrie.live_index tr n)
+    count_go tr t.Chains.key t.Chains.nxt asn base max_len counts (Itrie.live_index tr n)
   [@@hot]
 
 (* --- views ----------------------------------------------------------- *)
 
-let origin_count t p =
-  let tr = trie_for t p in
-  let n = Itrie.find tr p in
-  if n < 0 || Itrie.value tr n < 0 then 0 else Itrie.aux tr n
-
-let fold_origins t p ~init ~f =
-  let tr = trie_for t p in
-  let n = Itrie.find tr p in
-  if n < 0 then init
-  else begin
-    let rec chain acc e = if e < 0 then acc else chain (f acc t.o_asn.(e)) t.o_nxt.(e) in
-    chain init (Itrie.value tr n)
-  end
-
 (* [asn]'s announcements covered by [p], in-order, as
    [make prefix length] — built on the unwind, one cons per hit. *)
 let under_list t p ~asn ~make =
-  let tr = trie_for t p in
-  let o_asn = t.o_asn and o_nxt = t.o_nxt in
+  let tr = Chains.trie_for t p in
+  let o_asn = t.Chains.key and o_nxt = t.Chains.nxt in
   let rec go n tail =
     let tail =
       let r = tr.Itrie.right.(n) in
@@ -333,23 +128,12 @@ let under_list t p ~asn ~make =
   let n = Itrie.subtree_root tr p in
   if n < 0 then [] else go (Itrie.live_index tr n) []
 
-let fold_all t ~init ~f =
-  let per_trie tr acc =
-    Itrie.fold_bound tr ~init:acc ~f:(fun acc n ->
-        let pfx = Itrie.prefix_at tr n in
-        let rec chain acc e =
-          if e < 0 then acc else chain (f acc pfx t.o_asn.(e)) t.o_nxt.(e)
-        in
-        chain acc (Itrie.value tr n))
-  in
-  per_trie t.v6 (per_trie t.v4 init)
-
 (* Every announced pair covered by [p], whatever the origin — the
    revalidation frontier of a VRP add/remove: exactly these pairs'
    RFC 6811 state can change. In-order, origins ascending. *)
 let fold_under t p ~init ~f =
-  let tr = trie_for t p in
-  let o_asn = t.o_asn and o_nxt = t.o_nxt in
+  let tr = Chains.trie_for t p in
+  let o_asn = t.Chains.key and o_nxt = t.Chains.nxt in
   let rec go n acc =
     let acc =
       let head = tr.Itrie.value.(n) in
@@ -369,62 +153,3 @@ let fold_under t p ~init ~f =
   in
   let n = Itrie.subtree_root tr p in
   if n < 0 then init else go (Itrie.live_index tr n) init
-
-(* --- invariant audit -------------------------------------------------- *)
-
-(* The delta-API counterpart of {!Itrie.self_check}: after auditing
-   both tries, walk every origin chain and the entry freelist and
-   check they partition the allocated slots — chains strictly
-   ascending and counted by the trie's [aux] slot, freed slots marked,
-   nothing reachable twice, [count] equal to the chain census. *)
-let self_check t =
-  match Itrie.self_check t.v4 with
-  | Error _ as e -> e
-  | Ok () ->
-    match Itrie.self_check t.v6 with
-    | Error _ as e -> e
-    | Ok () ->
-      let exception Bad of string in
-      let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
-      (try
-         let seen = Array.make (max 1 t.e_used) false in
-         let live = ref 0 in
-         let walk tr =
-           Itrie.fold_bound tr ~init:() ~f:(fun () n ->
-               let len = ref 0 in
-               let rec go prev e =
-                 if e >= 0 then begin
-                   if e >= t.e_used then bad "entry %d out of bounds (used %d)" e t.e_used;
-                   if seen.(e) then bad "entry %d reachable from two chains" e;
-                   seen.(e) <- true;
-                   if t.o_asn.(e) < 0 then bad "freed entry %d linked on a live chain" e;
-                   if prev >= 0 && t.o_asn.(prev) >= t.o_asn.(e) then
-                     bad "chain not strictly ascending at entry %d" e;
-                   incr live;
-                   incr len;
-                   go e t.o_nxt.(e)
-                 end
-               in
-               go (-1) (Itrie.value tr n);
-               if Itrie.aux tr n <> !len then
-                 bad "origin count %d disagrees with chain length %d" (Itrie.aux tr n) !len)
-         in
-         walk t.v4;
-         walk t.v6;
-         if !live <> t.count then bad "count %d but chain census %d" t.count !live;
-         let free = ref 0 in
-         let rec fgo e =
-           if e >= 0 then begin
-             if e >= t.e_used then bad "freelist entry %d out of bounds" e;
-             if seen.(e) then bad "freelist entry %d aliases a live chain (or a cycle)" e;
-             seen.(e) <- true;
-             if t.o_asn.(e) >= 0 then bad "freelist entry %d not marked free" e;
-             incr free;
-             fgo t.o_nxt.(e)
-           end
-         in
-         fgo t.e_free;
-         if !live + !free <> t.e_used then
-           bad "leaked entry slots: %d live + %d free <> %d used" !live !free t.e_used;
-         Ok ()
-       with Bad msg -> Error msg)

@@ -1,11 +1,11 @@
 (** Arena-backed BGP table: the storage engine behind
     {!Dataset.Bgp_table}.
 
-    One flat {!Itrie} per family; each announced prefix's trie [value]
-    heads an origin-ASN chain in parallel [int array] columns, sorted
-    ascending by ASN — the same iteration order as the record-backed
-    table's [Asnum.Set], so every fold is bit-identical to the oracle.
-    The trie [aux] slot carries the per-prefix origin count. ASNs
+    The library's chain store keyed by origin ASN: one flat {!Itrie}
+    per family; each announced prefix's trie [value] heads an
+    origin-ASN chain in parallel [int array] columns, sorted ascending
+    by ASN — the same iteration order as the record-backed table's
+    [Asnum.Set], so every fold is bit-identical to the oracle. ASNs
     cross this interface as plain ints.
 
     The paper's hot queries — membership, same-origin ancestor, the
@@ -36,8 +36,7 @@ val add : t -> Netaddr.Pfx.t -> asn:int -> unit
 
 val remove : t -> Netaddr.Pfx.t -> asn:int -> bool
 (** Withdraw a pair (freeing its entry slot, and the prefix's trie
-    node when no origin remains); [false] when absent. The AS census
-    ({!as_count}) is not decremented — it counts ASNs ever seen. *)
+    node when no origin remains); [false] when absent. *)
 
 val first : t -> Netaddr.Pfx.t -> handle
 (** Head of the origin chain for exactly this prefix, or -1 when the
@@ -60,13 +59,6 @@ val count_into :
     [counts.(len - base)] per announced pair of length [len <=
     max_len], accumulating straight into the caller's array. *)
 
-val origin_count : t -> Netaddr.Pfx.t -> int
-(** How many ASes announce exactly this prefix (the per-prefix counter
-    held in the trie's [aux] column). *)
-
-val fold_origins : t -> Netaddr.Pfx.t -> init:'a -> f:('a -> int -> 'a) -> 'a
-(** Fold over the origins of exactly this prefix, ascending. *)
-
 val under_list :
   t -> Netaddr.Pfx.t -> asn:int -> make:(Netaddr.Pfx.t -> int -> 'v) -> 'v list
 (** [asn]'s announced pairs covered by [p] as [make prefix length], in
@@ -83,11 +75,7 @@ val fold_under : t -> Netaddr.Pfx.t -> init:'a -> f:('a -> Netaddr.Pfx.t -> int 
 val self_check : t -> (unit, string) result
 (** Audit the whole store: both tries ({!Itrie.self_check}), then the
     origin columns — every chain strictly ascending and disjoint from
-    every other, each prefix's [aux] counter equal to its chain
-    length, freed slots marked and only on the freelist, chains plus
-    freelist accounting for every allocated slot, and [cardinal] equal
-    to the chain census. The churn differential harness runs this
-    after every mutation. *)
-
-val distinct_prefix_count : t -> int
-val as_count : t -> int
+    every other, freed slots marked and only on the freelist, chains
+    plus freelist accounting for every allocated slot, and [cardinal]
+    equal to the chain census. The churn differential harness runs
+    this after every mutation. *)

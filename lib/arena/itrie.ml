@@ -74,41 +74,16 @@ let create ?(capacity = 64) ?(name = "itrie") family =
 
 (* --- sanitizer plumbing ---------------------------------------------- *)
 
-(* Under the sanitizer a handle returned by a public operation is
-   widened to [((gen + 1) lsl 32) lor index]: the +1 keeps the tag
-   bits nonzero so a tagged handle is distinguishable from a raw
-   index. Raw indices remain legal currency — the compress merge phase
-   walks [left]/[right] directly and feeds what it finds back into
-   [set_value]/[override_value] — they just get bounds and liveness
-   checks instead of the generation check. [nil] passes through
-   untagged so absence tests ([find t p < 0]) keep working. *)
-let tag t i = if t.san && i >= 0 then ((t.gen.(i) + 1) lsl 32) lor i else i
+(* Under the sanitizer, public operations return generation-tagged
+   handles ({!San.tag}). Raw indices remain legal currency — the
+   compress merge phase walks [left]/[right] directly and feeds what it
+   finds back into [set_value]/[override_value] — they just get bounds
+   and liveness checks instead of the generation check
+   ({!San.check}). Both are the identity when the sanitizer is off. *)
+let tag t i = if t.san then San.tag ~gen:t.gen i else i
 
-(* Failure-path helper: the message allocation only happens when the
-   violation fires, which aborts the computation anyway. *)
-let stale t ~op h i g =
-  San.fail ~store:t.name ~op ~handle:h
-    (Printf.sprintf
-       "stale generation %d; slot %d is now at generation %d (held across reset, or \
-        slot recycled after free)"
-       (g - 1) i t.gen.(i))
-  [@@lint.alloc_ok] [@@lint.raise_ok]
-
-(* Decode + check a caller-supplied handle into a raw index: bounds
-   and liveness always, generation only when the handle carries tag
-   bits. The identity function when the sanitizer is off. *)
 let live t ~op h =
-  if not t.san then h
-  else begin
-    let i = h land 0xffff_ffff in
-    let g = h lsr 32 in
-    if h < 0 || i >= t.used then
-      San.fail ~store:t.name ~op ~handle:h "index out of bounds (freed store or alien handle?)"
-    else if t.len.(i) < 0 then
-      San.fail ~store:t.name ~op ~handle:h "use-after-free: slot is on the freelist"
-    else if g <> 0 && g - 1 <> t.gen.(i) then stale t ~op h i g
-    else i
-  end
+  if t.san then San.check ~store:t.name ~op ~gen:t.gen ~mark:t.len ~used:t.used h else h
 
 let live_index t h = live t ~op:"live_index" h
 

@@ -30,9 +30,18 @@ val set_enabled : bool -> unit
 (** Override the environment setting (tests). Only stores created
     {e after} the call are affected. *)
 
-val fail : store:string -> op:string -> handle:int -> string -> 'a
-(** Raise {!Violation} with a [store.op: handle 0x…: detail]
-    message. *)
+val tag : gen:int array -> int -> int
+(** [tag ~gen i] widens raw index [i] to the public handle
+    [(gen.(i) + 1) lsl 32 lor i]; a negative [i] (the null handle)
+    passes through. *)
+
+val check :
+  store:string -> op:string -> gen:int array -> mark:int array -> used:int -> int -> int
+(** Decode a handle into its raw index, checking bounds ([< used]),
+    liveness ([mark.(i) < 0] marks a freed slot) and, when the handle
+    carries tag bits, its generation against [gen.(i)]. Untagged raw
+    indices get the first two checks only.
+    @raise Violation with a [store.op: handle 0x…: detail] message. *)
 
 val poison : int
 (** Written over the prefix chunks of freed slots so a raw read of a

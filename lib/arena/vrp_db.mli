@@ -1,9 +1,10 @@
 (** Arena-backed VRP database: the storage engine behind
     {!Rpki.Validation}.
 
-    One flat {!Itrie} per family; each bound prefix's trie [value] is
-    the head of a chain of entries packed as
-    [(max_len lsl 32) lor asn] in parallel [int array] columns. Chains
+    The library's chain store keyed by (max_len, asn): one flat
+    {!Itrie} per family; each bound prefix's trie [value] is the head
+    of a chain of entries packed as [(max_len lsl 32) lor asn] in
+    parallel [int array] columns (the same store as {!Bgp_db}). Chains
     stay sorted ascending by pack — (max_len, asn) lexicographic — so
     every whole-database or covering walk emits canonical
     [Vrp.compare] order without sorting. ASNs cross this interface as

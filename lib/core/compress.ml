@@ -6,12 +6,10 @@ module Vrp_store = Arena.Vrp_store
 module Kernel = Arena.Group_compress
 module K = Arena.Pfx_key
 
-type mode = Strict | Paper
-
-(* The public mode mirrors the arena kernel's ({!Arena.Group_compress}
-   holds the per-group machinery so [Rpki.Churn] can reuse it without
-   this layer's dataset dependencies). *)
-let kernel_mode = function Strict -> Kernel.Strict | Paper -> Kernel.Paper
+(* The arena kernel's mode ({!Arena.Group_compress} holds the per-group
+   machinery so [Rpki.Churn] can reuse it without this layer's dataset
+   dependencies). *)
+type mode = Kernel.mode = Strict | Paper
 
 (* The pipeline runs on the flat arena: input tuples are decomposed
    into a {!Arena.Vrp_store} (structure-of-arrays columns), one
@@ -167,7 +165,7 @@ let merge_packed st (outs : int array array) =
 let run_with_stats ?(mode = Strict) ?(eliminate = true) vrps =
   let st = store_of_vrps vrps in
   let input = Vrp_store.length st in
-  let results = compress_groups st (kernel_mode mode) eliminate in
+  let results = compress_groups st mode eliminate in
   let result, output = merge_packed st (Array.map (fun r -> r.Kernel.out) results) in
   let covered_eliminated =
     Array.fold_left (fun acc r -> acc + r.Kernel.eliminated) 0 results

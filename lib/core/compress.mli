@@ -22,7 +22,7 @@
       EXPERIMENTS.md. Provided for fidelity and for the ablation
       ([rpki_maxlen table1 --mode paper]). *)
 
-type mode = Strict | Paper
+type mode = Arena.Group_compress.mode = Strict | Paper
 
 val eliminate_covered : Rpki.Vrp.t list -> Rpki.Vrp.t list
 (** Drop every tuple dominated by another of the same origin (prefix

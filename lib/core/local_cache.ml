@@ -9,8 +9,6 @@ type stats = {
 
 type t = {
   repositories : Rpki.Repository.t list;
-  compress : bool;
-  mode : Compress.mode;
   server : Rtr.Cache_server.t;
   mutable last : stats;
 }
@@ -20,7 +18,7 @@ let pipeline t =
   let roas = List.concat_map (fun o -> o.Rpki.Repository.valid_roas) outcomes in
   let rejections = List.concat_map (fun o -> o.Rpki.Repository.rejections) outcomes in
   let scanned = Rpki.Scan_roas.vrps_of_roas roas in
-  let served = if t.compress then Compress.run ~mode:t.mode scanned else scanned in
+  let served = Compress.run scanned in
   (List.length roas, rejections, scanned, served)
 
 let refresh t =
@@ -37,13 +35,11 @@ let refresh t =
   t.last <- stats;
   stats
 
-let create ?(compress = true) ?(mode = Compress.Strict) repositories =
+let create repositories =
   (* Seed the RTR server with the first pipeline result directly, so
      the session starts at serial 0 like a fresh cache. *)
   let t0 =
     { repositories;
-      compress;
-      mode;
       server = Rtr.Cache_server.create [];
       last =
         { valid_roas = 0;

@@ -2,7 +2,7 @@
 
     Owns the relying-party side end to end: fetch every configured
     repository (the five RIRs, in deployment), validate, flatten with
-    [scan_roas], optionally compress with [compress_roas] — §7.1's
+    [scan_roas], compress with [compress_roas] — §7.1's
     "drop-in alternative" pipeline — and feed the result to an
     RPKI-to-Router cache server that connected routers sync from.
 
@@ -12,21 +12,16 @@
 
 type t
 
-val create :
-  ?compress:bool ->
-  ?mode:Compress.mode ->
-  Rpki.Repository.t list ->
-  t
-(** A cache over the given publication points. [compress] (default
-    true) runs {!Compress.run} (with [mode], default {!Compress.Strict})
-    between scan_roas and the router feed. The initial refresh runs
-    immediately. *)
+val create : Rpki.Repository.t list -> t
+(** A cache over the given publication points. {!Compress.run} (in
+    {!Compress.Strict} mode) runs between scan_roas and the router
+    feed. The initial refresh runs immediately. *)
 
 type stats = {
   valid_roas : int;
   rejections : Rpki.Repository.rejection list;  (** Across all repositories. *)
   vrps_scanned : int;  (** Tuples out of scan_roas. *)
-  vrps_served : int;  (** After compression (equal when disabled). *)
+  vrps_served : int;  (** After compression. *)
   serial : int32;  (** The RTR serial after this refresh. *)
   changed : bool;
 }

@@ -20,11 +20,6 @@ let iter t f = ignore (Db.fold_all t ~init:() ~f:(fun () p asn -> f p (Asnum.of_
 let fold t ~init ~f = Db.fold_all t ~init ~f:(fun acc p asn -> f acc p (Asnum.of_int asn))
 let pairs t = List.rev (fold t ~init:[] ~f:(fun acc p a -> (p, a) :: acc))
 
-let origins t p =
-  List.rev (Db.fold_origins t p ~init:[] ~f:(fun acc asn -> Asnum.of_int asn :: acc))
-
-let origin_count = Db.origin_count
-
 let announced_under t p a =
   Db.under_list t p ~asn:(Asnum.to_int a) ~make:(fun q len -> (q, len))
 
@@ -41,6 +36,3 @@ let has_same_origin_ancestor t p a =
 
 let root_pair_count t =
   fold t ~init:0 ~f:(fun acc p a -> if has_same_origin_ancestor t p a then acc else acc + 1)
-
-let distinct_prefix_count = Db.distinct_prefix_count
-let as_count = Db.as_count

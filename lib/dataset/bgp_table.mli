@@ -15,8 +15,7 @@ val add : t -> Netaddr.Pfx.t -> Rpki.Asnum.t -> unit
 (** Idempotent: the table is a set of pairs. *)
 
 val remove : t -> Netaddr.Pfx.t -> Rpki.Asnum.t -> bool
-(** Withdraw a pair; [false] when absent. The AS census ({!as_count})
-    counts ASes ever seen and is not decremented. *)
+(** Withdraw a pair; [false] when absent. *)
 
 val mem : t -> Netaddr.Pfx.t -> Rpki.Asnum.t -> bool
 val cardinal : t -> int
@@ -36,14 +35,6 @@ val fold : t -> init:'a -> f:('a -> Netaddr.Pfx.t -> Rpki.Asnum.t -> 'a) -> 'a
 val pairs : t -> (Netaddr.Pfx.t * Rpki.Asnum.t) list
 (** Every pair, in {!fold} order. *)
 
-val origins : t -> Netaddr.Pfx.t -> Rpki.Asnum.t list
-(** Who originates exactly this prefix (usually one AS; several for a
-    MOAS conflict). *)
-
-val origin_count : t -> Netaddr.Pfx.t -> int
-(** [List.length (origins t p)] without building the list — a counter
-    maintained in the arena trie node. *)
-
 val announced_under : t -> Netaddr.Pfx.t -> Rpki.Asnum.t -> (Netaddr.Pfx.t * int) list
 (** Announced pairs of the given origin covered by [p] (including [p]
     itself if announced), as (prefix, length) — the raw material for
@@ -62,6 +53,3 @@ val has_same_origin_ancestor : t -> Netaddr.Pfx.t -> Rpki.Asnum.t -> bool
 val root_pair_count : t -> int
 (** Number of pairs with no same-origin announced ancestor: the
     maximally-permissive lower bound on PDUs (729,371 in the paper). *)
-
-val distinct_prefix_count : t -> int
-val as_count : t -> int

@@ -59,15 +59,14 @@ let executed t = t.executed
 (* A bucketed timer wheel for workloads with very many coarse timers
    (one per simulated router session): O(1) schedule, O(1) amortized
    drain, versus the O(n) scan-all-timers fold the simulator used at
-   small scale. Deadlines are rounded UP to the bucket granularity so
-   an entry can never land behind the drain cursor; within a bucket,
-   entries fire in insertion (FIFO) order, preserving determinism. *)
+   small scale. One bucket per virtual ms, so entries fire at their
+   exact deadline; within a bucket, entries fire in insertion (FIFO)
+   order, preserving determinism. *)
 module Wheel = struct
   type clock = t
 
   type nonrec t = {
     clock : clock;
-    granularity : int;
     mutable slots : int list array; (* per-bucket entries, reverse insertion order *)
     mutable cursor : int; (* first bucket not yet drained *)
     (* Scan cache for [next_due]: every bucket in [cursor, probe) is
@@ -80,9 +79,8 @@ module Wheel = struct
     mutable count : int;
   }
 
-  let create ?(granularity = 16) clock =
+  let create clock =
     { clock;
-      granularity = max 1 granularity;
       slots = Array.make 256 [];
       cursor = 0;
       probe = 0;
@@ -100,10 +98,8 @@ module Wheel = struct
     end
 
   let schedule t ~time id =
-    let time = max time (now t.clock) in
-    (* Round up, and never behind the cursor: a bucket is drained at
-       most once. *)
-    let slot = max t.cursor ((time + t.granularity - 1) / t.granularity) in
+    (* Never behind the cursor: a bucket is drained at most once. *)
+    let slot = max t.cursor (max time (now t.clock)) in
     ensure t slot;
     if slot < t.probe then t.probe <- slot;
     t.slots.(slot) <- id :: t.slots.(slot);
@@ -121,10 +117,8 @@ module Wheel = struct
       while t.slots.(t.probe) = [] do
         t.probe <- t.probe + 1
       done;
-      Some (t.probe * t.granularity)
+      Some t.probe
     end
-
-  let scheduled t = t.count
 
   let advance t f =
     let deadline = now t.clock in

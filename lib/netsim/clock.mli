@@ -47,19 +47,18 @@ val executed : t -> int
     Scheduling and draining are O(1) amortized — the alternative at
     100k sessions is an O(n) scan of every timer per drive-loop
     iteration. Entries are plain integers (the caller packs whatever
-    identity it needs); deadlines are rounded {e up} to the bucket
-    granularity, so a fire can be up to [granularity - 1] ms late but
-    never early, and never lands behind the drain cursor. Within a
-    bucket, entries fire in insertion (FIFO) order — determinism is
-    preserved. Stale entries are expected: callers deduplicate with a
-    generation check at fire time and simply re-schedule. *)
+    identity it needs); there is one bucket per virtual ms, so an
+    entry fires at its exact deadline and never lands behind the drain
+    cursor. Within a bucket, entries fire in insertion (FIFO) order —
+    determinism is preserved. Stale entries are expected: callers
+    deduplicate with a generation check at fire time and simply
+    re-schedule. *)
 module Wheel : sig
   type clock := t
   type t
 
-  val create : ?granularity:int -> clock -> t
-  (** A wheel read against the given clock. [granularity] is the
-      bucket width in virtual ms (default 16). *)
+  val create : clock -> t
+  (** A wheel read against the given clock. *)
 
   val schedule : t -> time:int -> int -> unit
   (** Enroll an entry to fire once [time] is reached. Times in the
@@ -67,9 +66,6 @@ module Wheel : sig
 
   val next_due : t -> int option
   (** Earliest bucket deadline with a pending entry. *)
-
-  val scheduled : t -> int
-  (** Entries currently enrolled (including stale ones). *)
 
   val advance : t -> (int -> unit) -> unit
   (** Fire every entry in buckets due at or before the clock's current

@@ -455,10 +455,7 @@ let run ?(config = default_config) ?(mix = []) ~seed ~policy () =
   in
   let t =
     { clock;
-      (* Granularity 1: bucket drains cost next to nothing at these
-         horizons, and wakeups fire at their exact deadline — the wheel
-         changes the data structure, not the timing. *)
-      wheel = Clock.Wheel.create ~granularity:1 clock;
+      wheel = Clock.Wheel.create clock;
       trace = Trace.create ();
       trace_on = cfg.trace;
       cache;

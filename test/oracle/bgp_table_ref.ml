@@ -10,16 +10,13 @@ type t = {
   v4 : Asnum.Set.t ref Ptrie.t;
   v6 : Asnum.Set.t ref Ptrie.t;
   mutable count : int;
-  ases : unit Asnum.Tbl.t;
 }
 
-let create () =
-  { v4 = Ptrie.create Pfx.Afi_v4; v6 = Ptrie.create Pfx.Afi_v6; count = 0; ases = Asnum.Tbl.create 1024 }
+let create () = { v4 = Ptrie.create Pfx.Afi_v4; v6 = Ptrie.create Pfx.Afi_v6; count = 0 }
 
 let trie_for t p = match Pfx.afi p with Pfx.Afi_v4 -> t.v4 | Pfx.Afi_v6 -> t.v6
 
 let add t p a =
-  Asnum.Tbl.replace t.ases a ();
   Ptrie.update (trie_for t p) p (function
     | None ->
       t.count <- t.count + 1;
@@ -68,16 +65,6 @@ let fold t ~init ~f =
 
 let pairs t = List.rev (fold t ~init:[] ~f:(fun acc p a -> (p, a) :: acc))
 
-let origins t p =
-  match Ptrie.find (trie_for t p) p with
-  | None -> []
-  | Some s -> Asnum.Set.elements !s
-
-let origin_count t p =
-  match Ptrie.find (trie_for t p) p with
-  | None -> 0
-  | Some s -> Asnum.Set.cardinal !s
-
 let announced_under t p a =
   List.rev
     (Ptrie.fold_covered_by (trie_for t p) p ~init:[] ~f:(fun acc q s ->
@@ -101,6 +88,3 @@ let has_same_origin_ancestor t p a =
 
 let root_pair_count t =
   fold t ~init:0 ~f:(fun acc p a -> if has_same_origin_ancestor t p a then acc else acc + 1)
-
-let distinct_prefix_count t = Ptrie.cardinal t.v4 + Ptrie.cardinal t.v6
-let as_count t = Asnum.Tbl.length t.ases

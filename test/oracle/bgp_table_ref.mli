@@ -13,11 +13,7 @@ val cardinal : t -> int
 val iter : t -> (Netaddr.Pfx.t -> Rpki.Asnum.t -> unit) -> unit
 val fold : t -> init:'a -> f:('a -> Netaddr.Pfx.t -> Rpki.Asnum.t -> 'a) -> 'a
 val pairs : t -> (Netaddr.Pfx.t * Rpki.Asnum.t) list
-val origins : t -> Netaddr.Pfx.t -> Rpki.Asnum.t list
-val origin_count : t -> Netaddr.Pfx.t -> int
 val announced_under : t -> Netaddr.Pfx.t -> Rpki.Asnum.t -> (Netaddr.Pfx.t * int) list
 val count_by_length_under : t -> Netaddr.Pfx.t -> Rpki.Asnum.t -> max_len:int -> int array
 val has_same_origin_ancestor : t -> Netaddr.Pfx.t -> Rpki.Asnum.t -> bool
 val root_pair_count : t -> int
-val distinct_prefix_count : t -> int
-val as_count : t -> int

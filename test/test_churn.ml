@@ -16,7 +16,6 @@
 module Churn = Rpki.Churn
 module Compress = Mlcore.Compress
 module Minimal = Mlcore.Minimal
-module Kernel = Arena.Group_compress
 module Timeline = Dataset.Timeline
 module Snapshot = Dataset.Snapshot
 module Bgp_table = Dataset.Bgp_table
@@ -84,18 +83,18 @@ let gen_events seed n =
 (* What a cache without the engine recomputes from a state and its BGP
    table: the Valid pairs, the non-minimal maxLength VRPs and the
    compressed set. *)
-let batch_recompute ~cmode table ((pairs, vrps) : Timeline.state) =
+let batch_recompute ~mode table ((pairs, vrps) : Timeline.state) =
   let db = V.create vrps in
   ( List.filter (fun (q, origin) -> V.authorized db q origin) pairs,
     List.filter (fun w -> Vrp.uses_max_len w && not (Minimal.is_minimal_vrp table w)) vrps,
-    Compress.run ~mode:cmode vrps )
+    Compress.run ~mode vrps )
 
 (* Compare the engine against a from-scratch recomputation of every
    maintained set. Returns a description of the first divergence. *)
-let checkpoint ~cmode t ((pairs, vrps) as state : Timeline.state) =
+let checkpoint ~mode t ((pairs, vrps) as state : Timeline.state) =
   let table = Bgp_table.create () in
   List.iter (fun (q, origin) -> Bgp_table.add table q origin) pairs;
-  let batch_valid, batch_nonmin, batch = batch_recompute ~cmode table state in
+  let batch_valid, batch_nonmin, batch = batch_recompute ~mode table state in
   if not (List.equal Vrp.equal (Churn.vrps t) vrps) then Some "vrps diverged"
   else if not (List.equal pair_equal (List.sort pair_compare (Churn.pairs t)) pairs)
   then Some "pairs diverged"
@@ -110,8 +109,8 @@ let checkpoint ~cmode t ((pairs, vrps) as state : Timeline.state) =
 
 (* Replay a sequence, self_checking after every event and running the
    full batch comparison every [k] events and at the end. *)
-let run_sequence ?(k = 8) ~kmode ~cmode events =
-  let t = Churn.create ~mode:kmode () in
+let run_sequence ?(k = 8) ~mode events =
+  let t = Churn.create ~mode () in
   let rec go i state evs =
     match evs with
     | [] -> None
@@ -137,7 +136,7 @@ let run_sequence ?(k = 8) ~kmode ~cmode events =
               in
               let failure =
                 if at_checkpoint then
-                  match checkpoint ~cmode t state' with
+                  match checkpoint ~mode t state' with
                   | Some m ->
                       Some (spf "event %d (%s): %s" i (Churn.event_to_string ev) m)
                   | None -> None
@@ -173,11 +172,11 @@ let report_failure ~seed check events msg =
     (String.concat "\n" (List.map Churn.event_to_string minimal))
 
 let test_differential () =
-  let strict = List.map (fun s -> (s, Kernel.Strict, Compress.Strict)) [ 11; 23; 37; 59 ] in
-  let paper = List.map (fun s -> (s, Kernel.Paper, Compress.Paper)) [ 101; 103 ] in
+  let strict = List.map (fun s -> (s, Compress.Strict)) [ 11; 23; 37; 59 ] in
+  let paper = List.map (fun s -> (s, Compress.Paper)) [ 101; 103 ] in
   List.iter
-    (fun (seed, kmode, cmode) ->
-      let check evs = run_sequence ~kmode ~cmode evs in
+    (fun (seed, mode) ->
+      let check evs = run_sequence ~mode evs in
       let events = gen_events seed 120 in
       match check events with
       | None -> ()
@@ -239,7 +238,7 @@ let timeline_differential ~scale ~seed ~vrp_churn () =
         | Error e -> Alcotest.failf "%s: self_check: %s" label e);
         let next = weeks.(i + 1).Timeline.snapshot in
         let ((_, vrps) as state) = Timeline.state_of next in
-        (match checkpoint ~cmode:Compress.Strict t state with
+        (match checkpoint ~mode:Compress.Strict t state with
         | None -> ()
         | Some m -> Alcotest.failf "%s: %s" label m);
         if vrp_churn then begin
@@ -253,7 +252,7 @@ let timeline_differential ~scale ~seed ~vrp_churn () =
             true (recomputed < groups);
           let _, batch_words =
             Testutil.allocated_words (fun () ->
-                batch_recompute ~cmode:Compress.Strict next.Snapshot.table state)
+                batch_recompute ~mode:Compress.Strict next.Snapshot.table state)
           in
           Alcotest.(check bool)
             (spf "%s: incremental %.0f words < batch %.0f words" label incr_words batch_words)

@@ -71,12 +71,8 @@ let test_table_basics () =
   Bgp_table.add t (p "10.0.0.0/16") (a 2);
   Bgp_table.add t (p "10.0.0.0/24") (a 1);
   Alcotest.(check int) "pairs dedup" 3 (Bgp_table.cardinal t);
-  Alcotest.(check int) "distinct prefixes" 2 (Bgp_table.distinct_prefix_count t);
-  Alcotest.(check int) "ases" 2 (Bgp_table.as_count t);
   Alcotest.(check bool) "mem" true (Bgp_table.mem t (p "10.0.0.0/16") (a 2));
-  Alcotest.(check bool) "not mem" false (Bgp_table.mem t (p "10.0.0.0/24") (a 2));
-  Alcotest.(check (list int)) "origins" [ 1; 2 ]
-    (List.map Rpki.Asnum.to_int (Bgp_table.origins t (p "10.0.0.0/16")))
+  Alcotest.(check bool) "not mem" false (Bgp_table.mem t (p "10.0.0.0/24") (a 2))
 
 let test_table_ancestors_roots () =
   let t = Bgp_table.create () in

@@ -1,59 +1,112 @@
-(* Events keyed by (time, sequence number): the map's order is the
-   execution order, and the sequence number makes same-time events
-   FIFO — the whole simulator's determinism rests on this ordering
-   being total and stable. *)
-module Q = Map.Make (struct
-  type t = int * int
-
-  let compare (t1, s1) (t2, s2) =
-    match Int.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c
-end)
-
+(* The event queue is a binary min-heap over three parallel columns:
+   entry [i] is ([times.(i)], [seqs.(i)], [fns.(i)]). Entries compare
+   by time, then by sequence number, so same-time events run FIFO —
+   the whole simulator's determinism rests on this order being total
+   and stable. The columns keep the keys unboxed: an insert or a pop
+   allocates nothing unless the columns have to grow. *)
 type t = {
   mutable now : int;
   mutable seq : int;
-  mutable q : (unit -> unit) Q.t;
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable fns : (unit -> unit) array;
+  mutable size : int;
   mutable executed : int;
 }
 
-let create () = { now = 0; seq = 0; q = Q.empty; executed = 0 }
+let nop () = ()
+let initial_capacity = 64
+
+let create () =
+  { now = 0;
+    seq = 0;
+    times = Array.make initial_capacity 0;
+    seqs = Array.make initial_capacity 0;
+    fns = Array.make initial_capacity nop;
+    size = 0;
+    executed = 0 }
+
 let now t = t.now
+
+let grow t =
+  let n = 2 * Array.length t.times in
+  let extend a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 t.size;
+    b
+  in
+  t.times <- extend t.times 0;
+  t.seqs <- extend t.seqs 0;
+  t.fns <- extend t.fns nop
+
+(* Does entry [i] run before the entry (time, seq)? *)
+let before t i time seq =
+  let ti = t.times.(i) in
+  ti < time || (ti = time && t.seqs.(i) < seq)
+
+let put t i time seq f =
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  t.fns.(i) <- f
+
+let move t ~src ~dst = put t dst t.times.(src) t.seqs.(src) t.fns.(src)
+
+(* Sift a hole at [i] up until (time, seq) fits there. *)
+let rec sift_up t i time seq f =
+  if i = 0 then put t 0 time seq f
+  else
+    let p = (i - 1) / 2 in
+    if before t p time seq then put t i time seq f
+    else begin
+      move t ~src:p ~dst:i;
+      sift_up t p time seq f
+    end
+
+(* Sift a hole at [i] down until (time, seq) fits there. *)
+let rec sift_down t i time seq f =
+  let l = (2 * i) + 1 in
+  if l >= t.size then put t i time seq f
+  else
+    let c = if l + 1 < t.size && before t (l + 1) t.times.(l) t.seqs.(l) then l + 1 else l in
+    if before t c time seq then begin
+      move t ~src:c ~dst:i;
+      sift_down t c time seq f
+    end
+    else put t i time seq f
 
 let at t ~time f =
   let time = if time < t.now then t.now else time in
   t.seq <- t.seq + 1;
-  t.q <- Q.add (time, t.seq) f t.q
+  if t.size = Array.length t.times then grow t;
+  t.size <- t.size + 1;
+  sift_up t (t.size - 1) time t.seq f
 
 let after t ~delay f = at t ~time:(t.now + max 0 delay) f
-
-let next_time t =
-  match Q.min_binding_opt t.q with
-  | Some ((time, _), _) -> Some time
-  | None -> None
+let next_time t = if t.size = 0 then None else Some t.times.(0)
 
 let run_next t =
-  match Q.min_binding_opt t.q with
-  | None -> false
-  | Some (((time, _) as key), f) ->
-    t.q <- Q.remove key t.q;
+  if t.size = 0 then false
+  else begin
+    let time = t.times.(0) and f = t.fns.(0) in
+    let last = t.size - 1 in
+    t.size <- last;
+    if last > 0 then sift_down t 0 t.times.(last) t.seqs.(last) t.fns.(last);
+    (* A stale closure in the vacated slot would keep its chunk alive. *)
+    t.fns.(last) <- nop;
     if time > t.now then t.now <- time;
     t.executed <- t.executed + 1;
     f ();
     true
+  end
 
 let advance t time = if time > t.now then t.now <- time
 
 let run_until t time =
-  let rec go () =
-    match Q.min_binding_opt t.q with
-    | Some ((e, _), _) when e <= time ->
-      ignore (run_next t);
-      go ()
-    | Some _ | None -> ()
-  in
-  go ();
+  while t.size > 0 && t.times.(0) <= time do
+    ignore (run_next t)
+  done;
   advance t time
-let pending t = Q.cardinal t.q
+
 let executed t = t.executed
 
 (* A bucketed timer wheel for workloads with very many coarse timers

@@ -36,9 +36,6 @@ val run_until : t -> int -> unit
     they schedule within the window), then leave the clock exactly
     there. *)
 
-val pending : t -> int
-(** Number of queued events. *)
-
 val executed : t -> int
 (** Number of events run so far. *)
 

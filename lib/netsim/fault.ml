@@ -72,5 +72,3 @@ let chaos =
 let all =
   [ perfect; rechunking; delaying; reordering; duplicating; truncating; corrupting; lossy;
     flaky; chaos ]
-
-let max_transit t = t.delay_max + t.jitter

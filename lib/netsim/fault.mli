@@ -63,7 +63,3 @@ val chaos : t
 
 val all : t list
 (** Every policy above, [perfect] first — the sweep matrix. *)
-
-val max_transit : t -> int
-(** Upper bound on a chunk's time in flight ([delay_max + jitter]):
-    sizing input for settle windows. *)

@@ -27,7 +27,16 @@ type t = {
   mutable deliver_count : int;
   mutable damage_from : int; (* first seq with damaged bytes; max_int = none *)
   mutable damaged : bool; (* sticky: integrity lost for good *)
-  mutable s : stats;
+  (* The [stats] counters, bumped in place. *)
+  mutable writes : int;
+  mutable chunks : int;
+  mutable bytes : int;
+  mutable delivered : int;
+  mutable dropped : int;
+  mutable duplicated : int;
+  mutable truncated : int;
+  mutable corrupted : int;
+  mutable tainted : int;
 }
 
 let create ~clock ~rng ~policy ~deliver ~conn_drop =
@@ -43,12 +52,27 @@ let create ~clock ~rng ~policy ~deliver ~conn_drop =
     deliver_count = 0;
     damage_from = max_int;
     damaged = false;
-    s =
-      { writes = 0; chunks = 0; bytes = 0; delivered = 0; dropped = 0; duplicated = 0;
-        truncated = 0; corrupted = 0; tainted = 0 } }
+    writes = 0;
+    chunks = 0;
+    bytes = 0;
+    delivered = 0;
+    dropped = 0;
+    duplicated = 0;
+    truncated = 0;
+    corrupted = 0;
+    tainted = 0 }
 
-let closed t = t.closed
-let stats t = t.s
+let stats t : stats =
+  { writes = t.writes;
+    chunks = t.chunks;
+    bytes = t.bytes;
+    delivered = t.delivered;
+    dropped = t.dropped;
+    duplicated = t.duplicated;
+    truncated = t.truncated;
+    corrupted = t.corrupted;
+    tainted = t.tainted }
+
 let close t = t.closed <- true
 
 let mark_damage t seq = if seq < t.damage_from then t.damage_from <- seq
@@ -75,27 +99,27 @@ let schedule_delivery t ~seq chunk =
         let tainted = t.damaged || seq >= t.damage_from || seq <> t.deliver_count in
         if tainted then begin
           t.damaged <- true;
-          t.s <- { t.s with tainted = t.s.tainted + 1 }
+          t.tainted <- t.tainted + 1
         end;
         t.deliver_count <- t.deliver_count + 1;
-        t.s <- { t.s with delivered = t.s.delivered + 1 };
+        t.delivered <- t.delivered + 1;
         t.deliver ~tainted chunk
       end)
 
 let schedule_chunk t chunk =
   let p = t.policy in
-  t.s <- { t.s with chunks = t.s.chunks + 1 };
+  t.chunks <- t.chunks + 1;
   let seq = t.next_seq in
   t.next_seq <- t.next_seq + 1;
   if Rng.bernoulli t.rng p.Fault.drop then begin
     (* The bytes vanish mid-stream: everything after them is damage. *)
-    t.s <- { t.s with dropped = t.s.dropped + 1 };
+    t.dropped <- t.dropped + 1;
     mark_damage t seq
   end
   else begin
     let chunk =
       if Rng.bernoulli t.rng p.Fault.truncate && String.length chunk > 1 then begin
-        t.s <- { t.s with truncated = t.s.truncated + 1 };
+        t.truncated <- t.truncated + 1;
         mark_damage t seq;
         String.sub chunk 0 (1 + Rng.int t.rng (String.length chunk - 1))
       end
@@ -103,7 +127,7 @@ let schedule_chunk t chunk =
     in
     let chunk =
       if Rng.bernoulli t.rng p.Fault.corrupt then begin
-        t.s <- { t.s with corrupted = t.s.corrupted + 1 };
+        t.corrupted <- t.corrupted + 1;
         mark_damage t seq;
         flip_byte t chunk
       end
@@ -112,7 +136,7 @@ let schedule_chunk t chunk =
     schedule_delivery t ~seq chunk;
     if Rng.bernoulli t.rng p.Fault.duplicate then begin
       (* The surplus copy re-injects bytes the stream already carried. *)
-      t.s <- { t.s with duplicated = t.s.duplicated + 1 };
+      t.duplicated <- t.duplicated + 1;
       let seq' = t.next_seq in
       t.next_seq <- t.next_seq + 1;
       mark_damage t seq';
@@ -182,7 +206,8 @@ let chunk_out t segments total =
 let send_segments t segments =
   let total = List.fold_left (fun acc s -> acc + String.length s) 0 segments in
   if (not t.closed) && total > 0 then begin
-    t.s <- { t.s with writes = t.s.writes + 1; bytes = t.s.bytes + total };
+    t.writes <- t.writes + 1;
+    t.bytes <- t.bytes + total;
     (* The connection-drop fault is evaluated once per write: the
        write itself is lost with the connection. *)
     if (not t.dropping) && Rng.bernoulli t.rng t.policy.Fault.conn_drop then begin

@@ -69,5 +69,4 @@ val send_segments : t -> string list -> unit
 val close : t -> unit
 (** Tear the pipe down; in-flight chunks are lost. Idempotent. *)
 
-val closed : t -> bool
 val stats : t -> stats

@@ -122,12 +122,9 @@ let zero_stats : Link.stats =
 (* Tracing is config-gated: at 100k sessions the trace would dominate
    memory and run time, so scale runs turn it off and give up the
    replay fingerprint (determinism is still exercised by the default
-   traced configurations). [ikfprintf] skips the formatting work
-   entirely, not just the recording. *)
-let record t fmt =
-  if t.trace_on then
-    Printf.ksprintf (fun s -> Trace.record t.trace ~time:(Clock.now t.clock) s) fmt
-  else Printf.ikfprintf ignore () fmt
+   traced configurations). Every call site tests [t.trace_on] first,
+   so an untraced run neither formats nor evaluates trace arguments. *)
+let record t fmt = Printf.ksprintf (fun s -> Trace.record t.trace ~time:(Clock.now t.clock) s) fmt
 
 (* --- the scripted VRP updates ------------------------------------- *)
 
@@ -218,7 +215,7 @@ let drop_conn t r reason =
     t.link_totals <- add_stats (add_stats t.link_totals (Link.stats c.c2r)) (Link.stats c.r2c);
     r.conn <- None;
     Client.disconnected r.client ~now:(Clock.now t.clock);
-    record t "router %d: connection %d down (%s)" r.idx c.gen reason;
+    if t.trace_on then record t "router %d: connection %d down (%s)" r.idx c.gen reason;
     enrol t r
 
 (* A completed exchange may have moved the installed set onto (or off)
@@ -241,7 +238,7 @@ let cache_rx t r c ~tainted bytes =
     (match Framer.feed c.cache_fr bytes with
      | Error e ->
        t.framer_errors <- t.framer_errors + 1;
-       record t "router %d: cache-side framer error: %s" r.idx e;
+       if t.trace_on then record t "router %d: cache-side framer error: %s" r.idx e;
        drop_conn t r "cache framer error"
      | Ok pdus ->
        List.iter
@@ -250,8 +247,9 @@ let cache_rx t r c ~tainted bytes =
              match pdu with
              | Pdu.Error_report { code; _ } ->
                (* §5.11: terminal; tear the connection down, answer nothing. *)
-               record t "router %d: cache received error report (%s)" r.idx
-                 (Format.asprintf "%a" Pdu.pp_error_code code);
+               if t.trace_on then
+                 record t "router %d: cache received error report (%s)" r.idx
+                   (Format.asprintf "%a" Pdu.pp_error_code code);
                drop_conn t r "error report at cache"
              | query ->
                (* The response is a run of shared encode-once segments;
@@ -263,7 +261,7 @@ let cache_rx t r c ~tainted bytes =
     (* Any response to a tainted query dies with the connection (its
        chunks are scheduled strictly later, on a link closed now). *)
     if tainted then begin
-      record t "router %d: uplink stream damage" r.idx;
+      if t.trace_on then record t "router %d: uplink stream damage" r.idx;
       drop_conn t r "uplink stream damage"
     end
   end
@@ -274,7 +272,7 @@ let router_rx t r c ~tainted bytes =
     (match Framer.feed c.router_fr bytes with
      | Error e ->
        t.framer_errors <- t.framer_errors + 1;
-       record t "router %d: framer error: %s" r.idx e;
+       if t.trace_on then record t "router %d: framer error: %s" r.idx e;
        drop_conn t r "router framer error"
      | Ok pdus ->
        List.iter
@@ -283,11 +281,12 @@ let router_rx t r c ~tainted bytes =
              let syncs_before = (Client.stats r.client).Client.syncs in
              (match Client.receive r.client ~now:(Clock.now t.clock) pdu with
               | Ok () -> ()
-              | Error e -> record t "router %d: protocol error: %s" r.idx e);
+              | Error e -> if t.trace_on then record t "router %d: protocol error: %s" r.idx e);
              if (Client.stats r.client).Client.syncs > syncs_before then begin
-               record t "router %d: synced serial=%s n=%d" r.idx
-                 (match Client.serial r.client with Some s -> Int32.to_string s | None -> "-")
-                 (Vset.cardinal (Client.vrps r.client));
+               if t.trace_on then
+                 record t "router %d: synced serial=%s n=%d" r.idx
+                   (match Client.serial r.client with Some s -> Int32.to_string s | None -> "-")
+                   (Vset.cardinal (Client.vrps r.client));
                note_convergence t r
              end;
              flush_outbox t r;
@@ -301,9 +300,9 @@ let router_rx t r c ~tainted bytes =
       if (Client.stats r.client).Client.syncs > syncs_at_feed then begin
         Client.poisoned r.client;
         r.first_final <- None;
-        record t "router %d: poisoned by tainted commit" r.idx
+        if t.trace_on then record t "router %d: poisoned by tainted commit" r.idx
       end;
-      record t "router %d: downlink stream damage" r.idx;
+      if t.trace_on then record t "router %d: downlink stream damage" r.idx;
       drop_conn t r "downlink stream damage"
     end;
     (* The receive may have moved the client's next wakeup (new
@@ -340,7 +339,7 @@ let connect_router t r =
     { gen; alive = true; c2r; r2c; cache_fr = Framer.create (); router_fr = Framer.create () }
   in
   r.conn <- Some c;
-  record t "router %d: connection %d up" r.idx gen;
+  if t.trace_on then record t "router %d: connection %d up" r.idx gen;
   Client.connected r.client ~now:(Clock.now t.clock);
   flush_outbox t r;
   enrol t r
@@ -374,10 +373,11 @@ let fire t packed =
 
 let publish t set =
   match Cache.update t.cache (Vset.elements set) with
-  | None -> record t "publish: no-op"
+  | None -> if t.trace_on then record t "publish: no-op"
   | Some _notify ->
     t.publishes <- t.publishes + 1;
-    record t "publish: serial=%ld n=%d" (Cache.serial t.cache) (Vset.cardinal set);
+    if t.trace_on then
+      record t "publish: serial=%ld n=%d" (Cache.serial t.cache) (Vset.cardinal set);
     (* One notify buffer, encoded once, fanned out to every live
        connection by reference. *)
     let wire = Cache.notify_wire t.cache in
@@ -386,19 +386,19 @@ let publish t set =
       t.rtrs
 
 let drive t =
+  let fire = fire t in
   let rec go () =
-    Clock.Wheel.advance t.wheel (fire t);
+    Clock.Wheel.advance t.wheel fire;
     let now = Clock.now t.clock in
     if now < t.end_time then begin
+      let next = Clock.next_time t.clock in
       let target =
-        let e =
-          match Clock.next_time t.clock with Some e -> min e t.end_time | None -> t.end_time
-        in
+        let e = match next with Some e -> min e t.end_time | None -> t.end_time in
         match Clock.Wheel.next_due t.wheel with
         | Some w -> min e (max w (now + 1))
         | None -> e
       in
-      (match Clock.next_time t.clock with
+      (match next with
        | Some e when e <= target -> ignore (Clock.run_next t.clock)
        | Some _ | None -> Clock.advance t.clock target);
       go ()
@@ -406,7 +406,7 @@ let drive t =
   in
   go ();
   Clock.advance t.clock t.end_time;
-  Clock.Wheel.advance t.wheel (fire t)
+  Clock.Wheel.advance t.wheel fire
 
 (* --- one full simulation ------------------------------------------ *)
 
@@ -466,7 +466,9 @@ let run ?(config = default_config) ?(mix = []) ~seed ~policy () =
       framer_errors = 0;
       link_totals = zero_stats }
   in
-  record t "sim: seed=%d policy=%s routers=%d updates=%d" seed policy_name cfg.routers cfg.updates;
+  if t.trace_on then
+    record t "sim: seed=%d policy=%s routers=%d updates=%d" seed policy_name cfg.routers
+      cfg.updates;
   (* Everybody dials at t=0; the publication script starts one gap later. *)
   Array.iter (fun r -> connect_router t r) rtrs;
   List.iteri
@@ -516,17 +518,18 @@ let run ?(config = default_config) ?(mix = []) ~seed ~policy () =
         | Some x, Some a -> Some (max a x))
       None rtrs
   in
-  List.iter
-    (fun o ->
-      record t "end: router %d freshness=%s vrps_ok=%b serial=%s" o.router
-        (match o.freshness with
-         | Client.No_data -> "no-data"
-         | Client.Fresh -> "fresh"
-         | Client.Stale -> "stale"
-         | Client.Expired -> "expired")
-        o.vrps_ok
-        (match o.serial with Some s -> Int32.to_string s | None -> "-"))
-    outcomes;
+  if t.trace_on then
+    List.iter
+      (fun o ->
+        record t "end: router %d freshness=%s vrps_ok=%b serial=%s" o.router
+          (match o.freshness with
+           | Client.No_data -> "no-data"
+           | Client.Fresh -> "fresh"
+           | Client.Stale -> "stale"
+           | Client.Expired -> "expired")
+          o.vrps_ok
+          (match o.serial with Some s -> Int32.to_string s | None -> "-"))
+      outcomes;
   { seed;
     policy = policy_name;
     ok;

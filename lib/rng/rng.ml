@@ -1,18 +1,28 @@
-type t = { base : int64; mutable state : int64 }
+(* The state lives in an 8-byte buffer rather than a [mutable int64]
+   field: storing to such a field boxes a fresh int64 on every draw,
+   while [Bytes.get_int64_ne]/[set_int64_ne] stay unboxed once [mix64]
+   and [int64] are inlined into the draw functions below (and [float]
+   into [bernoulli]). *)
+type t = { base : int64; state : Bytes.t }
 
 let golden_gamma = 0x9e3779b97f4a7c15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let of_state s = { base = s; state = s }
+let of_state s =
+  let state = Bytes.create 8 in
+  Bytes.set_int64_ne state 0 s;
+  { base = s; state }
+
 let create seed = of_state (mix64 (Int64.of_int seed))
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] int64 t =
+  let s = Int64.add (Bytes.get_int64_ne t.state 0) golden_gamma in
+  Bytes.set_int64_ne t.state 0 s;
+  mix64 s
 
 (* Children derive from the parent's creation-time base, not its
    position, so a child stream doesn't shift when the parent draws
@@ -45,7 +55,7 @@ let bytes t n =
   if n < 0 then invalid_arg "Rng.bytes: negative length";
   String.init n (fun _ -> Char.chr (int t 256))
 
-let float t =
+let[@inline] float t =
   Int64.to_float (Int64.shift_right_logical (int64 t) 11) *. (1.0 /. 9007199254740992.0)
 
 let bool t = Int64.logand (int64 t) 1L = 1L

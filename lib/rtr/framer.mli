@@ -3,6 +3,9 @@
     A real cache↔router connection is a TCP byte stream: PDUs arrive
     split and coalesced arbitrarily. The framer buffers input chunks
     and yields each PDU exactly once, as soon as its last byte is in.
+    Its work is linear in the bytes fed, however the stream is cut:
+    whole PDUs are decoded in place from the chunk, and only a PDU
+    that straddles chunks is buffered.
 
     Framing errors (bad version, bad length, unknown type…) are
     terminal for the connection, as RFC 8210 §10 requires: after an

@@ -62,6 +62,51 @@ let test_rng_distributions () =
   done;
   Alcotest.(check bool) "geometric mean" true (!sum > 9_000 && !sum < 11_000)
 
+(* Known answers: the SplitMix64 streams every synthetic corpus and
+   every simulated fault derives from, pinned so a change to the
+   generator's state handling cannot shift them unnoticed. *)
+let test_rng_known_answers () =
+  let hex = Printf.sprintf "%016Lx" in
+  let r = Rng.create 42 in
+  List.iter
+    (fun want -> Alcotest.(check string) "Rng.create 42" want (hex (Rng.int64 r)))
+    [ "989b3f130a063869"; "290db4bf2570ded7"; "2a990be63a01b2d5" ];
+  Alcotest.(check string) "split \"x\"" "74bdae13eec2be6f"
+    (hex (Rng.int64 (Rng.split (Rng.create 42) "x")))
+
+(* The simulator draws up to six numbers per link chunk; a draw that
+   boxes its 64-bit state costs words on every one. [Rng.float]'s
+   result is a float, boxed (2 words) when it crosses the module
+   boundary uninlined, as it does in this build; the draw allocates
+   nothing else. *)
+let test_rng_draws_allocate_nothing () =
+  let n = 10_000 in
+  let r = Rng.create 5 in
+  let hits = ref 0 in
+  let overhead = snd (Testutil.allocated_words (fun () -> ())) in
+  let per_draw f = (snd (Testutil.allocated_words f) -. overhead) /. float_of_int n in
+  let zero name f = Alcotest.(check (float 0.01)) (name ^ ": words per draw") 0. (per_draw f) in
+  zero "Rng.int" (fun () ->
+      for _ = 1 to n do
+        hits := !hits + Rng.int r 1000
+      done);
+  zero "Rng.int_in" (fun () ->
+      for _ = 1 to n do
+        hits := !hits + Rng.int_in r 16 256
+      done);
+  zero "Rng.bernoulli" (fun () ->
+      for _ = 1 to n do
+        if Rng.bernoulli r 0.05 then incr hits
+      done);
+  let float_words =
+    per_draw (fun () ->
+        for _ = 1 to n do
+          if Rng.float r < 0.5 then incr hits
+        done)
+  in
+  if float_words > 2.01 then
+    Alcotest.failf "Rng.float: %.2f words per draw, more than its 2-word result" float_words
+
 (* --- Bgp_table --- *)
 
 let test_table_basics () =
@@ -224,7 +269,9 @@ let () =
         [ Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "split stability" `Quick test_rng_split_stability;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
-          Alcotest.test_case "distributions" `Quick test_rng_distributions ] );
+          Alcotest.test_case "distributions" `Quick test_rng_distributions;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing ] );
       ( "bgp_table",
         [ Alcotest.test_case "basics" `Quick test_table_basics;
           Alcotest.test_case "ancestors and roots" `Quick test_table_ancestors_roots;

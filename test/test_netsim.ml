@@ -50,6 +50,152 @@ let test_clock_cascading () =
   Alcotest.(check int) "both ran" 2 (List.length !got);
   Alcotest.(check bool) "in order" true (List.rev !got = [ `A; `B ])
 
+(* --- clock vs a list model ---------------------------------------- *)
+
+(* Random programs of clock operations, run against the clock and
+   against a model kept here: a list of pending events ordered by
+   (time, sequence number). An event's time is relative to the clock
+   when it is scheduled — in the past (clamped to now), a few ms ahead
+   (so equal times are common), far in the future, or through [after]
+   with a possibly negative delay — and an event may schedule a child
+   when it runs. After every operation the two must agree on [now],
+   [next_time], [executed] and the order events ran in. *)
+type due = Past of int | Soon of int | Far of int | After of int
+type ev = { id : int; due : due; child : ev option }
+type op = Sched of ev | Run_next | Run_until of int | Advance of int
+
+let far = 1_000_000
+
+let gen_due =
+  let open QCheck2.Gen in
+  oneof
+    [ map (fun k -> Past k) (int_range 1 50);
+      map (fun k -> Soon k) (int_range 0 3);
+      map (fun k -> Far k) (int_range 0 3);
+      map (fun d -> After d) (int_range (-3) 10) ]
+
+let gen_ev =
+  let open QCheck2.Gen in
+  let* due = gen_due in
+  let* child = opt ~ratio:0.3 (map (fun due -> { id = 0; due; child = None }) gen_due) in
+  return { id = 0; due; child }
+
+let gen_op =
+  let open QCheck2.Gen in
+  frequency
+    [ (5, map (fun e -> Sched e) gen_ev);
+      (3, return Run_next);
+      (1, map (fun d -> Run_until d) (int_range (-5) 40));
+      (1, return (Run_until far));
+      (1, map (fun d -> Advance d) (int_range (-5) 20)) ]
+
+(* Give every event (children included) a distinct id. *)
+let number ops =
+  let next = ref 0 in
+  let rec ev e =
+    incr next;
+    let id = !next in
+    { e with id; child = Option.map ev e.child }
+  in
+  List.map (function Sched e -> Sched (ev e) | (Run_next | Run_until _ | Advance _) as op -> op) ops
+
+let due_time ~now = function
+  | Past k -> now - k
+  | Soon k -> now + k
+  | Far k -> now + far + k
+  | After d -> now + max 0 d
+
+type model = {
+  mutable m_now : int;
+  mutable m_seq : int;
+  mutable m_q : (int * int * ev) list; (* ascending (time, seq) *)
+  mutable m_executed : int;
+  mutable m_log : int list;
+}
+
+let model_sched m e =
+  let time = max m.m_now (due_time ~now:m.m_now e.due) in
+  m.m_seq <- m.m_seq + 1;
+  let seq = m.m_seq in
+  let rec ins = function
+    | ((t, s, _) as x) :: rest when t < time || (t = time && s < seq) -> x :: ins rest
+    | l -> (time, seq, e) :: l
+  in
+  m.m_q <- ins m.m_q
+
+let model_run_next m =
+  match m.m_q with
+  | [] -> false
+  | (time, _, e) :: rest ->
+    m.m_q <- rest;
+    if time > m.m_now then m.m_now <- time;
+    m.m_executed <- m.m_executed + 1;
+    m.m_log <- e.id :: m.m_log;
+    Option.iter (model_sched m) e.child;
+    true
+
+let rec model_run_until m time =
+  match m.m_q with
+  | (t, _, _) :: _ when t <= time ->
+    ignore (model_run_next m);
+    model_run_until m time
+  | _ -> m.m_now <- max m.m_now time
+
+let rec clock_sched c log e =
+  let f () =
+    log := e.id :: !log;
+    Option.iter (clock_sched c log) e.child
+  in
+  match e.due with
+  | After d -> Clock.after c ~delay:d f
+  | Past _ | Soon _ | Far _ -> Clock.at c ~time:(due_time ~now:(Clock.now c) e.due) f
+
+let agrees_with_model ops =
+  let c = Clock.create () and log = ref [] in
+  let m = { m_now = 0; m_seq = 0; m_q = []; m_executed = 0; m_log = [] } in
+  List.iteri
+    (fun i op ->
+      (match op with
+       | Sched e ->
+         clock_sched c log e;
+         model_sched m e
+       | Run_next ->
+         let ran = Clock.run_next c in
+         if ran <> model_run_next m then QCheck2.Test.fail_reportf "op %d: run_next result" i
+       | Run_until d ->
+         let time = Clock.now c + d in
+         Clock.run_until c time;
+         model_run_until m time
+       | Advance d ->
+         let time = Clock.now c + d in
+         Clock.advance c time;
+         m.m_now <- max m.m_now time);
+      let next = match m.m_q with [] -> None | (t, _, _) :: _ -> Some t in
+      if Clock.now c <> m.m_now then
+        QCheck2.Test.fail_reportf "op %d: now %d, model %d" i (Clock.now c) m.m_now;
+      if Clock.next_time c <> next then QCheck2.Test.fail_reportf "op %d: next_time" i;
+      if Clock.executed c <> m.m_executed then
+        QCheck2.Test.fail_reportf "op %d: executed %d, model %d" i (Clock.executed c)
+          m.m_executed;
+      if not (List.equal Int.equal !log m.m_log) then
+        QCheck2.Test.fail_reportf "op %d: execution order differs from the model" i)
+    ops;
+  true
+
+let prop_clock_model =
+  QCheck2.Test.make ~name:"clock agrees with a (time, seq)-ordered list model" ~count:500
+    QCheck2.Gen.(list_size (int_range 0 120) gen_op)
+    (fun ops -> agrees_with_model (number ops))
+
+let test_clock_model_large () =
+  (* Past the initial capacity: 12,000 events pending at once, then
+     drained (children included). *)
+  let evs =
+    QCheck2.Gen.generate1 ~rand:(Random.State.make [| 19 |]) (QCheck2.Gen.list_repeat 12_000 gen_ev)
+  in
+  let ops = number (List.map (fun e -> Sched e) evs @ [ Run_until (2 * far) ]) in
+  Alcotest.(check bool) "agrees with the model" true (agrees_with_model ops)
+
 (* --- links -------------------------------------------------------- *)
 
 let run_link ~policy ~seed payloads =
@@ -195,6 +341,40 @@ let test_determinism () =
         (String.equal a.Sim.fingerprint c.Sim.fingerprint))
     Fault.all
 
+(* Pinned replays: a run compared only with itself would pass an event
+   queue that reordered same-time events, so the fingerprint and event
+   count of seed 42 under every policy, and of one traced mixed fleet,
+   are pinned. Any change to the event order, an RNG stream or a
+   delivered byte moves them. *)
+let pinned_seed_42 =
+  [ (Fault.perfect, "b898deb38b5bf745", 332);
+    (Fault.rechunking, "e761c1ddd84ea6f4", 1013);
+    (Fault.delaying, "fea718042a851356", 230);
+    (Fault.reordering, "39de016800def81b", 378);
+    (Fault.duplicating, "f54accde03fe0f3d", 446);
+    (Fault.truncating, "5430e7e3d6875613", 399);
+    (Fault.corrupting, "11b89c80717a9a47", 361);
+    (Fault.lossy, "2dd4809d5516b3fe", 295);
+    (Fault.flaky, "82c1c38835190f44", 363);
+    (Fault.chaos, "f97c3457da5a4496", 287) ]
+
+let test_pinned_replays () =
+  let check name (r : Sim.report) fingerprint events =
+    Alcotest.(check string) (name ^ " fingerprint") fingerprint r.Sim.fingerprint;
+    Alcotest.(check int) (name ^ " events") events r.Sim.events
+  in
+  Alcotest.(check int) "every policy pinned" (List.length Fault.all) (List.length pinned_seed_42);
+  List.iter
+    (fun (policy, fingerprint, events) ->
+      check policy.Fault.name (Sim.run ~seed:42 ~policy ()) fingerprint events)
+    pinned_seed_42;
+  let config = { Sim.default_config with Sim.routers = 300 } in
+  let fleet =
+    Sim.run ~config ~mix:Fault.[ perfect; rechunking; delaying; chaos; lossy ] ~seed:7
+      ~policy:Fault.perfect ()
+  in
+  check "300-session mixed fleet" fleet "ec487c462386016f" 31_012
+
 (* Encode-once on a simulated fleet: 1,000 sessions on a mix of fast
    and slow links against one cache. However many sessions ask, each
    publication is encoded exactly once, and the fleet still ends
@@ -276,7 +456,9 @@ let () =
         [ Alcotest.test_case "ordering" `Quick test_clock_ordering;
           Alcotest.test_case "FIFO ties" `Quick test_clock_fifo_ties;
           Alcotest.test_case "past clamps to now" `Quick test_clock_past_clamps;
-          Alcotest.test_case "cascading events" `Quick test_clock_cascading ] );
+          Alcotest.test_case "cascading events" `Quick test_clock_cascading;
+          Alcotest.test_case "12,000 pending agree with the model" `Quick test_clock_model_large;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick prop_clock_model ] );
       ( "link",
         [ Alcotest.test_case "perfect delivery" `Quick test_link_perfect_delivers;
           Alcotest.test_case "rechunking is stream-transparent" `Quick
@@ -288,6 +470,7 @@ let () =
           Alcotest.test_case "benign links: strict" `Quick test_perfect_strict;
           Alcotest.test_case "serial wrap crossed" `Quick test_serial_wrap_crossed;
           Alcotest.test_case "deterministic replay" `Quick test_determinism;
+          Alcotest.test_case "pinned replay fingerprints" `Quick test_pinned_replays;
           Alcotest.test_case "encode once across 1,000 sessions" `Quick test_fanout_encode_once;
           Alcotest.test_case "sweep (sampled)" `Quick test_sweep_small;
           Alcotest.test_case "sweep (500 seeds, all policies)" `Slow test_sweep_full ] ) ]

@@ -422,6 +422,106 @@ let test_error_report_extremes () =
       Pdu.Error_report { code = Pdu.Corrupt_data; erroneous_pdu = ""; message = big };
       Pdu.Error_report { code = Pdu.Internal_error; erroneous_pdu = big; message = big } ]
 
+(* --- the framer at the paper's PDU counts --- *)
+
+(* A Reset response the size of the paper's "Today" set (Table 1:
+   42,657 VRPs), all IPv4 Prefix PDUs: 853 KB on the wire. *)
+let today_reset_pdus =
+  let prefix i =
+    let pfx = Netaddr.Ipv4.Prefix.make (Netaddr.Ipv4.of_int32_bits ((0x010000 + i) lsl 8)) 24 in
+    Pdu.Prefix
+      { flags = Pdu.Announce;
+        vrp = Vrp.make_exn (Netaddr.Pfx.v4 pfx) ~max_len:(24 + (i mod 9)) (a (64496 + (i mod 97)))
+      }
+  in
+  (Pdu.Cache_response { session_id = 7 } :: List.init 42_657 prefix)
+  @ [ Pdu.End_of_data
+        { session_id = 7;
+          serial = 1l;
+          refresh_interval = 3600l;
+          retry_interval = 600l;
+          expire_interval = 7200l } ]
+
+(* Feed [wire] cut at the given chunk lengths (the last chunk takes
+   whatever is left); the PDUs the framer yields, in order. *)
+let feed_cuts wire cuts =
+  let f = Rtr.Framer.create () in
+  let n = String.length wire in
+  let rec go off cuts acc =
+    if off = n then (List.rev acc, Rtr.Framer.pending_bytes f)
+    else
+      let len, cuts = match cuts with [] -> (n - off, []) | c :: r -> (min c (n - off), r) in
+      match Rtr.Framer.feed f (String.sub wire off len) with
+      | Ok pdus -> go (off + len) cuts (List.rev_append pdus acc)
+      | Error e -> Alcotest.failf "framer failed at byte %d: %s" off e
+  in
+  go 0 cuts []
+
+let test_framer_paper_scale_partitions () =
+  let wire = Pdu.encode_all today_reset_pdus in
+  let expected = Testutil.check_ok (Pdu.decode_all wire) in
+  let n = String.length wire in
+  let rng = Rng.create 2017 in
+  let random_cuts =
+    let rec go left acc =
+      if left <= 0 then List.rev acc
+      else
+        let c = 1 + Rng.int rng (if Rng.bool rng then 64 else 8192) in
+        go (left - c) (c :: acc)
+    in
+    go n []
+  in
+  List.iter
+    (fun (name, cuts) ->
+      let got, pending = feed_cuts wire cuts in
+      Alcotest.(check int) (name ^ ": PDU count") (List.length expected) (List.length got);
+      Alcotest.(check bool) (name ^ ": decode_all's list") true (List.equal Pdu.equal expected got);
+      Alcotest.(check int) (name ^ ": nothing pending") 0 pending)
+    [ ("whole", []);
+      ("64 KB chunks", List.init ((n / 65536) + 1) (fun _ -> 65536));
+      ("random cuts", random_cuts);
+      ("4 KB prefix in 1-byte chunks", List.init 4096 (fun _ -> 1)) ]
+
+(* Counted, not timed: the words allocated while feeding stay within
+   [c] per byte fed plus [d] per PDU yielded. The framer itself
+   allocates about 0.75 words per byte for a PDU buffered across
+   byte-sized chunks (buffer doubling, one copy out, the decoder's
+   text copy), and the decoder about 22 words per Prefix PDU. A
+   framer that re-copies its unconsumed bytes per PDU or per chunk is
+   quadratic and misses the bound by orders of magnitude on both
+   inputs. *)
+let c_words_per_byte = 1.
+let d_words_per_pdu = 32.
+
+let check_linear name ~bytes ~pdus words =
+  let bound = (c_words_per_byte *. float_of_int bytes) +. (d_words_per_pdu *. float_of_int pdus) in
+  if words > bound then
+    Alcotest.failf "%s: %.0f words allocated for %d bytes and %d PDUs (bound %.0f)" name words
+      bytes pdus bound
+
+let test_framer_linear_work () =
+  let wire = Pdu.encode_all today_reset_pdus in
+  let f = Rtr.Framer.create () in
+  let got, words = Testutil.allocated_words (fun () -> Rtr.Framer.feed f wire) in
+  let pdus = List.length (Testutil.check_ok got) in
+  Alcotest.(check int) "whole Reset decoded" (List.length today_reset_pdus) pdus;
+  check_linear "Reset in one chunk" ~bytes:(String.length wire) ~pdus words;
+  let report =
+    Pdu.encode
+      (Pdu.Error_report
+         { code = Pdu.Corrupt_data; erroneous_pdu = ""; message = String.make 65536 '\xab' })
+  in
+  let bytes = List.init (String.length report) (fun i -> String.make 1 report.[i]) in
+  let f = Rtr.Framer.create () in
+  let pdus, words =
+    Testutil.allocated_words (fun () ->
+        List.fold_left
+          (fun acc b -> acc + List.length (Testutil.check_ok (Rtr.Framer.feed f b)))
+          0 bytes)
+  in
+  Alcotest.(check int) "one Error Report" 1 pdus;
+  check_linear "64 KB Error Report byte by byte" ~bytes:(String.length report) ~pdus words
+
 (* --- framer robustness (satellite: any re-chunking, any damage) --- *)
 
 let prop_framer_rechunk_equivalence =
@@ -609,7 +709,10 @@ let () =
           Alcotest.test_case "empty and partial chunks" `Quick test_framer_empty_chunks;
           Alcotest.test_case "terminal error" `Quick test_framer_terminal_error;
           Alcotest.test_case "oversized PDU" `Quick test_framer_oversized_pdu;
-          Alcotest.test_case "error report extremes" `Quick test_error_report_extremes ] );
+          Alcotest.test_case "error report extremes" `Quick test_error_report_extremes;
+          Alcotest.test_case "paper-scale Reset: every partition" `Quick
+            test_framer_paper_scale_partitions;
+          Alcotest.test_case "work is linear in the bytes fed" `Quick test_framer_linear_work ] );
       ( "session",
         [ Alcotest.test_case "initial sync" `Quick test_initial_sync;
           Alcotest.test_case "incremental update" `Quick test_incremental_update;

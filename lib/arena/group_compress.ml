@@ -119,6 +119,8 @@ let merge_at_idx counters mode (tr : Itrie.t) n =
   end
   [@@hot]
 
+(* Post-order merge sweep (Algorithm 1's compress() on backtrack) from
+   a raw node index, bumping [counters]. *)
 let rec dfs_idx counters mode (tr : Itrie.t) n =
   let l = tr.Itrie.left.(n) in
   if l >= 0 then dfs_idx counters mode tr l;

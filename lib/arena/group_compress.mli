@@ -21,24 +21,6 @@ type mode =
           over-authorize (see [Mlcore.Compress] for the full
           discussion). *)
 
-type counters = { mutable merges : int; mutable absorbed : int }
-
-val elimination_order : Vrp_store.t -> int -> int -> int array
-(** [elimination_order st lo hi]: the range's store indices ordered
-    shortest-prefix-first, larger maxLength first among equals — the
-    order in which a dominating tuple always precedes anything it
-    covers. *)
-
-val fill_trie : Vrp_store.t -> Itrie.t -> eliminate:bool -> int array -> int
-(** Insert tuples (store indices, in the given order) into the scratch
-    trie: node [value] is the maxLength, [aux] the store index. With
-    [eliminate], drops covered tuples instead of inserting; returns
-    how many were dropped. *)
-
-val dfs_idx : counters -> mode -> Itrie.t -> int -> unit
-(** Post-order merge sweep (Algorithm 1's compress() on backtrack)
-    from a raw node index, bumping [counters]. *)
-
 val singleton_out : Vrp_store.t -> int -> int array
 (** The packed output of a single-tuple group — no trie work. *)
 

@@ -281,8 +281,6 @@ let rec find_go t q0 q1 q2 q3 ql n =
     if c < 0 then nil else find_go t q0 q1 q2 q3 ql c
   end
 
-let find_chunks t ~c0 ~c1 ~c2 ~c3 ~len = tag t (find_go t c0 c1 c2 c3 len root)
-
 let find t p =
   check_family t p;
   tag t (find_go t (K.c0 p) (K.c1 p) (K.c2 p) (K.c3 p) (Pfx.length p) root)
@@ -334,8 +332,6 @@ let rec remove_go t q0 q1 q2 q3 ql n =
     end
   end
 
-let remove_chunks t ~c0 ~c1 ~c2 ~c3 ~len = remove_go t c0 c1 c2 c3 len root
-
 let remove t p =
   check_family t p;
   remove_go t (K.c0 p) (K.c1 p) (K.c2 p) (K.c3 p) (Pfx.length p) root
@@ -368,8 +364,6 @@ let rec subtree_go t q0 q1 q2 q3 ql n =
     let c = if K.bit q0 q1 q2 q3 nl then t.right.(n) else t.left.(n) in
     if c < 0 then nil else subtree_go t q0 q1 q2 q3 ql c
   end
-
-let subtree_root_chunks t ~c0 ~c1 ~c2 ~c3 ~len = tag t (subtree_go t c0 c1 c2 c3 len root)
 
 let subtree_root t p =
   check_family t p;

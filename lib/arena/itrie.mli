@@ -85,8 +85,6 @@ val find : t -> Netaddr.Pfx.t -> handle
 (** Handle of the node storing exactly this prefix (bound or fork), or
     {!nil}. *)
 
-val find_chunks : t -> c0:int -> c1:int -> c2:int -> c3:int -> len:int -> handle
-
 val live_index : t -> handle -> int
 (** Decode a handle into a raw column index, running the sanitizer
     checks when the store is sanitized — the bridge for column-walking
@@ -119,8 +117,6 @@ val remove : t -> Netaddr.Pfx.t -> bool
     node and put its slot on the freelist. Returns whether a value was
     removed. *)
 
-val remove_chunks : t -> c0:int -> c1:int -> c2:int -> c3:int -> len:int -> bool
-
 val covering_max_chunks : t -> c0:int -> c1:int -> c2:int -> c3:int -> len:int -> int
 (** Largest value bound on the covering path of the key (including an
     exact node), or -1 when no covering node is bound — the
@@ -129,8 +125,6 @@ val covering_max_chunks : t -> c0:int -> c1:int -> c2:int -> c3:int -> len:int -
 val subtree_root : t -> Netaddr.Pfx.t -> handle
 (** Topmost node whose subtree holds exactly the stored prefixes the
     query covers, or {!nil}. *)
-
-val subtree_root_chunks : t -> c0:int -> c1:int -> c2:int -> c3:int -> len:int -> handle
 
 val prefix_at : t -> handle -> Netaddr.Pfx.t
 (** Rebuild the boxed prefix of a live node — view-layer only;

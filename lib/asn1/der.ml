@@ -190,6 +190,7 @@ let decode_oid payload =
     Ok (a :: b :: tail)
   end
 
+(* One value starting at [off], and the offset one past its end. *)
 let rec decode_prefix s off =
   let n = String.length s in
   if off >= n then Error "truncated tag"
@@ -264,7 +265,6 @@ let as_bit_string = function
   | v -> Error (Format.asprintf "expected BIT STRING, got %a" pp v)
 
 let as_oid = function Oid l -> Ok l | v -> Error (Format.asprintf "expected OID, got %a" pp v)
-let as_boolean = function Boolean b -> Ok b | v -> Error (Format.asprintf "expected BOOLEAN, got %a" pp v)
 
 let as_context n = function
   | Context (m, l) when m = n -> Ok l

@@ -36,18 +36,12 @@ val encode : t -> string
 val decode : string -> (t, string) result
 (** Decode exactly one DER value occupying the whole input. *)
 
-val decode_prefix : string -> int -> (t * int, string) result
-(** [decode_prefix s off] decodes one value starting at [off], returning
-    it and the offset one past its end. *)
-
 (** Typed accessors, for destructuring decoded values. Each returns an
     [Error] naming the expected shape when the value does not match. *)
 
 val as_sequence : t -> (t list, string) result
-val as_integer : t -> (int64, string) result
 val as_int : t -> (int, string) result
 val as_octet_string : t -> (string, string) result
 val as_bit_string : t -> (int * string, string) result
 val as_oid : t -> (int list, string) result
-val as_boolean : t -> (bool, string) result
 val as_context : int -> t -> (t list, string) result

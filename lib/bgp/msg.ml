@@ -9,9 +9,7 @@ type open_msg = {
 
 type notification = { code : int; subcode : int; data : string }
 
-let err_message_header = 1
 let err_open_message = 2
-let err_update_message = 3
 let err_hold_timer_expired = 4
 let err_fsm = 5
 let err_cease = 6

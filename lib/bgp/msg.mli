@@ -19,9 +19,7 @@ type notification = {
 
 (** RFC 4271 §4.5 error codes used here. *)
 
-val err_message_header : int
 val err_open_message : int
-val err_update_message : int
 val err_hold_timer_expired : int
 val err_fsm : int
 val err_cease : int

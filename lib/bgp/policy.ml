@@ -2,10 +2,6 @@ type relation = Customer | Peer | Provider
 
 let flip = function Customer -> Provider | Peer -> Peer | Provider -> Customer
 
-let pp_relation ppf r =
-  Format.pp_print_string ppf
-    (match r with Customer -> "customer" | Peer -> "peer" | Provider -> "provider")
-
 type learned_from = Self | From of relation
 
 let local_pref = function

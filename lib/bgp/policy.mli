@@ -17,8 +17,6 @@ type relation =
 val flip : relation -> relation
 (** The relation as seen from the other end of the link. *)
 
-val pp_relation : Format.formatter -> relation -> unit
-
 type learned_from =
   | Self  (** Locally originated. *)
   | From of relation  (** Learned from a neighbor with this relation. *)

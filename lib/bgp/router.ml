@@ -64,7 +64,6 @@ let decide t =
       candidates Pfx.Map.empty
 
 let best_route t p = Option.map snd (Pfx.Map.find_opt p t.loc_rib)
-let selected_routes t = List.map (fun (p, (_, r)) -> (p, r)) (Pfx.Map.bindings t.loc_rib)
 
 let forward t p =
   Pfx.Map.fold

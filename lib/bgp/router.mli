@@ -38,10 +38,6 @@ val best_route : t -> Netaddr.Pfx.t -> Route.t option
     locally originated or unknown). Locally originated prefixes return
     the one-hop route. *)
 
-val selected_routes : t -> (Netaddr.Pfx.t * Route.t) list
-(** The Loc-RIB: every prefix's selected route, own originations
-    included. *)
-
 val forward : t -> Netaddr.Pfx.t -> Route.t option
 (** Data-plane longest-prefix-match decision for a destination. *)
 

@@ -2,7 +2,11 @@ type week = { label : string; snapshot : Snapshot.t }
 
 let labels = [ "4/13"; "4/20"; "4/27"; "5/4"; "5/11"; "5/18"; "5/25"; "6/1" ]
 
-let generate ?(params = Snapshot.default_params) ?(weekly_growth = 0.003) ?domains ~seed () =
+(* Per-week relative increase in table size: about 2% over the
+   window, as in the paper, with week 8 on [params.pairs_target]. *)
+let weekly_growth = 0.003
+
+let generate ?(params = Snapshot.default_params) ?domains ~seed () =
   let week_params =
     List.mapi
       (fun i label ->

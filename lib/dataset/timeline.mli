@@ -11,16 +11,10 @@ type week = { label : string; snapshot : Snapshot.t }
 val labels : string list
 (** ["4/13"; "4/20"; ...; "6/1"] — the paper's x axis. *)
 
-val generate :
-  ?params:Snapshot.params ->
-  ?weekly_growth:float ->
-  ?domains:int ->
-  seed:int ->
-  unit ->
-  week list
-(** Eight snapshots. [weekly_growth] is the per-week relative increase
-    in table size (default 0.003, matching the paper's ~2% growth over
-    the window; week 8 lands on [params.pairs_target]). [?domains]
+val generate : ?params:Snapshot.params -> ?domains:int -> seed:int -> unit -> week list
+(** Eight snapshots. Table size grows 0.3% a week, matching the
+    paper's ~2% growth over the window; week 8 lands on
+    [params.pairs_target]. [?domains]
     (default {!Parallel.Pool.default_domains}) spreads the eight weeks
     over that many domains; every week derives a private PRNG stream
     from [seed], so the series is bit-identical at any domain

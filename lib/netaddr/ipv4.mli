@@ -23,8 +23,6 @@ val of_octets : int -> int -> int -> int -> t
 (** [of_octets a b c d] is the address [a.b.c.d]. Each octet is masked to
     its low 8 bits. *)
 
-val to_octets : t -> int * int * int * int
-
 val of_string : string -> (t, string) result
 (** Parse dotted-quad notation. Rejects out-of-range octets, empty
     components and trailing garbage. *)

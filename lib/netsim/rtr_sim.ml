@@ -7,30 +7,36 @@ module Vset = Rpki.Vrp.Set
 
 type config = {
   routers : int;
-  updates : int;
-  update_gap : int;
-  max_vrps_per_update : int;
-  refresh_s : int;
-  retry_s : int;
-  expire_s : int;
-  settle : int;
-  initial_serial : int32;
   trace : bool;
   script : Rpki.Vrp.t list list option;
 }
 
-let default_config =
-  { routers = 4;
-    updates = 20;
-    update_gap = 400;
-    max_vrps_per_update = 12;
-    refresh_s = 3;
-    retry_s = 2;
-    expire_s = 20;
-    settle = 26_000;
-    initial_serial = 0xFFFF_FFF0l;
-    trace = true;
-    script = None }
+let default_config = { routers = 4; trace = true; script = None }
+
+(* The deployment every run simulates; a config picks only the router
+   count, tracing and the publication script. *)
+
+(* The seed-derived script: 20 publications of at most 12 VRPs each.
+   Publications, scripted or not, are 400 ms apart. *)
+let synthetic_updates = 20
+let max_vrps_per_update = 12
+let update_gap = 400
+
+(* The intervals the cache advertises, in seconds. *)
+let refresh_s = 3
+let retry_s = 2
+let expire_s = 20
+
+(* ms simulated after the last publication: longer than the expire
+   interval plus the worst exchange duration, so by the end every
+   router has either re-synced onto the final set or demonstrably
+   expired. *)
+let settle = 26_000
+
+(* The cache's starting serial: with 20 publications every synthetic
+   run crosses the RFC 1982 serial wrap, so the sweep is a standing
+   wraparound regression. *)
+let initial_serial = 0xFFFF_FFF0l
 
 type router_outcome = {
   router : int;
@@ -150,13 +156,13 @@ let make_pool rng =
   done;
   pool
 
-let gen_updates rng cfg =
+let gen_updates rng =
   let pool = make_pool rng in
   let prev = ref Vset.empty in
   let rec go k acc =
     if k = 0 then List.rev acc
     else begin
-      let size = 1 + Rng.int rng (max 1 cfg.max_vrps_per_update) in
+      let size = 1 + Rng.int rng max_vrps_per_update in
       let s = ref Vset.empty in
       for _ = 1 to size do
         s := Vset.add (Rng.pick rng pool) !s
@@ -172,7 +178,7 @@ let gen_updates rng cfg =
       go (k - 1) (s :: acc)
     end
   in
-  go cfg.updates []
+  go synthetic_updates []
 
 (* --- timer wheel enrolment ----------------------------------------- *)
 
@@ -411,14 +417,11 @@ let drive t =
 (* --- one full simulation ------------------------------------------ *)
 
 let run ?(config = default_config) ?(mix = []) ~seed ~policy () =
-  let cfg =
-    { config with
-      routers = max 1 (min max_routers config.routers);
-      updates =
-        (match config.script with
-        | Some sets -> max 1 (List.length sets)
-        | None -> max 1 config.updates);
-      update_gap = max 1 config.update_gap }
+  let routers = max 1 (min max_routers config.routers) in
+  let n_updates =
+    match config.script with
+    | Some sets -> max 1 (List.length sets)
+    | None -> synthetic_updates
   in
   let policies = match mix with [] -> [| policy |] | l -> Array.of_list l in
   let policy_name =
@@ -429,22 +432,20 @@ let run ?(config = default_config) ?(mix = []) ~seed ~policy () =
   let master = Rng.create seed in
   let clock = Clock.create () in
   let updates =
-    match cfg.script with
+    match config.script with
     | Some sets -> List.map Vset.of_list sets
-    | None -> gen_updates (Rng.split master "updates") cfg
+    | None -> gen_updates (Rng.split master "updates")
   in
   let final_set = List.fold_left (fun _ s -> s) Vset.empty updates in
   let cache =
-    Cache.create ~history_limit:8 ~initial_serial:cfg.initial_serial
-      ~refresh_interval:(Int32.of_int cfg.refresh_s)
-      ~retry_interval:(Int32.of_int cfg.retry_s)
-      ~expire_interval:(Int32.of_int cfg.expire_s)
+    Cache.create ~history_limit:8 ~initial_serial ~refresh_interval:(Int32.of_int refresh_s)
+      ~retry_interval:(Int32.of_int retry_s) ~expire_interval:(Int32.of_int expire_s)
       []
   in
   let rtrs =
-    Array.init cfg.routers (fun idx ->
+    Array.init routers (fun idx ->
         { idx;
-          client = Client.create ~initial_backoff:400 ~max_backoff:4_000 ~response_timeout:5_000 ();
+          client = Client.create ~initial_backoff:400 ~max_backoff:4_000 ();
           rng = Rng.split master (Printf.sprintf "router-%d" idx);
           policy = policies.(idx mod Array.length policies);
           conn = None;
@@ -457,22 +458,21 @@ let run ?(config = default_config) ?(mix = []) ~seed ~policy () =
     { clock;
       wheel = Clock.Wheel.create clock;
       trace = Trace.create ();
-      trace_on = cfg.trace;
+      trace_on = config.trace;
       cache;
       rtrs;
       final_set;
-      end_time = (cfg.updates * cfg.update_gap) + cfg.settle;
+      end_time = (n_updates * update_gap) + settle;
       publishes = 0;
       framer_errors = 0;
       link_totals = zero_stats }
   in
   if t.trace_on then
-    record t "sim: seed=%d policy=%s routers=%d updates=%d" seed policy_name cfg.routers
-      cfg.updates;
+    record t "sim: seed=%d policy=%s routers=%d updates=%d" seed policy_name routers n_updates;
   (* Everybody dials at t=0; the publication script starts one gap later. *)
   Array.iter (fun r -> connect_router t r) rtrs;
   List.iteri
-    (fun k set -> Clock.at clock ~time:((k + 1) * cfg.update_gap) (fun () -> publish t set))
+    (fun k set -> Clock.at clock ~time:((k + 1) * update_gap) (fun () -> publish t set))
     updates;
   drive t;
   (* Fold the still-open connections' link counters into the totals. *)
@@ -537,7 +537,7 @@ let run ?(config = default_config) ?(mix = []) ~seed ~policy () =
     publishes = t.publishes;
     final_serial = Cache.serial cache;
     end_time = t.end_time;
-    last_publish = cfg.updates * cfg.update_gap;
+    last_publish = n_updates * update_gap;
     events = Clock.executed clock;
     converged_at;
     link = t.link_totals;

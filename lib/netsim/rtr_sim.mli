@@ -25,33 +25,21 @@
 
 type config = {
   routers : int;  (** Router count (default 4; capped at ~1M). *)
-  updates : int;  (** Scripted VRP publications (default 20). *)
-  update_gap : int;  (** ms between publications (default 400). *)
-  max_vrps_per_update : int;  (** Set size cap per publication (default 12). *)
-  refresh_s : int;  (** Cache-advertised refresh interval, seconds (default 3). *)
-  retry_s : int;  (** Advertised retry interval, seconds (default 2). *)
-  expire_s : int;  (** Advertised expire interval, seconds (default 20). *)
-  settle : int;
-      (** ms of simulated time after the last publication (default
-          26_000 — longer than the expire interval plus the worst
-          exchange duration, so by the end every router has either
-          re-synced onto the final set or demonstrably expired). *)
-  initial_serial : int32;
-      (** The cache's starting serial (default [0xFFFF_FFF0]: with 20
-          updates every default run crosses the RFC 1982 serial wrap,
-          so the sweep is a standing wraparound regression). *)
   trace : bool;
       (** Record the event trace (default true). Scale runs (10k+
           sessions) turn it off: the trace text would dominate memory,
           and with it the replay fingerprint is not available. *)
   script : Rpki.Vrp.t list list option;
       (** Publish exactly these VRP sets, in order, instead of the
-          seed-derived synthetic script (default [None]). Overrides
-          [updates] with the list length. This is how live churn
-          reaches the wire: test_churn feeds each timeline
-          transition's incrementally-maintained compressed set here,
-          so the RTR fan-out serves real deltas. *)
+          seed-derived synthetic script of 20 sets (default [None]).
+          This is how live churn reaches the wire: test_churn feeds
+          each timeline transition's incrementally-maintained
+          compressed set here, so the RTR fan-out serves real deltas. *)
 }
+(** Everything else about the deployment is fixed: publications are
+    400 ms apart, the cache starts at serial [0xFFFF_FFF0] and
+    advertises refresh 3 s, retry 2 s and expire 20 s, and the run
+    ends 26 s after the last publication. *)
 
 val default_config : config
 

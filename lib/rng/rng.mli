@@ -45,8 +45,6 @@ val bernoulli : t -> float -> bool
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 
-val pick_list : t -> 'a list -> 'a
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates. *)
 

@@ -63,8 +63,6 @@ let db_of_list attestations =
         db)
     Asnum.Map.empty attestations
 
-let providers_of db asn = Option.map Asnum.Set.elements (Asnum.Map.find_opt asn db)
-let db_cardinal db = Asnum.Map.cardinal db
 
 type received_from = From_customer | From_peer | From_provider
 type state = Path_valid | Path_invalid | Path_unknown

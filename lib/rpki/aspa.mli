@@ -43,8 +43,6 @@ type db
     do). *)
 
 val db_of_list : t list -> db
-val providers_of : db -> Asnum.t -> Asnum.t list option
-val db_cardinal : db -> int
 
 type received_from =
   | From_customer  (** The announcing neighbor is my customer. *)

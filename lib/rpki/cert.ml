@@ -10,6 +10,7 @@ type t = {
   signature : string;
 }
 
+(* The DER "to-be-signed" form: every field except the signature. *)
 let tbs_bytes c =
   Asn1.Der.encode
     (Asn1.Der.Sequence
@@ -37,9 +38,8 @@ let verify_signature c ~issuer_pubkey =
 let covers_prefix c p = List.exists (fun q -> Pfx.subset p q) c.resources
 let covers_asn c a = List.exists (Asnum.equal a) c.as_resources
 
-let resources_within c ~issuer =
-  List.for_all (covers_prefix issuer) c.resources
-  && List.for_all (covers_asn issuer) c.as_resources
+let holds c ~resources ~as_resources =
+  List.for_all (covers_prefix c) resources && List.for_all (covers_asn c) as_resources
 
 let pp ppf c =
   Format.fprintf ppf "cert(%s <- %s, #%d, %d prefixes, %d ASNs)" c.subject c.issuer c.serial

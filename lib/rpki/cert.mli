@@ -17,12 +17,8 @@ type t = {
   resources : Netaddr.Pfx.t list;  (** IP space this subject may suballocate or attest for. *)
   as_resources : Asnum.t list;  (** AS numbers this subject may attest for (ROA asID check). *)
   pubkey : Hashcrypto.Merkle.public_key;
-  signature : string;  (** Encoded issuer signature over {!tbs_bytes}. *)
+  signature : string;  (** Encoded issuer signature over every other field, as DER. *)
 }
-
-val tbs_bytes : t -> string
-(** The DER "to-be-signed" serialization: every field except the
-    signature. *)
 
 val issue :
   subject:string ->
@@ -37,11 +33,9 @@ val issue :
 
 val verify_signature : t -> issuer_pubkey:Hashcrypto.Merkle.public_key -> bool
 
-val resources_within : t -> issuer:t -> bool
-(** Every IP resource and AS resource of [t] is covered by [issuer]'s. *)
-
-val covers_prefix : t -> Netaddr.Pfx.t -> bool
-val covers_asn : t -> Asnum.t -> bool
+val holds : t -> resources:Netaddr.Pfx.t list -> as_resources:Asnum.t list -> bool
+(** Every listed prefix and AS number is covered by the certificate's
+    own resources. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -37,17 +37,7 @@ let event_compare a b =
 
 let event_equal a b = event_compare a b = 0
 
-type stats = {
-  events : int;
-  bgp_changes : int;
-  vrp_changes : int;
-  noops : int;
-  group_recomputes : int;
-  tuples_recompressed : int;
-  revalidated_pairs : int;
-  minimality_checks : int;
-  store_sorts : int;
-}
+type stats = { noops : int; group_recomputes : int; store_sorts : int }
 
 (* One (origin AS, family) compression group. [out] caches the group's
    compressed VRPs in canonical order and is valid exactly when [dirty]
@@ -78,14 +68,8 @@ type t = {
   scratch : Store.t;
   tr4 : Itrie.t;
   tr6 : Itrie.t;
-  mutable n_events : int;
-  mutable n_bgp : int;
-  mutable n_vrp : int;
   mutable n_noop : int;
   mutable n_recomputes : int;
-  mutable n_tuples : int;
-  mutable n_revalidated : int;
-  mutable n_min_checks : int;
 }
 
 let group_key (v : Vrp.t) =
@@ -121,7 +105,6 @@ let is_minimal t (v : Vrp.t) =
   fully_announced counts (Array.length counts) 0
 
 let recheck_minimality t v =
-  t.n_min_checks <- t.n_min_checks + 1;
   if is_minimal t v then ignore (Validation.remove t.nonmin v)
   else ignore (Validation.add t.nonmin v)
 
@@ -140,7 +123,6 @@ let recheck_covering t p a =
    announced pairs covered by q — the rest keep their covering set. *)
 let revalidate_under t q =
   Bgp.fold_under t.bgp q ~init:() ~f:(fun () p asn ->
-      t.n_revalidated <- t.n_revalidated + 1;
       let a = Asnum.of_int asn in
       let e = Vrp.exact p a in
       if Validation.authorized t.vdb p a then ignore (Validation.add t.valid e)
@@ -149,7 +131,6 @@ let revalidate_under t q =
 (* --- event application ----------------------------------------------- *)
 
 let apply t ev =
-  t.n_events <- t.n_events + 1;
   let changed =
     match ev with
     | Announce (p, a) ->
@@ -192,10 +173,7 @@ let apply t ev =
         end
         else false
   in
-  (match (ev, changed) with
-  | _, false -> t.n_noop <- t.n_noop + 1
-  | (Announce _ | Withdraw _), true -> t.n_bgp <- t.n_bgp + 1
-  | (Add_vrp _ | Remove_vrp _), true -> t.n_vrp <- t.n_vrp + 1);
+  if not changed then t.n_noop <- t.n_noop + 1;
   changed
 
 let create ?(mode = Kernel.Strict) ?(eliminate = true) ?(pairs = [])
@@ -214,14 +192,8 @@ let create ?(mode = Kernel.Strict) ?(eliminate = true) ?(pairs = [])
       scratch = Store.create ~capacity:64;
       tr4 = Itrie.create ~capacity:256 Pfx.Afi_v4;
       tr6 = Itrie.create ~capacity:256 Pfx.Afi_v6;
-      n_events = 0;
-      n_bgp = 0;
-      n_vrp = 0;
       n_noop = 0;
       n_recomputes = 0;
-      n_tuples = 0;
-      n_revalidated = 0;
-      n_min_checks = 0;
     }
   in
   List.iter (fun v -> ignore (apply t (Add_vrp v))) vrps;
@@ -258,11 +230,9 @@ let rec merge_out t old next acc =
 let flush_group t key g =
   if g.dirty then begin
     let old = g.out in
-    let n = Vrp.Set.cardinal g.members in
-    if n = 0 then g.out <- []
+    if Vrp.Set.is_empty g.members then g.out <- []
     else begin
       t.n_recomputes <- t.n_recomputes + 1;
-      t.n_tuples <- t.n_tuples + n;
       let st = t.scratch in
       Store.clear st;
       Vrp.Set.iter
@@ -309,21 +279,13 @@ let pairs t =
 
 let pair_count t = Bgp.cardinal t.bgp
 let valid_pairs t = List.map (fun (v : Vrp.t) -> (v.Vrp.prefix, v.Vrp.asn)) (Validation.vrps t.valid)
-let valid_count t = Validation.cardinal t.valid
 let non_minimal t = Validation.vrps t.nonmin
-let non_minimal_count t = Validation.cardinal t.nonmin
 let validation t = t.vdb
 
 let stats t =
   {
-    events = t.n_events;
-    bgp_changes = t.n_bgp;
-    vrp_changes = t.n_vrp;
     noops = t.n_noop;
     group_recomputes = t.n_recomputes;
-    tuples_recompressed = t.n_tuples;
-    revalidated_pairs = t.n_revalidated;
-    minimality_checks = t.n_min_checks;
     store_sorts = Store.sort_count t.scratch;
   }
 

@@ -32,7 +32,6 @@ type event =
 
 val event_to_string : event -> string
 val pp_event : Format.formatter -> event -> unit
-val event_compare : event -> event -> int
 val event_equal : event -> event -> bool
 
 type t
@@ -86,27 +85,17 @@ val pair_count : t -> int
 val valid_pairs : t -> (Netaddr.Pfx.t * Asnum.t) list
 (** Announced pairs currently RFC-6811-Valid, canonical order. *)
 
-val valid_count : t -> int
-
 val non_minimal : t -> Vrp.t list
 (** Live maxLength VRPs that are currently non-minimal — each one an
     open door for a forged-origin subprefix hijack. Canonical order. *)
-
-val non_minimal_count : t -> int
 
 val validation : t -> Validation.db
 (** The live RFC 6811 database (shared, not a copy) — the view the
     RTR fan-out serves. *)
 
 type stats = {
-  events : int;
-  bgp_changes : int;  (** Announce/withdraw events that changed state. *)
-  vrp_changes : int;  (** VRP add/remove events that changed state. *)
-  noops : int;
+  noops : int;  (** Events that changed nothing. *)
   group_recomputes : int;  (** Dirty (asn, family) groups recompressed. *)
-  tuples_recompressed : int;  (** VRPs pushed through the kernel. *)
-  revalidated_pairs : int;  (** Pair revalidations under changed VRPs. *)
-  minimality_checks : int;  (** Per-VRP census recomputations. *)
   store_sorts : int;
       (** {!Arena.Vrp_store.sort_count} of the scratch store — the
           witness that no-op event sequences cause zero re-sorts. *)

@@ -7,10 +7,14 @@
     signed objects so tampering and withholding are detectable.
 
     The relying party ({!validate}) performs the full walk — signature
-    chain, resource containment (RFC 6487), ROA-within-EE-resources,
-    manifest completeness — and returns the validated ROA set plus a
-    diagnostic for every rejected object. The local cache then feeds
-    the validated set to {!Scan_roas}. *)
+    chain, resource containment (RFC 6487), payload within its
+    certificate, manifest completeness — and returns the validated ROA
+    set plus a diagnostic for every rejected object. The local cache
+    then feeds the validated set to {!Scan_roas}.
+
+    One containment rule holds throughout: a CA holds the prefixes and
+    AS numbers its certificate lists, and the trust anchor also holds
+    every AS number. *)
 
 type t
 (** A publication point rooted at one trust anchor. *)
@@ -24,7 +28,6 @@ val create : ?ta_height:int -> seed:string -> string -> t
     anchor can sign (default 8, i.e. 256). [seed] makes all key
     material deterministic. *)
 
-val trust_anchor_cert : t -> Cert.t
 val trust_anchor_key_digest : t -> string
 (** What relying parties pin out of band (a TAL, in deployment terms). *)
 
@@ -39,10 +42,10 @@ val add_ca :
   ?height:int ->
   unit ->
   (handle, string) result
-(** Certify a child CA. Fails when the parent's key is exhausted or the
-    requested resources exceed the parent's. (An over-claiming CA can
-    still be forced in with {!add_ca_unchecked} to exercise the
-    validator's rejection path.) *)
+(** Certify a child CA. Fails when the name is taken, the parent's key
+    is exhausted or the requested resources exceed the parent's. (An
+    over-claiming CA can still be forced in with {!add_ca_unchecked} to
+    exercise the validator's rejection path.) *)
 
 val add_ca_unchecked :
   t ->
@@ -57,7 +60,7 @@ val add_ca_unchecked :
 val issue_roa : t -> handle -> Roa.t -> (string, string) result
 (** Publish a ROA as a signed object under the given CA; returns the
     object's publication name. The CA must hold the ROA's prefixes and
-    its asID. *)
+    its asID, and keep a signature in reserve for its manifest. *)
 
 val issue_roa_unchecked : t -> handle -> Roa.t -> string
 (** Publish without the issuer-side resource check, to test that the
@@ -120,6 +123,12 @@ type outcome = {
 
 val validate : t -> outcome
 (** The relying-party walk over everything published.
+
+    Every object goes through one check, in order: its CA's chain, its
+    CA's manifest (listed, same digest), the per-kind profile chosen by
+    file extension ([.cer] a router certificate, [.asa] an ASPA,
+    anything else a ROA: decode, signature, payload within its
+    certificate), that certificate within the CA, and the CA's CRL.
 
     Each CA's certificate chain is checked once per call: the verdict
     is shared by the CA's manifest, every object it publishes and its

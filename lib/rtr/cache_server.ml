@@ -7,11 +7,10 @@ type delta = { announced : Vset.t; withdrawn : Vset.t }
 
 (* One retained serial: its delta for rollback, and the delta's Prefix
    PDU run encoded exactly once, at [update] time, into an immutable
-   wire segment shared by every response that covers this serial. The
-   epoch stamps which serial bump created the segment; a segment is
-   dropped when its entry falls out of history, and the GC reclaims
-   the bytes once no in-flight response references them. *)
-type entry = { serial : int32; delta : delta; wire : string; epoch : int }
+   wire segment shared by every response that covers this serial. A
+   segment is dropped when its entry falls out of history, and the GC
+   reclaims the bytes once no in-flight response references them. *)
+type entry = { serial : int32; delta : delta; wire : string }
 
 type stats = {
   delta_encodes : int;
@@ -19,30 +18,25 @@ type stats = {
   snapshot_encodes : int;
   snapshot_reuses : int;
   wire_responses : int;
-  shared_bytes : int;
-  fresh_bytes : int;
 }
 
 type t = {
-  session_id : int;
   history_limit : int;
   refresh_interval : int32;
   retry_interval : int32;
   expire_interval : int32;
-  header_wire : string; (* Cache Response for this session, encoded at create *)
   mutable serial : int32;
   mutable current : Vset.t;
   mutable listing : Rpki.Vrp.t list; (* = Vset.elements current *)
   mutable history : entry list; (* newest first *)
   mutable history_len : int; (* = List.length history, maintained incrementally *)
   mutable oldest : int32; (* oldest serial whose state is still reconstructable *)
-  mutable epoch : int; (* bumped on every serial change *)
   (* Lazy per-[since] catch-up encodings: the minimal squashed diff
      from a retained serial to the current state, materialized on the
      first Serial Query at that [since] and shared by every later one.
      At most [history_limit] live entries; cleared on every bump. *)
   mutable merged : (int32 * string) list;
-  mutable snapshot : (int * string) option; (* epoch-tagged full-set encoding *)
+  mutable snapshot : string option; (* full-set encoding of the current serial *)
   mutable eod : string option; (* End of Data for the current serial *)
   mutable notify : string option; (* Serial Notify for the current serial *)
   mutable stats : stats;
@@ -54,37 +48,36 @@ let default_expire = 7200l
 
 let zero_stats =
   { delta_encodes = 0; merge_encodes = 0; snapshot_encodes = 0; snapshot_reuses = 0;
-    wire_responses = 0; shared_bytes = 0; fresh_bytes = 0 }
+    wire_responses = 0 }
 
-(* Cache Reset carries no fields: one constant wire form for every
-   cache instance. *)
+(* Every cache serves one session id. *)
+let session = 0x5eed
+
+(* Cache Response and Cache Reset: one constant wire form each for
+   every cache instance. *)
+let header_wire = Pdu.encode (Pdu.Cache_response { session_id = session })
 let cache_reset_wire = Pdu.encode Pdu.Cache_reset
 
-let create ?(session_id = 0x5eed) ?(history_limit = 16) ?(initial_serial = 0l)
-    ?(refresh_interval = default_refresh) ?(retry_interval = default_retry)
-    ?(expire_interval = default_expire) vrps =
+let create ?(history_limit = 16) ?(initial_serial = 0l) ?(refresh_interval = default_refresh)
+    ?(retry_interval = default_retry) ?(expire_interval = default_expire) vrps =
   let current = Vset.of_list vrps in
-  { session_id; history_limit; refresh_interval; retry_interval; expire_interval;
-    header_wire = Pdu.encode (Pdu.Cache_response { session_id });
+  { history_limit; refresh_interval; retry_interval; expire_interval;
     serial = initial_serial; current; listing = Vset.elements current; history = [];
-    history_len = 0;
-    oldest = initial_serial; epoch = 0; merged = []; snapshot = None; eod = None;
+    history_len = 0; oldest = initial_serial; merged = []; snapshot = None; eod = None;
     notify = None; stats = zero_stats }
 
-let session_id t = t.session_id
+let session_id _ = session
 let serial t = t.serial
 let vrps t = t.current
-let epoch t = t.epoch
 let oldest_serial t = t.oldest
 let stats t = t.stats
 
 let retained_bytes t =
   let opt = function Some w -> String.length w | None -> 0 in
-  String.length t.header_wire
+  String.length header_wire
   + List.fold_left (fun acc e -> acc + String.length e.wire) 0 t.history
   + List.fold_left (fun acc (_, w) -> acc + String.length w) 0 t.merged
-  + (match t.snapshot with Some (_, w) -> String.length w | None -> 0)
-  + opt t.eod + opt t.notify
+  + opt t.snapshot + opt t.eod + opt t.notify
 
 (* The PDU run of a delta, prepended onto [tail]: announces then
    withdraws, each in descending [Vrp.compare] order (the set fold's
@@ -130,12 +123,11 @@ let update t vrps =
     t.serial <- Serial.succ t.serial;
     t.current <- Vset.union (Vset.diff t.current delta.withdrawn) delta.announced;
     t.listing <- next;
-    t.epoch <- t.epoch + 1;
     (* The one and only serialization of this serial's payload, however
        many sessions it will be fanned out to. *)
     let wire = Pdu.encode_all (delta_pdus ~tail:[] delta) in
     t.stats <- { t.stats with delta_encodes = t.stats.delta_encodes + 1 };
-    t.history <- { serial = t.serial; delta; wire; epoch = t.epoch } :: t.history;
+    t.history <- { serial = t.serial; delta; wire } :: t.history;
     (* Single bounded take: either the window is full and the oldest
        entry falls off, or the window grows by one. *)
     if t.history_len = t.history_limit then t.history <- take t.history_limit t.history
@@ -145,7 +137,7 @@ let update t vrps =
     t.snapshot <- None;
     t.eod <- None;
     t.notify <- None;
-    Some (Pdu.Serial_notify { session_id = t.session_id; serial = t.serial })
+    Some (Pdu.Serial_notify { session_id = session; serial = t.serial })
   end
 
 (* The retained entries newer than serial [s], newest first — the
@@ -178,7 +170,7 @@ let state_at t s = Option.map (roll_back t) (newer_than t s)
 
 let end_of_data t =
   Pdu.End_of_data
-    { session_id = t.session_id;
+    { session_id = session;
       serial = t.serial;
       refresh_interval = t.refresh_interval;
       retry_interval = t.retry_interval;
@@ -207,31 +199,26 @@ let notify_wire t =
   match t.notify with
   | Some w -> w
   | None ->
-    let w = Pdu.encode (Pdu.Serial_notify { session_id = t.session_id; serial = t.serial }) in
+    let w = Pdu.encode (Pdu.Serial_notify { session_id = session; serial = t.serial }) in
     t.notify <- Some w;
     w
 
 (* The full-set encoding is materialized on the first Reset Query
-   after a serial bump and reused until the next bump; the epoch tag
-   is the staleness check. *)
+   after a serial bump and reused until the next bump, which clears
+   it. *)
 let snapshot_wire t =
   match t.snapshot with
-  | Some (epoch, w) when epoch = t.epoch ->
+  | Some w ->
     t.stats <- { t.stats with snapshot_reuses = t.stats.snapshot_reuses + 1 };
     w
-  | Some _ | None ->
+  | None ->
     let w = Pdu.encode_all (delta_pdus ~tail:[] { announced = t.current; withdrawn = Vset.empty }) in
-    t.snapshot <- Some (t.epoch, w);
+    t.snapshot <- Some w;
     t.stats <- { t.stats with snapshot_encodes = t.stats.snapshot_encodes + 1 };
     w
 
-let count_response t ~fresh wires =
-  let total = List.fold_left (fun acc w -> acc + String.length w) 0 wires in
-  t.stats <-
-    { t.stats with
-      wire_responses = t.stats.wire_responses + 1;
-      shared_bytes = t.stats.shared_bytes + (total - fresh);
-      fresh_bytes = t.stats.fresh_bytes + fresh };
+let count_response t wires =
+  t.stats <- { t.stats with wire_responses = t.stats.wire_responses + 1 };
   List.filter (fun w -> String.length w > 0) wires
 
 (* The shared catch-up segment for [since], given the entries [newer]
@@ -258,12 +245,11 @@ let merged_wire t since newer =
 
 let handle_wire t query =
   match query with
-  | Pdu.Reset_query -> count_response t ~fresh:0 [ t.header_wire; snapshot_wire t; eod_wire t ]
+  | Pdu.Reset_query -> count_response t [ header_wire; snapshot_wire t; eod_wire t ]
   | Pdu.Serial_query { session_id; serial = since } ->
-    (match (if session_id <> t.session_id then None else newer_than t since) with
-     | None -> count_response t ~fresh:0 [ cache_reset_wire ]
-     | Some newer ->
-       count_response t ~fresh:0 [ t.header_wire; merged_wire t since newer; eod_wire t ])
+    (match (if session_id <> session then None else newer_than t since) with
+     | None -> count_response t [ cache_reset_wire ]
+     | Some newer -> count_response t [ header_wire; merged_wire t since newer; eod_wire t ])
   | Pdu.Error_report _ ->
     (* RFC 8210 §5.11: never answer an Error Report with an Error
        Report. The error is terminal for the connection; the transport
@@ -277,4 +263,4 @@ let handle_wire t query =
              erroneous_pdu = Pdu.encode other;
              message = "cache expected Reset Query or Serial Query" })
     in
-    count_response t ~fresh:(String.length wire) [ wire ]
+    count_response t [ wire ]

@@ -15,16 +15,14 @@
     the first Serial Query at that serial, then shared. {!handle_wire}
     answers queries as a list of those shared segments plus tiny
     cached header / End of Data tails, so serving N sessions costs
-    O(PDUs) encode work, not O(N × PDUs). Segments
-    are epoch-tagged: a buffer is dropped from the cache when its
-    serial falls out of history (or, for the snapshot, when its epoch
-    is stale), and reclaimed once no in-flight response still
-    references it. See DESIGN.md §11. *)
+    O(PDUs) encode work, not O(N × PDUs). A serial bump clears the
+    snapshot and the squashed diffs; a delta segment is dropped when
+    its serial falls out of history. Either is reclaimed once no
+    in-flight response still references it. See DESIGN.md §11. *)
 
 type t
 
 val create :
-  ?session_id:int ->
   ?history_limit:int ->
   ?initial_serial:int32 ->
   ?refresh_interval:int32 ->
@@ -37,7 +35,8 @@ val create :
     tests and for resuming a persisted cache). [history_limit] bounds
     how many past deltas are kept (default 16). The three intervals
     (seconds) are advertised to routers in every End of Data PDU;
-    defaults are RFC 8210's suggested 3600/600/7200. *)
+    defaults are RFC 8210's suggested 3600/600/7200. Every cache
+    serves session id [0x5eed]. *)
 
 val session_id : t -> int
 val serial : t -> int32
@@ -48,10 +47,6 @@ val oldest_serial : t -> int32
     retained deltas (equals [serial] while the history is empty).
     Tracked explicitly on every update — never recomputed from the
     history length. *)
-
-val epoch : t -> int
-(** Bumped on every serial change; tags the cached wire segments so a
-    stale snapshot can never be served after a bump. *)
 
 val state_at : t -> int32 -> Rpki.Vrp.Set.t option
 (** The VRP set held at a given serial, rolled back through the
@@ -113,8 +108,6 @@ type stats = {
   snapshot_encodes : int;  (** Full-set serializations — at most one per serial bump. *)
   snapshot_reuses : int;  (** Reset Queries answered from the cached snapshot. *)
   wire_responses : int;  (** {!handle_wire} calls that produced a response. *)
-  shared_bytes : int;  (** Response bytes served by reference to cached segments. *)
-  fresh_bytes : int;  (** Response bytes encoded at answer time (error reports). *)
 }
 
 val stats : t -> stats

@@ -19,8 +19,6 @@ type error_code =
   | Duplicate_announcement_received
   | Unexpected_protocol_version
 
-val error_code_to_int : error_code -> int
-val error_code_of_int : int -> error_code option
 val pp_error_code : Format.formatter -> error_code -> unit
 
 type t =

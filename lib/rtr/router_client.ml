@@ -13,13 +13,11 @@ type stats = {
   full_resyncs : int;
   violations : int;
   timeouts : int;
-  disconnects : int;
 }
 
 type t = {
   initial_backoff : int;
   max_backoff : int;
-  response_timeout : int;
   mutable phase : phase;
   mutable session : int option;
   mutable serial : int32 option;
@@ -46,10 +44,12 @@ let default_interval_ms i32 fallback =
   let s = Int32.to_int i32 in
   if s <= 0 then fallback else if s > 86_400 then 86_400_000 else s * 1000
 
-let create ?(initial_backoff = 500) ?(max_backoff = 8_000) ?(response_timeout = 5_000) () =
+(* ms of silence tolerated mid-exchange. *)
+let response_timeout = 5_000
+
+let create ?(initial_backoff = 500) ?(max_backoff = 8_000) () =
   { initial_backoff = max 1 initial_backoff;
     max_backoff = max 1 max_backoff;
-    response_timeout = max 1 response_timeout;
     phase = Down { retry_at = None };
     session = None;
     serial = None;
@@ -66,12 +66,11 @@ let create ?(initial_backoff = 500) ?(max_backoff = 8_000) ?(response_timeout = 
     refresh_at = None;
     deadline = None;
     backoff = max 1 initial_backoff;
-    stats = { syncs = 0; full_resyncs = 0; violations = 0; timeouts = 0; disconnects = 0 } }
+    stats = { syncs = 0; full_resyncs = 0; violations = 0; timeouts = 0 } }
 
 let vrps t = t.installed
 let serial t = t.serial
 let synced t = match t.phase with Settled -> true | Down _ | Awaiting_response | Transfer -> false
-let is_connected t = match t.phase with Down _ -> false | Awaiting_response | Transfer | Settled -> true
 let want_disconnect t = t.want_disconnect
 let stats t = t.stats
 
@@ -84,9 +83,6 @@ let freshness t ~now =
     if t.suspect || now - eod >= t.expire_ms then Expired
     else if now - eod >= t.refresh_ms then Stale
     else Fresh
-
-let usable t ~now =
-  match freshness t ~now with Fresh | Stale -> true | No_data | Expired -> false
 
 let send t pdu = t.outbox <- t.outbox @ [ pdu ]
 
@@ -116,7 +112,7 @@ let resume_query t =
 let begin_exchange t ~now query =
   t.phase <- Awaiting_response;
   t.exchange_full <- (match query with Pdu.Reset_query -> true | _ -> false);
-  t.deadline <- Some (now + t.response_timeout);
+  t.deadline <- Some (now + response_timeout);
   t.refresh_at <- None;
   send t query
 
@@ -149,8 +145,7 @@ let disconnected t ~now =
      attempts); reset to [initial_backoff] on the next clean sync. *)
   let delay = min t.backoff t.retry_ms in
   t.phase <- Down { retry_at = Some (now + max 1 delay) };
-  t.backoff <- min t.max_backoff (t.backoff * 2);
-  t.stats <- { t.stats with disconnects = t.stats.disconnects + 1 }
+  t.backoff <- min t.max_backoff (t.backoff * 2)
 
 (* A protocol violation by the cache. Per RFC 8210 §5.11 the router
    reports the error and terminates the connection; recovery is a
@@ -167,7 +162,7 @@ let violation t ~code ~pdu msg =
   t.deadline <- None;
   Error msg
 
-let touch_deadline t ~now = t.deadline <- Some (now + t.response_timeout)
+let touch_deadline t ~now = t.deadline <- Some (now + response_timeout)
 
 (* The transport detected stream damage around a commit (RTR itself
    has no integrity check — RFC 8210 leans entirely on the transport).

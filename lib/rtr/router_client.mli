@@ -21,8 +21,9 @@
 
     Data freshness follows the End of Data intervals: younger than the
     refresh interval is [Fresh], then [Stale], and past the expire
-    interval the data is [Expired] — an explicit degraded mode
-    ({!usable} turns false) rather than an exception. *)
+    interval the data is [Expired] — an explicit degraded mode (RFC
+    8210 §6 allows routing on data up to the expire interval; past it
+    the router must stop trusting the set) rather than an exception. *)
 
 type t
 
@@ -33,14 +34,13 @@ type stats = {
   full_resyncs : int;  (** Reset Query fallbacks (Cache Reset / session change). *)
   violations : int;  (** Protocol violations by the cache. *)
   timeouts : int;  (** Exchanges declared dead by the response timeout. *)
-  disconnects : int;  (** Connection teardowns observed. *)
 }
 
-val create : ?initial_backoff:int -> ?max_backoff:int -> ?response_timeout:int -> unit -> t
+val create : ?initial_backoff:int -> ?max_backoff:int -> unit -> t
 (** All durations in milliseconds. Backoff starts at [initial_backoff]
     (default 500), doubles per failed connection up to [max_backoff]
-    (default 8000), and resets on a clean sync. [response_timeout]
-    (default 5000) bounds the silence tolerated mid-exchange. *)
+    (default 8000), and resets on a clean sync. A response timeout of
+    5000 bounds the silence tolerated mid-exchange. *)
 
 val vrps : t -> Rpki.Vrp.Set.t
 (** The router's installed VRPs — empty until the first sync ends,
@@ -52,12 +52,7 @@ val serial : t -> int32 option
 val synced : t -> bool
 (** True when connected with no exchange in flight. *)
 
-val is_connected : t -> bool
-
 val freshness : t -> now:int -> freshness
-val usable : t -> now:int -> bool
-(** [Fresh | Stale] — RFC 8210 §6 allows routing on data up to the
-    expire interval; past it the router must stop trusting the set. *)
 
 val connected : t -> now:int -> unit
 (** The transport established a connection; the client queues its

@@ -15,8 +15,6 @@ let kind_to_string = function
   | Forged_origin_subprefix p ->
     Printf.sprintf "forged-origin subprefix hijack (%s)" (Pfx.to_string p)
 
-let pp_kind ppf k = Format.pp_print_string ppf (kind_to_string k)
-
 type scenario = {
   graph : As_graph.t;
   victim : Asnum.t;

@@ -22,7 +22,6 @@ type kind =
   | Forged_origin
   | Forged_origin_subprefix of Netaddr.Pfx.t
 
-val pp_kind : Format.formatter -> kind -> unit
 val kind_to_string : kind -> string
 
 type scenario = {

@@ -263,9 +263,7 @@ let timeline_differential ~scale ~seed ~vrp_churn () =
   in
   if vrp_churn then begin
     let script = first :: script in
-    let config =
-      { Sim.default_config with Sim.routers = 20; trace = false; script = Some script }
-    in
+    let config = { Sim.routers = 20; trace = false; script = Some script } in
     let r =
       Sim.run ~config ~mix:Fault.[ perfect; rechunking; delaying ] ~seed ~policy:Fault.perfect ()
     in

@@ -10,7 +10,7 @@ module K = Pfx_key
 type handle = int
 type t = Chains.t
 
-let create ?capacity () = Chains.create ?capacity ~name:"bgp_db" ()
+let create ?v4 ?v6 ?entries () = Chains.create ?v4 ?v6 ?entries ~name:"bgp_db" ()
 let cardinal = Chains.cardinal
 let add t p ~asn = ignore (Chains.add t p asn)
 let remove t p ~asn = Chains.remove t p asn

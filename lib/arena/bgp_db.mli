@@ -12,11 +12,14 @@
     per-length census behind minimality checks — are single
     allocation-free descents ([@@hot], enforced by lint rule R7).
 
-    Under {!San} sanitized mode (captured at [create]) the origin
-    columns gain a generation counter: {!remove} bumps the freed
-    entry's generation, public entry handles carry a generation tag,
-    and the cursor accessors raise {!San.Violation} on a stale, freed
-    or out-of-bounds handle. *)
+    Memory is {!Vrp_db}'s: 5 words per v4 trie node, 8 per v6 node, 2
+    per pair, and at most two nodes per announced prefix.
+
+    Under {!San} sanitized mode (captured at [create]) the store adds
+    a generation column to the origin entries and to both tries:
+    {!remove} bumps the freed entry's generation, public entry handles
+    carry a generation tag, and the cursor accessors raise
+    {!San.Violation} on a stale, freed or out-of-bounds handle. *)
 
 type t
 
@@ -26,7 +29,9 @@ type handle = int
     Treat as opaque: compare only against -1 and pass back to the
     table that issued it. *)
 
-val create : ?capacity:int -> unit -> t
+val create : ?v4:int -> ?v6:int -> ?entries:int -> unit -> t
+(** A table sized for [v4] and [v6] distinct prefixes and [entries]
+    pairs ({!Chains.create}); it grows past them on demand. *)
 
 val cardinal : t -> int
 (** Number of announced (prefix, origin) pairs. *)

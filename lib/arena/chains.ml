@@ -1,12 +1,14 @@
 module Pfx = Netaddr.Pfx
 
 (* The chain store under {!Vrp_db} and {!Bgp_db}: one {!Itrie} per
-   family plus two entry columns. A bound trie node's [value] is the
+   family plus the entry columns. A bound trie node's [value] is the
    head of a singly-linked chain of entries for that exact prefix:
 
    - [key]  the entry's non-negative int key — its owner's encoding of
             what the prefix carries; -1 marks a freed slot;
-   - [nxt]  the next entry, or -1.
+   - [nxt]  the next entry, or -1;
+   - [gen]  the entry's generation, in sanitized stores only (an empty
+            array otherwise).
 
    Chains are kept strictly ascending by key, so an in-order trie walk
    emitting chain order is sorted by (prefix, key) with no sorting.
@@ -25,18 +27,21 @@ type t = {
   name : string;
 }
 
-let create ?(capacity = 64) ~name () =
-  let cap = if capacity < 8 then 8 else capacity in
+(* Each trie is sized for its own family's prefix count; the entry
+   columns for the entry count. *)
+let create ?(v4 = 0) ?(v6 = 0) ?(entries = 64) ~name () =
+  let cap = if entries < 8 then 8 else entries in
+  let san = San.enabled () in
   {
-    v4 = Itrie.create ~capacity:cap ~name:(name ^ ".v4") Pfx.Afi_v4;
-    v6 = Itrie.create ~capacity:cap ~name:(name ^ ".v6") Pfx.Afi_v6;
+    v4 = Itrie.create ~capacity:(Itrie.capacity_for v4) ~name:(name ^ ".v4") Pfx.Afi_v4;
+    v6 = Itrie.create ~capacity:(Itrie.capacity_for v6) ~name:(name ^ ".v6") Pfx.Afi_v6;
     key = Array.make cap (-1);
     nxt = Array.make cap (-1);
-    gen = Array.make cap 0;
+    gen = (if san then Array.make cap 0 else [||]);
     used = 0;
     free = -1;
     count = 0;
-    san = San.enabled ();
+    san;
     name;
   }
 
@@ -46,9 +51,12 @@ let trie_for t p = match Pfx.afi p with Pfx.Afi_v4 -> t.v4 | Pfx.Afi_v6 -> t.v6
 let grow t =
   let cap = Array.length t.key in
   let extend fill a =
-    let b = Array.make (cap * 2) fill in
-    Array.blit a 0 b 0 cap;
-    b
+    if Array.length a = 0 then a
+    else begin
+      let b = Array.make (cap * 2) fill in
+      Array.blit a 0 b 0 cap;
+      b
+    end
   in
   t.key <- extend (-1) t.key;
   t.nxt <- extend (-1) t.nxt;
@@ -156,10 +164,12 @@ let fold_all t ~init ~f =
 (* --- invariant audit -------------------------------------------------- *)
 
 (* The delta-API counterpart of {!Itrie.self_check}: after auditing
-   both tries, walk every entry chain and the freelist and check they
-   partition the allocated slots — chains strictly ascending by key,
-   freed slots marked, nothing reachable twice, [count] equal to the
-   chain census. *)
+   both tries, audit the entry columns' census ([key] and [nxt] as long
+   as each other, [gen] too when sanitized and empty otherwise), then
+   walk every entry chain and the freelist and check they partition
+   the allocated slots — chains strictly ascending by key, freed slots
+   marked, nothing reachable twice, [count] equal to the chain
+   census. *)
 let self_check t =
   match Itrie.self_check t.v4 with
   | Error _ as e -> e
@@ -170,6 +180,13 @@ let self_check t =
       let exception Bad of string in
       let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
       (try
+         let cap = Array.length t.key in
+         if Array.length t.nxt <> cap then
+           bad "column nxt has length %d, expected %d" (Array.length t.nxt) cap;
+         let want = if t.san then cap else 0 in
+         if Array.length t.gen <> want then
+           bad "column gen has length %d, expected %d" (Array.length t.gen) want;
+         if cap < t.used then bad "capacity %d below used %d" cap t.used;
          let seen = Array.make (max 1 t.used) false in
          let live = ref 0 in
          let walk tr =

@@ -5,18 +5,21 @@
     the (max_len, asn) pack for VRPs, the origin ASN for BGP pairs —
     and adds its own descents over the exposed columns.
 
-    Under {!San} sanitized mode (captured at [create]) the entry
-    columns gain a generation counter: {!remove} bumps the freed
-    entry's generation, {!first} and {!next} return generation-tagged
-    handles, and {!next} and {!key} raise {!San.Violation} on a stale,
-    freed or out-of-bounds handle. *)
+    An entry costs 2 words ([key], [nxt]). Under {!San} sanitized mode
+    (captured at [create]) the store also allocates a generation column
+    [gen], here and in both tries, and in no other mode: {!remove}
+    bumps the freed entry's generation, {!first} and {!next} return
+    generation-tagged handles, and {!next} and {!key} raise
+    {!San.Violation} on a stale, freed or out-of-bounds handle. *)
 
 type t = private {
   v4 : Itrie.t;
   v6 : Itrie.t;
   mutable key : int array;  (** entry key >= 0; -1 marks a freed slot *)
   mutable nxt : int array;  (** next entry in the chain or on the freelist, or -1 *)
-  mutable gen : int array;  (** per-entry generation; bumped on free when sanitized *)
+  mutable gen : int array;
+      (** per-entry generation, bumped on free; sanitized stores only,
+          empty otherwise *)
   mutable used : int;  (** high-water mark: all entry indices are < used *)
   mutable free : int;  (** freelist head, or -1 *)
   mutable count : int;  (** live entries *)
@@ -24,8 +27,13 @@ type t = private {
   name : string;  (** store name reported in {!San.Violation} messages *)
 }
 
-val create : ?capacity:int -> name:string -> unit -> t
-(** The tries are named [name ^ ".v4"] and [name ^ ".v6"]. *)
+val create : ?v4:int -> ?v6:int -> ?entries:int -> name:string -> unit -> t
+(** A store sized for [v4] and [v6] distinct prefixes of each family
+    (default 0: the tries start at their minimum and grow) and
+    [entries] entries (default 64). Each trie gets
+    {!Itrie.capacity_for} its own count, so a bulk build that knows
+    its counts never grows. The tries are named [name ^ ".v4"] and
+    [name ^ ".v6"]. *)
 
 val cardinal : t -> int
 val trie_for : t -> Netaddr.Pfx.t -> Itrie.t
@@ -58,7 +66,9 @@ val fold_all : t -> init:'a -> f:('a -> Netaddr.Pfx.t -> int -> 'a) -> 'a
 
 val self_check : t -> (unit, string) result
 (** Audit both tries ({!Itrie.self_check}), then the entry columns:
-    every chain strictly ascending and disjoint from every other,
+    the census ([key] and [nxt] equally long, [gen] as long as them
+    when sanitized and empty otherwise), every chain strictly
+    ascending and disjoint from every other,
     freed slots marked and only on the freelist, chains plus freelist
     accounting for every allocated slot, and [cardinal] equal to the
     chain census. *)

@@ -10,6 +10,26 @@
 
 type mode = Strict | Paper
 
+(* The scratch trie and, beside it, the store index of the tuple that
+   bound each node's value ([idx.(i)] for raw node [i]). Only the
+   kernel reads that index, so it lives here, not in {!Itrie}. It
+   grows with the trie; a slot is written whenever its node's value
+   is, so entries left over from an earlier group are never read. *)
+type scratch = { tr : Itrie.t; mutable idx : int array }
+
+let scratch family =
+  let tr = Itrie.create ~capacity:256 family in
+  { tr; idx = Array.make (Itrie.capacity tr) (-1) }
+
+let set_idx s n i =
+  let n = Itrie.live_index s.tr n in
+  if n >= Array.length s.idx then begin
+    let b = Array.make (Itrie.capacity s.tr) (-1) in
+    Array.blit s.idx 0 b 0 (Array.length s.idx);
+    s.idx <- b
+  end;
+  s.idx.(n) <- i
+
 type counters = { mutable merges : int; mutable absorbed : int }
 
 (* Store indices of [lo, hi) ordered shortest-prefix-first, larger
@@ -29,12 +49,13 @@ let elimination_order (st : Vrp_store.t) lo hi =
     order;
   order
 
-(* Insert the group's (surviving) tuples into a scratch trie: [value]
+(* Insert the group's (surviving) tuples into the scratch trie: [value]
    is the maxLength (duplicate prefixes keep the larger, as the record
-   trie's insert does), [aux] the store index that put it there. When
+   trie's insert does), [idx] the store index that put it there. When
    [eliminate] is set, a tuple whose maxLength is dominated along its
    covering path is dropped instead; returns how many were. *)
-let fill_trie st tr ~eliminate order =
+let fill_trie st s ~eliminate order =
+  let tr = s.tr in
   let dropped = ref 0 in
   Array.iter
     (fun i ->
@@ -50,7 +71,7 @@ let fill_trie st tr ~eliminate order =
         let n = Itrie.probe_chunks tr ~c0 ~c1 ~c2 ~c3 ~len in
         if ml > Itrie.value tr n then begin
           Itrie.set_value tr n ml;
-          Itrie.set_aux tr n i
+          set_idx s n i
         end
       end)
     order;
@@ -131,7 +152,7 @@ let rec dfs_idx counters mode (tr : Itrie.t) n =
 
 (* One range's result: each surviving tuple packed as
    [(store index lsl 8) lor maxLength]. Merges only ever raise the
-   value of an already-stored node, so [aux] is always the index of a
+   value of an already-stored node, so [idx] is always the index of a
    tuple with that very prefix — the caller rebuilds prefix and ASN
    from the store, ints end to end. *)
 type result = {
@@ -148,37 +169,38 @@ type result = {
    even touching the scratch trie. *)
 let singleton_out (st : Vrp_store.t) lo = [| (lo lsl 8) lor st.Vrp_store.s_max.(lo) |]
 
-let collect_packed tr =
+let collect_packed s =
+  let tr = s.tr in
   let out = Array.make (Itrie.cardinal tr) 0 in
   let filled =
     Itrie.fold_bound tr ~init:0 ~f:(fun k m ->
-        out.(k) <- (Itrie.aux tr m lsl 8) lor Itrie.value tr m;
+        out.(k) <- (s.idx.(Itrie.live_index tr m) lsl 8) lor Itrie.value tr m;
         k + 1)
   in
   assert (filled = Array.length out);
   out
 
-let compress_range tr st ~mode ~eliminate ~lo ~hi =
+let compress_range s st ~mode ~eliminate ~lo ~hi =
   if hi - lo = 1 then
     { out = singleton_out st lo; eliminated = 0; merges = 0; absorbed = 0 }
   else begin
-    Itrie.reset tr;
-    let dropped = fill_trie st tr ~eliminate (elimination_order st lo hi) in
+    Itrie.reset s.tr;
+    let dropped = fill_trie st s ~eliminate (elimination_order st lo hi) in
     let counters = { merges = 0; absorbed = 0 } in
-    dfs_idx counters mode tr Itrie.root;
-    { out = collect_packed tr;
+    dfs_idx counters mode s.tr Itrie.root;
+    { out = collect_packed s;
       eliminated = dropped;
       merges = counters.merges;
       absorbed = counters.absorbed }
   end
 
-let eliminate_range tr st ~lo ~hi =
+let eliminate_range s st ~lo ~hi =
   if hi - lo = 1 then singleton_out st lo
   else begin
-    Itrie.reset tr;
-    ignore (fill_trie st tr ~eliminate:true (elimination_order st lo hi));
+    Itrie.reset s.tr;
+    ignore (fill_trie st s ~eliminate:true (elimination_order st lo hi));
     (* Survivors keep their own (index, maxLength): per group a prefix
-       survives at most once, so the node's aux is exactly that
+       survives at most once, so the node's idx is exactly that
        tuple. *)
-    collect_packed tr
+    collect_packed s
   end

@@ -5,8 +5,8 @@
     walks every {!Vrp_store} group range in one pass, and the
     live-churn engine ([Rpki.Churn]) recompresses a single dirty group
     per event batch. Both call {!compress_range} on a contiguous
-    [lo, hi) range of a sort-deduped store with a scratch {!Itrie} of
-    the group's family, and both get bit-identical packed outputs —
+    [lo, hi) range of a sort-deduped store with a {!scratch} of the
+    group's family, and both get bit-identical packed outputs —
     the kernel is deterministic in (store contents, range, mode), so
     incremental-vs-batch equality reduces to feeding it equal groups.
 
@@ -21,6 +21,14 @@ type mode =
           over-authorize (see [Mlcore.Compress] for the full
           discussion). *)
 
+type scratch
+(** A scratch {!Itrie} of one family, recycled across groups with
+    {!Itrie.reset}, plus a column beside it holding, per node, the
+    store index of the tuple that bound its value — the one reader of
+    a second per-node payload, so the trie itself carries none. *)
+
+val scratch : Netaddr.Pfx.afi -> scratch
+
 val singleton_out : Vrp_store.t -> int -> int array
 (** The packed output of a single-tuple group — no trie work. *)
 
@@ -32,13 +40,13 @@ type result = {
 }
 
 val compress_range :
-  Itrie.t -> Vrp_store.t -> mode:mode -> eliminate:bool -> lo:int -> hi:int -> result
+  scratch -> Vrp_store.t -> mode:mode -> eliminate:bool -> lo:int -> hi:int -> result
 (** Compress one group range end-to-end: resets the scratch trie,
     inserts in elimination order (dropping covered tuples when
     [eliminate]), runs the merge sweep and collects the survivors in
     trie order. Single-tuple ranges short-circuit without touching the
-    trie. The trie must match the range's family. *)
+    trie. The scratch must match the range's family. *)
 
-val eliminate_range : Itrie.t -> Vrp_store.t -> lo:int -> hi:int -> int array
+val eliminate_range : scratch -> Vrp_store.t -> lo:int -> hi:int -> int array
 (** Covered-tuple elimination only (no merging): the packed survivors
     of one group range, in trie order. *)

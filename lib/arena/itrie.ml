@@ -9,14 +9,22 @@ module K = Pfx_key
    structure is invisible to the GC's minor heap.
 
    Columns (index [i] is node [i]):
-   - [c0..c3]  the node's full prefix as four 32-bit chunks (chunk 0
-               most significant; IPv4 uses chunk 0 only);
+   - [c0..c3]  the node's full prefix as 32-bit chunks, chunk 0 most
+               significant. A v6 trie holds all four; a v4 trie holds
+               [c0] only, and [c1..c3] are empty arrays: an IPv4 key
+               is zero there, and every walk below reads those chunks
+               through [c1]/[c2]/[c3], which answer 0 for v4, or tests
+               a v4 cover on chunk 0 alone;
    - [len]     the prefix length — or -1, marking a freed slot;
    - [left], [right]  child indices (or [nil]); for a freed slot,
                [left] threads the freelist;
    - [value]   the payload (>= 0), or -1 when no value is bound here
                (branch nodes); payloads are caller-defined handles;
-   - [aux]     a second caller-defined int slot (-1 default).
+   - [gen]     the per-slot generation, in sanitized stores only (an
+               empty array otherwise).
+
+   A v4 node thus costs 5 words and a v6 node 8, plus one for [gen]
+   under the sanitizer.
 
    Node 0 is the permanent /0 sentinel root. Every node carries its
    full prefix, children branch on the first bit past it, interior
@@ -38,7 +46,6 @@ type t = {
   mutable left : int array;
   mutable right : int array;
   mutable value : int array;
-  mutable aux : int array;
   mutable gen : int array;
   mutable used : int;
   mutable free_head : int;
@@ -50,27 +57,41 @@ type t = {
 let nil = -1
 let root = 0
 
+let is_v6 = function Pfx.Afi_v4 -> false | Pfx.Afi_v6 -> true
+let[@inline] wide t = is_v6 t.family
+
+(* Slots that hold [n] bound prefixes without growing: the root, the
+   prefixes, and at most one fork per prefix. *)
+let capacity_for n = (2 * n) + 1
+
 let create ?(capacity = 64) ?(name = "itrie") family =
   let cap = if capacity < 8 then 8 else capacity in
+  let san = San.enabled () in
+  let column present fill = if present then Array.make cap fill else [||] in
   {
     family;
     c0 = Array.make cap 0;
-    c1 = Array.make cap 0;
-    c2 = Array.make cap 0;
-    c3 = Array.make cap 0;
+    c1 = column (is_v6 family) 0;
+    c2 = column (is_v6 family) 0;
+    c3 = column (is_v6 family) 0;
     len = Array.make cap 0;
     left = Array.make cap nil;
     right = Array.make cap nil;
     value = Array.make cap nil;
-    aux = Array.make cap nil;
-    gen = Array.make cap 0;
+    gen = column san 0;
     (* slot 0 is the /0 root: zero chunks, zero length, no value *)
     used = 1;
     free_head = nil;
     count = 0;
-    san = San.enabled ();
+    san;
     name;
   }
+
+(* Chunks 1-3 of node [i]: stored in a v6 trie only; an IPv4 key is
+   zero there. *)
+let[@inline] c1 t i = if wide t then t.c1.(i) else 0
+let[@inline] c2 t i = if wide t then t.c2.(i) else 0
+let[@inline] c3 t i = if wide t then t.c3.(i) else 0
 
 (* --- sanitizer plumbing ---------------------------------------------- *)
 
@@ -92,13 +113,18 @@ let cardinal t = t.count
 let is_empty t = t.count = 0
 let capacity t = Array.length t.len
 
+(* Doubles every present column; an absent one (v4 [c1..c3], [gen]
+   outside the sanitizer) stays empty. *)
 let grow t =
   let cap = Array.length t.len in
   let ncap = cap * 2 in
   let extend fill a =
-    let b = Array.make ncap fill in
-    Array.blit a 0 b 0 cap;
-    b
+    if Array.length a = 0 then a
+    else begin
+      let b = Array.make ncap fill in
+      Array.blit a 0 b 0 cap;
+      b
+    end
   in
   t.c0 <- extend 0 t.c0;
   t.c1 <- extend 0 t.c1;
@@ -108,11 +134,18 @@ let grow t =
   t.left <- extend nil t.left;
   t.right <- extend nil t.right;
   t.value <- extend nil t.value;
-  t.aux <- extend nil t.aux;
   t.gen <- extend 0 t.gen
 
-(* Fresh node: children, value and aux all nil. Freed slots were
-   scrubbed on free; grown slots carry the fill value. *)
+let set_chunks t i ~c0 ~c1 ~c2 ~c3 =
+  t.c0.(i) <- c0;
+  if wide t then begin
+    t.c1.(i) <- c1;
+    t.c2.(i) <- c2;
+    t.c3.(i) <- c3
+  end
+
+(* Fresh node: children and value nil. Freed slots were scrubbed on
+   free; grown slots carry the fill value. *)
 let alloc t ~c0 ~c1 ~c2 ~c3 ~len =
   let i =
     if t.free_head >= 0 then begin
@@ -128,39 +161,29 @@ let alloc t ~c0 ~c1 ~c2 ~c3 ~len =
       i
     end
   in
-  t.c0.(i) <- c0;
-  t.c1.(i) <- c1;
-  t.c2.(i) <- c2;
-  t.c3.(i) <- c3;
+  set_chunks t i ~c0 ~c1 ~c2 ~c3;
   t.len.(i) <- len;
   i
+
+(* Under the sanitizer, a freed slot's chunks are poisoned so a raw
+   read of the recycled slot is recognizable. *)
+let scrub_chunks t i =
+  let fill = if t.san then San.poison else 0 in
+  set_chunks t i ~c0:fill ~c1:fill ~c2:fill ~c3:fill
 
 let free_node t i =
   t.len.(i) <- nil;
   t.right.(i) <- nil;
   t.value.(i) <- nil;
-  t.aux.(i) <- nil;
-  if t.san then begin
-    (* invalidate every tagged handle to this slot, and poison the
-       chunks so a raw read of the recycled slot is recognizable *)
-    t.gen.(i) <- t.gen.(i) + 1;
-    t.c0.(i) <- San.poison;
-    t.c1.(i) <- San.poison;
-    t.c2.(i) <- San.poison;
-    t.c3.(i) <- San.poison
-  end
-  else begin
-    t.c0.(i) <- 0;
-    t.c1.(i) <- 0;
-    t.c2.(i) <- 0;
-    t.c3.(i) <- 0
-  end;
+  (* invalidate every tagged handle to this slot *)
+  if t.san then t.gen.(i) <- t.gen.(i) + 1;
+  scrub_chunks t i;
   t.left.(i) <- t.free_head;
   t.free_head <- i
 
 (* Rewind to the empty state while keeping the columns. [alloc] only
    writes the chunk/len columns of the slot it hands out and relies on
-   children/value/aux being nil (the [create] fill, or [free_node]'s
+   children and value being nil (the [create] fill, or [free_node]'s
    scrub), so every previously-used slot must be scrubbed here; the
    cost is proportional to the trie's previous population, with no
    allocation and no GC pressure. *)
@@ -168,8 +191,7 @@ let reset t =
   for i = 0 to t.used - 1 do
     t.left.(i) <- nil;
     t.right.(i) <- nil;
-    t.value.(i) <- nil;
-    t.aux.(i) <- nil
+    t.value.(i) <- nil
   done;
   if t.san then begin
     (* every outstanding tagged handle — the root's included — dies
@@ -178,10 +200,7 @@ let reset t =
     t.gen.(0) <- t.gen.(0) + 1;
     for i = 1 to t.used - 1 do
       t.gen.(i) <- t.gen.(i) + 1;
-      t.c0.(i) <- San.poison;
-      t.c1.(i) <- San.poison;
-      t.c2.(i) <- San.poison;
-      t.c3.(i) <- San.poison
+      scrub_chunks t i
     done
   end;
   t.used <- 1;
@@ -208,14 +227,12 @@ let rec probe_go t q0 q1 q2 q3 ql n =
       m
     end
     else begin
-      let k =
-        K.common_length q0 q1 q2 q3 ql t.c0.(c) t.c1.(c) t.c2.(c) t.c3.(c) t.len.(c)
-      in
+      let k = K.common_length q0 q1 q2 q3 ql t.c0.(c) (c1 t c) (c2 t c) (c3 t c) t.len.(c) in
       if k = t.len.(c) then probe_go t q0 q1 q2 q3 ql c
       else if k = ql then begin
         (* q sits on the edge above c: splice it in *)
         let m = alloc t ~c0:q0 ~c1:q1 ~c2:q2 ~c3:q3 ~len:ql in
-        set_child t m (K.bit t.c0.(c) t.c1.(c) t.c2.(c) t.c3.(c) ql) c;
+        set_child t m (K.bit t.c0.(c) (c1 t c) (c2 t c) (c3 t c) ql) c;
         set_child t n dir m;
         m
       end
@@ -227,7 +244,7 @@ let rec probe_go t q0 q1 q2 q3 ql n =
         in
         let m = alloc t ~c0:q0 ~c1:q1 ~c2:q2 ~c3:q3 ~len:ql in
         set_child t f (K.bit q0 q1 q2 q3 k) m;
-        set_child t f (K.bit t.c0.(c) t.c1.(c) t.c2.(c) t.c3.(c) k) c;
+        set_child t f (K.bit t.c0.(c) (c1 t c) (c2 t c) (c3 t c) k) c;
         set_child t n dir f;
         m
       end
@@ -243,8 +260,6 @@ let probe t p =
 (* --- payload accessors --------------------------------------------- *)
 
 let value t i = t.value.(live t ~op:"value" i)
-let aux t i = t.aux.(live t ~op:"aux" i)
-let set_aux t i v = t.aux.(live t ~op:"set_aux" i) <- v
 
 let set_value t i v =
   let i = live t ~op:"set_value" i in
@@ -267,14 +282,14 @@ let override_value t i v =
 
 let prefix_at t i =
   let i = live t ~op:"prefix_at" i in
-  K.to_pfx t.family ~c0:t.c0.(i) ~c1:t.c1.(i) ~c2:t.c2.(i) ~c3:t.c3.(i) ~len:t.len.(i)
+  K.to_pfx t.family ~c0:t.c0.(i) ~c1:(c1 t i) ~c2:(c2 t i) ~c3:(c3 t i) ~len:t.len.(i)
 
 (* --- exact lookup ---------------------------------------------------- *)
 
 let rec find_go t q0 q1 q2 q3 ql n =
   let nl = t.len.(n) in
   if nl >= ql then
-    if nl = ql && t.c0.(n) = q0 && t.c1.(n) = q1 && t.c2.(n) = q2 && t.c3.(n) = q3 then n
+    if nl = ql && t.c0.(n) = q0 && c1 t n = q1 && c2 t n = q2 && c3 t n = q3 then n
     else nil
   else begin
     let c = if K.bit q0 q1 q2 q3 nl then t.right.(n) else t.left.(n) in
@@ -293,7 +308,6 @@ let rec remove_go t q0 q1 q2 q3 ql n =
     (* descent only passes through covering nodes, so n's prefix = q *)
     if t.value.(n) >= 0 then begin
       t.value.(n) <- nil;
-      t.aux.(n) <- nil;
       t.count <- t.count - 1;
       true
     end
@@ -304,9 +318,7 @@ let rec remove_go t q0 q1 q2 q3 ql n =
     let c = if dir then t.right.(n) else t.left.(n) in
     if c < 0 then false
     else begin
-      let k =
-        K.common_length q0 q1 q2 q3 ql t.c0.(c) t.c1.(c) t.c2.(c) t.c3.(c) t.len.(c)
-      in
+      let k = K.common_length q0 q1 q2 q3 ql t.c0.(c) (c1 t c) (c2 t c) (c3 t c) t.len.(c) in
       if k <> t.len.(c) then false
       else begin
         let removed = remove_go t q0 q1 q2 q3 ql c in
@@ -338,8 +350,20 @@ let remove t p =
 
 (* --- covering helpers ------------------------------------------------ *)
 
+(* Cover tests between node [n] and a query key. A v4 key lives in
+   chunk 0, so its test is one xor+mask and reads no other column. *)
+let[@inline] node_covers t n ~c0:q0 ~c1:q1 ~c2:q2 ~c3:q3 ~len:ql =
+  let nl = t.len.(n) in
+  if wide t then K.covers t.c0.(n) t.c1.(n) t.c2.(n) t.c3.(n) nl q0 q1 q2 q3 ql
+  else nl <= ql && (q0 lxor t.c0.(n)) land K.hi_mask nl = 0
+
+let[@inline] covers_node t ~c0:q0 ~c1:q1 ~c2:q2 ~c3:q3 ~len:ql n =
+  let nl = t.len.(n) in
+  if wide t then K.covers q0 q1 q2 q3 ql t.c0.(n) t.c1.(n) t.c2.(n) t.c3.(n) nl
+  else ql <= nl && (t.c0.(n) lxor q0) land K.hi_mask ql = 0
+
 let rec covering_max_go t q0 q1 q2 q3 ql n best =
-  if not (K.covers t.c0.(n) t.c1.(n) t.c2.(n) t.c3.(n) t.len.(n) q0 q1 q2 q3 ql) then best
+  if not (node_covers t n ~c0:q0 ~c1:q1 ~c2:q2 ~c3:q3 ~len:ql) then best
   else begin
     let v = t.value.(n) in
     let best = if v > best then v else best in
@@ -359,7 +383,7 @@ let covering_max_chunks t ~c0 ~c1 ~c2 ~c3 ~len =
 let rec subtree_go t q0 q1 q2 q3 ql n =
   let nl = t.len.(n) in
   if nl >= ql then
-    if K.covers q0 q1 q2 q3 ql t.c0.(n) t.c1.(n) t.c2.(n) t.c3.(n) nl then n else nil
+    if covers_node t ~c0:q0 ~c1:q1 ~c2:q2 ~c3:q3 ~len:ql n then n else nil
   else begin
     let c = if K.bit q0 q1 q2 q3 nl then t.right.(n) else t.left.(n) in
     if c < 0 then nil else subtree_go t q0 q1 q2 q3 ql c
@@ -392,6 +416,21 @@ let self_check t =
   let exception Bad of string in
   let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
   try
+    (* column census: each column the family and mode read is exactly
+       [cap] long, and every other one is empty *)
+    let column name a present =
+      let want = if present then cap else 0 in
+      if Array.length a <> want then
+        bad "column %s has length %d, expected %d" name (Array.length a) want
+    in
+    column "c0" t.c0 true;
+    column "c1" t.c1 (wide t);
+    column "c2" t.c2 (wide t);
+    column "c3" t.c3 (wide t);
+    column "left" t.left true;
+    column "right" t.right true;
+    column "value" t.value true;
+    column "gen" t.gen t.san;
     if cap < t.used then bad "capacity %d below used %d" cap t.used;
     let reachable = ref 0 and valued = ref 0 in
     let rec walk n =
@@ -409,8 +448,8 @@ let self_check t =
           if t.len.(c) <= nl then bad "child %d of %d does not extend it" c n;
           if
             not
-              (K.covers t.c0.(n) t.c1.(n) t.c2.(n) t.c3.(n) nl t.c0.(c) t.c1.(c)
-                 t.c2.(c) t.c3.(c) t.len.(c))
+              (node_covers t n ~c0:t.c0.(c) ~c1:(c1 t c) ~c2:(c2 t c) ~c3:(c3 t c)
+                 ~len:t.len.(c))
           then bad "child %d of %d is not covered by it" c n;
           walk c
         end
@@ -434,9 +473,6 @@ let self_check t =
       incr freed;
       cursor := t.left.(i)
     done;
-    if Array.length t.gen <> cap then
-      bad "generation column length %d out of step with capacity %d" (Array.length t.gen)
-        cap;
     if !reachable + !freed <> t.used then
       bad "reachable %d + freed %d <> used %d (leaked slots)" !reachable !freed t.used;
     if !valued <> t.count then bad "count %d but %d valued nodes" t.count !valued;

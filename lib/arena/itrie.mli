@@ -4,13 +4,29 @@
     libraries.
 
     Nodes are integer handles; -1 is the null pointer. The payload is a
-    caller-defined non-negative int ([value], plus a second [aux]
-    slot), which the arena stores above this one use as heads of entry
-    chains or packed scalars. Handles are stable: growth copies the
-    columns but never renumbers a live node. Freed slots are threaded
-    on a freelist through the [left] column, marked by [len] = -1, and
-    reused by later insertions — {!self_check} audits that the
-    freelist and the reachable tree never alias.
+    caller-defined non-negative int ([value]), which the arena stores
+    above this one use as heads of entry chains or packed scalars.
+    Handles are stable: growth copies the columns but never renumbers
+    a live node. Freed slots are threaded on a freelist through the
+    [left] column, marked by [len] = -1, and reused by later
+    insertions — {!self_check} audits that the freelist and the
+    reachable tree never alias.
+
+    A store allocates only the columns its family and mode read:
+
+    {v
+    column        v4 plain  v4 sanitized  v6 plain  v6 sanitized
+    c0            yes       yes           yes       yes
+    c1 c2 c3      -         -             yes       yes
+    len left
+    right value   yes       yes           yes       yes
+    gen           -         yes           -         yes
+    words/node    5         6             8         9
+    v}
+
+    An absent column is an empty array, and no walk reads it: a v4 key
+    is zero in chunks 1–3, and the trie's walks (and {!node_covers})
+    take that zero without a load. {!self_check} audits this census.
 
     The representation is exposed read-only so sibling hot paths
     (validate, ancestor walks, the compression workers) can traverse
@@ -18,16 +34,17 @@
     all mutation goes through the operations below.
 
     {b Sanitizer.} When {!San.enabled} is set at [create] time, the
-    store runs in sanitized mode: handles carry a generation tag in
-    their upper bits, {!remove} and {!reset} bump the per-slot
-    generation and poison the freed prefix chunks, and every accessor
-    checks bounds, liveness and generation — a handle held across a
-    [reset] or a recycled slot raises {!San.Violation} instead of
-    silently reading reused columns. Untagged (raw-index) handles are
-    still accepted so internal walkers that read the columns directly
-    keep working; they get bounds and liveness checks only. In normal
-    mode handles are bare indices and the accessors cost exactly what
-    they did before the sanitizer existed. *)
+    store runs in sanitized mode: it allocates the [gen] column,
+    handles carry a generation tag in their upper bits, {!remove} and
+    {!reset} bump the per-slot generation and poison the freed prefix
+    chunks, and every accessor checks bounds, liveness and generation
+    — a handle held across a [reset] or a recycled slot raises
+    {!San.Violation} instead of silently reading reused columns.
+    Untagged (raw-index) handles are still accepted so internal
+    walkers that read the columns directly keep working; they get
+    bounds and liveness checks only. In normal mode there is no [gen]
+    column, handles are bare indices and the accessors cost exactly
+    what they did before the sanitizer existed. *)
 
 type handle = int
 (** A node handle. Normally a bare column index; in sanitized stores,
@@ -38,15 +55,16 @@ type handle = int
 type t = private {
   family : Netaddr.Pfx.afi;
   mutable c0 : int array;  (** prefix chunk 0 (most significant 32 bits) *)
-  mutable c1 : int array;
+  mutable c1 : int array;  (** chunks 1–3: v6 only, empty in a v4 trie *)
   mutable c2 : int array;
   mutable c3 : int array;
   mutable len : int array;  (** prefix length; -1 marks a freed slot *)
   mutable left : int array;  (** left child, or freelist link when freed *)
   mutable right : int array;
   mutable value : int array;  (** payload >= 0, or -1 when unbound *)
-  mutable aux : int array;  (** secondary payload slot, -1 default *)
-  mutable gen : int array;  (** per-slot generation; bumped on free/reset when sanitized *)
+  mutable gen : int array;
+      (** per-slot generation, bumped on free/reset; sanitized stores
+          only, empty otherwise *)
   mutable used : int;  (** high-water mark: all raw indices are < used *)
   mutable free_head : int;
   mutable count : int;  (** number of bound (valued) nodes *)
@@ -62,7 +80,17 @@ val root : handle
     and is never freed. *)
 
 val create : ?capacity:int -> ?name:string -> Netaddr.Pfx.afi -> t
-(** [name] (default ["itrie"]) labels sanitizer violation messages. *)
+(** [capacity] (default 64) is the initial number of slots; [name]
+    (default ["itrie"]) labels sanitizer violation messages. *)
+
+val capacity_for : int -> int
+(** Slots that hold [n] bound prefixes without growing, [2n + 1]: the
+    root, the prefixes, and at most one fork per prefix — the size a
+    bulk build asks for. *)
+
+val node_covers : t -> int -> c0:int -> c1:int -> c2:int -> c3:int -> len:int -> bool
+(** Raw node [i]'s prefix covers the key ({!Pfx_key.covers}), reading
+    only the chunks the family stores. *)
 
 val afi : t -> Netaddr.Pfx.afi
 val cardinal : t -> int
@@ -92,8 +120,6 @@ val live_index : t -> handle -> int
     @raise San.Violation on a dead, stale or out-of-bounds handle. *)
 
 val value : t -> handle -> int
-val aux : t -> handle -> int
-val set_aux : t -> handle -> int -> unit
 
 val set_value : t -> handle -> int -> unit
 (** Bind a payload (>= 0) to a node handle.
@@ -134,9 +160,11 @@ val fold_bound : t -> init:'a -> f:('a -> handle -> 'a) -> 'a
 (** In-order (address, then length) fold over bound node handles. *)
 
 val self_check : t -> (unit, string) result
-(** Audit every structural invariant: reachable nodes are live and
-    visited once, interior valueless nodes are forks, children extend
-    their parent, the freelist is disjoint from the tree, marked free,
-    and together they account for every allocated slot, and [count]
-    matches the valued-node census. In sanitized stores, additionally
-    audits that every freelist slot saw a generation bump. *)
+(** Audit every structural invariant: the column census above (each
+    column the family and mode read is exactly {!capacity} long, every
+    other one empty), reachable nodes are live and visited once,
+    interior valueless nodes are forks, children extend their parent,
+    the freelist is disjoint from the tree, marked free, and together
+    they account for every allocated slot, and [count] matches the
+    valued-node census. In sanitized stores, additionally audits that
+    every freelist slot saw a generation bump. *)

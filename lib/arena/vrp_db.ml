@@ -18,7 +18,7 @@ type t = Chains.t
 
 let mask32 = 0xffff_ffff
 let key ~max_len ~asn = (max_len lsl 32) lor asn
-let create ?capacity () = Chains.create ?capacity ~name:"vrp_db" ()
+let create ?v4 ?v6 ?entries () = Chains.create ?v4 ?v6 ?entries ~name:"vrp_db" ()
 let cardinal = Chains.cardinal
 let add_unchecked t p ~max_len ~asn = Chains.prepend t p (key ~max_len ~asn)
 let add t p ~max_len ~asn = Chains.add t p (key ~max_len ~asn)
@@ -131,9 +131,7 @@ let covering_list t p ~make =
       :: chain pfx nxt.(e) tail
   in
   let rec go n =
-    if not (K.covers tr.Itrie.c0.(n) tr.Itrie.c1.(n) tr.Itrie.c2.(n) tr.Itrie.c3.(n)
-              tr.Itrie.len.(n) q0 q1 q2 q3 ql)
-    then []
+    if not (Itrie.node_covers tr n ~c0:q0 ~c1:q1 ~c2:q2 ~c3:q3 ~len:ql) then []
     else begin
       let tail =
         let nl = tr.Itrie.len.(n) in

@@ -10,14 +10,20 @@
     [Vrp.compare] order without sorting. ASNs cross this interface as
     plain ints ([Asnum.to_int]); the view layer re-wraps them.
 
+    Memory: a v4 trie node costs 5 words, a v6 node 8 and an entry 2
+    (the column table is in {!Itrie}); a trie holds at most two nodes
+    per distinct prefix. A bulk build sized by {!create}'s per-family
+    counts never grows: at the paper's full deployment (one exact VRP
+    per announced pair) that is about 12.5 words per VRP.
+
     [validate] is a single allocation-free descent over the columns,
     enforced by lint rule R7 via its [@@hot] marks.
 
-    Under {!San} sanitized mode (captured at [create]) the entry
-    columns gain a generation counter: {!remove} bumps the freed
-    entry's generation, public entry handles carry a generation tag,
-    and the cursor accessors raise {!San.Violation} on a stale,
-    freed or out-of-bounds handle. *)
+    Under {!San} sanitized mode (captured at [create]) the store adds
+    a generation column to the entries and to both tries: {!remove}
+    bumps the freed entry's generation, public entry handles carry a
+    generation tag, and the cursor accessors raise {!San.Violation} on
+    a stale, freed or out-of-bounds handle. *)
 
 type t
 
@@ -27,7 +33,11 @@ type handle = int
     Treat as opaque: compare only against -1 and pass back to the
     database that issued it. *)
 
-val create : ?capacity:int -> unit -> t
+val create : ?v4:int -> ?v6:int -> ?entries:int -> unit -> t
+(** A database sized for [v4] and [v6] distinct prefixes and
+    [entries] VRPs: each trie starts at {!Itrie.capacity_for} its
+    count, so a build within the counts never grows. Counts default
+    to small stores that grow on demand. *)
 
 val cardinal : t -> int
 (** Number of entries (distinct VRPs). *)

@@ -1,7 +1,6 @@
 module Pfx = Netaddr.Pfx
 module Asnum = Rpki.Asnum
 module Vrp = Rpki.Vrp
-module Itrie = Arena.Itrie
 module Vrp_store = Arena.Vrp_store
 module Kernel = Arena.Group_compress
 module K = Arena.Pfx_key
@@ -16,8 +15,9 @@ type mode = Kernel.mode = Strict | Paper
    sort-dedup orders them so each (origin AS, family) group is a
    contiguous [lo, hi) index range, and one sequential pass walks the
    ranges. Each group's trie is a scratch {!Arena.Itrie} whose [value]
-   is the tuple's maxLength and whose [aux] remembers the store index,
-   so the merged output travels back as packed ints. No step sorts by
+   is the tuple's maxLength, with the store index in a column beside
+   it ({!Arena.Group_compress.scratch}), so the merged output travels
+   back as packed ints. No step sorts by
    comparison when the input arrives in [Vrp.compare] order, as every
    hot caller's does: the store groups rows with a radix and records
    each row's canonical rank, and the merge puts outputs back in
@@ -39,15 +39,14 @@ type stats = {
    layer only walks the group ranges and merges the packed results.
 
    One pass walks every range with a pair of scratch tries recycled
-   across groups with {!Itrie.reset} — the columns stay allocated (and
+   across groups with {!Arena.Itrie.reset} — the columns stay allocated (and
    warm) from group to group instead of being rebuilt thousands of
    times. Each trie is created on its family's first multi-tuple
    group: a single-tuple group passes through [Kernel.singleton_out]
    without one, and the small per-ROA calls of an advisor audit
    (hundreds per pass) mostly hold one family, often one tuple. *)
 let scratch_tries () =
-  let v4 = lazy (Itrie.create ~capacity:256 Pfx.Afi_v4)
-  and v6 = lazy (Itrie.create ~capacity:256 Pfx.Afi_v6) in
+  let v4 = lazy (Kernel.scratch Pfx.Afi_v4) and v6 = lazy (Kernel.scratch Pfx.Afi_v6) in
   fun st lo -> Lazy.force (match Vrp_store.fam st lo with Pfx.Afi_v4 -> v4 | Pfx.Afi_v6 -> v6)
 
 let compress_groups st mode eliminate =

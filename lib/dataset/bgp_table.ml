@@ -10,7 +10,8 @@ module Db = Arena.Bgp_db
 
 type t = Db.t
 
-let create () = Db.create ~capacity:1024 ()
+(* A family has at most as many distinct prefixes as pairs. *)
+let create ?(v4 = 512) ?(v6 = 512) () = Db.create ~v4 ~v6 ~entries:(v4 + v6) ()
 let add t p a = Db.add t p ~asn:(Asnum.to_int a)
 let remove t p a = Db.remove t p ~asn:(Asnum.to_int a)
 let mem t p a = Db.mem t p ~asn:(Asnum.to_int a) [@@hot]

@@ -9,7 +9,10 @@
 
 type t
 
-val create : unit -> t
+val create : ?v4:int -> ?v6:int -> unit -> t
+(** An empty table sized for [v4] and [v6] pairs of each family
+    (default 512 each); it grows past them on demand. A bulk build
+    that knows its counts ({!Snapshot.generate}) never grows. *)
 
 val add : t -> Netaddr.Pfx.t -> Rpki.Asnum.t -> unit
 (** Idempotent: the table is a set of pairs. *)

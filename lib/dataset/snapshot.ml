@@ -158,9 +158,9 @@ let generate ?(params = default_params) ~seed () =
   let rng = Rng.create seed in
   let rng_addr = Rng.split rng "alloc" in
   let al = fresh_alloc () in
-  let table = Bgp_table.create () in
   let bases = ref [] in
   let pair_count = ref 0 in
+  let v6_pairs = ref 0 in
   let next_asn = ref 0 in
   let current_asn = ref None in
   let current_style = ref Not_adopter in
@@ -224,16 +224,20 @@ let generate ?(params = default_params) ~seed () =
           (scattered_children rng prefix (1 + Rng.int rng 2), None, 0)
         else ([], None, 0)
     in
-    Bgp_table.add table prefix asn;
-    incr pair_count;
-    List.iter
-      (fun c ->
-        Bgp_table.add table c asn;
-        incr pair_count)
-      children;
-    bases := { prefix; asn; children; cover_max_len; chain_depth } :: !bases;
-
+    let pairs = 1 + List.length children in
+    pair_count := !pair_count + pairs;
+    if is_v6 then v6_pairs := !v6_pairs + pairs;
+    bases := { prefix; asn; children; cover_max_len; chain_depth } :: !bases
   done;
+  (* The table is built once the pair counts are known, so each family
+     is sized by its own count and no column grows. Pairs go in in
+     generation order: each base, then its children. *)
+  let table = Bgp_table.create ~v4:(!pair_count - !v6_pairs) ~v6:!v6_pairs () in
+  List.iter
+    (fun b ->
+      Bgp_table.add table b.prefix b.asn;
+      List.iter (fun c -> Bgp_table.add table c b.asn) b.children)
+    (List.rev !bases);
   (* --- ROA corpus --- *)
   let by_as = Asnum.Tbl.create 4096 in
   List.iter

@@ -68,18 +68,3 @@ let diff ~prev:(prev_pairs, prev_vrps) ~next:(next_pairs, next_vrps) =
       List.map (fun v -> Rpki.Churn.Add_vrp v) added_vrps;
       List.map (fun (p, a) -> Rpki.Churn.Announce (p, a)) added_pairs;
     ]
-
-let apply events (pairs, vrps) =
-  let pairs, vrps =
-    List.fold_left
-      (fun (ps, vs) ev ->
-        match ev with
-        | Rpki.Churn.Announce (p, a) -> ((p, a) :: ps, vs)
-        | Rpki.Churn.Withdraw (p, a) ->
-            (List.filter (fun x -> pair_compare x (p, a) <> 0) ps, vs)
-        | Rpki.Churn.Add_vrp v -> (ps, v :: vs)
-        | Rpki.Churn.Remove_vrp v ->
-            (ps, List.filter (fun x -> Rpki.Vrp.compare x v <> 0) vs))
-      (pairs, vrps) events
-  in
-  (List.sort_uniq pair_compare pairs, List.sort_uniq Rpki.Vrp.compare vrps)

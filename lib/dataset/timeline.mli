@@ -39,8 +39,3 @@ val diff : prev:state -> next:state -> Rpki.Churn.event list
     canonical order — removals first so the intermediate states never
     exceed either endpoint. Total and deterministic; inputs need not
     be sorted or duplicate-free. *)
-
-val apply : Rpki.Churn.event list -> state -> state
-(** Replay events against a state at the set level — the model side of
-    the round-trip law [apply (diff ~prev ~next) prev = next] that
-    [test/test_churn.ml] checks by property. *)

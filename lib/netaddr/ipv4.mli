@@ -49,9 +49,11 @@ val succ : t -> t
 module Prefix : sig
   type addr = t
 
-  type t
+  type t = private int
   (** An IPv4 prefix: a network address and a length in [0, 32]. The
-      network address is always canonical (host bits zero). *)
+      network address is always canonical (host bits zero). Packed as
+      [(network lsl 6) lor length], so the int order is {!compare}'s
+      order and a caller may compare the coerced ints directly. *)
 
   val make : addr -> int -> t
   (** [make a l] is the prefix [a/l] with host bits of [a] masked off.

@@ -1,6 +1,7 @@
 (** Autonomous-system numbers (RFC 6793 four-byte range). *)
 
-type t
+type t = private int
+(** The number itself, so the int order is {!compare}'s order. *)
 
 val of_int : int -> t
 (** @raise Invalid_argument when outside [0, 2^32 - 1]. *)

@@ -1,7 +1,6 @@
 module Pfx = Netaddr.Pfx
 module Bgp = Arena.Bgp_db
 module Store = Arena.Vrp_store
-module Itrie = Arena.Itrie
 module Kernel = Arena.Group_compress
 
 type event =
@@ -66,8 +65,8 @@ type t = {
       (** Union of every clean group's [out] — the compressed set. *)
   mutable dirty_keys : int list;
   scratch : Store.t;
-  tr4 : Itrie.t;
-  tr6 : Itrie.t;
+  tr4 : Kernel.scratch;
+  tr6 : Kernel.scratch;
   mutable n_noop : int;
   mutable n_recomputes : int;
 }
@@ -190,8 +189,8 @@ let create ?(mode = Kernel.Strict) ?(eliminate = true) ?(pairs = [])
       out = Vrp.Set.empty;
       dirty_keys = [];
       scratch = Store.create ~capacity:64;
-      tr4 = Itrie.create ~capacity:256 Pfx.Afi_v4;
-      tr6 = Itrie.create ~capacity:256 Pfx.Afi_v6;
+      tr4 = Kernel.scratch Pfx.Afi_v4;
+      tr6 = Kernel.scratch Pfx.Afi_v6;
       n_noop = 0;
       n_recomputes = 0;
     }

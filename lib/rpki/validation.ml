@@ -16,13 +16,27 @@ let pp_state ppf s = Format.pp_print_string ppf (state_to_string s)
 
 type db = Db.t
 
+(* Distinct prefixes per family of a canonical (sorted) VRP list,
+   where equal prefixes are adjacent: each run counts at its last
+   element. *)
+let rec prefix_counts v4 v6 = function
+  | [] -> (v4, v6)
+  | (a : Vrp.t) :: ((b : Vrp.t) :: _ as rest) when Netaddr.Pfx.equal a.Vrp.prefix b.Vrp.prefix ->
+    prefix_counts v4 v6 rest
+  | (v : Vrp.t) :: rest -> (
+    match v.Vrp.prefix with
+    | Netaddr.Pfx.V4 _ -> prefix_counts (v4 + 1) v6 rest
+    | Netaddr.Pfx.V6 _ -> prefix_counts v4 (v6 + 1) rest)
+
 let create vrp_list =
   (* One sort-dedup instead of a linear duplicate scan per insert;
      replaying the distinct list in descending order lets the arena
      prepend unconditionally while ending up with ascending
-     (canonical-order) chains. *)
+     (canonical-order) chains. Each family's trie is sized by its own
+     prefix count, so the build never grows a column. *)
   let distinct = List.sort_uniq Vrp.compare vrp_list in
-  let db = Db.create ~capacity:(List.length distinct + 1) () in
+  let v4, v6 = prefix_counts 0 0 distinct in
+  let db = Db.create ~v4 ~v6 ~entries:(List.length distinct) () in
   List.iter
     (fun (v : Vrp.t) ->
       Db.add_unchecked db v.Vrp.prefix ~max_len:v.Vrp.max_len

@@ -25,12 +25,19 @@ let matches v p origin =
 
 let authorized v p = covers v p && Pfx.length p <= v.max_len
 
+(* [Pfx.compare], then max_len, then ASN. Both int-backed fields
+   compare inline: a V4 payload and an ASN are [private int]s whose
+   int order is their own, so the common case makes no call. *)
 let compare a b =
-  let c = Pfx.compare a.prefix b.prefix in
+  let c =
+    match (a.prefix, b.prefix) with
+    | Pfx.V4 p, Pfx.V4 q -> Int.compare (p :> int) (q :> int)
+    | _ -> Pfx.compare a.prefix b.prefix
+  in
   if c <> 0 then c
   else
     let c = Int.compare a.max_len b.max_len in
-    if c <> 0 then c else Asnum.compare a.asn b.asn
+    if c <> 0 then c else Int.compare (a.asn :> int) (b.asn :> int)
 
 let equal a b = compare a b = 0
 

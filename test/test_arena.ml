@@ -759,17 +759,29 @@ let refused ~store what read =
     Alcotest.(check bool) (what ^ ": violation names " ^ store) true (scan 0)
 
 (* The deliberately-stale-handle test: hold a handle across the free
-   that recycles its slot and the sanitizer must fire, for the trie
-   (reset) and for both chain stores (entry removal, then an add to the
-   same prefix that takes the freed slot off the LIFO freelist). *)
+   that recycles its slot and the sanitizer must fire, for a v4 and a
+   v6 trie (reset) and for both chain stores (entry removal, then an
+   add to the same prefix that takes the freed slot off the LIFO
+   freelist). The trie handle is annotated so lint R11 sees the
+   capture (it reads the captured identifier's type, and without the
+   annotation the type checker may not keep the [handle] abbreviation
+   there); the capture is the point, hence the waiver. *)
 let test_sanitizer_fires () =
   with_sanitizer true (fun () ->
-      let t = Itrie.create Pfx.Afi_v4 in
-      let h = Itrie.probe t (p "10.0.0.0/8") in
-      Itrie.set_value t h 7;
-      Alcotest.(check int) "tagged handle resolves while live" 7 (Itrie.value t h);
-      Itrie.reset t;
-      refused ~store:"itrie" "stale trie handle after reset" (fun () -> Itrie.value t h);
+      List.iter
+        (fun q ->
+          let what = Pfx.to_string q in
+          let t = Itrie.create (Pfx.afi q) in
+          let h : Itrie.handle = Itrie.probe t q in
+          Itrie.set_value t h 7;
+          Alcotest.(check int) (what ^ ": tagged handle resolves while live") 7 (Itrie.value t h);
+          Itrie.reset t;
+          refused ~store:"itrie" (what ^ ": stale trie handle after reset")
+            ((fun () -> Itrie.value t h)
+            [@lint.handle_ok
+              "the closure reads a handle held across reset on purpose: the sanitizer must \
+               refuse it"]))
+        [ p "10.0.0.0/8"; p "2001:db8::/32" ];
       let slot h = h land 0xffff_ffff in
       let q = p "10.0.0.0/8" in
       let db = Vrp_db.create () in
@@ -800,6 +812,96 @@ let test_sanitizer_disabled_raw () =
       let h = Itrie.probe t (p "10.0.0.0/8") in
       Alcotest.(check int) "no generation tag" 0 (h lsr 32);
       Alcotest.(check int) "handle is its own index" h (Itrie.live_index t h))
+
+(* --- memory: words per entry and the column census ---------------------- *)
+
+(* Each store allocates only the columns its family and mode read: a v4
+   trie holds chunk 0 only, [gen] exists only in sanitized stores, and
+   every present column is exactly the capacity long — after creation,
+   after growth and after a reset alike. *)
+let check_census ~sanitized what (t : Itrie.t) =
+  let cap = Itrie.capacity t in
+  let v6 = match Itrie.afi t with Pfx.Afi_v4 -> false | Pfx.Afi_v6 -> true in
+  List.iter
+    (fun (name, column, present) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: column %s" what name)
+        (if present then cap else 0)
+        (Array.length column))
+    [ ("c0", t.Itrie.c0, true);
+      ("c1", t.Itrie.c1, v6);
+      ("c2", t.Itrie.c2, v6);
+      ("c3", t.Itrie.c3, v6);
+      ("len", t.Itrie.len, true);
+      ("left", t.Itrie.left, true);
+      ("right", t.Itrie.right, true);
+      ("value", t.Itrie.value, true);
+      ("gen", t.Itrie.gen, sanitized) ];
+  match Itrie.self_check t with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: self_check: %s" what e
+
+(* The arena's memory at the paper's full-deployment shape (one exact
+   VRP per announced pair), at scale 0.05: the validation database and
+   the snapshot's BGP table each hold at most their budget of live
+   words per entry, in whatever mode the environment runs. *)
+let test_memory_words_per_entry () =
+  let c = Lazy.force corpus in
+  let per_entry x n = float_of_int (Testutil.live_words x) /. float_of_int n in
+  let db = Rpki.Validation.create c.full in
+  let vrp_words = per_entry db (Rpki.Validation.cardinal db) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Validation.create: %.2f words per VRP <= 16" vrp_words)
+    true (vrp_words <= 16.0);
+  let pair_words = per_entry c.table (Dataset.Bgp_table.cardinal c.table) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Bgp_table: %.2f words per pair <= 24" pair_words)
+    true (pair_words <= 24.0);
+  (* enough distinct prefixes to grow a fresh trie past its first
+     capacity *)
+  let v4 =
+    List.init 300 (fun i ->
+        Pfx.v4 (Netaddr.Ipv4.Prefix.make (Netaddr.Ipv4.of_int32_bits (i lsl 12)) 20))
+  and v6 =
+    List.init 300 (fun i ->
+        Pfx.v6 (Netaddr.Ipv6.Prefix.make (Netaddr.Ipv6.make (Int64.of_int (i lsl 20)) 0L) 44))
+  in
+  List.iter
+    (fun sanitized ->
+      with_sanitizer sanitized (fun () ->
+          List.iter
+            (fun (family, prefixes) ->
+              let what stage =
+                Printf.sprintf "%s %s trie %s"
+                  (if sanitized then "sanitized" else "plain")
+                  (match family with Pfx.Afi_v4 -> "v4" | Pfx.Afi_v6 -> "v6")
+                  stage
+              in
+              let t = Itrie.create family in
+              check_census ~sanitized (what "when created") t;
+              List.iteri (fun i q -> Itrie.set_value t (Itrie.probe t q) i) prefixes;
+              List.iteri (fun i q -> if i mod 3 = 0 then ignore (Itrie.remove t q)) prefixes;
+              check_census ~sanitized (what "after growth and removals") t;
+              Itrie.reset t;
+              check_census ~sanitized (what "after reset") t)
+            [ (Pfx.Afi_v4, v4); (Pfx.Afi_v6, v6) ];
+          (* the chain stores audit the same census over their tries
+             and entry columns *)
+          let vdb = Vrp_db.create () and bdb = Bgp_db.create () in
+          List.iteri
+            (fun i q ->
+              ignore (Vrp_db.add vdb q ~max_len:(Pfx.length q) ~asn:i);
+              Bgp_db.add bdb q ~asn:i)
+            (v4 @ v6);
+          List.iter
+            (fun (store, audit) ->
+              match audit with
+              | Ok () -> ()
+              | Error e ->
+                Alcotest.failf "%s %s: self_check: %s"
+                  (if sanitized then "sanitized" else "plain") store e)
+            [ ("vrp_db", Vrp_db.self_check vdb); ("bgp_db", Bgp_db.self_check bdb) ]))
+    [ false; true ]
 
 let () =
   Alcotest.run "arena"
@@ -834,4 +936,6 @@ let () =
           Alcotest.test_case "2 and 4 domains agree with one" `Quick
             test_snapshot_parallel_sweeps;
           Alcotest.test_case "arena allocates less than the oracles" `Quick
-            test_snapshot_allocates_less ] ) ]
+            test_snapshot_allocates_less;
+          Alcotest.test_case "arena memory: words per entry" `Quick
+            test_memory_words_per_entry ] ) ]

@@ -165,6 +165,39 @@ let prop_roa_der_roundtrip =
         List.equal Vrp.equal (Roa.vrps roa) (Roa.vrps roa')
       | Error _ -> false)
 
+(* [Vrp.compare] compares V4 payloads and ASNs as ints inline; it must
+   order exactly as the composition of the per-field orders does. The
+   pairs tie on the prefix (MOAS), on prefix and maxLength, or on
+   nothing, across both families. *)
+let reference_compare (x : Vrp.t) (y : Vrp.t) =
+  let c = Pfx.compare x.Vrp.prefix y.Vrp.prefix in
+  if c <> 0 then c
+  else
+    let c = Int.compare x.Vrp.max_len y.Vrp.max_len in
+    if c <> 0 then c else Asnum.compare x.Vrp.asn y.Vrp.asn
+
+let gen_vrp_pair =
+  let open QCheck2.Gen in
+  let* v = Testutil.gen_vrp in
+  let* w = Testutil.gen_vrp in
+  let* asn = Testutil.gen_small_asn in
+  let* tie = int_bound 2 in
+  let w =
+    match tie with
+    | 0 -> w
+    | 1 -> Vrp.exact v.Vrp.prefix asn
+    | _ -> { v with Vrp.asn }
+  in
+  return (v, w)
+
+let prop_vrp_compare_reference =
+  QCheck2.Test.make ~name:"Vrp.compare orders as prefix, max_len, ASN" ~count:1000
+    gen_vrp_pair (fun (v, w) ->
+      let sign c = Int.compare c 0 in
+      sign (Vrp.compare v w) = sign (reference_compare v w)
+      && sign (Vrp.compare w v) = sign (reference_compare w v)
+      && Vrp.compare v v = 0)
+
 let prop_roa_der_total =
   QCheck2.Test.make ~name:"ROA decoder total on random bytes" ~count:500
     QCheck2.Gen.(string_size (int_bound 80))
@@ -178,7 +211,8 @@ let () =
       ( "vrp",
         [ Alcotest.test_case "make" `Quick test_vrp_make;
           Alcotest.test_case "semantics" `Quick test_vrp_semantics;
-          Alcotest.test_case "string" `Quick test_vrp_string ] );
+          Alcotest.test_case "string" `Quick test_vrp_string;
+          QCheck_alcotest.to_alcotest prop_vrp_compare_reference ] );
       ( "roa",
         [ Alcotest.test_case "make" `Quick test_roa_make;
           Alcotest.test_case "authorization" `Quick test_roa_authorization;

@@ -88,3 +88,7 @@ let allocated_words f =
   let minor1 = Gc.minor_words () in
   let _, promoted1, major1 = Gc.counters () in
   (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+(* Words of heap reachable from [x], headers included: what a store
+   holds live, independent of how much garbage its build left. *)
+let live_words x = Obj.reachable_words (Obj.repr x)

@@ -21,12 +21,17 @@ lint:
 	dune exec bin/lint/lint_main.exe -- --format json --out $(LINT_JSON)
 	@echo "lint: OK (report in $(LINT_JSON))"
 
-# Typed lint: the interprocedural rules (R8-R10) read the .cmt
-# artifacts a full build leaves under _build, so build first — without
-# artifacts the run would silently degrade to the syntactic rules.
+# Typed lint: the interprocedural rules (R8-R13) read the .cmt
+# artifacts under _build. A plain `dune build` leaves none for an
+# executable (dune writes it only as a side product of native
+# compilation, then deletes it as stale), so the @check alias builds
+# one per module as a target. Every scanned .ml without a .cmt fails
+# the run; with no artifacts at all it would degrade to the syntactic
+# rules, which the typed_units guard below refuses.
 lint-typed:
 	@rm -f $(LINT_JSON)
 	dune build
+	dune build @check
 	dune exec bin/lint/lint_main.exe -- --typed --format json --out $(LINT_JSON)
 	@grep -q '"typed_units": [1-9]' $(LINT_JSON) || \
 		{ echo "lint-typed: typed phase did not run (no .cmt artifacts?)"; exit 1; }

@@ -9,7 +9,9 @@
    Exit status: 0 when no error-severity finding survives baseline
    filtering, 1 otherwise, 2 on usage errors. A missing build dir with
    --typed degrades to the syntactic rules plus a stderr warning — it
-   is not a failure. *)
+   is not a failure. A partial one is: each scanned .ml file with no
+   .cmt is a typed-coverage error (`dune build @check` writes them
+   all). *)
 
 module Engine = Lintcore.Engine
 module Rules = Lintcore.Rules
@@ -21,8 +23,8 @@ let usage =
    Static analysis for the rpki-maxlen tree. With no PATHS, lints lib/ bin/ bench/ \
    test/ under --root (default: the current directory).\n\n\
    The syntactic rules (R1-R7) parse sources directly. The typed rules (R8-R13) \
-   need .cmt artifacts from a prior `dune build` and run with --typed (implied \
-   when --rules selects a typed rule).\n\n\
+   need .cmt artifacts from a prior `dune build @check` and run with --typed \
+   (implied when --rules selects a typed rule).\n\n\
    Options:"
 
 let () =

@@ -104,6 +104,20 @@ let count_into t p ~asn ~base ~max_len counts =
     count_go tr t.Chains.key t.Chains.nxt asn base max_len counts (Itrie.live_index tr n)
   [@@hot]
 
+(* Level [i] below the prefix is complete when it holds 2^i announced
+   subprefixes (capped so the shift cannot overflow; such counts are
+   unreachable in practice). Bails at the first hole. *)
+let rec levels_complete counts n i =
+  i >= n || (counts.(i) = 1 lsl min i 30 && levels_complete counts n (i + 1))
+  [@@hot]
+
+let fully_announced t p ~asn ~max_len =
+  let base = Pfx.length p in
+  if max_len < base then invalid_arg "Bgp_db.fully_announced: max_len below prefix";
+  let counts = Array.make (max_len - base + 1) 0 in
+  count_into t p ~asn ~base ~max_len counts;
+  levels_complete counts (Array.length counts) 0
+
 (* --- views ----------------------------------------------------------- *)
 
 (* [asn]'s announcements covered by [p], in-order, as

@@ -64,6 +64,12 @@ val count_into :
     [counts.(len - base)] per announced pair of length [len <=
     max_len], accumulating straight into the caller's array. *)
 
+val fully_announced : t -> Netaddr.Pfx.t -> asn:int -> max_len:int -> bool
+(** The paper's §4 minimality test, stated once: [asn] announces
+    every subprefix of [p] at every length up to [max_len] ([p] itself
+    included). One {!count_into} census into a fresh array.
+    @raise Invalid_argument when [max_len] is below [p]'s length. *)
+
 val under_list :
   t -> Netaddr.Pfx.t -> asn:int -> make:(Netaddr.Pfx.t -> int -> 'v) -> 'v list
 (** [asn]'s announced pairs covered by [p] as [make prefix length], in

@@ -30,52 +30,27 @@ let set_idx s n i =
   end;
   s.idx.(n) <- i
 
-type counters = { mutable merges : int; mutable absorbed : int }
+(* [covered] counts tuples dropped because another tuple of the group
+   covers them: a same-prefix tuple with a smaller maxLength (counted
+   after the fill) and every node the walk unbinds. *)
+type counters = { mutable covered : int; mutable merges : int; mutable absorbed : int }
 
-(* Store indices of [lo, hi) ordered shortest-prefix-first, larger
-   maxLength first among equals (index as the deterministic tail), so
-   a dominating tuple is always inserted before anything it covers —
-   the elimination order of the record path. *)
-let elimination_order (st : Vrp_store.t) lo hi =
-  let order = Array.init (hi - lo) (fun k -> lo + k) in
-  Array.sort
-    (fun i j ->
-      let c = Int.compare st.Vrp_store.s_len.(i) st.Vrp_store.s_len.(j) in
-      if c <> 0 then c
-      else begin
-        let c = Int.compare st.Vrp_store.s_max.(j) st.Vrp_store.s_max.(i) in
-        if c <> 0 then c else Int.compare i j
-      end)
-    order;
-  order
-
-(* Insert the group's (surviving) tuples into the scratch trie: [value]
-   is the maxLength (duplicate prefixes keep the larger, as the record
-   trie's insert does), [idx] the store index that put it there. When
-   [eliminate] is set, a tuple whose maxLength is dominated along its
-   covering path is dropped instead; returns how many were. *)
-let fill_trie st s ~eliminate order =
+(* Insert rows [lo, hi) in store order, which within a group is
+   (prefix, maxLength) ascending: [value] is the maxLength (a prefix
+   keeps its largest) and [idx] the store index that put it there. *)
+let fill_trie (st : Vrp_store.t) s ~lo ~hi =
   let tr = s.tr in
-  let dropped = ref 0 in
-  Array.iter
-    (fun i ->
-      let c0 = st.Vrp_store.s_c0.(i)
-      and c1 = st.Vrp_store.s_c1.(i)
-      and c2 = st.Vrp_store.s_c2.(i)
-      and c3 = st.Vrp_store.s_c3.(i)
-      and len = st.Vrp_store.s_len.(i)
-      and ml = st.Vrp_store.s_max.(i) in
-      if eliminate && Itrie.covering_max_chunks tr ~c0 ~c1 ~c2 ~c3 ~len >= ml then
-        incr dropped
-      else begin
-        let n = Itrie.probe_chunks tr ~c0 ~c1 ~c2 ~c3 ~len in
-        if ml > Itrie.value tr n then begin
-          Itrie.set_value tr n ml;
-          set_idx s n i
-        end
-      end)
-    order;
-  !dropped
+  for i = lo to hi - 1 do
+    let n =
+      Itrie.probe_chunks tr ~c0:st.Vrp_store.s_c0.(i) ~c1:st.Vrp_store.s_c1.(i)
+        ~c2:st.Vrp_store.s_c2.(i) ~c3:st.Vrp_store.s_c3.(i) ~len:st.Vrp_store.s_len.(i)
+    in
+    let ml = st.Vrp_store.s_max.(i) in
+    if ml > Itrie.value tr n then begin
+      Itrie.set_value tr n ml;
+      set_idx s n i
+    end
+  done
 
 (* Paper mode's "direct child" over the arena trie: nearest stored
    descendant — minimal prefix length, leftmost on a tie — found by an
@@ -140,13 +115,23 @@ let merge_at_idx counters mode (tr : Itrie.t) n =
   end
   [@@hot]
 
-(* Post-order merge sweep (Algorithm 1's compress() on backtrack) from
-   a raw node index, bumping [counters]. *)
-let rec dfs_idx counters mode (tr : Itrie.t) n =
+(* Algorithm 1 in one walk from a raw node index. On the way down, a
+   node is covered when a bound ancestor's maxLength ([above], the
+   largest on the path) reaches its own: it is unbound and counted.
+   On the way back up, the merge runs. A merge touches only a node and
+   its children, after the node's whole subtree is walked, so every
+   covering test reads the values the fill left. *)
+let rec dfs_idx counters mode (tr : Itrie.t) n above =
+  let v = tr.Itrie.value.(n) in
+  if v >= 0 && v <= above then begin
+    Itrie.override_value tr n (-1);
+    counters.covered <- counters.covered + 1
+  end;
+  let above = if v > above then v else above in
   let l = tr.Itrie.left.(n) in
-  if l >= 0 then dfs_idx counters mode tr l;
+  if l >= 0 then dfs_idx counters mode tr l above;
   let r = tr.Itrie.right.(n) in
-  if r >= 0 then dfs_idx counters mode tr r;
+  if r >= 0 then dfs_idx counters mode tr r above;
   merge_at_idx counters mode tr n
   [@@hot]
 
@@ -180,27 +165,16 @@ let collect_packed s =
   assert (filled = Array.length out);
   out
 
-let compress_range s st ~mode ~eliminate ~lo ~hi =
+let compress_range s st ~mode ~lo ~hi =
   if hi - lo = 1 then
     { out = singleton_out st lo; eliminated = 0; merges = 0; absorbed = 0 }
   else begin
     Itrie.reset s.tr;
-    let dropped = fill_trie st s ~eliminate (elimination_order st lo hi) in
-    let counters = { merges = 0; absorbed = 0 } in
-    dfs_idx counters mode s.tr Itrie.root;
+    fill_trie st s ~lo ~hi;
+    let counters = { covered = hi - lo - Itrie.cardinal s.tr; merges = 0; absorbed = 0 } in
+    dfs_idx counters mode s.tr Itrie.root (-1);
     { out = collect_packed s;
-      eliminated = dropped;
+      eliminated = counters.covered;
       merges = counters.merges;
       absorbed = counters.absorbed }
-  end
-
-let eliminate_range s st ~lo ~hi =
-  if hi - lo = 1 then singleton_out st lo
-  else begin
-    Itrie.reset s.tr;
-    ignore (fill_trie st s ~eliminate:true (elimination_order st lo hi));
-    (* Survivors keep their own (index, maxLength): per group a prefix
-       survives at most once, so the node's idx is exactly that
-       tuple. *)
-    collect_packed s
   end

@@ -34,19 +34,19 @@ val singleton_out : Vrp_store.t -> int -> int array
 
 type result = {
   out : int array;  (** Packed survivors, in-order (canonical within the group). *)
-  eliminated : int;  (** Tuples dropped as covered. *)
+  eliminated : int;
+      (** Tuples dropped as covered: another tuple of the group has
+          the same or a covering prefix and a maxLength at least as
+          large. *)
   merges : int;  (** Parent merges performed. *)
   absorbed : int;  (** Tuples deleted by those merges. *)
 }
 
-val compress_range :
-  scratch -> Vrp_store.t -> mode:mode -> eliminate:bool -> lo:int -> hi:int -> result
+val compress_range : scratch -> Vrp_store.t -> mode:mode -> lo:int -> hi:int -> result
 (** Compress one group range end-to-end: resets the scratch trie,
-    inserts in elimination order (dropping covered tuples when
-    [eliminate]), runs the merge sweep and collects the survivors in
-    trie order. Single-tuple ranges short-circuit without touching the
-    trie. The scratch must match the range's family. *)
-
-val eliminate_range : scratch -> Vrp_store.t -> lo:int -> hi:int -> int array
-(** Covered-tuple elimination only (no merging): the packed survivors
-    of one group range, in trie order. *)
+    inserts the rows in store order (a prefix keeps its largest
+    maxLength), then walks the trie once — unbinding, on the way down,
+    every node whose maxLength a bound ancestor already reaches, and
+    merging on the way back up — and collects the survivors in trie
+    order. No step sorts. Single-tuple ranges short-circuit without
+    touching the trie. The scratch must match the range's family. *)

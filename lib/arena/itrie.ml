@@ -97,7 +97,7 @@ let[@inline] c3 t i = if wide t then t.c3.(i) else 0
 
 (* Under the sanitizer, public operations return generation-tagged
    handles ({!San.tag}). Raw indices remain legal currency — the
-   compress merge phase walks [left]/[right] directly and feeds what it
+   compress walk reads [left]/[right] directly and feeds what it
    finds back into [set_value]/[override_value] — they just get bounds
    and liveness checks instead of the generation check
    ({!San.check}). Both are the identity when the sanitizer is off. *)
@@ -268,9 +268,9 @@ let set_value t i v =
   t.value.(i) <- v
 
 (* Count-maintaining value override that also accepts -1 (unbind
-   without contraction) — the compress merge phase rebinds and absorbs
-   values at interior nodes it will walk again, so structural cleanup
-   is deferred to the trie's disposal. *)
+   without contraction) — the compress walk unbinds covered nodes and
+   absorbed children and rebinds interior nodes it will walk again,
+   so structural cleanup is deferred to the trie's disposal. *)
 let override_value t i v =
   let i = live t ~op:"override_value" i in
   (* branch on the two bound-states directly: this sits on the hot
@@ -361,22 +361,6 @@ let[@inline] covers_node t ~c0:q0 ~c1:q1 ~c2:q2 ~c3:q3 ~len:ql n =
   let nl = t.len.(n) in
   if wide t then K.covers q0 q1 q2 q3 ql t.c0.(n) t.c1.(n) t.c2.(n) t.c3.(n) nl
   else ql <= nl && (t.c0.(n) lxor q0) land K.hi_mask ql = 0
-
-let rec covering_max_go t q0 q1 q2 q3 ql n best =
-  if not (node_covers t n ~c0:q0 ~c1:q1 ~c2:q2 ~c3:q3 ~len:ql) then best
-  else begin
-    let v = t.value.(n) in
-    let best = if v > best then v else best in
-    let nl = t.len.(n) in
-    if nl >= ql then best
-    else begin
-      let c = if K.bit q0 q1 q2 q3 nl then t.right.(n) else t.left.(n) in
-      if c < 0 then best else covering_max_go t q0 q1 q2 q3 ql c best
-    end
-  end
-
-let covering_max_chunks t ~c0 ~c1 ~c2 ~c3 ~len =
-  covering_max_go t c0 c1 c2 c3 len root nil
 
 (* Topmost node whose subtree holds exactly the stored prefixes covered
    by the query; [nil] when none. *)

@@ -128,8 +128,9 @@ val set_value : t -> handle -> int -> unit
 val override_value : t -> handle -> int -> unit
 (** Like {!set_value} but also accepts -1, unbinding the node {e
     without} contraction — for scratch tries whose structure is
-    discarded wholesale (the compress merge phase absorbs child values
-    into ancestors it will still walk). *)
+    discarded wholesale. The compress walk uses it both ways: it
+    unbinds covered nodes on the way down, and on the way back up a
+    merge raises a parent and unbinds the children it absorbs. *)
 
 val reset : t -> unit
 (** Rewind to the empty state, keeping the allocated columns for
@@ -142,11 +143,6 @@ val remove : t -> Netaddr.Pfx.t -> bool
 (** Unbind the prefix's value, contract any resulting pass-through
     node and put its slot on the freelist. Returns whether a value was
     removed. *)
-
-val covering_max_chunks : t -> c0:int -> c1:int -> c2:int -> c3:int -> len:int -> int
-(** Largest value bound on the covering path of the key (including an
-    exact node), or -1 when no covering node is bound — the
-    domination primitive of covered-tuple elimination. *)
 
 val subtree_root : t -> Netaddr.Pfx.t -> handle
 (** Topmost node whose subtree holds exactly the stored prefixes the

@@ -27,9 +27,7 @@ let exposed_count table asn (e : Roa.entry) =
   let l = Pfx.length e.Roa.prefix in
   let cone = Int64.sub (Int64.shift_left 1L (min (m - l + 1) 62)) 1L in
   let announced =
-    Bgp_table.announced_under table e.Roa.prefix asn
-    |> List.filter (fun (_, len) -> len <= m)
-    |> List.length
+    Array.fold_left ( + ) 0 (Bgp_table.count_by_length_under table e.Roa.prefix asn ~max_len:m)
   in
   Int64.sub cone (Int64.of_int announced)
 

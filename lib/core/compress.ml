@@ -17,11 +17,12 @@ type mode = Kernel.mode = Strict | Paper
    ranges. Each group's trie is a scratch {!Arena.Itrie} whose [value]
    is the tuple's maxLength, with the store index in a column beside
    it ({!Arena.Group_compress.scratch}), so the merged output travels
-   back as packed ints. No step sorts by
-   comparison when the input arrives in [Vrp.compare] order, as every
-   hot caller's does: the store groups rows with a radix and records
-   each row's canonical rank, and the merge puts outputs back in
-   canonical order by walking those ranks. Boxed [Vrp.t] records are
+   back as packed ints. No step sorts by comparison when the input
+   arrives in [Vrp.compare] order, as every hot caller's does: the
+   store groups rows with a radix and records each row's canonical
+   rank, a group's rows go into its trie in store order, one walk
+   drops covered tuples and merges, and the output goes back into
+   canonical order by walking the ranks. Boxed [Vrp.t] records are
    rebuilt only at that last walk. Output and statistics must match
    the record-path oracle [Oracle.Compress_ref] (test/oracle)
    bit-for-bit. *)
@@ -34,9 +35,10 @@ type stats = {
   output : int;
 }
 
-(* The per-group kernel — elimination order, trie fill, the DFS merge
-   sweep, packed outputs — lives in {!Arena.Group_compress}; this
-   layer only walks the group ranges and merges the packed results.
+(* The per-group kernel — trie fill, the one walk that drops covered
+   tuples and merges, packed outputs — lives in
+   {!Arena.Group_compress}; this layer only walks the group ranges and
+   merges the packed results.
 
    One pass walks every range with a pair of scratch tries recycled
    across groups with {!Arena.Itrie.reset} — the columns stay allocated (and
@@ -49,13 +51,13 @@ let scratch_tries () =
   let v4 = lazy (Kernel.scratch Pfx.Afi_v4) and v6 = lazy (Kernel.scratch Pfx.Afi_v6) in
   fun st lo -> Lazy.force (match Vrp_store.fam st lo with Pfx.Afi_v4 -> v4 | Pfx.Afi_v6 -> v6)
 
-let compress_groups st mode eliminate =
+let compress_groups st mode =
   let trie = scratch_tries () in
   Array.map
     (fun (lo, hi) ->
       if hi - lo = 1 then
         { Kernel.out = Kernel.singleton_out st lo; eliminated = 0; merges = 0; absorbed = 0 }
-      else Kernel.compress_range (trie st lo) st ~mode ~eliminate ~lo ~hi)
+      else Kernel.compress_range (trie st lo) st ~mode ~lo ~hi)
     (Vrp_store.group_ranges st)
 
 (* Sizing the columns to the input up front matters: the push loop
@@ -161,10 +163,10 @@ let merge_packed st (outs : int array array) =
   done;
   (!result, total)
 
-let run_with_stats ?(mode = Strict) ?(eliminate = true) vrps =
+let run_with_stats ?(mode = Strict) vrps =
   let st = store_of_vrps vrps in
   let input = Vrp_store.length st in
-  let results = compress_groups st mode eliminate in
+  let results = compress_groups st mode in
   let result, output = merge_packed st (Array.map (fun r -> r.Kernel.out) results) in
   let covered_eliminated =
     Array.fold_left (fun acc r -> acc + r.Kernel.eliminated) 0 results
@@ -173,19 +175,7 @@ let run_with_stats ?(mode = Strict) ?(eliminate = true) vrps =
   let absorbed = Array.fold_left (fun acc r -> acc + r.Kernel.absorbed) 0 results in
   (result, { input; covered_eliminated; merges; children_absorbed = absorbed; output })
 
-let run ?mode ?eliminate vrps = fst (run_with_stats ?mode ?eliminate vrps)
-
-let eliminate_groups st =
-  let trie = scratch_tries () in
-  Array.map
-    (fun (lo, hi) ->
-      if hi - lo = 1 then Kernel.singleton_out st lo
-      else Kernel.eliminate_range (trie st lo) st ~lo ~hi)
-    (Vrp_store.group_ranges st)
-
-let eliminate_covered vrps =
-  let st = store_of_vrps vrps in
-  fst (merge_packed st (eliminate_groups st))
+let run ?mode vrps = fst (run_with_stats ?mode vrps)
 
 let compression_ratio ~before ~after =
   if before = 0 then 0.0 else float_of_int (before - after) /. float_of_int before

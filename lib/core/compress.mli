@@ -24,27 +24,26 @@
 
 type mode = Arena.Group_compress.mode = Strict | Paper
 
-val eliminate_covered : Rpki.Vrp.t list -> Rpki.Vrp.t list
-(** Drop every tuple dominated by another of the same origin (prefix
-    covered, maxLength no larger). Lossless. Real RPKI corpora carry
-    such redundancy (e.g. a legacy enumeration next to a maxLength
-    cover), and Figure 3a's "status quo (compressed)" line depends on
-    removing it. *)
-
-val run : ?mode:mode -> ?eliminate:bool -> Rpki.Vrp.t list -> Rpki.Vrp.t list
-(** Compress. [eliminate] (default true) runs {!eliminate_covered}
-    first (fused into the per-group pass, so grouping happens once).
-    Output is in canonical VRP order, duplicates removed. *)
+val run : ?mode:mode -> Rpki.Vrp.t list -> Rpki.Vrp.t list
+(** Compress. Per (origin AS, family) group, one walk of the group's
+    trie drops, on the way down, every tuple another tuple of the
+    group dominates (prefix covered, maxLength no larger), and merges
+    siblings into their parent on the way back up. The dropping is
+    lossless: real RPKI corpora carry such redundancy (e.g. a legacy
+    enumeration next to a maxLength cover), and Figure 3a's "status
+    quo (compressed)" line depends on removing it. Output is in
+    canonical VRP order, duplicates removed. *)
 
 type stats = {
   input : int;  (** Distinct input tuples. *)
-  covered_eliminated : int;  (** Removed by {!eliminate_covered}. *)
+  covered_eliminated : int;
+      (** Dropped as dominated by another tuple of their group. *)
   merges : int;  (** Algorithm 1 parent merges performed. *)
   children_absorbed : int;  (** Tuples deleted by those merges. *)
   output : int;
 }
 
-val run_with_stats : ?mode:mode -> ?eliminate:bool -> Rpki.Vrp.t list -> Rpki.Vrp.t list * stats
+val run_with_stats : ?mode:mode -> Rpki.Vrp.t list -> Rpki.Vrp.t list * stats
 (** Like {!run}, also reporting where the compression came from —
     covered-redundancy removal vs sibling merges (the two effects
     behind Figure 3a's "status quo (compressed)" line). *)

@@ -42,17 +42,5 @@ let max_permissive_vrps table =
       else Vrp.make_exn p ~max_len:(Pfx.addr_bits p) a :: acc)
   |> List.rev
 
-(* Minimal iff level i below the prefix is fully announced: 2^i
-   subprefixes (capped to avoid overflow; such counts are unreachable
-   in practice anyway). Bails at the first hole. *)
-let rec fully_announced counts n i =
-  i >= n || (counts.(i) = 1 lsl min i 30 && fully_announced counts n (i + 1))
-  [@@hot]
-
 let is_minimal_vrp table (v : Vrp.t) =
-  (* [count_by_length_under] tallies the subtree during the trie walk
-     itself, so this sweep allocates only the small result array. *)
-  let counts =
-    Bgp_table.count_by_length_under table v.Vrp.prefix v.Vrp.asn ~max_len:v.Vrp.max_len
-  in
-  fully_announced counts (Array.length counts) 0
+  Bgp_table.fully_announced table v.Vrp.prefix v.Vrp.asn ~max_len:v.Vrp.max_len

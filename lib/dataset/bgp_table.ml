@@ -31,6 +31,8 @@ let count_by_length_under t p a ~max_len =
   Db.count_into t p ~asn:(Asnum.to_int a) ~base ~max_len counts;
   counts
 
+let fully_announced t p a ~max_len = Db.fully_announced t p ~asn:(Asnum.to_int a) ~max_len
+
 let has_same_origin_ancestor t p a =
   Db.has_same_origin_ancestor t p ~asn:(Asnum.to_int a)
   [@@hot]

@@ -48,6 +48,11 @@ val count_by_length_under : t -> Netaddr.Pfx.t -> Rpki.Asnum.t -> max_len:int ->
     of [p] of length [length p + i] AS [a] announces, for lengths up to
     [max_len]. Index 0 is [p] itself. *)
 
+val fully_announced : t -> Netaddr.Pfx.t -> Rpki.Asnum.t -> max_len:int -> bool
+(** [a] announces every subprefix of [p] of every length up to
+    [max_len] — the §4 minimality test ({!Arena.Bgp_db.fully_announced}).
+    @raise Invalid_argument when [max_len] is below [p]'s length. *)
+
 val has_same_origin_ancestor : t -> Netaddr.Pfx.t -> Rpki.Asnum.t -> bool
 (** True when some strict super-prefix of [p] is also announced by
     [a] — i.e. (p, a) would be absorbed by a maximally-permissive ROA

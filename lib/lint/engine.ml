@@ -69,6 +69,8 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let typed_coverage_rule = "typed-coverage"
+
 let run ?(rules = Rules.all) ?(typed = false) ?cmt_dir ~root paths =
   let rel_files = discover ~root paths in
   let findings = ref [] in
@@ -112,7 +114,11 @@ let run ?(rules = Rules.all) ?(typed = false) ?cmt_dir ~root paths =
     rules;
   (* Typed phase: load .cmt artifacts, build the call graph once, and
      hand it to every typed rule. Unloadable artifacts degrade to a
-     warning — the syntactic findings above stand on their own. *)
+     warning — the syntactic findings above stand on their own. Once
+     units do load, every scanned implementation must be one of them:
+     a file without a unit would pass every typed rule unseen, so each
+     is named as an error. (dune writes an executable's .cmt only when
+     something builds its bytecode, such as the [@check] alias.) *)
   let typed_rules =
     List.filter (fun (r : Rules.t) -> match r.kind with Rules.Typed_rule _ -> true | _ -> false) rules
   in
@@ -132,6 +138,17 @@ let run ?(rules = Rules.all) ?(typed = false) ?cmt_dir ~root paths =
           (fun (r : Rules.t) ->
             match r.kind with Rules.Typed_rule check -> check tctx | _ -> ())
           typed_rules;
+        let loaded = Hashtbl.create 256 in
+        List.iter (fun (u : Cmt_loader.unit_info) -> Hashtbl.replace loaded u.source ()) loader.units;
+        List.iter
+          (fun rel ->
+            if Filename.check_suffix rel ".ml" && not (Hashtbl.mem loaded rel) then
+              add
+                (Finding.make ~rule:typed_coverage_rule ~severity:Finding.Error ~file:rel ~line:1
+                   ~col:0
+                   "no .cmt artifact for this file, so the typed rules did not see it (run \
+                    `dune build @check`)"))
+          rel_files;
         (List.length loader.units, None)
     end
   in

@@ -27,6 +27,10 @@ type report = {
           (no/unreadable [.cmt] artifacts) *)
 }
 
+val typed_coverage_rule : string
+(** ["typed-coverage"]: the rule id of the error finding the typed
+    phase reports for a scanned [.ml] file no loaded unit comes from. *)
+
 val run :
   ?rules:Rules.t list -> ?typed:bool -> ?cmt_dir:string -> root:string -> string list -> report
 (** Lint the given paths. Unparseable [.ml] files yield a single
@@ -35,8 +39,11 @@ val run :
     With [~typed:true], [.cmt] artifacts are loaded from [cmt_dir]
     (default [root/_build/default]), the call graph is built once, and
     the typed rules run with their roots scoped to the discovered file
-    set. A missing or empty build directory degrades to
-    [typed_warning] — never a failure. *)
+    set. Every discovered [.ml] must then map to a loaded unit; each
+    one that does not gets a {!typed_coverage_rule} error at its line
+    1, so a partial build cannot pass for a clean one. (Executables
+    get a lasting [.cmt] from [dune build @check].) A missing or empty
+    build directory degrades to [typed_warning] — never a failure. *)
 
 val load_baseline : string -> string list
 (** Fingerprints recorded in a previous JSON report (line-oriented

@@ -445,7 +445,7 @@ let run ?(config = default_config) ?(mix = []) ~seed ~policy () =
   let rtrs =
     Array.init routers (fun idx ->
         { idx;
-          client = Client.create ~initial_backoff:400 ~max_backoff:4_000 ();
+          client = Client.create ();
           rng = Rng.split master (Printf.sprintf "router-%d" idx);
           policy = policies.(idx mod Array.length policies);
           conn = None;

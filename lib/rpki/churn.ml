@@ -50,7 +50,6 @@ type group = {
 
 type t = {
   mode : Kernel.mode;
-  eliminate : bool;
   bgp : Bgp.t;  (** Live announced (prefix, origin) pairs. *)
   vdb : Validation.db;  (** Live VRPs — the RFC 6811 database. *)
   valid : Validation.db;
@@ -90,21 +89,9 @@ let mark_dirty t key g =
 
 (* --- minimality ------------------------------------------------------ *)
 
-(* Same recursion as [Mlcore.Minimal.fully_announced]: every length
-   slice [base, max_len] must be fully announced by the origin for the
-   maxLength VRP to be harmless. *)
-let rec fully_announced counts n i =
-  i >= n || (counts.(i) = 1 lsl min i 30 && fully_announced counts n (i + 1))
-
-let is_minimal t (v : Vrp.t) =
-  let base = Pfx.length v.Vrp.prefix in
-  let counts = Array.make (v.Vrp.max_len - base + 1) 0 in
-  Bgp.count_into t.bgp v.Vrp.prefix ~asn:(Asnum.to_int v.Vrp.asn) ~base
-    ~max_len:v.Vrp.max_len counts;
-  fully_announced counts (Array.length counts) 0
-
-let recheck_minimality t v =
-  if is_minimal t v then ignore (Validation.remove t.nonmin v)
+let recheck_minimality t (v : Vrp.t) =
+  if Bgp.fully_announced t.bgp v.Vrp.prefix ~asn:(Asnum.to_int v.Vrp.asn) ~max_len:v.Vrp.max_len
+  then ignore (Validation.remove t.nonmin v)
   else ignore (Validation.add t.nonmin v)
 
 (* A BGP change at (p, a) can only move the minimality of maxLength
@@ -175,12 +162,10 @@ let apply t ev =
   if not changed then t.n_noop <- t.n_noop + 1;
   changed
 
-let create ?(mode = Kernel.Strict) ?(eliminate = true) ?(pairs = [])
-    ?(vrps = []) () =
+let create ?(mode = Kernel.Strict) ?(pairs = []) ?(vrps = []) () =
   let t =
     {
       mode;
-      eliminate;
       bgp = Bgp.create ();
       vdb = Validation.create [];
       valid = Validation.create [];
@@ -242,8 +227,7 @@ let flush_group t key g =
       Store.sort_dedup st;
       let tr = if key land 1 = 0 then t.tr4 else t.tr6 in
       let r =
-        Kernel.compress_range tr st ~mode:t.mode ~eliminate:t.eliminate ~lo:0
-          ~hi:(Store.length st)
+        Kernel.compress_range tr st ~mode:t.mode ~lo:0 ~hi:(Store.length st)
       in
       let asn = Asnum.of_int (key lsr 1) in
       g.out <-

@@ -38,15 +38,13 @@ type t
 
 val create :
   ?mode:Arena.Group_compress.mode ->
-  ?eliminate:bool ->
   ?pairs:(Netaddr.Pfx.t * Asnum.t) list ->
   ?vrps:Vrp.t list ->
   unit ->
   t
 (** Fresh engine, optionally seeded by replaying [Add_vrp]s then
-    [Announce]s (the replay counts toward {!stats}). [mode] and
-    [eliminate] select the compression flavor, defaulting to the
-    batch default (Strict, with covered-tuple elimination). *)
+    [Announce]s (the replay counts toward {!stats}). [mode] selects
+    the merge rule, defaulting to the batch default (Strict). *)
 
 val apply : t -> event -> bool
 (** Apply one event; [false] when it was a no-op (announcing a pair
@@ -56,7 +54,7 @@ val apply : t -> event -> bool
 
 val compressed : t -> Vrp.t list
 (** The compressed ROA set for the current VRPs, in canonical order —
-    bit-identical to [Mlcore.Compress.run ~mode ~eliminate] on
+    bit-identical to [Mlcore.Compress.run ~mode] on
     {!vrps}. Flushes dirty groups first; clean groups are reused.
 
     Cost: the engine keeps the union of all group outputs as one

@@ -16,8 +16,6 @@ type stats = {
 }
 
 type t = {
-  initial_backoff : int;
-  max_backoff : int;
   mutable phase : phase;
   mutable session : int option;
   mutable serial : int32 option;
@@ -47,10 +45,13 @@ let default_interval_ms i32 fallback =
 (* ms of silence tolerated mid-exchange. *)
 let response_timeout = 5_000
 
-let create ?(initial_backoff = 500) ?(max_backoff = 8_000) () =
-  { initial_backoff = max 1 initial_backoff;
-    max_backoff = max 1 max_backoff;
-    phase = Down { retry_at = None };
+(* Reconnect backoff in ms: the first delay, and the cap doubling
+   stops at (see the interface for why these are constants). *)
+let initial_backoff = 400
+let max_backoff = 4_000
+
+let create () =
+  { phase = Down { retry_at = None };
     session = None;
     serial = None;
     installed = Vset.empty;
@@ -65,7 +66,7 @@ let create ?(initial_backoff = 500) ?(max_backoff = 8_000) () =
     expire_ms = 7_200_000;
     refresh_at = None;
     deadline = None;
-    backoff = max 1 initial_backoff;
+    backoff = initial_backoff;
     stats = { syncs = 0; full_resyncs = 0; violations = 0; timeouts = 0 } }
 
 let vrps t = t.installed
@@ -145,7 +146,7 @@ let disconnected t ~now =
      attempts); reset to [initial_backoff] on the next clean sync. *)
   let delay = min t.backoff t.retry_ms in
   t.phase <- Down { retry_at = Some (now + max 1 delay) };
-  t.backoff <- min t.max_backoff (t.backoff * 2)
+  t.backoff <- min max_backoff (t.backoff * 2)
 
 (* A protocol violation by the cache. Per RFC 8210 §5.11 the router
    reports the error and terminates the connection; recovery is a
@@ -257,7 +258,7 @@ let receive t ~now pdu =
        t.retry_ms <- default_interval_ms retry_interval t.retry_ms;
        t.expire_ms <- default_interval_ms expire_interval t.expire_ms;
        t.refresh_at <- Some (now + t.refresh_ms);
-       t.backoff <- t.initial_backoff;
+       t.backoff <- initial_backoff;
        (* A completed full reload replaced everything we held, so any
           earlier suspicion about the committed state is settled. *)
        if t.exchange_full then t.suspect <- false;

@@ -36,11 +36,17 @@ type stats = {
   timeouts : int;  (** Exchanges declared dead by the response timeout. *)
 }
 
-val create : ?initial_backoff:int -> ?max_backoff:int -> unit -> t
-(** All durations in milliseconds. Backoff starts at [initial_backoff]
-    (default 500), doubles per failed connection up to [max_backoff]
-    (default 8000), and resets on a clean sync. A response timeout of
-    5000 bounds the silence tolerated mid-exchange. *)
+val create : unit -> t
+(** A client with no data, waiting for its first connection. All
+    durations are in milliseconds. The reconnect backoff starts at 400,
+    doubles per failed connection up to 4,000, and resets on a clean
+    sync; a response timeout of 5,000 bounds the silence tolerated
+    mid-exchange. The backoff is fixed rather than an argument: only a
+    transport that drops connections reads it, and the one such
+    transport, [Netsim.Rtr_sim], always ran with these values (its
+    pinned replay fingerprints depend on them). The perfect links of
+    [Rtr.Session] and of the live-churn fleet never call
+    {!disconnected}. *)
 
 val vrps : t -> Rpki.Vrp.Set.t
 (** The router's installed VRPs — empty until the first sync ends,

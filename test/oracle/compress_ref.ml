@@ -233,10 +233,8 @@ type group_result = {
   g_absorbed : int;
 }
 
-let compress_group ~mode ~eliminate (((asn, afi), group) as keyed) =
-  let group, eliminated =
-    if eliminate then eliminate_group keyed else (group, 0)
-  in
+let compress_group ~mode (((asn, afi), _) as keyed) =
+  let group, eliminated = eliminate_group keyed in
   let counters = { merges = 0; absorbed = 0 } in
   let root = new_root afi in
   List.iter (fun (v : Vrp.t) -> insert root v.Vrp.prefix v.Vrp.max_len) group;
@@ -246,11 +244,11 @@ let compress_group ~mode ~eliminate (((asn, afi), group) as keyed) =
     g_merges = counters.merges;
     g_absorbed = counters.absorbed }
 
-let run_with_stats ?(mode = Compress.Strict) ?(eliminate = true) vrps =
+let run_with_stats ?(mode = Compress.Strict) vrps =
   let distinct = List.sort_uniq Vrp.compare vrps in
   let input = List.length distinct in
   let arr = grouped_array ~size_hint:input distinct in
-  let results = Array.map (compress_group ~mode ~eliminate) arr in
+  let results = Array.map (compress_group ~mode) arr in
   let result =
     Array.fold_left (fun acc r -> List.rev_append r.vrps acc) [] results
     |> List.sort_uniq Vrp.compare
@@ -265,7 +263,7 @@ let run_with_stats ?(mode = Compress.Strict) ?(eliminate = true) vrps =
       children_absorbed = absorbed;
       output = List.length result } )
 
-let run ?mode ?eliminate vrps = fst (run_with_stats ?mode ?eliminate vrps)
+let run ?mode vrps = fst (run_with_stats ?mode vrps)
 
 let eliminate_covered vrps =
   let arr = grouped_array vrps in

@@ -49,7 +49,7 @@ let test_no_merge_without_parent () =
 
 let test_no_merge_single_child () =
   let input = [ v "10.0.0.0/16" 16 7; v "10.0.0.0/17" 17 7 ] in
-  check_vrps "unchanged" input (Compress.run ~eliminate:false input)
+  check_vrps "unchanged" input (Compress.run input)
 
 let test_distinct_as_never_merge () =
   let input = [ v "10.0.0.0/16" 16 7; v "10.0.0.0/17" 17 8; v "10.0.128.0/17" 17 7 ] in
@@ -73,6 +73,8 @@ let test_partial_figure2_variant () =
   Alcotest.check Testutil.validation_state "40.0/21 must stay invalid" V.Invalid
     (V.validate db (p "87.254.40.0/21") (a 31283))
 
+(* Covered-tuple elimination through [run]: no merge applies to these
+   inputs, so what comes out is exactly what elimination keeps. *)
 let test_eliminate_covered () =
   let input =
     [ v "10.0.0.0/16" 24 7; (* dominates the next two *)
@@ -81,10 +83,10 @@ let test_eliminate_covered () =
   in
   check_vrps "covered dropped"
     [ v "10.0.0.0/16" 24 7; v "10.0.0.0/18" 26 7 ]
-    (Compress.eliminate_covered input);
+    (Compress.run input);
   (* Exact duplicates collapse too. *)
   check_vrps "duplicates" [ v "10.0.0.0/16" 16 7 ]
-    (Compress.eliminate_covered [ v "10.0.0.0/16" 16 7; v "10.0.0.0/16" 16 7 ])
+    (Compress.run [ v "10.0.0.0/16" 16 7; v "10.0.0.0/16" 16 7 ])
 
 let test_idempotent () =
   let input, once = Compress.figure2_example () in
@@ -124,7 +126,7 @@ let test_direct_child_tie () =
   in
   check_vrps "leftmost wins the tie"
     [ v "10.0.0.0/16" 20 7; v "10.0.64.0/18" 30 7; v "10.0.128.0/17" 25 7 ]
-    (Compress.run ~mode:Compress.Paper ~eliminate:false input)
+    (Compress.run ~mode:Compress.Paper input)
 
 let test_run_with_stats () =
   (* Figure 2: one merge absorbing one child, nothing covered. *)
@@ -151,22 +153,15 @@ let test_run_with_stats () =
    past AS 2's untouched 10.0.0.0/16-16. In input order AS 1's /16
    comes first (equal maxLength, smaller ASN), so an output order that
    followed the input tuples would list AS 1 first; [Vrp.compare]
-   wants AS 2's lower maxLength first. Checked in every input order,
-   with and without elimination. *)
+   wants AS 2's lower maxLength first. Checked in both input
+   orders. *)
 let test_moas_order_after_merge () =
   let input =
     [ v "10.0.0.0/16" 16 1; v "10.0.0.0/16" 16 2; v "10.0.0.0/17" 17 1; v "10.0.128.0/17" 17 1 ]
   in
   let expected = [ v "10.0.0.0/16" 16 2; v "10.0.0.0/16" 17 1 ] in
   List.iter
-    (fun (name, vrps) ->
-      List.iter
-        (fun eliminate ->
-          check_vrps
-            (Printf.sprintf "%s, eliminate=%b" name eliminate)
-            expected
-            (Compress.run ~eliminate vrps))
-        [ true; false ])
+    (fun (name, vrps) -> check_vrps name expected (Compress.run vrps))
     [ ("canonical", input); ("reversed", List.rev input) ];
   check_vrps "record reference agrees" expected (Oracle.Compress_ref.run input)
 
@@ -255,7 +250,7 @@ let prop_reaches_bound_on_full_tree =
    Algorithm 1, until no rule applies. Differential oracle for the
    trie-based implementation. *)
 let reference_compress vrps =
-  let vrps = Compress.eliminate_covered vrps in
+  let vrps = Oracle.Compress_ref.eliminate_covered vrps in
   let module M = Map.Make (struct
     type t = Rpki.Asnum.t * Pfx.t
 
@@ -435,12 +430,10 @@ let prop_bit_trie_reference =
     Testutil.gen_vrp_list (fun vrps ->
       List.for_all
         (fun mode ->
-          (* with elimination: the standalone pass is itself per-group,
-             so pre-eliminating for the reference matches compress_group *)
+          (* elimination is per-group, so pre-eliminating for the
+             reference matches what the kernel does to each group *)
           List.equal Vrp.equal (Compress.run ~mode vrps)
-            (Bit_ref.run ~mode (Compress.eliminate_covered vrps))
-          && List.equal Vrp.equal (Compress.run ~mode ~eliminate:false vrps)
-               (Bit_ref.run ~mode vrps))
+            (Bit_ref.run ~mode (Oracle.Compress_ref.eliminate_covered vrps)))
         [ Compress.Strict; Compress.Paper ])
 
 let prop_paper_mode_never_shrinks_coverage =

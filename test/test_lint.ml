@@ -45,6 +45,14 @@ let typed_fixture_report
   Engine.run ~rules ~typed:true ~cmt_dir:(cmt_dir_for root) ~root
     [ Filename.concat (Filename.concat "test" "lint_fixtures") "typed" ]
 
+(* Files a typed run reported as having no loaded unit. *)
+let uncovered (report : Engine.report) =
+  List.filter_map
+    (fun (f : Finding.t) ->
+      if String.equal f.Finding.rule Engine.typed_coverage_rule then Some f.Finding.file
+      else None)
+    report.Engine.findings
+
 (* --- golden corpus ---------------------------------------------------- *)
 
 let test_golden () =
@@ -169,6 +177,24 @@ let test_missing_cmt_degrades () =
   (* degradation is not a failure: syntactic rules still ran *)
   Alcotest.(check bool) "syntactic rules ran" true
     (List.exists (String.equal "R1") report.Engine.rules_run)
+
+(* A scanned implementation no loaded unit comes from is named, and
+   fails the run: the syntactic fixtures are never compiled, so one of
+   them next to the (compiled) typed corpus is exactly such a file. *)
+let test_uncovered_file_named () =
+  let root = repo_root () in
+  let fixtures = Filename.concat "test" "lint_fixtures" in
+  let orphan = Filename.concat (Filename.concat fixtures "bin") "r2_scope.ml" in
+  let report =
+    Engine.run
+      ~rules:(Rules.find [ "R8"; "R9"; "R10"; "R11"; "R12"; "R13" ])
+      ~typed:true ~cmt_dir:(cmt_dir_for root) ~root
+      [ Filename.concat fixtures "typed"; orphan ]
+  in
+  Alcotest.(check bool) "typed phase ran" true (report.Engine.typed_units > 0);
+  Alcotest.(check (list string)) "only the uncompiled file is named" [ orphan ]
+    (uncovered report);
+  Alcotest.(check bool) "an uncovered file is an error" true (Engine.has_errors report)
 
 (* --- call-graph reachability on a hand-built module -------------------- *)
 
@@ -482,6 +508,7 @@ let test_tree_is_clean_typed () =
   in
   Alcotest.(check bool) "typed phase analyzed units" true (report.Engine.typed_units > 0);
   Alcotest.(check (option string)) "no degradation warning" None report.Engine.typed_warning;
+  Alcotest.(check (list string)) "every scanned .ml has a typed unit" [] (uncovered report);
   List.iter
     (fun id ->
       Alcotest.(check bool)
@@ -509,7 +536,9 @@ let () =
           Alcotest.test_case "good typed fixtures stay clean" `Quick
             test_typed_good_fixtures_clean;
           Alcotest.test_case "missing cmts degrade gracefully" `Quick
-            test_missing_cmt_degrades ] );
+            test_missing_cmt_degrades;
+          Alcotest.test_case "a file without a cmt is named" `Quick
+            test_uncovered_file_named ] );
       ( "callgraph",
         [ Alcotest.test_case "reach: BFS, waivers, guarded edges" `Quick test_reach_basic;
           Alcotest.test_case "reach: mid-chain waiver blocks" `Quick

@@ -38,7 +38,9 @@ lint-typed:
 	@echo "lint-typed: OK (report in $(LINT_JSON))"
 
 # Handle-safety gate: re-run the arena differential suites, the
-# Bgp_table suite and the netsim sweep with the sanitizer on
+# Bgp_table suite, the scenario suite (Table 1, Figure 3 and the
+# 1-vs-2-domain timeline identity, all driven by the snapshot
+# generator) and the netsim sweep with the sanitizer on
 # (ARENA_SANITIZE=1), so every store widens its handles with
 # generation tags, poisons freed slots and bounds/liveness/generation-
 # checks every accessor. Any stale or cross-store handle the normal
@@ -51,6 +53,7 @@ check-sanitize: build
 	ARENA_SANITIZE=1 dune exec test/test_validation.exe
 	ARENA_SANITIZE=1 dune exec test/test_churn.exe
 	ARENA_SANITIZE=1 dune exec test/test_dataset.exe
+	ARENA_SANITIZE=1 dune exec test/test_scenario.exe
 	ARENA_SANITIZE=1 dune exec test/test_netsim.exe
 	@echo "check-sanitize: OK"
 

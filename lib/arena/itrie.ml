@@ -214,6 +214,18 @@ let check_family t p =
 
 (* --- find-or-create descent (the arena's [add]/[update] core) ------- *)
 
+(* Cover tests between node [n] and a query key. A v4 key lives in
+   chunk 0, so its test is one xor+mask and reads no other column. *)
+let[@inline] node_covers t n ~c0:q0 ~c1:q1 ~c2:q2 ~c3:q3 ~len:ql =
+  let nl = t.len.(n) in
+  if wide t then K.covers t.c0.(n) t.c1.(n) t.c2.(n) t.c3.(n) nl q0 q1 q2 q3 ql
+  else nl <= ql && (q0 lxor t.c0.(n)) land K.hi_mask nl = 0
+
+let[@inline] covers_node t ~c0:q0 ~c1:q1 ~c2:q2 ~c3:q3 ~len:ql n =
+  let nl = t.len.(n) in
+  if wide t then K.covers q0 q1 q2 q3 ql t.c0.(n) t.c1.(n) t.c2.(n) t.c3.(n) nl
+  else ql <= nl && (t.c0.(n) lxor q0) land K.hi_mask ql = 0
+
 let rec probe_go t q0 q1 q2 q3 ql n =
   (* invariant: node [n]'s prefix covers q *)
   let nl = t.len.(n) in
@@ -226,10 +238,12 @@ let rec probe_go t q0 q1 q2 q3 ql n =
       set_child t n dir m;
       m
     end
+    else if node_covers t c ~c0:q0 ~c1:q1 ~c2:q2 ~c3:q3 ~len:ql then
+      probe_go t q0 q1 q2 q3 ql c
     else begin
+      (* q leaves the path on the edge into c, at bit k *)
       let k = K.common_length q0 q1 q2 q3 ql t.c0.(c) (c1 t c) (c2 t c) (c3 t c) t.len.(c) in
-      if k = t.len.(c) then probe_go t q0 q1 q2 q3 ql c
-      else if k = ql then begin
+      if k = ql then begin
         (* q sits on the edge above c: splice it in *)
         let m = alloc t ~c0:q0 ~c1:q1 ~c2:q2 ~c3:q3 ~len:ql in
         set_child t m (K.bit t.c0.(c) (c1 t c) (c2 t c) (c3 t c) ql) c;
@@ -316,31 +330,27 @@ let rec remove_go t q0 q1 q2 q3 ql n =
   else begin
     let dir = K.bit q0 q1 q2 q3 nl in
     let c = if dir then t.right.(n) else t.left.(n) in
-    if c < 0 then false
+    if c < 0 || not (node_covers t c ~c0:q0 ~c1:q1 ~c2:q2 ~c3:q3 ~len:ql) then false
     else begin
-      let k = K.common_length q0 q1 q2 q3 ql t.c0.(c) (c1 t c) (c2 t c) (c3 t c) t.len.(c) in
-      if k <> t.len.(c) then false
-      else begin
-        let removed = remove_go t q0 q1 q2 q3 ql c in
-        (* contract c if the removal left it carrying no information;
-           its slot goes back on the freelist for reuse *)
-        if removed && t.value.(c) < 0 then begin
-          let l = t.left.(c) and r = t.right.(c) in
-          if l < 0 && r < 0 then begin
-            set_child t n dir nil;
-            free_node t c
-          end
-          else if l < 0 then begin
-            set_child t n dir r;
-            free_node t c
-          end
-          else if r < 0 then begin
-            set_child t n dir l;
-            free_node t c
-          end
-        end;
-        removed
-      end
+      let removed = remove_go t q0 q1 q2 q3 ql c in
+      (* contract c if the removal left it carrying no information;
+         its slot goes back on the freelist for reuse *)
+      if removed && t.value.(c) < 0 then begin
+        let l = t.left.(c) and r = t.right.(c) in
+        if l < 0 && r < 0 then begin
+          set_child t n dir nil;
+          free_node t c
+        end
+        else if l < 0 then begin
+          set_child t n dir r;
+          free_node t c
+        end
+        else if r < 0 then begin
+          set_child t n dir l;
+          free_node t c
+        end
+      end;
+      removed
     end
   end
 
@@ -349,18 +359,6 @@ let remove t p =
   remove_go t (K.c0 p) (K.c1 p) (K.c2 p) (K.c3 p) (Pfx.length p) root
 
 (* --- covering helpers ------------------------------------------------ *)
-
-(* Cover tests between node [n] and a query key. A v4 key lives in
-   chunk 0, so its test is one xor+mask and reads no other column. *)
-let[@inline] node_covers t n ~c0:q0 ~c1:q1 ~c2:q2 ~c3:q3 ~len:ql =
-  let nl = t.len.(n) in
-  if wide t then K.covers t.c0.(n) t.c1.(n) t.c2.(n) t.c3.(n) nl q0 q1 q2 q3 ql
-  else nl <= ql && (q0 lxor t.c0.(n)) land K.hi_mask nl = 0
-
-let[@inline] covers_node t ~c0:q0 ~c1:q1 ~c2:q2 ~c3:q3 ~len:ql n =
-  let nl = t.len.(n) in
-  if wide t then K.covers q0 q1 q2 q3 ql t.c0.(n) t.c1.(n) t.c2.(n) t.c3.(n) nl
-  else ql <= nl && (t.c0.(n) lxor q0) land K.hi_mask ql = 0
 
 (* Topmost node whose subtree holds exactly the stored prefixes covered
    by the query; [nil] when none. *)

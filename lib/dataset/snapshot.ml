@@ -154,17 +154,43 @@ let heavy_tail_count rng mean =
   else if u < 0.90 then 1 + Rng.geometric rng ~p:(1.0 /. mean)
   else 8 + Rng.geometric rng ~p:0.10
 
-let generate ?(params = default_params) ~seed () =
-  let rng = Rng.create seed in
+(* Where the generation loop crossed a pair target: the bases generated
+   so far, their pair counts, and the allocator as the loop left it. *)
+type cut = { n_bases : int; pairs : int; v6_pairs : int; next_v4 : int; next_v6 : int64 }
+
+(* The generation loop, run once to the largest of [targets] (ascending
+   and distinct). A run to a single target [m] stops at the first
+   iteration that reaches [pair_count >= m] — exactly where this loop
+   records [m]'s cut — and nothing before that point reads the target,
+   so every cut is the state a run to its own target ends in. Returns
+   the bases in generation order, each AS's adoption style and the
+   cuts, one per target. *)
+let generate_bases params rng targets =
   let rng_addr = Rng.split rng "alloc" in
   let al = fresh_alloc () in
   let bases = ref [] in
+  let n_bases = ref 0 in
   let pair_count = ref 0 in
   let v6_pairs = ref 0 in
   let next_asn = ref 0 in
   let current_asn = ref None in
   let current_style = ref Not_adopter in
   let style_of = Asnum.Tbl.create 4096 in
+  let cut () =
+    { n_bases = !n_bases;
+      pairs = !pair_count;
+      v6_pairs = !v6_pairs;
+      next_v4 = al.next_v4;
+      next_v6 = al.next_v6 }
+  in
+  let cuts = Array.make (Array.length targets) (cut ()) in
+  let reached = ref 0 in
+  let record_cuts () =
+    while !reached < Array.length targets && !pair_count >= targets.(!reached) do
+      cuts.(!reached) <- cut ();
+      incr reached
+    done
+  in
   let new_as () =
     incr next_asn;
     let a = Asnum.of_int (64_000 + !next_asn) in
@@ -181,7 +207,8 @@ let generate ?(params = default_params) ~seed () =
   in
   let p1, p2, p3 = params.p_chain in
   let pc1, pc2 = params.p_cover_chain in
-  while !pair_count < params.pairs_target do
+  record_cuts ();
+  while !reached < Array.length targets do
     let asn, style =
       match !current_asn with
       | Some a when not (Rng.bernoulli rng params.new_as_probability) -> (a, !current_style)
@@ -227,24 +254,39 @@ let generate ?(params = default_params) ~seed () =
     let pairs = 1 + List.length children in
     pair_count := !pair_count + pairs;
     if is_v6 then v6_pairs := !v6_pairs + pairs;
-    bases := { prefix; asn; children; cover_max_len; chain_depth } :: !bases
+    bases := { prefix; asn; children; cover_max_len; chain_depth } :: !bases;
+    incr n_bases;
+    record_cuts ()
   done;
+  (Array.of_list (List.rev !bases), style_of, cuts)
+
+(* The snapshot a run to [params.pairs_target] produces, built from the
+   [cut.n_bases] first bases. The ROA corpus draws its stale entries
+   from its own copy of the allocator and from [Rng.split rng "stale"],
+   which derives from [rng]'s seed alone, so every cut gets the stream
+   a run of its own would. Reads [bases], [style_of] and [rng] without
+   changing them: cuts build in parallel. *)
+let build params ~seed rng style_of bases cut =
   (* The table is built once the pair counts are known, so each family
      is sized by its own count and no column grows. Pairs go in in
      generation order: each base, then its children. *)
-  let table = Bgp_table.create ~v4:(!pair_count - !v6_pairs) ~v6:!v6_pairs () in
-  List.iter
-    (fun b ->
-      Bgp_table.add table b.prefix b.asn;
-      List.iter (fun c -> Bgp_table.add table c b.asn) b.children)
-    (List.rev !bases);
+  let table = Bgp_table.create ~v4:(cut.pairs - cut.v6_pairs) ~v6:cut.v6_pairs () in
+  for i = 0 to cut.n_bases - 1 do
+    let b = bases.(i) in
+    Bgp_table.add table b.prefix b.asn;
+    List.iter (fun c -> Bgp_table.add table c b.asn) b.children
+  done;
   (* --- ROA corpus --- *)
+  let al = { next_v4 = cut.next_v4; next_v6 = cut.next_v6 } in
+  (* Filled newest base first, as a run of its own fills it: [by_as]'s
+     iteration order, which fixes the order of the ROAs, depends on
+     the order of its inserts. *)
   let by_as = Asnum.Tbl.create 4096 in
-  List.iter
-    (fun b ->
-      let l = match Asnum.Tbl.find_opt by_as b.asn with Some l -> l | None -> [] in
-      Asnum.Tbl.replace by_as b.asn (b :: l))
-    !bases;
+  for i = cut.n_bases - 1 downto 0 do
+    let b = bases.(i) in
+    let l = match Asnum.Tbl.find_opt by_as b.asn with Some l -> l | None -> [] in
+    Asnum.Tbl.replace by_as b.asn (b :: l)
+  done;
   let roas = ref [] in
   let group_entries asn entries =
     (* Split a long entry list into ROAs of roughly group_size. *)
@@ -299,5 +341,25 @@ let generate ?(params = default_params) ~seed () =
         group_entries asn (flat_entries bs))
     by_as;
   { params; seed; table; roas = !roas }
+
+(* One snapshot per target, in [targets]' order. *)
+let build_series params ?domains ~seed targets =
+  let rng = Rng.create seed in
+  let ascending = Array.of_list (List.sort_uniq Int.compare (Array.to_list targets)) in
+  let bases, style_of, cuts = generate_bases params rng ascending in
+  let cut_of target =
+    let rec find i = if Int.equal ascending.(i) target then cuts.(i) else find (i + 1) in
+    find 0
+  in
+  Parallel.Pool.parallel_map ?domains
+    ~f:(fun target ->
+      build { params with pairs_target = target } ~seed rng style_of bases (cut_of target))
+    targets
+
+let series ?(params = default_params) ?domains ~seed ~targets () =
+  Array.to_list (build_series params ?domains ~seed (Array.of_list targets))
+
+let generate ?(params = default_params) ~seed () =
+  (build_series params ~domains:1 ~seed [| params.pairs_target |]).(0)
 
 let vrps t = Rpki.Scan_roas.vrps_of_roas t.roas

@@ -63,6 +63,25 @@ type t = {
 }
 
 val generate : ?params:params -> seed:int -> unit -> t
+(** The one-target case of {!series}:
+    [series ~params ~seed ~targets:[params.pairs_target] ()]. *)
+
+val series :
+  ?params:params -> ?domains:int -> seed:int -> targets:int list -> unit -> t list
+(** One snapshot per pair target, in [targets]' order, each equal to
+    [generate ~params:{ params with pairs_target = target } ~seed ()]:
+    same table, same ROA list in the same order.
+
+    The generator's loop reads [pairs_target] only to decide when to
+    stop, so parameter sets that differ only there share the loop's
+    prefix. [series] runs the loop once, to the largest target,
+    records where each smaller target would have stopped it (the bases
+    so far, their pair counts and the address allocator), and builds
+    each snapshot — table, then ROA corpus — from its prefix of the
+    bases. Every other field of [params] is common to all the cuts.
+    The builds run over [?domains] (default
+    {!Parallel.Pool.default_domains}); the result is the same at any
+    domain count. *)
 
 val vrps : t -> Rpki.Vrp.t list
 (** The corpus flattened through {!Rpki.Scan_roas.vrps_of_roas} — the

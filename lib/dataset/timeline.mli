@@ -14,11 +14,15 @@ val labels : string list
 val generate : ?params:Snapshot.params -> ?domains:int -> seed:int -> unit -> week list
 (** Eight snapshots. Table size grows 0.3% a week, matching the
     paper's ~2% growth over the window; week 8 lands on
-    [params.pairs_target]. [?domains]
-    (default {!Parallel.Pool.default_domains}) spreads the eight weeks
-    over that many domains; every week derives a private PRNG stream
-    from [seed], so the series is bit-identical at any domain
-    count. *)
+    [params.pairs_target]. Each week is
+    [Snapshot.generate ~params:{ params with pairs_target } ~seed ()]
+    at its own [pairs_target]: the weeks differ only there, so one run
+    of the generator's loop serves all eight ({!Snapshot.series}), and
+    each week's table and ROA corpus is built from its prefix of that
+    run.
+    [?domains] (default {!Parallel.Pool.default_domains}) spreads the
+    eight builds over that many domains; the series is bit-identical
+    at any domain count. *)
 
 (** {2 Event stream}
 
@@ -29,13 +33,20 @@ val generate : ?params:Snapshot.params -> ?domains:int -> seed:int -> unit -> we
 
 type state = (Netaddr.Pfx.t * Rpki.Asnum.t) list * Rpki.Vrp.t list
 (** A snapshot reduced to its churnable content: announced pairs and
-    VRPs, both sort_uniq'd into canonical order. *)
+    VRPs, both in canonical order (strictly ascending, so
+    duplicate-free). *)
 
 val state_of : Snapshot.t -> state
+(** The table's pairs as {!Bgp_table.pairs} lists them (its fold order
+    is already canonical, so nothing is sorted) and the corpus's VRPs
+    ({!Snapshot.vrps}, canonical too, only checked). *)
 
 val diff : prev:state -> next:state -> Rpki.Churn.event list
 (** Events turning [prev] into [next]: [Remove_vrp]s, then
     [Withdraw]s, then [Add_vrp]s, then [Announce]s, each block in
     canonical order — removals first so the intermediate states never
     exceed either endpoint. Total and deterministic; inputs need not
-    be sorted or duplicate-free. *)
+    be sorted or duplicate-free. On canonical sides (every {!state_of}
+    result) it is linear: one allocation-free check of each side and
+    one merge walk, allocating only the events it returns. A side
+    that is not canonical is sort-deduped first. *)

@@ -9,6 +9,10 @@ type event =
   | Add_vrp of Vrp.t
   | Remove_vrp of Vrp.t
 
+let pair_compare (p1, a1) (p2, a2) =
+  let c = Pfx.compare p1 p2 in
+  if c <> 0 then c else Asnum.compare a1 a2
+
 let event_to_string = function
   | Announce (p, a) -> Printf.sprintf "announce %s %s" (Pfx.to_string p) (Asnum.to_string a)
   | Withdraw (p, a) -> Printf.sprintf "withdraw %s %s" (Pfx.to_string p) (Asnum.to_string a)
@@ -162,26 +166,63 @@ let apply t ev =
   if not changed then t.n_noop <- t.n_noop + 1;
   changed
 
+(* The state a replay of [Add_vrp]s, then [Announce]s, reaches, built
+   from the canonical seed in bulk. VRPs replay before pairs, so no
+   VRP's revalidation sees a pair: [valid] holds the exact VRPs of the
+   pairs [vdb] authorizes, and each maxLength VRP's last minimality
+   check is against the final table. The BGP store is filled from the
+   default size, as the replay's announces fill it, so its columns
+   keep the headroom the replay's growth leaves for the first
+   transitions. *)
 let create ?(mode = Kernel.Strict) ?(pairs = []) ?(vrps = []) () =
+  let distinct_vrps = Canonical.sort_uniq Vrp.compare vrps in
+  let distinct_pairs = Canonical.sort_uniq pair_compare pairs in
+  let bgp = Bgp.create () in
+  List.iter (fun (p, a) -> Bgp.add bgp p ~asn:(Asnum.to_int a)) distinct_pairs;
+  let vdb = Validation.create distinct_vrps in
+  let valid =
+    Validation.create
+      (List.filter_map
+         (fun (p, a) -> if Validation.authorized vdb p a then Some (Vrp.exact p a) else None)
+         distinct_pairs)
+  in
+  let nonmin =
+    Validation.create
+      (List.filter
+         (fun (v : Vrp.t) ->
+           Vrp.uses_max_len v
+           && not
+                (Bgp.fully_announced bgp v.Vrp.prefix ~asn:(Asnum.to_int v.Vrp.asn)
+                   ~max_len:v.Vrp.max_len))
+         distinct_vrps)
+  in
   let t =
     {
       mode;
-      bgp = Bgp.create ();
-      vdb = Validation.create [];
-      valid = Validation.create [];
-      nonmin = Validation.create [];
+      bgp;
+      vdb;
+      valid;
+      nonmin;
       groups = Hashtbl.create 64;
       out = Vrp.Set.empty;
       dirty_keys = [];
       scratch = Store.create ~capacity:64;
       tr4 = Kernel.scratch Pfx.Afi_v4;
       tr6 = Kernel.scratch Pfx.Afi_v6;
-      n_noop = 0;
+      (* every duplicate the replay would have met is a no-op *)
+      n_noop =
+        List.length vrps - List.length distinct_vrps
+        + (List.length pairs - List.length distinct_pairs);
       n_recomputes = 0;
     }
   in
-  List.iter (fun v -> ignore (apply t (Add_vrp v))) vrps;
-  List.iter (fun (p, a) -> ignore (apply t (Announce (p, a)))) pairs;
+  List.iter
+    (fun v ->
+      let key = group_key v in
+      let g = group_of t key in
+      g.members <- Vrp.Set.add v g.members;
+      mark_dirty t key g)
+    distinct_vrps;
   t
 
 (* --- compressed state ------------------------------------------------ *)

@@ -30,6 +30,10 @@ type event =
   | Add_vrp of Vrp.t
   | Remove_vrp of Vrp.t
 
+val pair_compare : Netaddr.Pfx.t * Asnum.t -> Netaddr.Pfx.t * Asnum.t -> int
+(** The canonical order of announced pairs: prefix ([Netaddr.Pfx.compare]),
+    then origin — the order {!pairs} lists them in. *)
+
 val event_to_string : event -> string
 val pp_event : Format.formatter -> event -> unit
 val event_equal : event -> event -> bool
@@ -42,9 +46,16 @@ val create :
   ?vrps:Vrp.t list ->
   unit ->
   t
-(** Fresh engine, optionally seeded by replaying [Add_vrp]s then
-    [Announce]s (the replay counts toward {!stats}). [mode] selects
-    the merge rule, defaulting to the batch default (Strict). *)
+(** Fresh engine, optionally seeded with [vrps] and [pairs]. The seed
+    is a bulk build, equal to replaying every [Add_vrp], then every
+    [Announce], through {!apply} on an empty engine: the same VRPs,
+    pairs, Valid pairs, non-minimal set and compressed output, and the
+    same {!stats} (each duplicate in either list counts as one no-op).
+    Both lists are sort-deduped ({!Canonical.sort_uniq}, so a
+    canonical list is only checked) and every store is built from
+    them in one pass; every compression group starts dirty. [mode]
+    selects the merge rule, defaulting to the batch default
+    (Strict). *)
 
 val apply : t -> event -> bool
 (** Apply one event; [false] when it was a no-op (announcing a pair

@@ -29,12 +29,13 @@ let rec prefix_counts v4 v6 = function
     | Netaddr.Pfx.V6 _ -> prefix_counts v4 (v6 + 1) rest)
 
 let create vrp_list =
-  (* One sort-dedup instead of a linear duplicate scan per insert;
-     replaying the distinct list in descending order lets the arena
-     prepend unconditionally while ending up with ascending
-     (canonical-order) chains. Each family's trie is sized by its own
-     prefix count, so the build never grows a column. *)
-  let distinct = List.sort_uniq Vrp.compare vrp_list in
+  (* One sort-dedup instead of a linear duplicate scan per insert (none
+     for a list already in canonical order); replaying the distinct
+     list in descending order lets the arena prepend unconditionally
+     while ending up with ascending (canonical-order) chains. Each
+     family's trie is sized by its own prefix count, so the build never
+     grows a column. *)
+  let distinct = Canonical.sort_uniq Vrp.compare vrp_list in
   let v4, v6 = prefix_counts 0 0 distinct in
   let db = Db.create ~v4 ~v6 ~entries:(List.length distinct) () in
   List.iter

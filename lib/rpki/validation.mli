@@ -20,8 +20,9 @@ val pp_state : Format.formatter -> state -> unit
 type db
 
 val create : Vrp.t list -> db
-(** Index a VRP list (duplicates are fine): one sort-dedup, then a
-    linear arena build. *)
+(** Index a VRP list (duplicates are fine): one sort-dedup
+    ({!Canonical.sort_uniq}: a list already in canonical order is only
+    checked), then a linear arena build. *)
 
 val cardinal : db -> int
 (** Number of distinct VRPs in the database. *)

@@ -94,11 +94,6 @@ let rec take n = function
   | [] -> []
   | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
 
-(* Canonical means strictly ascending: the list [Vset.elements] gives. *)
-let rec canonical = function
-  | a :: (b :: _ as rest) -> Rpki.Vrp.compare a b < 0 && canonical rest
-  | [] | [ _ ] -> true
-
 (* One merge walk of two canonical lists: tuples only in [next] were
    announced, tuples only in [prev] withdrawn. A tuple both lists
    share physically costs one pointer compare. *)
@@ -116,7 +111,7 @@ let rec diff_walk prev next announced withdrawn =
       else diff_walk prev ns (Vset.add n announced) withdrawn
 
 let update t vrps =
-  let next = if canonical vrps then vrps else List.sort_uniq Rpki.Vrp.compare vrps in
+  let next = Rpki.Canonical.sort_uniq Rpki.Vrp.compare vrps in
   let delta = diff_walk t.listing next Vset.empty Vset.empty in
   if Vset.is_empty delta.announced && Vset.is_empty delta.withdrawn then None
   else begin

@@ -38,9 +38,18 @@ type t = {
   mutable stats : stats;
 }
 
-let default_interval_ms i32 fallback =
+(* RFC 8210 §6 caps each End of Data interval at its own maximum, in
+   seconds. The floors are not the §6 minimums (Refresh 1, Retry 1,
+   Expire 600): a non-positive interval keeps the previous value, and
+   anything above zero is taken as it is, because [Rtr_sim] runs its
+   caches at 3/2/20 s and its pinned fingerprints depend on that. *)
+let max_refresh_s = 86_400
+let max_retry_s = 7_200
+let max_expire_s = 172_800
+
+let interval_ms ~max_s i32 fallback =
   let s = Int32.to_int i32 in
-  if s <= 0 then fallback else if s > 86_400 then 86_400_000 else s * 1000
+  if s <= 0 then fallback else Int.min s max_s * 1000
 
 (* ms of silence tolerated mid-exchange. *)
 let response_timeout = 5_000
@@ -254,9 +263,9 @@ let receive t ~now pdu =
        t.phase <- Settled;
        t.deadline <- None;
        t.last_eod <- Some now;
-       t.refresh_ms <- default_interval_ms refresh_interval t.refresh_ms;
-       t.retry_ms <- default_interval_ms retry_interval t.retry_ms;
-       t.expire_ms <- default_interval_ms expire_interval t.expire_ms;
+       t.refresh_ms <- interval_ms ~max_s:max_refresh_s refresh_interval t.refresh_ms;
+       t.retry_ms <- interval_ms ~max_s:max_retry_s retry_interval t.retry_ms;
+       t.expire_ms <- interval_ms ~max_s:max_expire_s expire_interval t.expire_ms;
        t.refresh_at <- Some (now + t.refresh_ms);
        t.backoff <- initial_backoff;
        (* A completed full reload replaced everything we held, so any

@@ -23,7 +23,9 @@
     refresh interval is [Fresh], then [Stale], and past the expire
     interval the data is [Expired] — an explicit degraded mode (RFC
     8210 §6 allows routing on data up to the expire interval; past it
-    the router must stop trusting the set) rather than an exception. *)
+    the router must stop trusting the set) rather than an exception.
+    Each interval is clamped to its own §6 maximum: Refresh 86,400 s,
+    Retry 7,200 s, Expire 172,800 s. *)
 
 type t
 

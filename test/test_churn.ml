@@ -352,6 +352,66 @@ let test_noop_events_zero_resorts () =
   Alcotest.(check int) "all counted as no-ops" (s0.Churn.noops + 4) s1.Churn.noops;
   Alcotest.(check (list Testutil.vrp)) "compressed unchanged" before (Churn.compressed t)
 
+(* Every prefix [w] authorizes, announced by [w]'s origin: the pairs
+   that make a maxLength VRP minimal. *)
+let cone (w : Vrp.t) =
+  let rec go q acc =
+    let acc = (q, w.Vrp.asn) :: acc in
+    if Pfx.length q >= w.Vrp.max_len then acc
+    else match Pfx.split q with Some (l, r) -> go r (go l acc) | None -> acc
+  in
+  go w.Vrp.prefix []
+
+(* [create ~pairs ~vrps] seeds in bulk; it must reach the state, and
+   the stats, of replaying [Add_vrp]s then [Announce]s on an empty
+   engine. Inputs come from the dense pool, out of order and with
+   repeats, and some VRPs get their whole cone announced, so
+   duplicates, Valid pairs and both minimality verdicts all occur. *)
+let gen_seed =
+  let open QCheck2.Gen in
+  let pick arr = map (Array.get arr) (int_bound (Array.length arr - 1)) in
+  let with_repeats g =
+    let* l = list_size (int_range 0 40) g in
+    let* k = int_bound (List.length l) in
+    return (l @ List.filteri (fun i _ -> i < k) (List.rev l))
+  in
+  let announced = map2 (fun q asn -> (q, a asn)) (pick pool) (pick asn_pool) in
+  let vrp =
+    let* q = pick pool in
+    let* asn = pick asn_pool in
+    let* extra = int_bound 3 in
+    return (Vrp.make_exn q ~max_len:(min (Pfx.addr_bits q) (Pfx.length q + extra)) (a asn))
+  in
+  let* vrps = with_repeats vrp in
+  let* pairs = with_repeats announced in
+  let* covered = int_bound (List.length vrps) in
+  return (pairs @ List.concat_map cone (List.filteri (fun i _ -> i < covered) vrps), vrps)
+
+let prop_create_equals_replay =
+  QCheck2.Test.make ~name:"create ~pairs ~vrps = replay through apply" ~count:300 gen_seed
+    (fun (pairs, vrps) ->
+      let bulk = Churn.create ~pairs ~vrps () in
+      let replay = Churn.create () in
+      List.iter (fun w -> ignore (Churn.apply replay (Churn.Add_vrp w))) vrps;
+      List.iter (fun (q, origin) -> ignore (Churn.apply replay (Churn.Announce (q, origin)))) pairs;
+      let same_stats () =
+        let s = Churn.stats bulk and r = Churn.stats replay in
+        s.Churn.noops = r.Churn.noops
+        && s.Churn.group_recomputes = r.Churn.group_recomputes
+        && s.Churn.store_sorts = r.Churn.store_sorts
+      in
+      let checked t =
+        match Churn.self_check t with Ok () -> true | Error e -> QCheck2.Test.fail_report e
+      in
+      (* stats are compared before the first flush and after it *)
+      checked bulk && checked replay && same_stats ()
+      && List.equal Vrp.equal (Churn.vrps bulk) (Churn.vrps replay)
+      && List.equal pair_equal (Churn.pairs bulk) (Churn.pairs replay)
+      && List.equal pair_equal (Churn.valid_pairs bulk) (Churn.valid_pairs replay)
+      && List.equal Vrp.equal (Churn.non_minimal bulk) (Churn.non_minimal replay)
+      && List.equal Vrp.equal (Churn.compressed bulk) (Churn.compressed replay)
+      && same_stats ())
+
 (* --- timeline diffing ------------------------------------------------ *)
 
 (* Golden fixture: two adjacent states, both families, every event
@@ -383,6 +443,22 @@ let test_golden_event_stream () =
   let pairs_b, vrps_b = canon state_b in
   Alcotest.(check (list pair_t)) "round-trip pairs" pairs_b pairs;
   Alcotest.(check (list Testutil.vrp)) "round-trip vrps" vrps_b vrps
+
+(* [diff] on canonical inputs is one merge walk: it allocates the
+   events it emits and nothing per pair it walks past. A sort-dedup of
+   either side would cost O(n log n) words over the ~7.6k pairs. *)
+let test_diff_allocation () =
+  let weeks = Timeline.generate ~params:(Snapshot.scaled 0.01) ~seed:42 () in
+  let prev = Timeline.state_of (List.nth weeks 0).Timeline.snapshot in
+  let next = Timeline.state_of (List.nth weeks 1).Timeline.snapshot in
+  let events, words = Testutil.allocated_words (fun () -> Timeline.diff ~prev ~next) in
+  let n = List.length events in
+  Alcotest.(check bool) "the transition has events" true (n > 0);
+  Alcotest.(check bool)
+    (spf "%.0f words for %d events over %d pairs: at most 32 per event" words n
+       (List.length (fst next)))
+    true
+    (words <= 32. *. float_of_int n)
 
 let gen_state =
   QCheck2.Gen.pair
@@ -417,8 +493,11 @@ let () =
         [ Alcotest.test_case "minimality tracking" `Quick test_minimality_tracking;
           Alcotest.test_case "validity tracking" `Quick test_validity_tracking;
           Alcotest.test_case "no-op events: zero recomputes, zero re-sorts" `Quick
-            test_noop_events_zero_resorts ] );
+            test_noop_events_zero_resorts;
+          QCheck_alcotest.to_alcotest prop_create_equals_replay ] );
       ( "timeline-diff",
         Alcotest.test_case "golden event stream" `Quick test_golden_event_stream
+        :: Alcotest.test_case "diff allocates per event, not per pair" `Quick
+             test_diff_allocation
         :: List.map QCheck_alcotest.to_alcotest
              [ prop_diff_apply_roundtrip; prop_diff_reflexive ] ) ]

@@ -233,6 +233,38 @@ let test_timeline () =
   in
   Alcotest.(check bool) "monotone growth" true (monotone sizes)
 
+(* The series runs the generation loop once for all eight weeks; each
+   week must still be exactly the snapshot a generator run of its own
+   (same seed, that week's params) produces: the same pairs and the
+   same ROA list, in order. *)
+let test_timeline_weeks_equal_generate () =
+  let pair_t = Alcotest.pair Testutil.prefix Testutil.asn in
+  List.iter
+    (fun (scale, seed, domains) ->
+      List.iter
+        (fun (w : Timeline.week) ->
+          let s = w.Timeline.snapshot in
+          let alone = Snapshot.generate ~params:s.Snapshot.params ~seed () in
+          let what =
+            Printf.sprintf "scale %g, seed %d, %d domains, %s" scale seed domains w.Timeline.label
+          in
+          Alcotest.(check (list pair_t)) (what ^ ": pairs")
+            (Bgp_table.pairs alone.Snapshot.table) (Bgp_table.pairs s.Snapshot.table);
+          Alcotest.(check (list Testutil.roa)) (what ^ ": ROAs") alone.Snapshot.roas s.Snapshot.roas)
+        (Timeline.generate ~params:(Snapshot.scaled scale) ~domains ~seed ()))
+    [ (0.01, 9, 1); (0.01, 9, 2); (0.005, 3, 1); (0.005, 3, 2) ]
+
+(* [state_of] takes the table's pairs as they come (the fold order is
+   canonical) and only checks the VRP list: both sides must already be
+   their own sort-dedup. *)
+let test_state_of_canonical () =
+  let pair_t = Alcotest.pair Testutil.prefix Testutil.asn in
+  let pairs, vrps = Timeline.state_of (Lazy.force snap) in
+  Alcotest.(check (list pair_t)) "pairs are their sort-dedup"
+    (List.sort_uniq Rpki.Churn.pair_compare pairs) pairs;
+  Alcotest.(check (list Testutil.vrp)) "VRPs are their sort-dedup"
+    (List.sort_uniq Rpki.Vrp.compare vrps) vrps
+
 let prop_table_root_count_naive =
   let open QCheck2 in
   let gen =
@@ -284,5 +316,8 @@ let () =
           Alcotest.test_case "determinism" `Quick test_snapshot_determinism;
           Alcotest.test_case "ROAs well-formed" `Quick test_snapshot_roas_well_formed ] );
       ( "timeline",
-        [ Alcotest.test_case "weekly series" `Quick test_timeline ] );
+        [ Alcotest.test_case "weekly series" `Quick test_timeline;
+          Alcotest.test_case "every week equals a generator run of its own" `Quick
+            test_timeline_weeks_equal_generate;
+          Alcotest.test_case "state_of is canonical" `Quick test_state_of_canonical ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_table_root_count_naive ]) ]

@@ -344,6 +344,43 @@ let test_protocol_violations () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "unknown withdrawal accepted"
 
+(* RFC 8210 §6 bounds each End of Data interval by its own maximum:
+   Refresh 86,400 s, Retry 7,200 s, Expire 172,800 s. A cache that
+   advertises a two-day Expire keeps the router's data usable (Stale)
+   for two days, not one; an over-long Refresh is cut to one day. *)
+let test_interval_maxima () =
+  let r = Router.create () in
+  Router.connected r ~now:0;
+  ignore (Router.pending r);
+  let step pdu =
+    match Router.receive r ~now:0 pdu with Ok () -> () | Error e -> Alcotest.fail e
+  in
+  step (Pdu.Cache_response { session_id = 1 });
+  step
+    (Pdu.End_of_data
+       { session_id = 1;
+         serial = 1l;
+         refresh_interval = 100_000l;
+         retry_interval = 600l;
+         expire_interval = 172_800l });
+  let name = function
+    | Router.No_data -> "No_data"
+    | Router.Fresh -> "Fresh"
+    | Router.Stale -> "Stale"
+    | Router.Expired -> "Expired"
+  in
+  List.iter
+    (fun (ms, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "freshness at %d ms" ms)
+        want
+        (name (Router.freshness r ~now:ms)))
+    [ (86_399_999, "Fresh");
+      (86_400_000, "Stale");
+      (100_000_000, "Stale");
+      (172_799_999, "Stale");
+      (172_800_000, "Expired") ]
+
 let gen_vrp_set = QCheck2.Gen.map (fun l -> Vset.elements (Vset.of_list l)) Testutil.gen_vrp_list
 
 let prop_sync_reaches_cache_state =
@@ -722,7 +759,8 @@ let () =
           Alcotest.test_case "old serial gets reset" `Quick test_cache_reset_on_old_serial;
           Alcotest.test_case "unknown session" `Quick test_unknown_session_resets;
           Alcotest.test_case "recovers from cache reset" `Quick test_router_recovers_from_cache_reset;
-          Alcotest.test_case "protocol violations" `Quick test_protocol_violations ] );
+          Alcotest.test_case "protocol violations" `Quick test_protocol_violations;
+          Alcotest.test_case "End of Data interval maxima" `Quick test_interval_maxima ] );
       ( "fan-out",
         [ Alcotest.test_case "encode once per update" `Quick test_encode_once_fanout;
           Alcotest.test_case "retention bounded" `Quick test_retention_bounded ] );

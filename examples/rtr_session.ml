@@ -53,7 +53,7 @@ let () =
   let rov_db router = Rpki.Validation.create (Rpki.Vrp.Set.elements (Rtr.Router_client.vrps router)) in
   let hijack = Bgp.Route.make_exn (p "168.122.0.0/24") [ asn 666; asn 111 ] in
   let show_decision tag router =
-    let rov = Bgp.Rov.create Bgp.Rov.Drop_invalid (rov_db router) in
+    let rov = Bgp.Rov.create (rov_db router) in
     Format.printf "%s: %s -> %s (%s)@." tag
       (Bgp.Route.to_string hijack)
       (Rpki.Validation.state_to_string (Bgp.Rov.state_of rov hijack))

@@ -1,13 +1,5 @@
-type mode = Disabled | Drop_invalid
+type t = Rpki.Validation.db
 
-type t = { mode : mode; db : Rpki.Validation.db }
-
-let create mode db = { mode; db }
-let mode t = t.mode
-
-let state_of t (r : Route.t) = Rpki.Validation.validate t.db r.Route.prefix (Route.origin r)
-
-let accepts t r =
-  match t.mode with
-  | Disabled -> true
-  | Drop_invalid -> state_of t r <> Rpki.Validation.Invalid
+let create db = db
+let state_of t (r : Route.t) = Rpki.Validation.validate t r.Route.prefix (Route.origin r)
+let accepts t r = state_of t r <> Rpki.Validation.Invalid

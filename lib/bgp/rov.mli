@@ -2,20 +2,15 @@
 
     Wraps a {!Rpki.Validation.db} into an import filter: the paper's
     security setting is routers that "drop routes that the RPKI deems
-    invalid". *)
-
-type mode =
-  | Disabled  (** Accept everything (pre-RPKI behaviour). *)
-  | Drop_invalid  (** Reject announcements whose origin validation is Invalid. *)
+    invalid". An AS without ROV simply has no filter. *)
 
 type t
 
-val create : mode -> Rpki.Validation.db -> t
-val mode : t -> mode
+val create : Rpki.Validation.db -> t
 
 val state_of : t -> Route.t -> Rpki.Validation.state
 (** Origin-validate a route (checks its origin AS against the VRPs). *)
 
 val accepts : t -> Route.t -> bool
-(** False only in [Drop_invalid] mode for an Invalid route; NotFound
-    routes are always accepted, per RFC 7115's deployment advice. *)
+(** False only for an Invalid route; NotFound routes are accepted, per
+    RFC 7115's deployment advice. *)

@@ -3,8 +3,8 @@ module Snapshot = Dataset.Snapshot
 type row = { label : string; pdus : int; secure : bool; paper_pdus : int option }
 type series = { name : string; secure : bool; points : (string * int) list }
 
-(* The PDU lists behind every scenario. Computed lazily per snapshot so
-   Figure 3 reuses the same pipeline code as Table 1. *)
+(* The PDU lists behind every scenario, computed lazily per snapshot:
+   Table 1 and Figure 3 both read this one definition. *)
 type pipelines = {
   status_quo : Rpki.Vrp.t list lazy_t;
   status_quo_compressed : Rpki.Vrp.t list lazy_t;
@@ -35,27 +35,22 @@ let count p = List.length (Lazy.force p)
 
 (* Table 1's seven rows hang off four mutually independent pipelines
    (status-quo compression; minimal + its compression; full
-   deployment + its compression; the lower bound), so those four run
-   as one fork-join task each. Each task only reads the snapshot, so
-   the counts equal the sequential ones exactly. *)
+   deployment + its compression; the lower bound), one fork-join task
+   each; the counts equal the sequential ones exactly. Two tasks read
+   [status_quo], so it is forced before the fork: forcing one lazy
+   value from two domains at once can raise [Lazy.Undefined]. *)
 let table1 ?(mode = Compress.Strict) ?domains snap =
-  let compress vrps = Compress.run ~mode vrps in
-  let table = snap.Snapshot.table in
-  let status_quo = Snapshot.vrps snap in
-  let t_status_quo_compressed () = [ List.length (compress status_quo) ] in
-  let t_minimal () =
-    let m = Minimal.minimal_vrps table status_quo in
-    [ List.length m; List.length (compress m) ]
+  let p = pipelines_of ~mode snap in
+  let status_quo = count p.status_quo in
+  let tasks =
+    List.map
+      (fun pipelines () -> List.map count pipelines)
+      [ [ p.status_quo_compressed ]; [ p.minimal; p.minimal_compressed ];
+        [ p.full; p.full_compressed ]; [ p.bound ] ]
   in
-  let t_full () =
-    let f = Minimal.full_deployment_vrps table in
-    [ List.length f; List.length (compress f) ]
-  in
-  let t_bound () = [ List.length (Minimal.max_permissive_vrps table) ] in
-  let tasks = [ t_status_quo_compressed; t_minimal; t_full; t_bound ] in
   match Parallel.Pool.parallel_tasks ?domains tasks with
   | [ [ sqc ]; [ minimal; minimal_c ]; [ full; full_c ]; [ bound ] ] ->
-    [ { label = "Today"; pdus = List.length status_quo; secure = false; paper_pdus = Some 39_949 };
+    [ { label = "Today"; pdus = status_quo; secure = false; paper_pdus = Some 39_949 };
       { label = "Today (compressed)"; pdus = sqc; secure = false; paper_pdus = Some 33_615 };
       { label = "Today, minimal ROAs, no maxLength";
         pdus = minimal;
@@ -79,17 +74,20 @@ let table1 ?(mode = Compress.Strict) ?domains snap =
         paper_pdus = Some 729_371 } ]
   | _ -> assert false
 
+(* One pipeline record per week, shared by every series, so each
+   week's lists are built once and dropped before the next week's. *)
 let over_weeks ~mode weeks select =
-  List.map
-    (fun (name, secure, pick) ->
-      { name;
-        secure;
-        points =
-          List.map
-            (fun (w : Dataset.Timeline.week) ->
-              let p = pipelines_of ~mode w.Dataset.Timeline.snapshot in
-              (w.Dataset.Timeline.label, count (pick p)))
-            weeks })
+  let per_week =
+    List.map
+      (fun (w : Dataset.Timeline.week) ->
+        let p = pipelines_of ~mode w.Dataset.Timeline.snapshot in
+        let counts = Array.of_list (List.map (fun (_, _, pick) -> count (pick p)) select) in
+        (w.Dataset.Timeline.label, counts))
+      weeks
+  in
+  List.mapi
+    (fun i (name, secure, _) ->
+      { name; secure; points = List.map (fun (label, counts) -> (label, counts.(i))) per_week })
     select
 
 let figure3a ?(mode = Compress.Strict) weeks =

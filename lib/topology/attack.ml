@@ -59,22 +59,15 @@ let aspa_received_from = function
   | Bgp.Policy.Peer -> Rpki.Aspa.From_peer
   | Bgp.Policy.Provider -> Rpki.Aspa.From_provider
 
-let propagate_one sc db route_map prefix origins =
-  let import_filter asn rel (r : Route.t) =
-    let rov_ok =
-      (not (sc.rov asn))
-      || Rpki.Validation.validate db r.Route.prefix (Route.origin r) <> Rpki.Validation.Invalid
-    in
-    let aspa_ok =
-      match sc.aspas with
-      | None -> true
-      | Some db ->
-        (not (sc.rov asn))
-        || Rpki.Aspa.verify db ~received_from:(aspa_received_from rel) ~as_path:r.Route.as_path
-           <> Rpki.Aspa.Path_invalid
-    in
-    rov_ok && aspa_ok
+let propagate_one sc rov route_map prefix origins =
+  let aspa_ok rel (r : Route.t) =
+    match sc.aspas with
+    | None -> true
+    | Some db ->
+      Rpki.Aspa.verify db ~received_from:(aspa_received_from rel) ~as_path:r.Route.as_path
+      <> Rpki.Aspa.Path_invalid
   in
+  let import_filter asn rel r = (not (sc.rov asn)) || (Bgp.Rov.accepts rov r && aspa_ok rel r) in
   let outcome = Propagate.run sc.graph ~originations:origins ~import_filter () in
   route_map := (prefix, outcome) :: !route_map
 
@@ -111,9 +104,9 @@ let measure sc ~route_maps ~target ~kind ~hijack ~validity =
     measured = List.length ases - 2 }
 
 let run sc kind ~target =
-  let db = Rpki.Validation.create sc.vrps in
+  let rov = Bgp.Rov.create (Rpki.Validation.create sc.vrps) in
   let hijack = hijack_route sc kind in
-  let validity = Rpki.Validation.validate db hijack.Route.prefix (Route.origin hijack) in
+  let validity = Bgp.Rov.state_of rov hijack in
   let route_map = ref [] in
   (* Victim's legitimate announcements, one propagation per prefix; the
      hijacked prefix gets competing originations when prefixes collide. *)
@@ -123,17 +116,17 @@ let run sc kind ~target =
       let origins =
         if Pfx.equal p hijack.Route.prefix then (sc.attacker, hijack) :: origins else origins
       in
-      propagate_one sc db route_map p origins)
+      propagate_one sc rov route_map p origins)
     sc.announced;
   if not (List.exists (fun p -> Pfx.equal p hijack.Route.prefix) sc.announced) then
-    propagate_one sc db route_map hijack.Route.prefix [ (sc.attacker, hijack) ];
+    propagate_one sc rov route_map hijack.Route.prefix [ (sc.attacker, hijack) ];
   measure sc ~route_maps:!route_map ~target ~kind ~hijack ~validity
 
 let baseline sc ~target =
-  let db = Rpki.Validation.create sc.vrps in
+  let rov = Bgp.Rov.create (Rpki.Validation.create sc.vrps) in
   let route_map = ref [] in
   List.iter
-    (fun p -> propagate_one sc db route_map p [ (sc.victim, Route.originate p sc.victim) ])
+    (fun p -> propagate_one sc rov route_map p [ (sc.victim, Route.originate p sc.victim) ])
     sc.announced;
   let dummy = Route.originate (List.hd sc.announced) sc.victim in
   measure sc ~route_maps:!route_map ~target ~kind:Prefix_hijack ~hijack:dummy

@@ -1,4 +1,5 @@
 module Asnum = Rpki.Asnum
+module Wire = Bgp_wire
 
 type open_msg = {
   version : int;
@@ -69,8 +70,8 @@ let encode = function
     header_and buf 3 (Printf.sprintf "%c%c%s" (Char.chr n.code) (Char.chr n.subcode) n.data);
     Buffer.contents buf
   | Open o ->
-    if o.version <> 4 then invalid_arg "Bgp.Msg.encode: only BGP-4";
-    if o.hold_time < 0 || o.hold_time > 0xffff then invalid_arg "Bgp.Msg.encode: bad hold time";
+    if o.version <> 4 then invalid_arg "Bgp_msg.encode: only BGP-4";
+    if o.hold_time < 0 || o.hold_time > 0xffff then invalid_arg "Bgp_msg.encode: bad hold time";
     let asn_int = Asnum.to_int o.asn in
     let my_as = if asn_int < 0x10000 then asn_int else as_trans in
     (* One optional parameter: capabilities, containing the 4-octet-AS

@@ -1,8 +1,8 @@
 (** All four BGP-4 message types (RFC 4271 §4), on the wire.
 
-    {!Wire} handles the UPDATE payload; this module adds OPEN (with the
+    {!Bgp_wire} handles the UPDATE payload; this module adds OPEN (with the
     RFC 6793 four-octet-AS capability), NOTIFICATION and KEEPALIVE, plus
-    the common header framing — everything a {!Session} needs. *)
+    the common header framing — everything a {!Bgp_session} needs. *)
 
 type open_msg = {
   version : int;  (** Always 4. *)
@@ -26,7 +26,7 @@ val err_cease : int
 
 type t =
   | Open of open_msg
-  | Update of Wire.update
+  | Update of Bgp_wire.update
   | Notification of notification
   | Keepalive
 

@@ -1,5 +1,10 @@
 module Pfx = Netaddr.Pfx
 module Asnum = Rpki.Asnum
+module Route = Bgp.Route
+module Policy = Bgp.Policy
+module Rov = Bgp.Rov
+module Msg = Bgp_msg
+module Session = Bgp_session
 
 type peer = {
   remote : Asnum.t;
@@ -17,8 +22,7 @@ type t = {
   mutable loc_rib : (Policy.learned_from * Route.t) Pfx.Map.t;
 }
 
-let create ?rov ~asn ~bgp_id () =
-  ignore bgp_id;
+let create ?rov ~asn () =
   { asn; rov; peers = []; originated = Pfx.Set.empty; loc_rib = Pfx.Map.empty }
 
 let asn t = t.asn
@@ -28,7 +32,7 @@ let originate t prefix = t.originated <- Pfx.Set.add prefix t.originated
 let set_export_filter t remote filter =
   match List.find_opt (fun p -> Asnum.equal p.remote remote) t.peers with
   | Some peer -> peer.export_filter <- filter
-  | None -> invalid_arg "Router.set_export_filter: unknown neighbor"
+  | None -> invalid_arg "Bgp_router.set_export_filter: unknown neighbor"
 
 (* Recompute the Loc-RIB from own originations and every peer's
    Adj-RIB-In. Selected routes are stored in announcement form (our
@@ -129,7 +133,7 @@ module Network = struct
   let create () = { routers = Asnum.Tbl.create 32; links = []; msgs = 0 }
 
   let add net r =
-    if Asnum.Tbl.mem net.routers r.asn then invalid_arg "Router.Network.add: duplicate AS";
+    if Asnum.Tbl.mem net.routers r.asn then invalid_arg "Bgp_router.Network.add: duplicate AS";
     Asnum.Tbl.replace net.routers r.asn r
 
   let router net asn = Asnum.Tbl.find_opt net.routers asn
@@ -145,7 +149,7 @@ module Network = struct
         let wire = Msg.encode m in
         match Msg.decode wire 0 with
         | Ok (m', _) -> Session.receive dst m'
-        | Error e -> failwith ("Router.Network: message corrupt on the wire: " ^ e))
+        | Error e -> failwith ("Bgp_router.Network: message corrupt on the wire: " ^ e))
       (Session.pending src);
     !moved
 
@@ -158,7 +162,7 @@ module Network = struct
     match router net a_asn, router net b_asn with
     | Some ra, Some rb ->
       if List.exists (fun p -> Asnum.equal p.remote b_asn) ra.peers then
-        invalid_arg "Router.Network.connect: duplicate link";
+        invalid_arg "Bgp_router.Network.connect: duplicate link";
       let id n = Netaddr.Ipv4.of_int32_bits (Asnum.to_int n) in
       let sa =
         Session.create { Session.asn = a_asn; bgp_id = id a_asn; hold_time = 90 }
@@ -185,7 +189,7 @@ module Network = struct
         if n > 0 && pump_link net l then settle (n - 1)
       in
       settle 8
-    | _ -> invalid_arg "Router.Network.connect: unknown router"
+    | _ -> invalid_arg "Bgp_router.Network.connect: unknown router"
 
   let run net =
     let routers = Asnum.Tbl.fold (fun _ r acc -> r :: acc) net.routers [] in
@@ -195,7 +199,7 @@ module Network = struct
     while !progress do
       progress := false;
       incr rounds;
-      if !rounds > max_rounds then failwith "Router.Network.run: did not converge";
+      if !rounds > max_rounds then failwith "Bgp_router.Network.run: did not converge";
       List.iter decide routers;
       List.iter
         (fun r -> List.iter (fun p -> if sync_exports r p then progress := true) r.peers)

@@ -1,11 +1,11 @@
 (** A message-level BGP speaker: sessions + decision process + RIB.
 
     Where {!Topology.Propagate} computes routing outcomes analytically,
-    a {!Router} network reaches them the way real routers do — BGP
-    messages over {!Session}s, Adj-RIB-In per peer, best-path selection
+    a {!Bgp_router} network reaches them the way real routers do — BGP
+    messages over {!Bgp_session}s, Adj-RIB-In per peer, best-path selection
     under Gao–Rexford preferences, export filtering, and optional
-    origin validation at import. The test suite runs both on the same
-    topology and checks they agree.
+    origin validation at import. test_router runs both on the same
+    topologies and checks they agree, which is why this model exists.
 
     Deterministic and single-threaded: {!Network.run} pumps messages
     until quiescence. *)
@@ -13,9 +13,8 @@
 type t
 
 val create :
-  ?rov:Rov.t ->
+  ?rov:Bgp.Rov.t ->
   asn:Rpki.Asnum.t ->
-  bgp_id:Netaddr.Ipv4.t ->
   unit ->
   t
 (** A router for one AS. [rov] installs RFC 6811 drop-invalid filtering
@@ -33,12 +32,12 @@ val set_export_filter : t -> Rpki.Asnum.t -> (Netaddr.Pfx.t -> bool) -> unit
     predicate are advertised to that neighbor. Applies on the next
     {!Network.run}. @raise Invalid_argument for an unknown neighbor. *)
 
-val best_route : t -> Netaddr.Pfx.t -> Route.t option
+val best_route : t -> Netaddr.Pfx.t -> Bgp.Route.t option
 (** The route selected for exactly this prefix ([None] when only
     locally originated or unknown). Locally originated prefixes return
     the one-hop route. *)
 
-val forward : t -> Netaddr.Pfx.t -> Route.t option
+val forward : t -> Netaddr.Pfx.t -> Bgp.Route.t option
 (** Data-plane longest-prefix-match decision for a destination. *)
 
 (** A set of routers plus the full-mesh-of-sessions plumbing between
@@ -50,7 +49,7 @@ module Network : sig
   val create : unit -> t
   val add : t -> router -> unit
 
-  val connect : t -> Rpki.Asnum.t -> Rpki.Asnum.t -> relation:Policy.relation ->
+  val connect : t -> Rpki.Asnum.t -> Rpki.Asnum.t -> relation:Bgp.Policy.relation ->
     unit
   (** [connect net a b ~relation] opens a BGP session between the two
       routers; [relation] is what [b] is to [a] (e.g. [Customer] when

@@ -1,4 +1,7 @@
 module Pfx = Netaddr.Pfx
+module Route = Bgp.Route
+module Msg = Bgp_msg
+module Wire = Bgp_wire
 
 type config = { asn : Rpki.Asnum.t; bgp_id : Netaddr.Ipv4.t; hold_time : int }
 type state = Idle | Open_sent | Open_confirm | Established
@@ -24,7 +27,7 @@ type t = {
 
 let create config =
   if config.hold_time <> 0 && config.hold_time < 3 then
-    invalid_arg "Bgp.Session.create: hold time must be 0 or >= 3";
+    invalid_arg "Bgp_session.create: hold time must be 0 or >= 3";
   { config;
     state = Idle;
     peer = None;
@@ -124,7 +127,7 @@ let receive t m =
   | Established, Msg.Open _ -> fsm_error t "OPEN in Established"
 
 let tick t ~seconds =
-  if seconds < 0 then invalid_arg "Bgp.Session.tick: negative time";
+  if seconds < 0 then invalid_arg "Bgp_session.tick: negative time";
   t.clock <- t.clock + seconds;
   match t.state with
   | Idle -> ()

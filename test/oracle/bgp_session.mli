@@ -30,7 +30,7 @@ val start : t -> unit
 (** Begin actively: queues our OPEN (Idle → OpenSent). No-op in any
     other state. *)
 
-val receive : t -> Msg.t -> unit
+val receive : t -> Bgp_msg.t -> unit
 (** Process one message from the peer. *)
 
 val tick : t -> seconds:int -> unit
@@ -38,20 +38,20 @@ val tick : t -> seconds:int -> unit
     negotiated hold time and tears the session down (NOTIFICATION,
     Hold Timer Expired) when the peer has been silent too long. *)
 
-val pending : t -> Msg.t list
+val pending : t -> Bgp_msg.t list
 (** Drain the messages to put on the wire. *)
 
-val announce : t -> Route.t -> (unit, string) result
+val announce : t -> Bgp.Route.t -> (unit, string) result
 (** Queue an UPDATE announcing the route; fails unless Established. *)
 
 val withdraw : t -> Netaddr.Pfx.t -> (unit, string) result
 
-val routes_in : t -> Route.t list
+val routes_in : t -> Bgp.Route.t list
 (** Adj-RIB-In: routes currently learned from the peer (cleared on
     session teardown). Routes whose path contains our own AS are
     dropped on input (loop prevention). *)
 
-val peer : t -> Msg.open_msg option
+val peer : t -> Bgp_msg.open_msg option
 (** The peer's OPEN parameters, once seen. *)
 
 val negotiated_hold_time : t -> int option

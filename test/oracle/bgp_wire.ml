@@ -1,5 +1,6 @@
 module Pfx = Netaddr.Pfx
 module Asnum = Rpki.Asnum
+module Route = Bgp.Route
 
 type update = {
   withdrawn : Pfx.t list;
@@ -101,7 +102,7 @@ let attribute buf ~flags ~typ ~value =
 let as_path_value path =
   let buf = Buffer.create (2 + (List.length path * 4)) in
   if path <> [] then begin
-    if List.length path > 255 then invalid_arg "Bgp.Wire.encode: AS path too long";
+    if List.length path > 255 then invalid_arg "Bgp_wire.encode: AS path too long";
     Buffer.add_char buf '\x02'; (* AS_SEQUENCE *)
     Buffer.add_char buf (Char.chr (List.length path));
     List.iter (fun a -> add_u32 buf (Asnum.to_int a)) path
@@ -130,7 +131,7 @@ let split_family l =
 
 let encode u =
   if u.announced <> [] && u.as_path = [] then
-    invalid_arg "Bgp.Wire.encode: announcements require an AS path";
+    invalid_arg "Bgp_wire.encode: announcements require an AS path";
   let withdrawn4, withdrawn6 = split_family u.withdrawn in
   let announced4, announced6 = split_family u.announced in
   let wbuf = Buffer.create 64 in
@@ -152,7 +153,7 @@ let encode u =
     header_size + 2 + String.length withdrawn_bytes + 2 + String.length attr_bytes
     + String.length nlri
   in
-  if total > max_message_size then invalid_arg "Bgp.Wire.encode: message exceeds 4096 bytes";
+  if total > max_message_size then invalid_arg "Bgp_wire.encode: message exceeds 4096 bytes";
   let buf = Buffer.create total in
   Buffer.add_string buf (String.make 16 '\xff');
   add_u16 buf total;

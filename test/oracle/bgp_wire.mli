@@ -14,10 +14,10 @@ type update = {
   as_path : Rpki.Asnum.t list;  (** Empty for a pure withdrawal. *)
 }
 
-val routes : update -> Route.t list
+val routes : update -> Bgp.Route.t list
 (** The announced prefixes as individual routes. *)
 
-val of_route : Route.t -> update
+val of_route : Bgp.Route.t -> update
 (** An UPDATE announcing exactly one route. *)
 
 val encode : update -> string

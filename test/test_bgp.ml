@@ -1,5 +1,5 @@
 module Route = Bgp.Route
-module Wire = Bgp.Wire
+module Wire = Oracle.Bgp_wire
 module Policy = Bgp.Policy
 module Rov = Bgp.Rov
 module Pfx = Netaddr.Pfx
@@ -128,15 +128,13 @@ let test_rov_filter () =
   let db =
     Rpki.Validation.create [ Rpki.Vrp.make_exn (p "168.122.0.0/16") ~max_len:16 (a 111) ]
   in
-  let rov = Rov.create Rov.Drop_invalid db in
+  let rov = Rov.create db in
   let valid = Route.make_exn (p "168.122.0.0/16") [ a 111 ] in
   let invalid = Route.make_exn (p "168.122.0.0/24") [ a 666 ] in
   let notfound = Route.make_exn (p "8.8.8.0/24") [ a 666 ] in
   Alcotest.(check bool) "valid accepted" true (Rov.accepts rov valid);
   Alcotest.(check bool) "invalid dropped" false (Rov.accepts rov invalid);
   Alcotest.(check bool) "notfound accepted" true (Rov.accepts rov notfound);
-  let off = Rov.create Rov.Disabled db in
-  Alcotest.(check bool) "disabled accepts invalid" true (Rov.accepts off invalid);
   Alcotest.check Testutil.validation_state "state_of" Rpki.Validation.Invalid (Rov.state_of rov invalid)
 
 (* --- properties --- *)

@@ -2,8 +2,8 @@
    session state machine: establishment, keepalives, hold-timer
    expiry, FSM errors, route exchange with loop prevention. *)
 
-module Msg = Bgp.Msg
-module Session = Bgp.Session
+module Msg = Oracle.Bgp_msg
+module Session = Oracle.Bgp_session
 module Route = Bgp.Route
 
 (* Two sessions wired back-to-back through the real byte encoding.
@@ -106,7 +106,7 @@ let test_msg_roundtrips () =
       Msg.Notification { Msg.code = 6; subcode = 2; data = "bye" };
       Msg.Notification { Msg.code = 4; subcode = 0; data = "" };
       Msg.Update
-        { Bgp.Wire.withdrawn = [ p "10.0.0.0/8" ];
+        { Oracle.Bgp_wire.withdrawn = [ p "10.0.0.0/8" ];
           announced = [ p "168.122.0.0/16" ];
           as_path = [ a 1; a 2 ] } ]
 
@@ -245,7 +245,7 @@ let test_update_before_established_is_fsm_error () =
   Session.start s;
   ignore (Session.pending s);
   Session.receive s
-    (Msg.Update { Bgp.Wire.withdrawn = []; announced = [ p "10.0.0.0/8" ]; as_path = [ a 1 ] });
+    (Msg.Update { Oracle.Bgp_wire.withdrawn = []; announced = [ p "10.0.0.0/8" ]; as_path = [ a 1 ] });
   Alcotest.(check bool) "back to idle" true (Session.state s = Session.Idle);
   match Session.pending s with
   | [ Msg.Notification n ] -> Alcotest.(check int) "FSM error" Msg.err_fsm n.Msg.code

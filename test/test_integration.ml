@@ -58,7 +58,7 @@ let test_full_pipeline () =
   Alcotest.(check bool) "router synced" true (Rtr.Router_client.synced router);
   (* The router validates BGP announcements against what it received. *)
   let db = V.create (Rpki.Vrp.Set.elements (Rtr.Router_client.vrps router)) in
-  let rov = Bgp.Rov.create Bgp.Rov.Drop_invalid db in
+  let rov = Bgp.Rov.create db in
   let legit = Route.make_exn (p "168.122.0.0/16") [ a 3356; a 111 ] in
   let hijack = Route.make_exn (p "168.122.0.0/24") [ a 666; a 111 ] in
   let fig2_legit = Route.make_exn (p "87.254.40.0/21") [ a 31283 ] in
@@ -80,7 +80,7 @@ let test_hardening_update_via_rtr () =
   let hijack = Route.make_exn (p "168.122.0.0/24") [ a 666; a 111 ] in
   let accepted_before =
     Bgp.Rov.accepts
-      (Bgp.Rov.create Bgp.Rov.Drop_invalid
+      (Bgp.Rov.create
          (V.create (Rpki.Vrp.Set.elements (Rtr.Router_client.vrps router))))
       hijack
   in
@@ -94,7 +94,7 @@ let test_hardening_update_via_rtr () =
   Rtr.Session.publish session (Mlcore.Compress.run vrps1);
   Alcotest.(check bool) "router resynced" true (Rtr.Router_client.synced router);
   let db = V.create (Rpki.Vrp.Set.elements (Rtr.Router_client.vrps router)) in
-  let rov = Bgp.Rov.create Bgp.Rov.Drop_invalid db in
+  let rov = Bgp.Rov.create db in
   Alcotest.(check bool) "hijack dropped after hardening" false (Bgp.Rov.accepts rov hijack);
   (* Legitimate announcements keep flowing. *)
   Alcotest.(check bool) "own /16 ok" true

@@ -2,8 +2,8 @@
    behavior on the diamond topology, and differentially against the
    analytic Propagate simulator on random generated topologies. *)
 
-module Router = Bgp.Router
-module Network = Bgp.Router.Network
+module Router = Oracle.Bgp_router
+module Network = Oracle.Bgp_router.Network
 module Policy = Bgp.Policy
 module Route = Bgp.Route
 module G = Topology.As_graph
@@ -13,8 +13,7 @@ module Pfx = Netaddr.Pfx
 let p = Testutil.p4
 let a = Testutil.a
 
-let make_router ?rov n =
-  Router.create ?rov ~asn:(a n) ~bgp_id:(Netaddr.Ipv4.of_int32_bits n) ()
+let make_router ?rov n = Router.create ?rov ~asn:(a n) ()
 
 (* The same diamond as test_topology. *)
 let diamond_net ?rov_for () =
@@ -85,36 +84,32 @@ let test_longest_prefix_forwarding () =
   | None -> Alcotest.fail "no route"
 
 let test_rov_drops_hijack_in_messages () =
-  (* The §4 attack at message level: AS 7 (attacker) announces the
-     forged "168.122.0.0/24: AS 7, AS 6". With a minimal-ROA database
-     everywhere, ROV routers drop it. *)
-  let vrps = [ Rpki.Vrp.exact (p "168.122.0.0/16") (a 6) ] in
-  let rov = Bgp.Rov.create Bgp.Rov.Drop_invalid (Rpki.Validation.create vrps) in
-  let net = diamond_net ~rov_for:([ 1; 2; 3; 4; 5 ], rov) () in
-  let r6 = Option.get (Network.router net (a 6)) in
-  Router.originate r6 (p "168.122.0.0/16");
-  Network.run net;
-  (* Inject the forged announcement by originating at 7 with a forged
-     path: model by giving 7 a direct origination of the subprefix —
-     origin AS 7, which the ROA makes invalid. *)
-  let r7 = Option.get (Network.router net (a 7)) in
-  Router.originate r7 (p "168.122.0.0/24");
-  Network.run net;
-  let r1 = Option.get (Network.router net (a 1)) in
-  (match Router.forward r1 (p "168.122.0.1/32") with
-   | Some r -> Alcotest.check Testutil.asn "traffic stays with AS 6" (a 6) (Route.origin r)
-   | None -> Alcotest.fail "no route at 1");
-  (* Without ROV the same announcement wins by longest-prefix match. *)
-  let net2 = diamond_net () in
-  let r6 = Option.get (Network.router net2 (a 6)) in
-  let r7 = Option.get (Network.router net2 (a 7)) in
-  Router.originate r6 (p "168.122.0.0/16");
-  Router.originate r7 (p "168.122.0.0/24");
-  Network.run net2;
-  let r1 = Option.get (Network.router net2 (a 1)) in
-  match Router.forward r1 (p "168.122.0.1/32") with
-  | Some r -> Alcotest.check Testutil.asn "hijacker wins without ROV" (a 7) (Route.origin r)
-  | None -> Alcotest.fail "no route at 1"
+  (* A subprefix hijack at message level: AS 6 (the victim) originates
+     168.122.0.0/16 and AS 7 (the attacker) the unannounced
+     168.122.0.0/24 with itself as origin. AS 1 forwards traffic for
+     168.122.0.1 to whichever origin wins. *)
+  let winner ?rov_for () =
+    let net = diamond_net ?rov_for () in
+    Router.originate (Option.get (Network.router net (a 6))) (p "168.122.0.0/16");
+    Network.run net;
+    Router.originate (Option.get (Network.router net (a 7))) (p "168.122.0.0/24");
+    Network.run net;
+    match Router.forward (Option.get (Network.router net (a 1))) (p "168.122.0.1/32") with
+    | Some r -> Route.origin r
+    | None -> Alcotest.fail "no route at 1"
+  in
+  (* Without ROV the hijack wins by longest-prefix match. *)
+  Alcotest.check Testutil.asn "hijacker wins without ROV" (a 7) (winner ());
+  (* With ROV at ASes 1-5 the /24 is Invalid and dropped, under the
+     minimal ROA and under the non-minimal maxLength ROA alike: the
+     maxLength authorizes AS 6's subprefixes, not an origin-AS-7 one. *)
+  List.iter
+    (fun (label, vrps) ->
+      let rov = Bgp.Rov.create (Rpki.Validation.create vrps) in
+      Alcotest.check Testutil.asn (label ^ ": traffic stays with AS 6") (a 6)
+        (winner ~rov_for:([ 1; 2; 3; 4; 5 ], rov) ()))
+    [ ("minimal ROA", [ Rpki.Vrp.exact (p "168.122.0.0/16") (a 6) ]);
+      ("non-minimal ROA", [ Rpki.Vrp.make_exn (p "168.122.0.0/16") ~max_len:24 (a 6) ]) ]
 
 let test_traffic_engineering_export_filter () =
   (* The paper's §3 de-aggregation story at message level: AS 7
@@ -162,9 +157,9 @@ let test_duplicate_link_rejected () =
 
 (* --- differential: message-level network vs analytic simulator --- *)
 
-let network_of_graph g =
+let network_of_graph ~rov_of g =
   let net = Network.create () in
-  List.iter (fun asn -> Network.add net (Router.create ~asn ~bgp_id:(Netaddr.Ipv4.of_int32_bits (Asnum.to_int asn)) ())) (G.as_list g);
+  List.iter (fun asn -> Network.add net (Router.create ?rov:(rov_of asn) ~asn ())) (G.as_list g);
   (* Each undirected edge once: iterate customers + peers with order
      guard. *)
   List.iter
@@ -178,35 +173,56 @@ let network_of_graph g =
     (G.as_list g);
   net
 
+(* Runs both models on one graph and one prefix's originations, with
+   [rov_of asn] as that AS's import filter on both sides: every AS
+   must select the same route, or none in both. *)
+let models_agree ?(rov_of = fun _ -> None) g originations =
+  let prefix = (snd (List.hd originations)).Route.prefix in
+  let import_filter asn _ r =
+    match rov_of asn with Some rov -> Bgp.Rov.accepts rov r | None -> true
+  in
+  let analytic = Topology.Propagate.run g ~originations ~import_filter () in
+  let net = network_of_graph ~rov_of g in
+  List.iter
+    (fun (asn, _) -> Router.originate (Option.get (Network.router net asn)) prefix)
+    originations;
+  Network.run net;
+  List.for_all
+    (fun asn ->
+      let message_route =
+        Option.bind (Network.router net asn) (fun r -> Router.best_route r prefix)
+      in
+      let analytic_route = Option.map snd (Asnum.Map.find_opt asn analytic) in
+      match message_route, analytic_route with
+      | None, None -> true
+      | Some m, Some x -> Route.equal m x
+      | Some _, None | None, Some _ -> false)
+    (G.as_list g)
+
+(* Two inputs per topology: the last stub (the victim) alone
+   originates a /16, with no filter; then the first stub (the
+   attacker) originates the same /16 too, the victim holds a minimal
+   ROA, and a random half of the ASes drop Invalid routes, through the
+   same Bgp.Rov on both sides. *)
 let prop_agrees_with_propagate =
-  QCheck2.Test.make ~name:"message-level network matches analytic propagation" ~count:10
-    QCheck2.Gen.(int_range 0 10_000)
-    (fun seed ->
+  QCheck2.Test.make ~name:"message-level network matches analytic propagation" ~count:50
+    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 0 10_000))
+    (fun (seed, rov_seed) ->
       let g =
         Topology.Gen.generate
           ~params:{ Topology.Gen.default_params with Topology.Gen.n_as = 24; n_tier1 = 3 }
           ~seed ()
       in
-      let stub = List.find (G.is_stub g) (List.rev (G.as_list g)) in
+      let stubs = List.filter (G.is_stub g) (G.as_list g) in
+      let victim = List.hd (List.rev stubs) and attacker = List.hd stubs in
       let prefix = p "10.0.0.0/16" in
-      let analytic =
-        Topology.Propagate.run g ~originations:[ (stub, Route.originate prefix stub) ] ()
-      in
-      let net = network_of_graph g in
-      let r = Option.get (Network.router net stub) in
-      Router.originate r prefix;
-      Network.run net;
-      List.for_all
-        (fun asn ->
-          let message_route =
-            Option.bind (Network.router net asn) (fun r -> Router.best_route r prefix)
-          in
-          let analytic_route = Option.map snd (Asnum.Map.find_opt asn analytic) in
-          match message_route, analytic_route with
-          | None, None -> true
-          | Some m, Some x -> Route.equal m x
-          | Some _, None | None, Some _ -> false)
-        (G.as_list g))
+      let rov = Bgp.Rov.create (Rpki.Validation.create [ Rpki.Vrp.exact prefix victim ]) in
+      let rng = Rng.create rov_seed in
+      let filtering = List.filter (fun _ -> Rng.bool rng) (G.as_list g) in
+      let rov_of asn = if List.exists (Asnum.equal asn) filtering then Some rov else None in
+      models_agree g [ (victim, Route.originate prefix victim) ]
+      && models_agree ~rov_of g
+           [ (victim, Route.originate prefix victim); (attacker, Route.originate prefix attacker) ])
 
 (* The data plane's longest-prefix-match law: a lone router that
    originates every generated prefix forwards each destination along

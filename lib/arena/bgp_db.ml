@@ -1,5 +1,4 @@
 module Pfx = Netaddr.Pfx
-module K = Pfx_key
 
 (* Arena-backed BGP table: announced (prefix, origin AS) pairs as a
    {!Chains} store keyed by the origin ASN (a plain int). Chains are
@@ -33,51 +32,6 @@ let mem t p ~asn =
   let tr = Chains.trie_for t p in
   let n = Itrie.find tr p in
   n >= 0 && chain_mem t.Chains.key t.Chains.nxt (Itrie.value tr n) asn
-  [@@hot]
-
-(* Strict same-origin ancestor: a covering node shorter than the query
-   whose chain holds [asn]. One descent, no allocation. The columns
-   are hoisted into arguments (the structure cannot change mid-query)
-   and the v4 variant collapses the cover test to one xor+mask — an
-   IPv4 key lives entirely in chunk 0. *)
-let rec ancestor_v4 c0a lena vala lefta righta o_asn o_nxt q0 ql asn n =
-  let nl = Array.unsafe_get lena n in
-  nl < ql
-  && (q0 lxor Array.unsafe_get c0a n) land K.hi_mask nl = 0
-  && ((Array.unsafe_get vala n >= 0 && chain_mem o_asn o_nxt (Array.unsafe_get vala n) asn)
-     ||
-     let c =
-       if (q0 lsr (31 - nl)) land 1 = 1 then Array.unsafe_get righta n
-       else Array.unsafe_get lefta n
-     in
-     c >= 0 && ancestor_v4 c0a lena vala lefta righta o_asn o_nxt q0 ql asn c)
-  [@@hot]
-  [@@lint.unsafe_idx_ok
-    "n is Itrie.root or a child pointer checked non-negative before the recursive call; \
-     live indices never exceed the hoisted columns' length"]
-
-let rec ancestor_v6 c0a c1a c2a c3a lena vala lefta righta o_asn o_nxt q0 q1 q2 q3 ql asn n =
-  let nl = lena.(n) in
-  nl < ql
-  && K.covers c0a.(n) c1a.(n) c2a.(n) c3a.(n) nl q0 q1 q2 q3 ql
-  && ((vala.(n) >= 0 && chain_mem o_asn o_nxt vala.(n) asn)
-     ||
-     let c = if K.bit q0 q1 q2 q3 nl then righta.(n) else lefta.(n) in
-     c >= 0
-     && ancestor_v6 c0a c1a c2a c3a lena vala lefta righta o_asn o_nxt q0 q1 q2 q3 ql asn c)
-  [@@hot]
-
-let has_same_origin_ancestor t p ~asn =
-  match p with
-  | Pfx.V4 _ ->
-    let tr = t.Chains.v4 in
-    ancestor_v4 tr.Itrie.c0 tr.Itrie.len tr.Itrie.value tr.Itrie.left tr.Itrie.right t.Chains.key
-      t.Chains.nxt (K.c0 p) (Pfx.length p) asn Itrie.root
-  | Pfx.V6 _ ->
-    let tr = t.Chains.v6 in
-    ancestor_v6 tr.Itrie.c0 tr.Itrie.c1 tr.Itrie.c2 tr.Itrie.c3 tr.Itrie.len tr.Itrie.value
-      tr.Itrie.left tr.Itrie.right t.Chains.key t.Chains.nxt (K.c0 p) (K.c1 p) (K.c2 p) (K.c3 p)
-      (Pfx.length p) asn Itrie.root
   [@@hot]
 
 (* Per-length census of [asn]'s announcements under a subtree root,
@@ -167,3 +121,146 @@ let fold_under t p ~init ~f =
   in
   let n = Itrie.subtree_root tr p in
   if n < 0 then init else go (Itrie.live_index tr n) init
+
+(* --- whole-table walks ----------------------------------------------- *)
+
+(* Some chain in [stack.(0) .. stack.(d - 1)] — the origin chains of a
+   node's bound ancestors, nearest last — holds [asn]. *)
+let rec on_stack o_asn o_nxt stack d asn =
+  d > 0 && (chain_mem o_asn o_nxt stack.(d - 1) asn || on_stack o_asn o_nxt stack (d - 1) asn)
+  [@@hot]
+
+(* [acc] plus the entries of the chain from [e] whose origin no
+   ancestor chain holds. *)
+let rec roots_in o_asn o_nxt stack d e acc =
+  if e < 0 then acc
+  else
+    roots_in o_asn o_nxt stack d o_nxt.(e)
+      (if on_stack o_asn o_nxt stack d o_asn.(e) then acc else acc + 1)
+  [@@hot]
+
+(* Pre-order: a bound node counts its roots against the [d] chains
+   above it, then pushes its own chain head for its subtree. A child
+   only writes the slots past its parent's, so each slot holds the
+   chain of the current path's ancestor at that depth. *)
+let rec root_count_go vala lefta righta o_asn o_nxt stack n d acc =
+  let head = vala.(n) in
+  if head < 0 then root_count_kids vala lefta righta o_asn o_nxt stack n d acc
+  else begin
+    let acc = roots_in o_asn o_nxt stack d head acc in
+    stack.(d) <- head;
+    root_count_kids vala lefta righta o_asn o_nxt stack n (d + 1) acc
+  end
+  [@@hot]
+
+and root_count_kids vala lefta righta o_asn o_nxt stack n d acc =
+  let l = lefta.(n) in
+  let acc = if l >= 0 then root_count_go vala lefta righta o_asn o_nxt stack l d acc else acc in
+  let r = righta.(n) in
+  if r >= 0 then root_count_go vala lefta righta o_asn o_nxt stack r d acc else acc
+  [@@hot]
+
+(* A path holds at most one bound node per length: 33 in a v4 trie,
+   129 in a v6 trie. *)
+let stack_for (tr : Itrie.t) =
+  Array.make (match Itrie.afi tr with Pfx.Afi_v4 -> 33 | Pfx.Afi_v6 -> 129) (-1)
+
+let root_count t =
+  let count (tr : Itrie.t) =
+    root_count_go tr.Itrie.value tr.Itrie.left tr.Itrie.right t.Chains.key t.Chains.nxt
+      (stack_for tr) Itrie.root 0 0
+  in
+  count t.Chains.v4 + count t.Chains.v6
+
+type marks = Bytes.t
+
+let marks t = Bytes.make t.Chains.used '\000'
+
+(* The entry of the chain from [e] holding [asn], or -1. Chains
+   ascend, so the scan stops at the first larger origin. *)
+let rec chain_find o_asn o_nxt e asn =
+  if e < 0 then -1
+  else if o_asn.(e) = asn then e
+  else if o_asn.(e) > asn then -1
+  else chain_find o_asn o_nxt o_nxt.(e) asn
+  [@@hot]
+
+(* Children are strictly longer than their parent, so the [max_len]
+   bound prunes whole subtrees. *)
+let rec mark_go lena vala lefta righta o_asn o_nxt marks asn max_len n =
+  if lena.(n) <= max_len then begin
+    let e = chain_find o_asn o_nxt vala.(n) asn in
+    if e >= 0 then Bytes.set marks e '\001';
+    let l = lefta.(n) in
+    if l >= 0 then mark_go lena vala lefta righta o_asn o_nxt marks asn max_len l;
+    let r = righta.(n) in
+    if r >= 0 then mark_go lena vala lefta righta o_asn o_nxt marks asn max_len r
+  end
+  [@@hot]
+
+let mark_under t marks p ~asn ~max_len =
+  let tr = Chains.trie_for t p in
+  let n = Itrie.subtree_root tr p in
+  if n >= 0 then
+    mark_go tr.Itrie.len tr.Itrie.value tr.Itrie.left tr.Itrie.right t.Chains.key t.Chains.nxt
+      marks asn max_len (Itrie.live_index tr n)
+  [@@hot]
+
+let rec count_set marks i acc =
+  if i < 0 then acc
+  else count_set marks (i - 1) (if Bytes.get marks i = '\000' then acc else acc + 1)
+  [@@hot]
+
+let marked marks = count_set marks (Bytes.length marks - 1) 0 [@@hot]
+
+type selection = All | Roots | Marked of marks
+
+(* One walk per family on the unwind: the right subtree's list, then
+   the left subtree's consed in front of it, then the node's kept
+   entries in front of that, which yields {!fold_all} order with one
+   cons per kept pair and one boxed prefix per node that keeps any.
+   [Roots] pushes each bound node's chain head on the way down, as
+   {!root_count} does; a node's own entries are judged on the way back
+   up, against the [d] slots its subtree never writes. *)
+let to_list t sel ~make =
+  let o_asn = t.Chains.key and o_nxt = t.Chains.nxt in
+  let per_trie (tr : Itrie.t) tail =
+    let stack = match sel with Roots -> stack_for tr | All | Marked _ -> [||] in
+    let keep d e =
+      match sel with
+      | All -> true
+      | Roots -> not (on_stack o_asn o_nxt stack d o_asn.(e))
+      | Marked m -> Bytes.get m e <> '\000'
+    in
+    let rec first_kept d e = if e < 0 || keep d e then e else first_kept d o_nxt.(e) in
+    (* [e] is kept *)
+    let rec chain pfx d e tail =
+      let rest =
+        let e' = first_kept d o_nxt.(e) in
+        if e' < 0 then tail else chain pfx d e' tail
+      in
+      make pfx o_asn.(e) :: rest
+    in
+    let rec go n d tail =
+      let head = tr.Itrie.value.(n) in
+      let below =
+        match sel with
+        | Roots when head >= 0 ->
+          stack.(d) <- head;
+          d + 1
+        | All | Roots | Marked _ -> d
+      in
+      let tail =
+        let r = tr.Itrie.right.(n) in
+        if r >= 0 then go r below tail else tail
+      in
+      let tail =
+        let l = tr.Itrie.left.(n) in
+        if l >= 0 then go l below tail else tail
+      in
+      let e = if head < 0 then -1 else first_kept d head in
+      if e < 0 then tail else chain (Itrie.prefix_at tr n) d e tail
+    in
+    go Itrie.root 0 tail
+  in
+  per_trie t.Chains.v4 (per_trie t.Chains.v6 [])

@@ -8,9 +8,20 @@
     [Asnum.Set], so every fold is bit-identical to the oracle. ASNs
     cross this interface as plain ints.
 
-    The paper's hot queries — membership, same-origin ancestor, the
-    per-length census behind minimality checks — are single
-    allocation-free descents ([@@hot], enforced by lint rule R7).
+    The per-pair queries — membership and the per-length census behind
+    minimality checks — are single allocation-free descents ([@@hot],
+    enforced by lint rule R7). The §6 whole-table counts are walks,
+    not one descent per pair:
+    - {!root_count}, the lower bound: one pre-order walk per family
+      that keeps the bound ancestors' chain heads on a stack of at most
+      33 (v4) or 129 (v6) slots; each entry costs one chain scan per
+      bound ancestor, and the walk allocates only the stack.
+    - {!mark_under}, the announced-and-valid pairs: per VRP, one
+      descent to the subtree its prefix covers, then a walk of that
+      subtree pruned at its maxLength; the marks are one byte per
+      entry slot, owned by the caller.
+    {!to_list} turns either, or the whole table, into a list in one
+    walk on the unwind.
 
     Memory is {!Vrp_db}'s: 5 words per v4 trie node, 8 per v6 node, 2
     per pair, and at most two nodes per announced prefix.
@@ -55,9 +66,6 @@ val origin : t -> handle -> int
 
 val mem : t -> Netaddr.Pfx.t -> asn:int -> bool
 
-val has_same_origin_ancestor : t -> Netaddr.Pfx.t -> asn:int -> bool
-(** Some strict super-prefix of [p] is also announced by [asn]. *)
-
 val count_into :
   t -> Netaddr.Pfx.t -> asn:int -> base:int -> max_len:int -> int array -> unit
 (** Census of [asn]'s announcements covered by [p]: adds 1 to
@@ -90,3 +98,38 @@ val self_check : t -> (unit, string) result
     plus freelist accounting for every allocated slot, and [cardinal]
     equal to the chain census. The churn differential harness runs
     this after every mutation. *)
+
+(** {2 Whole-table walks} *)
+
+val root_count : t -> int
+(** Pairs whose origin announces no strict super-prefix of theirs: one
+    allocation-free pre-order walk per family over the columns, with
+    the bound ancestors' chain heads on a stack. *)
+
+type marks
+(** One byte per entry slot of the table as it stood at {!marks}. A
+    table is never written by a walk, so passes that mark
+    concurrently over one table each own their marks. *)
+
+val marks : t -> marks
+(** Fresh marks, all clear. *)
+
+val mark_under : t -> marks -> Netaddr.Pfx.t -> asn:int -> max_len:int -> unit
+(** Mark [asn]'s announced pairs covered by [p] up to length
+    [max_len]: the pairs a VRP [(p, max_len, asn)] matches. Marks
+    already set stay set, so overlapping VRPs mark each pair once.
+    [asn] is compared as is: the caller skips AS0 VRPs. *)
+
+val marked : marks -> int
+(** How many pairs are marked. *)
+
+type selection =
+  | All  (** every pair *)
+  | Roots  (** the pairs {!root_count} counts *)
+  | Marked of marks  (** the pairs whose mark is set *)
+
+val to_list : t -> selection -> make:(Netaddr.Pfx.t -> int -> 'v) -> 'v list
+(** The selected pairs as [make prefix asn], in {!fold_all} order. One
+    walk per family on the unwind (right subtree, then left, then the
+    node) conses the list front to back: one cons per pair and one
+    boxed prefix per node that yields any, with no reversal. *)

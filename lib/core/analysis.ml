@@ -17,13 +17,16 @@ let measure ?domains (snap : Dataset.Snapshot.t) =
   let vrps = Dataset.Snapshot.vrps snap in
   let n_vrps = List.length vrps in
   let maxlen = List.filter Vrp.uses_max_len vrps in
-  (* The three expensive passes only read [table] (an
-     [Arena.Bgp_db]; its queries mutate nothing) and are mutually
-     independent, so they fork-join as one task each. *)
+  (* The three passes only read [table] (an [Arena.Bgp_db]; its
+     queries and walks mutate nothing, and the valid-pair count marks
+     a byte array of its own) and are mutually independent, so they
+     fork-join as one task each. *)
   let vulnerable_count () =
     List.length (List.filter (fun v -> not (Minimal.is_minimal_vrp table v)) maxlen)
   in
-  let valid_pairs_count () = List.length (Minimal.minimal_vrps table vrps) in
+  let valid_pairs_count () =
+    Dataset.Bgp_table.count table (Dataset.Bgp_table.Valid_under vrps)
+  in
   let lower_bound_count () = Dataset.Bgp_table.root_pair_count table in
   let vulnerable, valid_pairs, lower_bound =
     match

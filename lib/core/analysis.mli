@@ -25,8 +25,8 @@ type stats = {
 
 val measure : ?domains:int -> Dataset.Snapshot.t -> stats
 (** [?domains] (default {!Parallel.Pool.default_domains}) forks the
-    three independent heavy passes — vulnerability scan, minimal-VRP
-    construction, lower-bound count — onto that many domains; [1]
-    runs them sequentially. The result is identical either way. *)
+    three independent passes — vulnerability scan, valid-pair count,
+    lower-bound count — onto that many domains; [1] runs them
+    sequentially. The result is identical either way. *)
 
 val pp : Format.formatter -> stats -> unit

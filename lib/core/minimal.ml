@@ -3,16 +3,16 @@ module Vrp = Rpki.Vrp
 module Bgp_table = Dataset.Bgp_table
 
 (* [minimal_vrps], [full_deployment_vrps] and [max_permissive_vrps]
-   emit at most one tuple per announced pair, with a maxLength that
-   depends only on the prefix. [Bgp_table.fold] visits pairs in
-   ascending (prefix, origin) order, so reversing the consed list
-   yields strictly ascending [Vrp.compare] order: no sort, no dedup. *)
+   emit one tuple per selected announced pair, with a maxLength that
+   depends only on the prefix. [Bgp_table.select] lists pairs in
+   [Bgp_table.fold] order, ascending by (prefix, origin), so each
+   corpus comes out in strictly ascending [Vrp.compare] order: no
+   sort, no dedup, no reversal. The valid pairs come from marking the
+   table under each VRP, not from validating each pair against a
+   database of the VRPs. *)
 
 let minimal_vrps table vrps =
-  let db = Rpki.Validation.create vrps in
-  Bgp_table.fold table ~init:[] ~f:(fun acc p a ->
-      if Rpki.Validation.authorized db p a then Vrp.exact p a :: acc else acc)
-  |> List.rev
+  Bgp_table.select table (Bgp_table.Valid_under vrps) ~make:Vrp.exact
 
 let minimal_roas table roas =
   List.filter_map
@@ -33,14 +33,11 @@ let minimal_roas table roas =
         Some (Rpki.Roa.make_exn asn (List.map (fun p -> { Rpki.Roa.prefix = p; max_len = None }) prefixes)))
     roas
 
-let full_deployment_vrps table =
-  Bgp_table.fold table ~init:[] ~f:(fun acc p a -> Vrp.exact p a :: acc) |> List.rev
+let full_deployment_vrps table = Bgp_table.select table Bgp_table.All ~make:Vrp.exact
 
 let max_permissive_vrps table =
-  Bgp_table.fold table ~init:[] ~f:(fun acc p a ->
-      if Bgp_table.has_same_origin_ancestor table p a then acc
-      else Vrp.make_exn p ~max_len:(Pfx.addr_bits p) a :: acc)
-  |> List.rev
+  Bgp_table.select table Bgp_table.Roots ~make:(fun p a ->
+      Vrp.make_exn p ~max_len:(Pfx.addr_bits p) a)
 
 let is_minimal_vrp table (v : Vrp.t) =
   Bgp_table.fully_announced table v.Vrp.prefix v.Vrp.asn ~max_len:v.Vrp.max_len

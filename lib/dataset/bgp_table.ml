@@ -19,7 +19,34 @@ let cardinal = Db.cardinal
 
 let iter t f = ignore (Db.fold_all t ~init:() ~f:(fun () p asn -> f p (Asnum.of_int asn)))
 let fold t ~init ~f = Db.fold_all t ~init ~f:(fun acc p asn -> f acc p (Asnum.of_int asn))
-let pairs t = List.rev (fold t ~init:[] ~f:(fun acc p a -> (p, a) :: acc))
+
+type selection = All | Roots | Valid_under of Rpki.Vrp.t list
+
+(* RFC 6811: an AS0 VRP matches nothing, and only a VRP's own ASN can
+   match, so no mark ever lands on an origin-AS0 pair. *)
+let valid_marks t vrps =
+  let marks = Db.marks t in
+  List.iter
+    (fun (v : Rpki.Vrp.t) ->
+      if not (Asnum.is_zero v.Rpki.Vrp.asn) then
+        Db.mark_under t marks v.Rpki.Vrp.prefix ~asn:(Asnum.to_int v.Rpki.Vrp.asn)
+          ~max_len:v.Rpki.Vrp.max_len)
+    vrps;
+  marks
+
+let select t sel ~make =
+  let make q asn = make q (Asnum.of_int asn) in
+  match sel with
+  | All -> Db.to_list t Db.All ~make
+  | Roots -> Db.to_list t Db.Roots ~make
+  | Valid_under vrps -> Db.to_list t (Db.Marked (valid_marks t vrps)) ~make
+
+let count t = function
+  | All -> Db.cardinal t
+  | Roots -> Db.root_count t
+  | Valid_under vrps -> Db.marked (valid_marks t vrps)
+
+let pairs t = select t All ~make:(fun p a -> (p, a))
 
 let announced_under t p a =
   Db.under_list t p ~asn:(Asnum.to_int a) ~make:(fun q len -> (q, len))
@@ -33,9 +60,4 @@ let count_by_length_under t p a ~max_len =
 
 let fully_announced t p a ~max_len = Db.fully_announced t p ~asn:(Asnum.to_int a) ~max_len
 
-let has_same_origin_ancestor t p a =
-  Db.has_same_origin_ancestor t p ~asn:(Asnum.to_int a)
-  [@@hot]
-
-let root_pair_count t =
-  fold t ~init:0 ~f:(fun acc p a -> if has_same_origin_ancestor t p a then acc else acc + 1)
+let root_pair_count t = count t Roots

@@ -3,9 +3,11 @@
     (their RouteViews dataset has 776,945 such pairs on 2017-06-01).
 
     Beyond membership, the structure answers the coverage queries the
-    §6/§7 pipelines need: per-origin subtree enumeration (for
-    minimality checks), same-origin ancestor tests (for the
-    maximally-permissive lower bound) and counts per prefix length. *)
+    §6/§7 pipelines need: per-origin subtree enumeration and counts
+    per prefix length (for minimality checks), and the two §6
+    whole-table selections — the pairs with no same-origin announced
+    ancestor (the maximally-permissive lower bound) and the pairs a
+    VRP set makes Valid — each one walk over the table. *)
 
 type t
 
@@ -35,8 +37,32 @@ val fold : t -> init:'a -> f:('a -> Netaddr.Pfx.t -> Rpki.Asnum.t -> 'a) -> 'a
     maxLength fixed by the prefix, is already in [Vrp.compare] order
     and needs neither a sort nor a dedup. *)
 
+type selection =
+  | All  (** every pair *)
+  | Roots
+      (** the pairs whose origin announces no strict super-prefix of
+          theirs: those a maximally-permissive ROA on each root
+          leaves as tuples *)
+  | Valid_under of Rpki.Vrp.t list
+      (** the pairs some VRP of the list makes Valid (RFC 6811): for
+          each VRP with a non-zero ASN, its ASN's pairs under its
+          prefix up to its maxLength, each pair once however many
+          VRPs match it *)
+
+val select : t -> selection -> make:(Netaddr.Pfx.t -> Rpki.Asnum.t -> 'v) -> 'v list
+(** The selected pairs as [make prefix origin], in {!fold} order,
+    built in one walk on the unwind ({!Arena.Bgp_db.to_list}): one
+    cons per pair and one boxed prefix per announced prefix that
+    yields any, with no reversal. *)
+
+val count : t -> selection -> int
+(** [List.length (select t sel ~make)], without the list: {!cardinal}
+    for [All], one allocation-free walk per family for [Roots]
+    ({!Arena.Bgp_db.root_count}), and for [Valid_under] the marks'
+    census, which reads one byte per entry slot. *)
+
 val pairs : t -> (Netaddr.Pfx.t * Rpki.Asnum.t) list
-(** Every pair, in {!fold} order. *)
+(** Every pair, in {!fold} order: [select t All]. *)
 
 val announced_under : t -> Netaddr.Pfx.t -> Rpki.Asnum.t -> (Netaddr.Pfx.t * int) list
 (** Announced pairs of the given origin covered by [p] (including [p]
@@ -53,11 +79,10 @@ val fully_announced : t -> Netaddr.Pfx.t -> Rpki.Asnum.t -> max_len:int -> bool
     [max_len] — the §4 minimality test ({!Arena.Bgp_db.fully_announced}).
     @raise Invalid_argument when [max_len] is below [p]'s length. *)
 
-val has_same_origin_ancestor : t -> Netaddr.Pfx.t -> Rpki.Asnum.t -> bool
-(** True when some strict super-prefix of [p] is also announced by
-    [a] — i.e. (p, a) would be absorbed by a maximally-permissive ROA
-    on the ancestor (the paper's lower-bound argument). *)
-
 val root_pair_count : t -> int
-(** Number of pairs with no same-origin announced ancestor: the
-    maximally-permissive lower bound on PDUs (729,371 in the paper). *)
+(** [count t Roots]: the maximally-permissive lower bound on PDUs
+    (729,371 in the paper). A pair with a same-origin announced
+    ancestor is absorbed by a maximally-permissive ROA on that
+    ancestor. One allocation-free walk per family
+    ({!Arena.Bgp_db.root_count}); it allocates only the two ancestor
+    stacks. *)

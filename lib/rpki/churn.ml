@@ -296,10 +296,7 @@ let compressed t =
 let vrps t = Validation.vrps t.vdb
 let vrp_count t = Validation.cardinal t.vdb
 
-let pairs t =
-  List.rev
-    (Bgp.fold_all t.bgp ~init:[] ~f:(fun acc p asn ->
-         (p, Asnum.of_int asn) :: acc))
+let pairs t = Bgp.to_list t.bgp Bgp.All ~make:(fun p asn -> (p, Asnum.of_int asn))
 
 let pair_count t = Bgp.cardinal t.bgp
 let valid_pairs t = List.map (fun (v : Vrp.t) -> (v.Vrp.prefix, v.Vrp.asn)) (Validation.vrps t.valid)

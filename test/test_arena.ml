@@ -234,8 +234,6 @@ let check_bgp_agrees t r probes =
        (fun (q, origin) ->
          let max_len = min (Pfx.addr_bits q) (Pfx.length q + 6) in
          Dataset.Bgp_table.mem t q origin = Bgp_table_ref.mem r q origin
-         && Dataset.Bgp_table.has_same_origin_ancestor t q origin
-            = Bgp_table_ref.has_same_origin_ancestor r q origin
          && List.equal
               (fun (p1, l1) (p2, l2) -> Pfx.equal p1 p2 && Int.equal l1 l2)
               (Dataset.Bgp_table.announced_under t q origin)
@@ -282,9 +280,17 @@ let prop_bgp_fold_order =
   let gen = Gen.pair (gen_pair_list 150) (gen_pair_list 40) in
   Test.make ~name:"Bgp_table.fold yields strictly ascending pairs" ~count:150 gen
     (fun (adds, removes) ->
-      let t = Dataset.Bgp_table.create () in
-      List.iter (fun (q, origin) -> Dataset.Bgp_table.add t q origin) adds;
-      List.iter (fun (q, origin) -> ignore (Dataset.Bgp_table.remove t q origin)) removes;
+      let t = Dataset.Bgp_table.create () and r = Bgp_table_ref.create () in
+      List.iter
+        (fun (q, origin) ->
+          Dataset.Bgp_table.add t q origin;
+          Bgp_table_ref.add r q origin)
+        adds;
+      List.iter
+        (fun (q, origin) ->
+          ignore (Dataset.Bgp_table.remove t q origin);
+          ignore (Bgp_table_ref.remove r q origin))
+        removes;
       let folded =
         List.rev (Dataset.Bgp_table.fold t ~init:[] ~f:(fun acc q origin -> (q, origin) :: acc))
       in
@@ -312,9 +318,96 @@ let prop_bgp_fold_order =
       && List.equal Vrp.equal
            (Mlcore.Minimal.max_permissive_vrps t)
            (sorted_vrps (fun (q, origin) ->
-                if Dataset.Bgp_table.has_same_origin_ancestor t q origin then None
+                if Bgp_table_ref.has_same_origin_ancestor r q origin then None
                 else Some (Vrp.make_exn q ~max_len:(Pfx.addr_bits q) origin)))
       && List.equal Vrp.equal (Mlcore.Minimal.minimal_vrps t (List.rev odd)) odd)
+
+(* The §6 whole-table walks against their per-pair definitions: the
+   lower bound and its corpus against the oracle's same-origin
+   ancestor test, and [minimal_vrps] against the oracle's RFC 6811
+   authorization of every announced pair. The tables hold both
+   families and MOAS prefixes, with origins 0–8, so some pairs have
+   origin AS0. They are built by adds, then removes, then more adds,
+   which take freed entry slots back off the freelist: the marks must
+   follow a recycled slot's new pair. The VRP sets mix, in shuffled
+   order, VRPs of a pair's own origin on its prefix, AS0 VRPs on an
+   ancestor, nested same-origin VRPs with different maxLengths (both
+   match the pair, which must still come out once) and VRPs in space
+   no generated prefix reaches (100/8, 2001:db9::/32). *)
+let gen_walk_case =
+  let open QCheck2.Gen in
+  let origin = map Rpki.Asnum.of_int (int_range 0 8) in
+  let pair = pair Testutil.gen_clustered_prefix origin in
+  let* adds = list_size (int_range 1 120) pair in
+  let* removes = list_size (int_range 0 60) (oneof [ oneofl adds; pair ]) in
+  let* readds = list_size (int_range 0 40) pair in
+  (* a VRP on [q] whose maxLength is [extra] bits past [at], capped *)
+  let vrp q ~at extra asn =
+    Vrp.make_exn q ~max_len:(min (Pfx.addr_bits q) (Pfx.length at + extra)) asn
+  in
+  let ancestor q = map (fun k -> Pfx.truncate q (max 0 (Pfx.length q - k))) (int_bound 6) in
+  let on_table =
+    let* q, origin = oneofl adds in
+    let* anc = ancestor q and* i = int_bound 3 and* j = int_bound 3 in
+    oneofl
+      [ [ vrp q ~at:q i origin ];
+        [ vrp anc ~at:q i Rpki.Asnum.zero ];
+        [ vrp anc ~at:q (i + 1 + j) origin; vrp q ~at:q i origin ] ]
+  in
+  let elsewhere =
+    let* v6 = bool and* bits = int_bound 0xffff and* i = int_bound 8 and* asn = origin in
+    let q =
+      Pfx.of_string_exn
+        (if v6 then Printf.sprintf "2001:db9:%x::/48" bits
+         else Printf.sprintf "100.%d.%d.0/24" (bits lsr 8) (bits land 0xff))
+    in
+    return [ vrp q ~at:q i asn ]
+  in
+  let* groups = list_size (int_range 0 40) (oneof [ on_table; on_table; elsewhere ]) in
+  let* vrps = shuffle_l (List.concat groups) in
+  return (adds, removes, readds, vrps)
+
+let prop_walks_oracle =
+  let open QCheck2 in
+  Test.make ~name:"the section-6 walks agree with their per-pair definitions" ~count:200
+    gen_walk_case (fun (adds, removes, readds, vrps) ->
+      let t = Dataset.Bgp_table.create () and r = Bgp_table_ref.create () in
+      let add (q, origin) =
+        Dataset.Bgp_table.add t q origin;
+        Bgp_table_ref.add r q origin
+      in
+      List.iter add adds;
+      List.iter
+        (fun (q, origin) ->
+          ignore (Dataset.Bgp_table.remove t q origin);
+          ignore (Bgp_table_ref.remove r q origin))
+        removes;
+      List.iter add readds;
+      let pairs = Bgp_table_ref.pairs r in
+      let roots =
+        List.filter_map
+          (fun (q, origin) ->
+            if Bgp_table_ref.has_same_origin_ancestor r q origin then None
+            else Some (Vrp.make_exn q ~max_len:(Pfx.addr_bits q) origin))
+          pairs
+      in
+      let odb = Validation_ref.create vrps in
+      let valid =
+        List.filter_map
+          (fun (q, origin) ->
+            if Validation_ref.authorized odb q origin then Some (Vrp.exact q origin) else None)
+          pairs
+      in
+      let count = Dataset.Bgp_table.root_pair_count t in
+      if count <> List.length roots then
+        Test.fail_reportf "root_pair_count %d, oracle %d" count (List.length roots);
+      if not (List.equal Vrp.equal (Mlcore.Minimal.max_permissive_vrps t) roots) then
+        Test.fail_report "max_permissive_vrps diverged from the oracle's roots";
+      let got = Mlcore.Minimal.minimal_vrps t vrps in
+      if not (List.equal Vrp.equal got valid) then
+        Test.fail_reportf "minimal_vrps gave %d VRPs, per-pair authorization %d"
+          (List.length got) (List.length valid);
+      true)
 
 (* --- Compress vs the record-path reference ---------------------------- *)
 
@@ -536,11 +629,6 @@ let test_snapshot_parallel_sweeps () =
         fun i ->
           let q, origin = c.pairs.(i) in
           state_code (Rpki.Validation.validate c.adb q origin) );
-      ( "same-origin ancestor",
-        Array.length c.pairs,
-        fun i ->
-          let q, origin = c.pairs.(i) in
-          Bool.to_int (Dataset.Bgp_table.has_same_origin_ancestor c.table q origin) );
       ( "is_minimal_vrp",
         Array.length vrps,
         fun i -> Bool.to_int (Mlcore.Minimal.is_minimal_vrp c.table vrps.(i)) ) ]
@@ -583,11 +671,9 @@ let test_snapshot_allocates_less () =
     [ ( "validate sweep",
         sweep (fun q origin -> state_code (Validation_ref.validate c.odb q origin)),
         sweep (fun q origin -> state_code (Rpki.Validation.validate c.adb q origin)) );
-      ( "same-origin ancestor sweep",
-        sweep (fun q origin ->
-            Bool.to_int (Bgp_table_ref.has_same_origin_ancestor c.rtable q origin)),
-        sweep (fun q origin ->
-            Bool.to_int (Dataset.Bgp_table.has_same_origin_ancestor c.table q origin)) );
+      ( "lower-bound count",
+        (fun () -> ignore (Bgp_table_ref.root_pair_count c.rtable)),
+        fun () -> ignore (Dataset.Bgp_table.root_pair_count c.table) );
       ( "compress, today's VRPs",
         (fun () -> ignore (Compress_ref.run c.vrps)),
         fun () -> ignore (Mlcore.Compress.run c.vrps) );
@@ -618,7 +704,27 @@ let test_snapshot_allocates_less () =
         (Printf.sprintf "%s: Compress.run allocates %.1f words per input tuple (bound 38)" name
            per_tuple)
         true (per_tuple <= 38.0))
-    [ ("compress, today's VRPs", c.vrps); ("compress, full deployment", c.full) ]
+    [ ("compress, today's VRPs", c.vrps); ("compress, full deployment", c.full) ];
+  (* The §6 walks, bounded outright. The lower-bound count allocates
+     only its two ancestor stacks, 178 words (a fold of one
+     same-origin ancestor descent per pair read 436,144), and the
+     full-deployment list one cons, one VRP and a share of one boxed
+     prefix per pair, 11.2 words (a fold that conses, then reverses,
+     read 21.2). *)
+  let roots_words =
+    allocated_words (fun () -> ignore (Dataset.Bgp_table.root_pair_count c.table))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "root_pair_count allocates %.0f words (bound 1,000)" roots_words)
+    true (roots_words < 1000.0);
+  let full_per_pair =
+    allocated_words (fun () -> ignore (Mlcore.Minimal.full_deployment_vrps c.table))
+    /. float_of_int (Dataset.Bgp_table.cardinal c.table)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "full_deployment_vrps allocates %.1f words per pair (bound 12)"
+       full_per_pair)
+    true (full_per_pair <= 12.0)
 
 (* --- sanitizer: generation-tagged handles ------------------------------ *)
 
@@ -941,7 +1047,8 @@ let () =
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_validation_oracle; prop_validation_dynamic ] );
       ( "bgp_table",
-        List.map QCheck_alcotest.to_alcotest [ prop_bgp_oracle; prop_bgp_fold_order ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_bgp_oracle; prop_bgp_fold_order; prop_walks_oracle ] );
       ("vrp_store", List.map QCheck_alcotest.to_alcotest [ prop_sort_dedup_reference ]);
       ( "sanitizer",
         [ Alcotest.test_case "stale handles are refused" `Quick test_sanitizer_fires;

@@ -53,15 +53,17 @@ let test_diamond_exchange () =
    | None -> Alcotest.fail "no route at 5");
   Alcotest.(check bool) "messages flowed" true (Network.message_count net > 0)
 
-let test_withdrawal_propagates () =
+(* After AS 6 originates one /16 and the network settles, AS 1
+   forwards an address inside it toward AS 6, and has no entry for an
+   address nothing originates. Withdrawal is not covered here: the
+   model has no call that stops originating a prefix, so a route
+   leaving the Loc-RIB is exercised only by the export-filter case
+   below. *)
+let test_forwarding_after_origination () =
   let net = diamond_net () in
   let r6 = Option.get (Network.router net (a 6)) in
   Router.originate r6 (p "10.0.0.0/16");
   Network.run net;
-  (* AS 6 is single-homed: simulate its disappearance by clearing the
-     origination through a fresh decision (no API to un-originate;
-     withdraw at the session level by re-creating the network is the
-     honest test here, so instead we check withdraw at a leaf). *)
   let r1 = Option.get (Network.router net (a 1)) in
   (match Router.forward r1 (p "10.0.0.1/32") with
    | Some r -> Alcotest.check Testutil.asn "forwards toward 6" (a 6) (Route.origin r)
@@ -259,7 +261,7 @@ let () =
   Alcotest.run "bgp.router"
     [ ( "network",
         [ Alcotest.test_case "diamond exchange" `Quick test_diamond_exchange;
-          Alcotest.test_case "forwarding" `Quick test_withdrawal_propagates;
+          Alcotest.test_case "forwarding" `Quick test_forwarding_after_origination;
           Alcotest.test_case "longest-prefix forwarding" `Quick test_longest_prefix_forwarding;
           Alcotest.test_case "ROV drops the hijack" `Quick test_rov_drops_hijack_in_messages;
           Alcotest.test_case "bad connects rejected" `Quick test_duplicate_link_rejected;

@@ -21,7 +21,7 @@ lint:
 	dune exec bin/lint/lint_main.exe -- --format json --out $(LINT_JSON)
 	@echo "lint: OK (report in $(LINT_JSON))"
 
-# Typed lint: the interprocedural rules (R8-R13) read the .cmt
+# Typed lint: the interprocedural rules (R8, R10-R13) read the .cmt
 # artifacts under _build. A plain `dune build` leaves none for an
 # executable (dune writes it only as a side product of native
 # compilation, then deletes it as stale), so the @check alias builds
@@ -39,8 +39,8 @@ lint-typed:
 
 # Handle-safety gate: re-run the arena differential suites, the
 # Bgp_table suite, the scenario suite (Table 1, Figure 3 and the
-# 1-vs-2-domain timeline identity, all driven by the snapshot
-# generator) and the netsim sweep with the sanitizer on
+# timeline, all driven by the snapshot generator) and the netsim
+# sweep with the sanitizer on
 # (ARENA_SANITIZE=1), so every store widens its handles with
 # generation tags, poisons freed slots and bounds/liveness/generation-
 # checks every accessor. Any stale or cross-store handle the normal

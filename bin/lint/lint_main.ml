@@ -2,7 +2,7 @@
    invariants (DESIGN.md §9), plus an interprocedural typed phase over
    dune's .cmt artifacts.
 
-   Usage: lint [PATHS...] [--rules R1,R3] [--typed] [--cmt-dir DIR]
+   Usage: lint [PATHS...] [--rules R1,R5] [--typed] [--cmt-dir DIR]
                [--format text|json|sarif] [--out FILE] [--baseline FILE]
                [--root DIR] [--list-rules]
 
@@ -22,8 +22,8 @@ let usage =
   "lint [PATHS...] [options]\n\
    Static analysis for the rpki-maxlen tree. With no PATHS, lints lib/ bin/ bench/ \
    test/ under --root (default: the current directory).\n\n\
-   The syntactic rules (R1-R7) parse sources directly. The typed rules (R8-R13) \
-   need .cmt artifacts from a prior `dune build @check` and run with --typed \
+   The syntactic rules (R1, R2, R4-R7) parse sources directly. The typed rules \
+   (R8, R10-R13) need .cmt artifacts from a prior `dune build @check` and run with --typed \
    (implied when --rules selects a typed rule).\n\n\
    Options:"
 
@@ -40,10 +40,10 @@ let () =
   let spec =
     [ ( "--rules",
         Arg.Set_string rules_arg,
-        "IDS  comma-separated rule ids to run (default: all, e.g. R1,R3)" );
+        "IDS  comma-separated rule ids to run (default: all, e.g. R1,R5)" );
       ( "--typed",
         Arg.Set typed,
-        " enable the typed phase (R8-R13) over _build .cmt artifacts" );
+        " enable the typed phase (R8, R10-R13) over _build .cmt artifacts" );
       ( "--cmt-dir",
         Arg.Set_string cmt_dir,
         "DIR  where to look for .cmt files (default: ROOT/_build/default)" );

@@ -28,14 +28,6 @@ let seed_arg =
   let doc = "PRNG seed; every output is deterministic in it." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let domains_arg =
-  let doc =
-    "Domains (OS-level threads) for the fork-join steps; $(b,1) forces the exact \
-     sequential path. Defaults to the $(b,RPKI_DOMAINS) environment variable, else the \
-     recommended domain count. Output is bit-identical at every value."
-  in
-  Arg.(value & opt (some int) None & info [ "domains"; "j" ] ~docv:"N" ~doc)
-
 let mode_arg =
   let doc =
     "Compression merge rule: $(b,strict) (lossless, default) or $(b,paper) (Algorithm 1 \
@@ -48,22 +40,22 @@ let snapshot scale seed =
   Dataset.Snapshot.generate ~params:(Dataset.Snapshot.scaled scale) ~seed ()
 
 let measure_cmd =
-  let run scale seed domains =
-    let stats = Mlcore.Analysis.measure ?domains (snapshot scale seed) in
+  let run scale seed =
+    let stats = Mlcore.Analysis.measure (snapshot scale seed) in
     print_endline (Mlcore.Report.render_stats stats)
   in
   Cmd.v
     (Cmd.info "measure" ~doc:"Reproduce the section-6 measurements on a synthetic snapshot.")
-    Term.(const run $ scale_arg $ seed_arg $ domains_arg)
+    Term.(const run $ scale_arg $ seed_arg)
 
 let table1_cmd =
-  let run scale seed mode domains =
-    let rows = Mlcore.Scenario.table1 ~mode ?domains (snapshot scale seed) in
+  let run scale seed mode =
+    let rows = Mlcore.Scenario.table1 ~mode (snapshot scale seed) in
     print_string (Mlcore.Report.render_table1 ~scale rows)
   in
   Cmd.v
     (Cmd.info "table1" ~doc:"Reproduce Table 1 (PDU counts for the seven scenarios).")
-    Term.(const run $ scale_arg $ seed_arg $ mode_arg $ domains_arg)
+    Term.(const run $ scale_arg $ seed_arg $ mode_arg)
 
 let figure3_cmd =
   let panel_arg =
@@ -74,10 +66,8 @@ let figure3_cmd =
     let doc = "Emit CSV instead of an aligned table." in
     Arg.(value & flag & info [ "csv" ] ~doc)
   in
-  let run scale seed mode panel csv domains =
-    let weeks =
-      Dataset.Timeline.generate ~params:(Dataset.Snapshot.scaled scale) ?domains ~seed ()
-    in
+  let run scale seed mode panel csv =
+    let weeks = Dataset.Timeline.generate ~params:(Dataset.Snapshot.scaled scale) ~seed () in
     let title, series =
       match panel with
       | `A -> ("Figure 3a: today's RPKI deployment", Mlcore.Scenario.figure3a ~mode weeks)
@@ -88,7 +78,7 @@ let figure3_cmd =
   in
   Cmd.v
     (Cmd.info "figure3" ~doc:"Reproduce Figure 3 (PDU counts along the weekly timeline).")
-    Term.(const run $ scale_arg $ seed_arg $ mode_arg $ panel_arg $ csv_arg $ domains_arg)
+    Term.(const run $ scale_arg $ seed_arg $ mode_arg $ panel_arg $ csv_arg)
 
 let compress_cmd =
   let input_arg =

@@ -12,30 +12,16 @@ type stats = {
   max_compression : float;
 }
 
-let measure ?domains (snap : Dataset.Snapshot.t) =
+let measure (snap : Dataset.Snapshot.t) =
   let table = snap.Dataset.Snapshot.table in
   let vrps = Dataset.Snapshot.vrps snap in
   let n_vrps = List.length vrps in
   let maxlen = List.filter Vrp.uses_max_len vrps in
-  (* The three passes only read [table] (an [Arena.Bgp_db]; its
-     queries and walks mutate nothing, and the valid-pair count marks
-     a byte array of its own) and are mutually independent, so they
-     fork-join as one task each. *)
-  let vulnerable_count () =
+  let vulnerable =
     List.length (List.filter (fun v -> not (Minimal.is_minimal_vrp table v)) maxlen)
   in
-  let valid_pairs_count () =
-    Dataset.Bgp_table.count table (Dataset.Bgp_table.Valid_under vrps)
-  in
-  let lower_bound_count () = Dataset.Bgp_table.root_pair_count table in
-  let vulnerable, valid_pairs, lower_bound =
-    match
-      Parallel.Pool.parallel_tasks ?domains
-        [ vulnerable_count; valid_pairs_count; lower_bound_count ]
-    with
-    | [ a; b; c ] -> (a, b, c)
-    | _ -> assert false
-  in
+  let valid_pairs = Dataset.Bgp_table.count table (Dataset.Bgp_table.Valid_under vrps) in
+  let lower_bound = Dataset.Bgp_table.root_pair_count table in
   let bgp_pairs = Dataset.Bgp_table.cardinal table in
   {
     bgp_pairs;

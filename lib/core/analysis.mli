@@ -23,10 +23,8 @@ type stats = {
       (** [1 - lower_bound / bgp_pairs] — the paper's 6.2%. *)
 }
 
-val measure : ?domains:int -> Dataset.Snapshot.t -> stats
-(** [?domains] (default {!Parallel.Pool.default_domains}) forks the
-    three independent passes — vulnerability scan, valid-pair count,
-    lower-bound count — onto that many domains; [1] runs them
-    sequentially. The result is identical either way. *)
+val measure : Dataset.Snapshot.t -> stats
+(** Three passes over the snapshot's table: the vulnerability scan,
+    the valid-pair count and the lower-bound count. *)
 
 val pp : Format.formatter -> stats -> unit

@@ -33,46 +33,33 @@ let pipelines_of ~mode (snap : Snapshot.t) =
 
 let count p = List.length (Lazy.force p)
 
-(* Table 1's seven rows hang off four mutually independent pipelines
-   (status-quo compression; minimal + its compression; full
-   deployment + its compression; the lower bound), one fork-join task
-   each; the counts equal the sequential ones exactly. Two tasks read
-   [status_quo], so it is forced before the fork: forcing one lazy
-   value from two domains at once can raise [Lazy.Undefined]. *)
-let table1 ?(mode = Compress.Strict) ?domains snap =
+let table1 ?(mode = Compress.Strict) snap =
   let p = pipelines_of ~mode snap in
-  let status_quo = count p.status_quo in
-  let tasks =
-    List.map
-      (fun pipelines () -> List.map count pipelines)
-      [ [ p.status_quo_compressed ]; [ p.minimal; p.minimal_compressed ];
-        [ p.full; p.full_compressed ]; [ p.bound ] ]
-  in
-  match Parallel.Pool.parallel_tasks ?domains tasks with
-  | [ [ sqc ]; [ minimal; minimal_c ]; [ full; full_c ]; [ bound ] ] ->
-    [ { label = "Today"; pdus = status_quo; secure = false; paper_pdus = Some 39_949 };
-      { label = "Today (compressed)"; pdus = sqc; secure = false; paper_pdus = Some 33_615 };
-      { label = "Today, minimal ROAs, no maxLength";
-        pdus = minimal;
-        secure = true;
-        paper_pdus = Some 52_745 };
-      { label = "Today, minimal ROAs, with maxLength (compressed)";
-        pdus = minimal_c;
-        secure = true;
-        paper_pdus = Some 49_308 };
-      { label = "Full deployment, minimal ROAs, no maxLength";
-        pdus = full;
-        secure = true;
-        paper_pdus = Some 776_945 };
-      { label = "Full deployment, minimal ROAs, with maxLength";
-        pdus = full_c;
-        secure = true;
-        paper_pdus = Some 730_008 };
-      { label = "Full deployment, lower bound (max permissive ROAs)";
-        pdus = bound;
-        secure = false;
-        paper_pdus = Some 729_371 } ]
-  | _ -> assert false
+  [ { label = "Today"; pdus = count p.status_quo; secure = false; paper_pdus = Some 39_949 };
+    { label = "Today (compressed)";
+      pdus = count p.status_quo_compressed;
+      secure = false;
+      paper_pdus = Some 33_615 };
+    { label = "Today, minimal ROAs, no maxLength";
+      pdus = count p.minimal;
+      secure = true;
+      paper_pdus = Some 52_745 };
+    { label = "Today, minimal ROAs, with maxLength (compressed)";
+      pdus = count p.minimal_compressed;
+      secure = true;
+      paper_pdus = Some 49_308 };
+    { label = "Full deployment, minimal ROAs, no maxLength";
+      pdus = count p.full;
+      secure = true;
+      paper_pdus = Some 776_945 };
+    { label = "Full deployment, minimal ROAs, with maxLength";
+      pdus = count p.full_compressed;
+      secure = true;
+      paper_pdus = Some 730_008 };
+    { label = "Full deployment, lower bound (max permissive ROAs)";
+      pdus = count p.bound;
+      secure = false;
+      paper_pdus = Some 729_371 } ]
 
 (* One pipeline record per week, shared by every series, so each
    week's lists are built once and dropped before the next week's. *)

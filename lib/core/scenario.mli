@@ -14,15 +14,12 @@ type row = {
           dataset, when run at paper scale. *)
 }
 
-val table1 : ?mode:Compress.mode -> ?domains:int -> Dataset.Snapshot.t -> row list
+val table1 : ?mode:Compress.mode -> Dataset.Snapshot.t -> row list
 (** The seven Table 1 scenarios, in the paper's order:
     status quo; status quo compressed; minimal no-maxLength; minimal
     compressed; full-deployment minimal; full-deployment compressed;
     max-permissive lower bound. [?mode] (default {!Compress.Strict})
-    is the merge rule of every compressed row. [?domains] (default
-    {!Parallel.Pool.default_domains}) forks the four independent
-    pipelines behind the rows; the counts are identical at every
-    domain count. *)
+    is the merge rule of every compressed row. *)
 
 type series = { name : string; secure : bool; points : (string * int) list }
 

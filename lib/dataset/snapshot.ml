@@ -265,7 +265,7 @@ let generate_bases params rng targets =
    from its own copy of the allocator and from [Rng.split rng "stale"],
    which derives from [rng]'s seed alone, so every cut gets the stream
    a run of its own would. Reads [bases], [style_of] and [rng] without
-   changing them: cuts build in parallel. *)
+   changing them, so the cuts build in any order. *)
 let build params ~seed rng style_of bases cut =
   (* The table is built once the pair counts are known, so each family
      is sized by its own count and no column grows. Pairs go in in
@@ -343,7 +343,7 @@ let build params ~seed rng style_of bases cut =
   { params; seed; table; roas = !roas }
 
 (* One snapshot per target, in [targets]' order. *)
-let build_series params ?domains ~seed targets =
+let build_series params ~seed targets =
   let rng = Rng.create seed in
   let ascending = Array.of_list (List.sort_uniq Int.compare (Array.to_list targets)) in
   let bases, style_of, cuts = generate_bases params rng ascending in
@@ -351,15 +351,15 @@ let build_series params ?domains ~seed targets =
     let rec find i = if Int.equal ascending.(i) target then cuts.(i) else find (i + 1) in
     find 0
   in
-  Parallel.Pool.parallel_map ?domains
-    ~f:(fun target ->
+  Array.map
+    (fun target ->
       build { params with pairs_target = target } ~seed rng style_of bases (cut_of target))
     targets
 
-let series ?(params = default_params) ?domains ~seed ~targets () =
-  Array.to_list (build_series params ?domains ~seed (Array.of_list targets))
+let series ?(params = default_params) ~seed ~targets () =
+  Array.to_list (build_series params ~seed (Array.of_list targets))
 
 let generate ?(params = default_params) ~seed () =
-  (build_series params ~domains:1 ~seed [| params.pairs_target |]).(0)
+  (build_series params ~seed [| params.pairs_target |]).(0)
 
 let vrps t = Rpki.Scan_roas.vrps_of_roas t.roas

@@ -67,7 +67,7 @@ val generate : ?params:params -> seed:int -> unit -> t
     [series ~params ~seed ~targets:[params.pairs_target] ()]. *)
 
 val series :
-  ?params:params -> ?domains:int -> seed:int -> targets:int list -> unit -> t list
+  ?params:params -> seed:int -> targets:int list -> unit -> t list
 (** One snapshot per pair target, in [targets]' order, each equal to
     [generate ~params:{ params with pairs_target = target } ~seed ()]:
     same table, same ROA list in the same order.
@@ -78,10 +78,7 @@ val series :
     records where each smaller target would have stopped it (the bases
     so far, their pair counts and the address allocator), and builds
     each snapshot — table, then ROA corpus — from its prefix of the
-    bases. Every other field of [params] is common to all the cuts.
-    The builds run over [?domains] (default
-    {!Parallel.Pool.default_domains}); the result is the same at any
-    domain count. *)
+    bases. Every other field of [params] is common to all the cuts. *)
 
 val vrps : t -> Rpki.Vrp.t list
 (** The corpus flattened through {!Rpki.Scan_roas.vrps_of_roas} — the

@@ -6,7 +6,7 @@ let labels = [ "4/13"; "4/20"; "4/27"; "5/4"; "5/11"; "5/18"; "5/25"; "6/1" ]
    window, as in the paper, with week 8 on [params.pairs_target]. *)
 let weekly_growth = 0.003
 
-let generate ?(params = Snapshot.default_params) ?domains ~seed () =
+let generate ?(params = Snapshot.default_params) ~seed () =
   let targets =
     List.mapi
       (fun i _ ->
@@ -23,7 +23,7 @@ let generate ?(params = Snapshot.default_params) ?domains ~seed () =
   List.map2
     (fun label snapshot -> { label; snapshot })
     labels
-    (Snapshot.series ~params ?domains ~seed ~targets ())
+    (Snapshot.series ~params ~seed ~targets ())
 
 (* --- event stream ----------------------------------------------------- *)
 

@@ -11,7 +11,7 @@ type week = { label : string; snapshot : Snapshot.t }
 val labels : string list
 (** ["4/13"; "4/20"; ...; "6/1"] — the paper's x axis. *)
 
-val generate : ?params:Snapshot.params -> ?domains:int -> seed:int -> unit -> week list
+val generate : ?params:Snapshot.params -> seed:int -> unit -> week list
 (** Eight snapshots. Table size grows 0.3% a week, matching the
     paper's ~2% growth over the window; week 8 lands on
     [params.pairs_target]. Each week is
@@ -19,10 +19,7 @@ val generate : ?params:Snapshot.params -> ?domains:int -> seed:int -> unit -> we
     at its own [pairs_target]: the weeks differ only there, so one run
     of the generator's loop serves all eight ({!Snapshot.series}), and
     each week's table and ROA corpus is built from its prefix of that
-    run.
-    [?domains] (default {!Parallel.Pool.default_domains}) spreads the
-    eight builds over that many domains; the series is bit-identical
-    at any domain count. *)
+    run. *)
 
 (** {2 Event stream}
 

@@ -1,15 +1,15 @@
 (* A per-module def/use graph over Typedtree, with the per-node facts
-   the typed rules (R8/R9/R10) consume and a transitive-closure engine
-   that produces witness call chains.
+   the typed rules (R8, R10–R13) consume and a transitive-closure
+   engine that produces witness call chains.
 
    Nodes are module-level value bindings ("Rtr.Cache_server.handle") —
    everything inside a binding's body, local functions included, is
    attributed to that binding. Edges are *references*: any identifier
    use that resolves to another node counts, so passing a function as
    a value keeps it reachable (an over-approximation in the safe
-   direction for all three rules). Closures handed to the domain pool
-   or to the netsim clock become synthetic nodes
-   ("...publish.<fun:42>") so submissions have a root to start from.
+   direction for every rule). Closures handed to the netsim clock
+   become synthetic nodes ("...publish.<fun:42>") so submissions have
+   a root to start from.
 
    Resolution is name-based, mirroring how dune-wrapped units appear
    in typed paths: the unit "Rtr__Cache_server" is normalized to
@@ -22,7 +22,6 @@
 
 type fact_kind =
   | Alloc
-  | Mutates
   | Raises
   | Handle_escape
   | Store_reset
@@ -43,7 +42,7 @@ type call = {
   guarded : bool;
       (** The reference sits under a [try] with a catch-all handler:
           exceptions from the callee cannot escape, so R10 does not
-          follow the edge. R8/R9 still do. *)
+          follow the edge. R8 and R11 still do. *)
 }
 
 type node = {
@@ -55,11 +54,8 @@ type node = {
   mutable facts : fact list;
 }
 
-type sub_kind = Pool_task | Event_callback
-
 type submission = {
-  sub_kind : sub_kind;
-  sub_root : string;  (** node id the task/callback starts at *)
+  sub_root : string;  (** node id the callback starts at *)
   sub_file : string;
   sub_line : int;
 }
@@ -86,8 +82,7 @@ let nodes t =
 
 let node_count t = List.length t.order
 
-let submissions t kind =
-  List.filter (fun s -> s.sub_kind = kind) (List.rev t.submissions)
+let submissions t = List.rev t.submissions
 
 let add_node t ~id ~file ~line ?(attrs = []) ?(facts = []) ?(calls = []) () =
   let n = { id; file; line; attrs; calls; facts } in
@@ -97,15 +92,13 @@ let add_node t ~id ~file ~line ?(attrs = []) ?(facts = []) ?(calls = []) () =
   end;
   n
 
-let add_submission t ~kind ~root ~file ~line =
-  let s = { sub_kind = kind; sub_root = root; sub_file = file; sub_line = line } in
+let add_submission t ~root ~file ~line =
+  let s = { sub_root = root; sub_file = file; sub_line = line } in
   if
     not
       (List.exists
          (fun o ->
-           o.sub_kind = kind && o.sub_line = line
-           && String.equal o.sub_file file
-           && String.equal o.sub_root root)
+           o.sub_line = line && String.equal o.sub_file file && String.equal o.sub_root root)
          t.submissions)
   then t.submissions <- s :: t.submissions
 
@@ -181,9 +174,8 @@ let path_parts p =
 
 let drop_stdlib = function "Stdlib" :: rest -> rest | parts -> parts
 
-(* Container-mutating functions (mirrors rule R3's syntactic list;
-   Atomic is deliberately absent — it is the sanctioned cross-domain
-   primitive). *)
+(* Container-mutating functions: a handle passed to one is stored
+   (R11). *)
 let mutator_modules = [ "Hashtbl"; "Buffer"; "Stack"; "Queue"; "Array"; "Bytes" ]
 
 let mutator_fns =
@@ -244,14 +236,10 @@ let rec handle_store_of_type depth (ty : Types.type_expr) =
    container/tuple nesting (a [handle ref], a [(int * handle) list]). *)
 let handle_store ty = handle_store_of_type 0 ty
 
-let pool_entrypoints = [ "parallel_map"; "parallel_iter"; "parallel_tasks" ]
-
-let submission_of_parts parts =
+let is_clock_submission parts =
   match List.rev (drop_stdlib parts) with
-  | f :: "Pool" :: _ when mem_string f pool_entrypoints -> Some Pool_task
-  | ("at" | "after") :: "Clock" :: _ -> Some Event_callback
-  | "advance" :: "Wheel" :: _ -> Some Event_callback
-  | _ -> None
+  | ("at" | "after") :: "Clock" :: _ | "advance" :: "Wheel" :: _ -> true
+  | _ -> false
 
 (* Global-name resolution: exact id first, then the unit index keyed
    by the path's head component (module aliases like
@@ -317,12 +305,11 @@ type walk_ctx = {
   (* suppression depths: an expression-level waiver attribute prunes
      its kind from the whole subtree, mirroring the syntactic rules *)
   mutable alloc_off : int;
-  mutable mut_off : int;
   mutable raise_off : int;
   mutable handle_off : int;
   mutable unsafe_off : int;
   mutable try_depth : int;  (** > 0 under a catch-all [try] body *)
-  mutable pending_closures : (string * Typedtree.expression * sub_kind) list;
+  mutable pending_closures : (string * Typedtree.expression) list;
       (** submissions whose argument was a closure literal: processed
           after the current walk, becoming synthetic nodes *)
 }
@@ -336,7 +323,6 @@ let add_fact ctx kind detail (loc : Location.t) =
   let off =
     match kind with
     | Alloc -> ctx.alloc_off > 0
-    | Mutates -> ctx.mut_off > 0
     | Raises -> ctx.raise_off > 0
     | Handle_escape | Cross_store -> ctx.handle_off > 0
     | Unsafe_idx -> ctx.unsafe_off > 0
@@ -351,21 +337,6 @@ let add_fact ctx kind detail (loc : Location.t) =
 let add_call ctx id (loc : Location.t) =
   let call_line, _ = loc_line_col loc in
   ctx.node.calls <- { callee = id; call_line; guarded = ctx.try_depth > 0 } :: ctx.node.calls
-
-(* The syntactic root of an lvalue-ish expression: [x], [x.f.g],
-   [M.x.f]. Anything more complex resolves to nothing and is given the
-   benefit of the doubt. *)
-let rec expr_root (e : Typedtree.expression) =
-  match e.exp_desc with
-  | Texp_ident (p, _, _) -> Some p
-  | Texp_field (e', _, _) -> expr_root e'
-  | _ -> None
-
-let nonlocal_root ctx e =
-  match expr_root e with
-  | Some (Path.Pident id) when not (is_local ctx id) -> Some (Ident.name id)
-  | Some (Path.Pdot _ as p) -> Some (Path.name p)
-  | Some _ | None -> None
 
 let resolve_ident ctx (p : Path.t) (loc : Location.t) =
   match p with
@@ -388,15 +359,6 @@ let resolve_ident ctx (p : Path.t) (loc : Location.t) =
     | Some node_id -> add_call ctx node_id loc
     | None -> ())
 
-(* Closure literals inside a submission argument: a bare [fun],
-   or a list of thunks as passed to [parallel_tasks]. *)
-let rec closure_literals (e : Typedtree.expression) =
-  match e.exp_desc with
-  | Texp_function _ -> [ e ]
-  | Texp_construct ({ txt = Lident "::"; _ }, _, [ hd; tl ]) ->
-    closure_literals hd @ closure_literals tl
-  | _ -> []
-
 let catch_all_case (c : Typedtree.value Typedtree.case) =
   let rec catch_all (p : Typedtree.value Typedtree.general_pattern) =
     match p.pat_desc with
@@ -414,19 +376,16 @@ let walk_body ctx ?(spine = true) top =
   let default = Tast_iterator.default_iterator in
   let with_suppressed (e : Typedtree.expression) f =
     let a = has_attr "lint.alloc_ok" e.exp_attributes in
-    let m = has_attr "lint.domain_safe" e.exp_attributes in
     let r = has_attr "lint.raise_ok" e.exp_attributes in
     let h = has_attr "lint.handle_ok" e.exp_attributes in
     let u = has_justified_attr "lint.unsafe_idx_ok" e.exp_attributes in
     if a then ctx.alloc_off <- ctx.alloc_off + 1;
-    if m then ctx.mut_off <- ctx.mut_off + 1;
     if r then ctx.raise_off <- ctx.raise_off + 1;
     if h then ctx.handle_off <- ctx.handle_off + 1;
     if u then ctx.unsafe_off <- ctx.unsafe_off + 1;
     Fun.protect
       ~finally:(fun () ->
         if a then ctx.alloc_off <- ctx.alloc_off - 1;
-        if m then ctx.mut_off <- ctx.mut_off - 1;
         if r then ctx.raise_off <- ctx.raise_off - 1;
         if h then ctx.handle_off <- ctx.handle_off - 1;
         if u then ctx.unsafe_off <- ctx.unsafe_off - 1)
@@ -439,62 +398,32 @@ let walk_body ctx ?(spine = true) top =
         | Texp_apply ({ exp_desc = Texp_ident (p, _, _); exp_loc = head_loc; _ }, args)
           -> (
           let parts = path_parts p in
-          (* submissions: closures handed to the pool or the clock *)
-          (match submission_of_parts parts with
-          | Some kind ->
-            let waiver =
-              match kind with Pool_task -> "lint.domain_safe" | Event_callback -> "lint.raise_ok"
-            in
-            if not (has_attr waiver e.exp_attributes) then
-              List.iter
-                (fun (_, arg) ->
-                  match arg with
-                  | Some (a : Typedtree.expression) when not (has_attr waiver a.exp_attributes) -> (
-                    match closure_literals a with
-                    | _ :: _ as closures ->
-                      List.iter
-                        (fun c ->
-                          ctx.pending_closures <- (ctx.node.id, c, kind) :: ctx.pending_closures)
-                        closures
-                    | [] -> (
-                      match a.exp_desc with
-                      | Texp_ident (fp, _, _) -> (
-                        let target =
-                          match fp with
-                          | Path.Pident id ->
-                            Hashtbl.find_opt ctx.stamp_map (Ident.unique_name id)
-                          | _ -> resolve_global ctx.graph (path_parts fp)
-                        in
-                        match target with
-                        | Some root ->
-                          let line, _ = loc_line_col a.exp_loc in
-                          add_submission ctx.graph ~kind ~root ~file:ctx.node.file ~line
-                        | None -> ())
-                      | _ -> ()))
+          (* submissions: closures handed to the clock *)
+          let waived (x : Typedtree.expression) = has_attr "lint.raise_ok" x.exp_attributes in
+          if is_clock_submission parts && not (waived e) then
+            List.iter
+              (fun (_, arg) ->
+                match arg with
+                | Some a when not (waived a) -> (
+                  match a.exp_desc with
+                  | Texp_function _ ->
+                    ctx.pending_closures <- (ctx.node.id, a) :: ctx.pending_closures
+                  | Texp_ident (fp, _, _) -> (
+                    let target =
+                      match fp with
+                      | Path.Pident id -> Hashtbl.find_opt ctx.stamp_map (Ident.unique_name id)
+                      | _ -> resolve_global ctx.graph (path_parts fp)
+                    in
+                    match target with
+                    | Some root ->
+                      let line, _ = loc_line_col a.exp_loc in
+                      add_submission ctx.graph ~root ~file:ctx.node.file ~line
+                    | None -> ())
                   | _ -> ())
-                args
-          | None -> ());
-          (* ref / container mutation with a free target *)
-          let first_arg =
-            match args with (_, Some a) :: _ -> Some a | _ -> None
-          in
-          (match (drop_stdlib parts, first_arg) with
-          | [ ":=" ], Some lhs -> (
-            match nonlocal_root ctx lhs with
-            | Some x -> add_fact ctx Mutates (Printf.sprintf "':=' on %s" x) head_loc
-            | None -> ())
-          | [ ("incr" | "decr") as f ], Some lhs -> (
-            match nonlocal_root ctx lhs with
-            | Some x -> add_fact ctx Mutates (Printf.sprintf "%s on %s" f x) head_loc
-            | None -> ())
-          | mp, Some first when is_container_mutation mp -> (
-            match nonlocal_root ctx first with
-            | Some x ->
-              add_fact ctx Mutates
-                (Printf.sprintf "%s on %s" (String.concat "." (drop_stdlib parts)) x)
-                head_loc
-            | None -> ())
-          | [ "ref" ], Some _ -> add_fact ctx Alloc "ref cell" head_loc
+                | _ -> ())
+              args;
+          (match (drop_stdlib parts, args) with
+          | [ "ref" ], (_, Some _) :: _ -> add_fact ctx Alloc "ref cell" head_loc
           | _ -> ());
           (* arena handle provenance: escapes into long-lived storage
              (R11), cross-store flows (R12), unsafe indexing and the
@@ -581,15 +510,7 @@ let walk_body ctx ?(spine = true) top =
         | Texp_assert (_, _) ->
           add_fact ctx Raises "assert" e.exp_loc;
           default.expr it e
-        | Texp_setfield (obj, { txt; _ }, _, rhs) ->
-          (match nonlocal_root ctx obj with
-          | Some x ->
-            add_fact ctx Mutates
-              (Printf.sprintf "field %s of %s set"
-                 (String.concat "." (Longident.flatten txt))
-                 x)
-              e.exp_loc
-          | None -> ());
+        | Texp_setfield (_, { txt; _ }, _, rhs) ->
           (match handle_store rhs.exp_type with
           | Some s ->
             add_fact ctx Handle_escape
@@ -659,7 +580,6 @@ let walk_body ctx ?(spine = true) top =
      the function's interface. Everything below is body. *)
   let rec strip (e : Typedtree.expression) =
     if not (has_attr "lint.alloc_ok" e.exp_attributes
-            || has_attr "lint.domain_safe" e.exp_attributes
             || has_attr "lint.raise_ok" e.exp_attributes
             || has_attr "lint.handle_ok" e.exp_attributes
             || has_justified_attr "lint.unsafe_idx_ok" e.exp_attributes)
@@ -781,7 +701,6 @@ let build (loader : Cmt_loader.t) =
         locals = collect_locals expr;
         stamp_map;
         alloc_off = 0;
-        mut_off = 0;
         raise_off = 0;
         handle_off = 0;
         unsafe_off = 0;
@@ -799,7 +718,7 @@ let build (loader : Cmt_loader.t) =
   let rec drain () =
     match !pending with
     | [] -> ()
-    | (owner_id, closure, kind) :: rest ->
+    | (owner_id, closure) :: rest ->
       pending := rest;
       (match find t owner_id with
       | None -> ()
@@ -826,7 +745,7 @@ let build (loader : Cmt_loader.t) =
           | None -> Hashtbl.create 1
         in
         ignore (analyze n closure sm ~spine:true);
-        add_submission t ~kind ~root:id ~file:owner.file ~line);
+        add_submission t ~root:id ~file:owner.file ~line);
       drain ()
   in
   drain ();

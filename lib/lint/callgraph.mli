@@ -1,19 +1,18 @@
 (** Interprocedural def/use graph over [Typedtree], feeding the typed
-    rules (R8 hot-closure-alloc, R9 domain-shared-mutation, R10
-    exception-escape).
+    rules (R8 hot-closure-alloc, R10 exception-escape, R11–R13 handle
+    safety).
 
     Nodes are module-level value bindings, identified by their
     normalized qualified name ("Rtr.Cache_server.handle"); every local
     definition inside a binding is attributed to it. Edges are
     identifier {e references} (not just call heads), so a function
     passed as a value stays reachable — a deliberate
-    over-approximation. Closures submitted to the [lib/parallel] pool
-    or to netsim clock callbacks become synthetic nodes
-    ("Owner.publish.<fun:42>") recorded as submissions. *)
+    over-approximation. Closures handed to the netsim clock become
+    synthetic nodes ("Owner.publish.<fun:42>") recorded as
+    submissions. *)
 
 type fact_kind =
   | Alloc  (** heap allocation in the body (R8) *)
-  | Mutates  (** writes a free/top-level mutable target (R9) *)
   | Raises  (** may raise outside the allowlist (R10) *)
   | Handle_escape
       (** an arena handle stored in a ref/field/container or captured
@@ -35,7 +34,7 @@ type fact_kind =
 
 type fact = {
   kind : fact_kind;
-  detail : string;  (** e.g. ["list cons"], ["incr on hits"], ["failwith"] *)
+  detail : string;  (** e.g. ["list cons"], ["failwith"] *)
   fact_line : int;
   fact_col : int;
 }
@@ -45,7 +44,7 @@ type call = {
   call_line : int;
   guarded : bool;
       (** reference sits under a catch-all [try]: R10 does not follow
-          the edge, R8/R9 still do *)
+          the edge, R8 and R11 still do *)
 }
 
 type node = {
@@ -57,11 +56,8 @@ type node = {
   mutable facts : fact list;
 }
 
-type sub_kind = Pool_task | Event_callback
-
 type submission = {
-  sub_kind : sub_kind;
-  sub_root : string;  (** node the submitted task/callback starts at *)
+  sub_root : string;  (** node the submitted callback starts at *)
   sub_file : string;
   sub_line : int;
 }
@@ -80,7 +76,7 @@ val nodes : t -> node list
 
 val node_count : t -> int
 
-val submissions : t -> sub_kind -> submission list
+val submissions : t -> submission list
 (** Deduplicated, in discovery order. *)
 
 val reach : t -> waiver:string -> follow_guarded:bool -> string -> (node * string list) list

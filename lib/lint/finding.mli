@@ -10,7 +10,7 @@ type step = {
   step_file : string;  (** path relative to the lint root *)
   step_line : int;  (** definition line of the function *)
 }
-(** One hop of a witness call chain (typed rules R8–R10): the path
+(** One hop of a witness call chain (the typed rules): the path
     through the call graph from an entry point to the offending
     function. *)
 

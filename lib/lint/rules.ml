@@ -1,10 +1,11 @@
-(* The repo-specific rule catalogue, in two phases. R1–R7 are
-   syntactic: they walk the parsetree with [Ast_iterator] — no typing
-   environment — so each documents the approximation it makes and
-   offers an attribute escape hatch for the sites the approximation
-   gets wrong. R8–R10 are typed and interprocedural: they consume the
-   {!Callgraph} built from [.cmt] artifacts and report findings with a
-   witness call chain. See DESIGN.md §9 for the rationale per rule. *)
+(* The repo-specific rule catalogue, in two phases. R1, R2 and R4–R7
+   are syntactic: they walk the parsetree with [Ast_iterator] — no
+   typing environment — so each documents the approximation it makes
+   and offers an attribute escape hatch for the sites the approximation
+   gets wrong. R8 and R10–R13 are typed and interprocedural: they
+   consume the {!Callgraph} built from [.cmt] artifacts and report
+   findings with a witness call chain. R3 and R9 are retired and their
+   ids are not reused. See DESIGN.md §9 for the rationale per rule. *)
 
 open Parsetree
 
@@ -249,101 +250,6 @@ let r2_check ctx st =
   let it = { default with expr; value_binding } in
   it.structure it st
 
-(* --- R3: no mutable capture in Pool closures ------------------------ *)
-
-let pool_entrypoints = [ "parallel_map"; "parallel_iter"; "parallel_tasks" ]
-
-let is_pool_call parts =
-  match List.rev parts with
-  | f :: rest ->
-    mem_string f pool_entrypoints
-    && (match rest with [] -> true | m :: _ -> String.equal m "Pool")
-  | [] -> false
-
-(* Container-mutating functions: flagged when their first argument is a
-   variable captured from outside the closure. *)
-let mutator_modules = [ "Hashtbl"; "Buffer"; "Stack"; "Queue"; "Tbl"; "Array"; "Bytes" ]
-
-let mutator_fns =
-  [ "set"; "add"; "replace"; "remove"; "reset"; "clear"; "truncate"; "push"; "pop";
-    "add_string"; "add_char"; "add_bytes"; "add_buffer"; "add_substring"; "fill";
-    "blit"; "unsafe_set" ]
-
-let is_container_mutation parts =
-  match List.rev parts with
-  | f :: m :: _ -> mem_string f mutator_fns && mem_string m mutator_modules
-  | _ -> false
-
-(* Walk one closure literal: anything bound inside (parameters, local
-   lets, case patterns) is fine to mutate; mutation reaching a free
-   variable is a captured-state write and gets flagged. *)
-let check_closure ctx (closure : expression) =
-  let rule = "R3" and severity = Finding.Error in
-  let scope = Scope.create () in
-  let free (e : expression) =
-    match e.pexp_desc with
-    | Pexp_ident { txt = Lident x; _ } -> if Scope.is_bound scope x then None else Some x
-    | _ -> None
-  in
-  let report loc what x =
-    finding ctx ~rule ~severity loc
-      (Printf.sprintf
-         "closure passed to Pool.parallel_* %s captured '%s'; pool tasks must be pure — \
-          restructure, or annotate [@lint.domain_safe] if the writes are provably \
-          disjoint"
-         what x)
-  in
-  let visit (e : expression) =
-    if has_attr "lint.domain_safe" e.pexp_attributes then false
-    else begin
-      (match e.pexp_desc with
-      | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) -> (
-        let parts = flatten_ident txt in
-        match (parts, args) with
-        | [ ":=" ], (_, lhs) :: _ -> (
-          match free lhs with Some x -> report loc "assigns to" x | None -> ())
-        | [ ("incr" | "decr") ], (_, lhs) :: _ -> (
-          match free lhs with Some x -> report loc "mutates" x | None -> ())
-        | _, (_, first) :: _ when is_container_mutation parts -> (
-          match free first with Some x -> report loc "mutates container" x | None -> ())
-        | _ -> ())
-      | Pexp_setfield (lhs, _, _) -> (
-        match free lhs with
-        | Some x -> report e.pexp_loc "sets a field of" x
-        | None -> ())
-      | _ -> ());
-      true
-    end
-  in
-  let it = scoped_iterator ~scope ~visit () in
-  it.expr it closure
-
-let rec closure_literals (e : expression) =
-  match e.pexp_desc with
-  | Pexp_fun _ | Pexp_function _ -> [ e ]
-  | Pexp_construct ({ txt = Lident "::"; _ }, Some { pexp_desc = Pexp_tuple [ hd; tl ]; _ })
-    ->
-    closure_literals hd @ closure_literals tl
-  | _ -> []
-
-let r3_check ctx st =
-  let default = Ast_iterator.default_iterator in
-  let expr (it : Ast_iterator.iterator) (e : expression) =
-    (if not (has_attr "lint.domain_safe" e.pexp_attributes) then
-       match e.pexp_desc with
-       | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
-         when is_pool_call (flatten_ident txt) ->
-         List.iter
-           (fun (_, arg) ->
-             if not (has_attr "lint.domain_safe" arg.pexp_attributes) then
-               List.iter (check_closure ctx) (closure_literals arg))
-           args
-       | _ -> ());
-    default.expr it e
-  in
-  let it = { default with expr } in
-  it.structure it st
-
 (* --- R4: every lib/**.ml has a matching .mli ------------------------ *)
 
 let r4_check tctx =
@@ -505,7 +411,7 @@ let r7_check ctx st =
   let it = { default with value_binding } in
   it.structure it st
 
-(* --- the typed phase (R8–R10) --------------------------------------- *)
+(* --- the typed phase (R8, R10–R13) --------------------------------------- *)
 
 (* Shared plumbing: scope roots to the scanned file set (the fixture
    corpus and anything under a .lint-ignore directory produce cmts
@@ -573,30 +479,6 @@ let r8_check tctx =
         detail origin)
     roots
 
-(* R9: nothing reachable from a task submitted to the domain pool may
-   mutate shared (non-local) state. Depth 0 included: R3 only sees
-   mutations written literally inside the closure; here the closure's
-   helpers count too. *)
-let r9_check tctx =
-  let roots =
-    List.filter_map
-      (fun (s : Callgraph.submission) ->
-        if in_typed_scope tctx s.sub_file then
-          Some (s.sub_root, Printf.sprintf "%s:%d" s.sub_file s.sub_line)
-        else None)
-      (Callgraph.submissions tctx.graph Callgraph.Pool_task)
-  in
-  typed_findings tctx ~rule:"R9" ~fact_kind:Callgraph.Mutates ~waiver:"lint.domain_safe"
-    ~follow_guarded:true
-    ~skip_node:(fun ~root_id:_ _ -> false)
-    ~message:(fun ~origin ~detail ->
-      Printf.sprintf
-        "shared-state mutation (%s) reachable from the pool task submitted at %s: \
-         tasks run on other domains — restructure, or annotate [@lint.domain_safe] \
-         if the writes are provably disjoint"
-        detail origin)
-    roots
-
 (* R10: event handlers must not let exceptions escape. Roots are the
    RTR state machines' input functions, the cache server's handlers,
    and every closure handed to the netsim clock; [raise Exit] and
@@ -625,7 +507,7 @@ let r10_check tctx =
         if in_typed_scope tctx s.sub_file then
           Some (s.sub_root, Printf.sprintf "the clock callback at %s:%d" s.sub_file s.sub_line)
         else None)
-      (Callgraph.submissions tctx.graph Callgraph.Event_callback)
+      (Callgraph.submissions tctx.graph)
   in
   typed_findings tctx ~rule:"R10" ~fact_kind:Callgraph.Raises ~waiver:"lint.raise_ok"
     ~follow_guarded:false
@@ -772,14 +654,6 @@ let all : t list =
          [@lint.unsafe_ok].";
       kind =
         File_rule (fun ctx st -> if in_core_libs ctx.path then r2_check ctx st) };
-    { id = "R3";
-      name = "domain-capture";
-      severity = Finding.Error;
-      doc =
-        "Closure literals passed to Pool.parallel_map/parallel_iter/parallel_tasks must \
-         not mutate variables captured from the enclosing scope (refs, Hashtbl, Buffer, \
-         array/field assignment). Escape: [@lint.domain_safe].";
-      kind = File_rule r3_check };
     { id = "R4";
       name = "missing-mli";
       severity = Finding.Error;
@@ -821,16 +695,6 @@ let all : t list =
          finding carries the witness chain. Hot callees are excluded (R7 covers them \
          as roots). Escape: [@lint.alloc_ok] on any binding along the chain.";
       kind = Typed_rule r8_check };
-    { id = "R9";
-      name = "domain-shared-mutation";
-      severity = Finding.Error;
-      doc =
-        "[typed] Tasks submitted to Pool.parallel_map/parallel_iter/parallel_tasks \
-         must not reach a mutation of non-local state (ref assignment, container \
-         mutators, field writes) through any call chain — R3 only sees writes \
-         literally inside the closure. Atomic.* is the sanctioned primitive and is \
-         not flagged. Escape: [@lint.domain_safe] on any binding along the chain.";
-      kind = Typed_rule r9_check };
     { id = "R10";
       name = "exception-escape";
       severity = Finding.Error;

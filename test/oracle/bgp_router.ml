@@ -28,6 +28,7 @@ let create ?rov ~asn () =
 let asn t = t.asn
 
 let originate t prefix = t.originated <- Pfx.Set.add prefix t.originated
+let withdraw_origin t prefix = t.originated <- Pfx.Set.remove prefix t.originated
 
 let set_export_filter t remote filter =
   match List.find_opt (fun p -> Asnum.equal p.remote remote) t.peers with

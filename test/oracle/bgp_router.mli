@@ -26,6 +26,10 @@ val originate : t -> Netaddr.Pfx.t -> unit
 (** Add a locally originated prefix (advertised to every peer, subject
     to export filters). *)
 
+val withdraw_origin : t -> Netaddr.Pfx.t -> unit
+(** Stop originating a prefix. The next {!Network.run} withdraws it
+    from every peer it was advertised to. *)
+
 val set_export_filter : t -> Rpki.Asnum.t -> (Netaddr.Pfx.t -> bool) -> unit
 (** Per-neighbor traffic engineering (the paper's §3: "announcing the
     /24 to some neighbors and not others"): only prefixes passing the

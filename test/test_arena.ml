@@ -618,34 +618,6 @@ let test_snapshot_agrees () =
   Alcotest.(check bool) "compress agrees on the full deployment" true
     (check_compress_agrees c.full)
 
-(* The read-only sweeps, each as a query over an index array: run at 2
-   and 4 domains, they must return exactly what one domain returns. *)
-let test_snapshot_parallel_sweeps () =
-  let c = Lazy.force corpus in
-  let vrps = Array.of_list c.vrps in
-  let sweeps =
-    [ ( "validate",
-        Array.length c.pairs,
-        fun i ->
-          let q, origin = c.pairs.(i) in
-          state_code (Rpki.Validation.validate c.adb q origin) );
-      ( "is_minimal_vrp",
-        Array.length vrps,
-        fun i -> Bool.to_int (Mlcore.Minimal.is_minimal_vrp c.table vrps.(i)) ) ]
-  in
-  List.iter
-    (fun (name, n, f) ->
-      let idx = Array.init n Fun.id in
-      let expected = Array.map f idx in
-      List.iter
-        (fun domains ->
-          Alcotest.(check (array int))
-            (Printf.sprintf "%s at %d domains" name domains)
-            expected
-            (Parallel.Pool.parallel_map ~domains ~f idx))
-        [ 2; 4 ])
-    sweeps
-
 (* Words one call of [f] allocates, after a warm-up call (which
    creates any lazily built scratch state). *)
 let allocated_words f =
@@ -1062,8 +1034,6 @@ let () =
             [ prop_compress_oracle; prop_eliminate_oracle; prop_compress_order_independent ] );
       ( "snapshot",
         [ Alcotest.test_case "arena agrees with the oracles" `Quick test_snapshot_agrees;
-          Alcotest.test_case "2 and 4 domains agree with one" `Quick
-            test_snapshot_parallel_sweeps;
           Alcotest.test_case "arena allocates less than the oracles" `Quick
             test_snapshot_allocates_less;
           Alcotest.test_case "arena memory: words per entry" `Quick

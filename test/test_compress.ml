@@ -298,7 +298,7 @@ let prop_differential_reference =
    per address bit, BFS direct_child, path-reconstructing collect),
    kept verbatim as a reference after the production code moved to a
    path-compressed layout. The swap must be invisible: outputs stay
-   bit-identical in both modes at every domain count. *)
+   bit-identical in both modes. *)
 module Bit_ref = struct
   type node = {
     mutable value : int option;

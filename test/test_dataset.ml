@@ -246,19 +246,17 @@ let test_timeline () =
 let test_timeline_weeks_equal_generate () =
   let pair_t = Alcotest.pair Testutil.prefix Testutil.asn in
   List.iter
-    (fun (scale, seed, domains) ->
+    (fun (scale, seed) ->
       List.iter
         (fun (w : Timeline.week) ->
           let s = w.Timeline.snapshot in
           let alone = Snapshot.generate ~params:s.Snapshot.params ~seed () in
-          let what =
-            Printf.sprintf "scale %g, seed %d, %d domains, %s" scale seed domains w.Timeline.label
-          in
+          let what = Printf.sprintf "scale %g, seed %d, %s" scale seed w.Timeline.label in
           Alcotest.(check (list pair_t)) (what ^ ": pairs")
             (Bgp_table.pairs alone.Snapshot.table) (Bgp_table.pairs s.Snapshot.table);
           Alcotest.(check (list Testutil.roa)) (what ^ ": ROAs") alone.Snapshot.roas s.Snapshot.roas)
-        (Timeline.generate ~params:(Snapshot.scaled scale) ~domains ~seed ()))
-    [ (0.01, 9, 1); (0.01, 9, 2); (0.005, 3, 1); (0.005, 3, 2) ]
+        (Timeline.generate ~params:(Snapshot.scaled scale) ~seed ()))
+    [ (0.01, 9); (0.005, 3) ]
 
 (* [state_of] takes the table's pairs as they come (the fold order is
    canonical) and only checks the VRP list: both sides must already be

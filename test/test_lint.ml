@@ -40,7 +40,7 @@ let cmt_dir_for root =
   if Sys.file_exists d then d else root
 
 let typed_fixture_report
-    ?(rules = Rules.find [ "R8"; "R9"; "R10"; "R11"; "R12"; "R13" ]) () =
+    ?(rules = Rules.find [ "R8"; "R10"; "R11"; "R12"; "R13" ]) () =
   let root = repo_root () in
   Engine.run ~rules ~typed:true ~cmt_dir:(cmt_dir_for root) ~root
     [ Filename.concat (Filename.concat "test" "lint_fixtures") "typed" ]
@@ -82,8 +82,8 @@ let test_good_fixtures_clean () =
   let is_good_file f =
     let base = Filename.basename f.Finding.file in
     List.exists (fun s -> String.equal base s)
-      [ "r1_good.ml"; "r2_good.ml"; "r3_good.ml"; "r4_good.ml"; "r5_good.ml";
-        "r6_good.ml"; "r7_good.ml"; "r2_scope.ml"; "r5_scope.ml" ]
+      [ "r1_good.ml"; "r2_good.ml"; "r4_good.ml"; "r5_good.ml"; "r6_good.ml"; "r7_good.ml";
+        "r2_scope.ml"; "r5_scope.ml" ]
   in
   match List.filter is_good_file report.Engine.findings with
   | [] -> ()
@@ -121,7 +121,7 @@ let test_typed_rules_fire () =
         (Printf.sprintf "rule %s fires on its fixture" rule)
         true
         (List.length hits > 0))
-    [ "R8"; "R9"; "R10"; "R11"; "R12"; "R13" ];
+    [ "R8"; "R10"; "R11"; "R12"; "R13" ];
   List.iter
     (fun f ->
       Alcotest.(check bool)
@@ -135,8 +135,7 @@ let test_typed_good_fixtures_clean () =
   let is_good_file f =
     let base = Filename.basename f.Finding.file in
     List.exists (String.equal base)
-      [ "r8_good.ml"; "r9_good.ml"; "r11_good.ml"; "r12_good.ml"; "r13_good.ml";
-        "cache_server.ml" ]
+      [ "r8_good.ml"; "r11_good.ml"; "r12_good.ml"; "r13_good.ml"; "cache_server.ml" ]
   in
   (match List.filter is_good_file report.Engine.findings with
   | [] -> ()
@@ -173,7 +172,7 @@ let test_missing_cmt_degrades () =
         (Printf.sprintf "%s not reported as run" id)
         false
         (List.exists (String.equal id) report.Engine.rules_run))
-    [ "R8"; "R9"; "R10"; "R11"; "R12"; "R13" ];
+    [ "R8"; "R10"; "R11"; "R12"; "R13" ];
   (* degradation is not a failure: syntactic rules still ran *)
   Alcotest.(check bool) "syntactic rules ran" true
     (List.exists (String.equal "R1") report.Engine.rules_run)
@@ -187,7 +186,7 @@ let test_uncovered_file_named () =
   let orphan = Filename.concat (Filename.concat fixtures "bin") "r2_scope.ml" in
   let report =
     Engine.run
-      ~rules:(Rules.find [ "R8"; "R9"; "R10"; "R11"; "R12"; "R13" ])
+      ~rules:(Rules.find [ "R8"; "R10"; "R11"; "R12"; "R13" ])
       ~typed:true ~cmt_dir:(cmt_dir_for root) ~root
       [ Filename.concat fixtures "typed"; orphan ]
   in
@@ -247,11 +246,11 @@ let test_reach_waiver_blocks_path () =
          ())
   in
   n "M.a" [ "M.b" ];
-  n "M.b" ~attrs:[ "lint.domain_safe" ] [ "M.c" ];
+  n "M.b" ~attrs:[ "lint.handle_ok" ] [ "M.c" ];
   n "M.c" [];
   Alcotest.(check (list string)) "mid-chain waiver kills everything beyond it"
     [ "M.a" ]
-    (reached g ~waiver:"lint.domain_safe" ~follow_guarded:true "M.a");
+    (reached g ~waiver:"lint.handle_ok" ~follow_guarded:true "M.a");
   Alcotest.(check (list string)) "other waivers do not"
     [ "M.a"; "M.b"; "M.c" ]
     (reached g ~waiver:"lint.alloc_ok" ~follow_guarded:true "M.a")
@@ -495,11 +494,11 @@ let test_tree_is_clean () =
       (List.length report.Engine.findings)
       (Finding.to_text f)
 
-(* The typed self-check: with R8-R13 enabled over the full tree, zero
-   unwaived findings — and the phase must have actually run (a silent
-   degradation would make this test vacuous). The fixture corpus'
-   cmts are loaded too, but its deliberately-bad roots are scoped out
-   of the discovered file set. *)
+(* The typed self-check: with R8 and R10-R13 enabled over the full
+   tree, zero unwaived findings — and the phase must have actually run
+   (a silent degradation would make this test vacuous). The fixture
+   corpus' cmts are loaded too, but its deliberately-bad roots are
+   scoped out of the discovered file set. *)
 let test_tree_is_clean_typed () =
   let root = repo_root () in
   let report =
@@ -515,7 +514,7 @@ let test_tree_is_clean_typed () =
         (Printf.sprintf "%s ran" id)
         true
         (List.exists (String.equal id) report.Engine.rules_run))
-    [ "R8"; "R9"; "R10"; "R11"; "R12"; "R13" ];
+    [ "R8"; "R10"; "R11"; "R12"; "R13" ];
   match report.Engine.findings with
   | [] -> ()
   | f :: _ ->

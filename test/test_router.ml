@@ -55,10 +55,7 @@ let test_diamond_exchange () =
 
 (* After AS 6 originates one /16 and the network settles, AS 1
    forwards an address inside it toward AS 6, and has no entry for an
-   address nothing originates. Withdrawal is not covered here: the
-   model has no call that stops originating a prefix, so a route
-   leaving the Loc-RIB is exercised only by the export-filter case
-   below. *)
+   address nothing originates. Withdrawal has its own case below. *)
 let test_forwarding_after_origination () =
   let net = diamond_net () in
   let r6 = Option.get (Network.router net (a 6)) in
@@ -84,6 +81,42 @@ let test_longest_prefix_forwarding () =
   match Router.forward r1 (p "10.0.5.5/32") with
   | Some r -> Alcotest.check Testutil.asn "/16 for the rest" (a 6) (Route.origin r)
   | None -> Alcotest.fail "no route"
+
+(* The longest-prefix setup, then AS 7 stops originating its /24:
+   once the network settles again no router holds a route for it, and
+   AS 1 forwards the /24's addresses toward AS 6's /16, exactly as a
+   network that never originated the /24 does. *)
+let test_withdrawal_propagates () =
+  let net = diamond_net () in
+  let r6 = Option.get (Network.router net (a 6)) in
+  let r7 = Option.get (Network.router net (a 7)) in
+  Router.originate r6 (p "10.0.0.0/16");
+  Router.originate r7 (p "10.0.128.0/24");
+  Network.run net;
+  Router.withdraw_origin r7 (p "10.0.128.0/24");
+  Network.run net;
+  List.iter
+    (fun n ->
+      let r = Option.get (Network.router net (a n)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "AS %d has no route for the /24" n)
+        true
+        (Router.best_route r (p "10.0.128.0/24") = None))
+    [ 1; 2; 3; 4; 5; 6; 7 ];
+  let forward net n = Router.forward (Option.get (Network.router net (a n))) (p "10.0.128.5/32") in
+  (match forward net 1 with
+   | Some r -> Alcotest.check Testutil.asn "AS 1 forwards toward the /16" (a 6) (Route.origin r)
+   | None -> Alcotest.fail "no route at 1");
+  let never = diamond_net () in
+  Router.originate (Option.get (Network.router never (a 6))) (p "10.0.0.0/16");
+  Network.run never;
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "AS %d forwards as if the /24 was never originated" n)
+        true
+        (Option.equal Route.equal (forward never n) (forward net n)))
+    [ 1; 2; 3; 4; 5; 6; 7 ]
 
 let test_rov_drops_hijack_in_messages () =
   (* A subprefix hijack at message level: AS 6 (the victim) originates
@@ -263,6 +296,7 @@ let () =
         [ Alcotest.test_case "diamond exchange" `Quick test_diamond_exchange;
           Alcotest.test_case "forwarding" `Quick test_forwarding_after_origination;
           Alcotest.test_case "longest-prefix forwarding" `Quick test_longest_prefix_forwarding;
+          Alcotest.test_case "withdrawal" `Quick test_withdrawal_propagates;
           Alcotest.test_case "ROV drops the hijack" `Quick test_rov_drops_hijack_in_messages;
           Alcotest.test_case "bad connects rejected" `Quick test_duplicate_link_rejected;
           Alcotest.test_case "traffic engineering via export filters" `Quick

@@ -171,7 +171,7 @@ let test_figure3_series_shape () =
         (point "Minimal ROAs, with maxLength" week fb <= point "Minimal ROAs, no maxLength" week fb))
     Dataset.Timeline.labels
 
-(* --- merge rule and domain count are arguments ------------------------ *)
+(* --- the merge rule is an argument --------------------------------------- *)
 
 let small = lazy (Snapshot.generate ~params:(Snapshot.scaled 0.01) ~seed:7 ())
 let triple = Alcotest.(triple int int int)
@@ -214,27 +214,6 @@ let test_mode_argument () =
   Alcotest.check triple "table1 default after a Paper call" strict table1;
   Alcotest.check triple "figure3 default after a Paper call" strict figure3
 
-(* The fork-join call sites give bit-identical results at one and two
-   domains. *)
-let test_domain_determinism () =
-  let s = Lazy.force small in
-  Alcotest.(check bool) "measure" true
-    (Analysis.measure ~domains:1 s = Analysis.measure ~domains:2 s);
-  List.iter
-    (fun mode ->
-      let pdus domains =
-        List.map (fun (r : Scenario.row) -> r.Scenario.pdus) (Scenario.table1 ~mode ~domains s)
-      in
-      Alcotest.(check (list int)) "table1" (pdus 1) (pdus 2))
-    [ Compress.Strict; Compress.Paper ];
-  let states domains =
-    List.map
-      (fun (w : Timeline.week) -> (w.Timeline.label, Timeline.state_of w.Timeline.snapshot))
-      (Timeline.generate ~params:(Snapshot.scaled 0.005) ~domains ~seed:3 ())
-  in
-  let state = Alcotest.(pair (list (pair Testutil.prefix Testutil.asn)) (list Testutil.vrp)) in
-  Alcotest.(check (list (pair string state))) "timeline weeks" (states 1) (states 2)
-
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
@@ -268,7 +247,6 @@ let () =
       ( "figure3",
         [ Alcotest.test_case "series shape" `Quick test_figure3_series_shape ] );
       ( "arguments",
-        [ Alcotest.test_case "compression mode is an argument" `Quick test_mode_argument;
-          Alcotest.test_case "1 and 2 domains agree" `Quick test_domain_determinism ] );
+        [ Alcotest.test_case "compression mode is an argument" `Quick test_mode_argument ] );
       ( "report",
         [ Alcotest.test_case "rendering" `Quick test_report_rendering ] ) ]

@@ -1,7 +1,7 @@
 # Convenience targets wrapping dune. `make check` is the one-stop gate;
 # the end-to-end benchmark is `python3 bench/e2e/run.py` (BENCHMARK.json).
 
-.PHONY: build test lint lint-typed check check-sanitize clean
+.PHONY: build test lint check check-sanitize clean
 
 build:
 	dune build
@@ -15,27 +15,22 @@ clean:
 
 LINT_JSON := LINT_report.json
 
+# Lint, both phases: the syntactic rules (R1, R2, R4-R7) and the typed,
+# interprocedural ones (R8, R10-R14), which read the .cmt artifacts
+# under _build. A plain `dune build` leaves none for an executable
+# (dune writes it only as a side product of native compilation, then
+# deletes it as stale), so the @check alias builds one per module as a
+# target. Every scanned .ml without a .cmt fails the run; with no
+# artifacts at all it would degrade to the syntactic rules, which the
+# typed_units guard below refuses.
 lint:
-	@rm -f $(LINT_JSON)
-	dune build bin/lint/lint_main.exe
-	dune exec bin/lint/lint_main.exe -- --format json --out $(LINT_JSON)
-	@echo "lint: OK (report in $(LINT_JSON))"
-
-# Typed lint: the interprocedural rules (R8, R10-R13) read the .cmt
-# artifacts under _build. A plain `dune build` leaves none for an
-# executable (dune writes it only as a side product of native
-# compilation, then deletes it as stale), so the @check alias builds
-# one per module as a target. Every scanned .ml without a .cmt fails
-# the run; with no artifacts at all it would degrade to the syntactic
-# rules, which the typed_units guard below refuses.
-lint-typed:
 	@rm -f $(LINT_JSON)
 	dune build
 	dune build @check
 	dune exec bin/lint/lint_main.exe -- --typed --format json --out $(LINT_JSON)
 	@grep -q '"typed_units": [1-9]' $(LINT_JSON) || \
-		{ echo "lint-typed: typed phase did not run (no .cmt artifacts?)"; exit 1; }
-	@echo "lint-typed: OK (report in $(LINT_JSON))"
+		{ echo "lint: typed phase did not run (no .cmt artifacts?)"; exit 1; }
+	@echo "lint: OK (report in $(LINT_JSON))"
 
 # Handle-safety gate: re-run the arena differential suites, the
 # Bgp_table suite, the scenario suite (Table 1, Figure 3 and the
@@ -58,7 +53,6 @@ check-sanitize: build
 	@echo "check-sanitize: OK"
 
 # The one-stop gate: build everything, run the test suites (the
-# bench/e2e smoke runs among them) and lint the tree, typed phase
-# included.
-check: build test lint-typed
+# bench/e2e smoke runs among them) and lint the tree, both phases.
+check: build test lint
 	@echo "check: OK"

@@ -23,7 +23,7 @@ let usage =
    Static analysis for the rpki-maxlen tree. With no PATHS, lints lib/ bin/ bench/ \
    test/ under --root (default: the current directory).\n\n\
    The syntactic rules (R1, R2, R4-R7) parse sources directly. The typed rules \
-   (R8, R10-R13) need .cmt artifacts from a prior `dune build @check` and run with --typed \
+   (R8, R10-R14) need .cmt artifacts from a prior `dune build @check` and run with --typed \
    (implied when --rules selects a typed rule).\n\n\
    Options:"
 
@@ -43,7 +43,7 @@ let () =
         "IDS  comma-separated rule ids to run (default: all, e.g. R1,R5)" );
       ( "--typed",
         Arg.Set typed,
-        " enable the typed phase (R8, R10-R13) over _build .cmt artifacts" );
+        " enable the typed phase (R8, R10-R14) over _build .cmt artifacts" );
       ( "--cmt-dir",
         Arg.Set_string cmt_dir,
         "DIR  where to look for .cmt files (default: ROOT/_build/default)" );

@@ -14,10 +14,12 @@ let cardinal = Chains.cardinal
 let add t p ~asn = ignore (Chains.add t p asn)
 let remove t p ~asn = Chains.remove t p asn
 let first = Chains.first
-let next = Chains.next
+  [@@lint.test_only "witness: tests read a prefix's stored origin entries"]
 let origin t h = Chains.key t ~op:"origin" h
+  [@@lint.test_only "witness: tests read a prefix's stored origin entries"]
 let fold_all = Chains.fold_all
 let self_check = Chains.self_check
+  [@@lint.test_only "witness: the store audits its own invariants for the tests"]
 
 (* --- hot queries ----------------------------------------------------- *)
 

@@ -58,9 +58,6 @@ val first : t -> Netaddr.Pfx.t -> handle
 (** Head of the origin chain for exactly this prefix, or -1 when the
     prefix is not announced. *)
 
-val next : t -> handle -> handle
-(** Successor entry in the chain (ascending ASN), or -1. *)
-
 val origin : t -> handle -> int
 (** The entry's origin ASN. *)
 

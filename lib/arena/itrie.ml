@@ -110,7 +110,6 @@ let live_index t h = live t ~op:"live_index" h
 
 let afi t = t.family
 let cardinal t = t.count
-let is_empty t = t.count = 0
 let capacity t = Array.length t.len
 
 (* Doubles every present column; an absent one (v4 [c1..c3], [gen]
@@ -460,3 +459,4 @@ let self_check t =
     if !valued <> t.count then bad "count %d but %d valued nodes" t.count !valued;
     Ok ()
   with Bad s -> fail "Itrie.self_check: %s" s
+  [@@lint.test_only "witness: the trie audits its own invariants for the tests"]

@@ -96,8 +96,6 @@ val afi : t -> Netaddr.Pfx.afi
 val cardinal : t -> int
 (** Number of bound prefixes. *)
 
-val is_empty : t -> bool
-
 val capacity : t -> int
 (** Current column length (slots, not bound prefixes). *)
 

@@ -48,8 +48,6 @@ let c3 = function
   | Pfx.V4 _ -> 0
   | Pfx.V6 q -> int64_lo32 (Ipv6.low_bits (Ipv6.Prefix.network q))
 
-let length = Pfx.length
-
 let to_pfx family ~c0 ~c1 ~c2 ~c3 ~len =
   match family with
   | Pfx.Afi_v4 -> Pfx.v4 (Ipv4.Prefix.make (Ipv4.of_int32_bits c0) len)

@@ -25,8 +25,6 @@ val c1 : Netaddr.Pfx.t -> int
 val c2 : Netaddr.Pfx.t -> int
 val c3 : Netaddr.Pfx.t -> int
 
-val length : Netaddr.Pfx.t -> int
-
 val to_pfx :
   Netaddr.Pfx.afi -> c0:int -> c1:int -> c2:int -> c3:int -> len:int -> Netaddr.Pfx.t
 (** Rebuild the boxed prefix — the view-layer direction; allocates. *)

@@ -8,6 +8,7 @@ let env_enabled =
 let flag = ref env_enabled
 let enabled () = !flag
 let set_enabled b = flag := b
+  [@@lint.test_only "adversarial hook: tests switch the sanitizer on and off in-process"]
 
 let poison = 0xDEAD_BEEF
 

@@ -24,10 +24,15 @@ let add_unchecked t p ~max_len ~asn = Chains.prepend t p (key ~max_len ~asn)
 let add t p ~max_len ~asn = Chains.add t p (key ~max_len ~asn)
 let remove t p ~max_len ~asn = Chains.remove t p (key ~max_len ~asn)
 let first = Chains.first
+  [@@lint.test_only "witness: tests read a prefix's stored VRP entries"]
 let next = Chains.next
+  [@@lint.test_only "witness: tests read a prefix's stored VRP entries"]
 let entry_max_len t h = Chains.key t ~op:"entry_max_len" h lsr 32
+  [@@lint.test_only "witness: tests read a prefix's stored VRP entries"]
 let entry_asn t h = Chains.key t ~op:"entry_asn" h land mask32
+  [@@lint.test_only "witness: tests read a prefix's stored VRP entries"]
 let self_check = Chains.self_check
+  [@@lint.test_only "witness: the store audits its own invariants for the tests"]
 
 (* Canonical order for free: the store's (family, prefix, key) order is
    [Vrp.compare]'s. *)

@@ -46,6 +46,7 @@ let create ~capacity =
 
 let length t = t.n
 let sort_count t = t.sorts
+  [@@lint.test_only "witness: tests count the sorts the store ran"]
 
 let clear t =
   t.n <- 0;
@@ -89,8 +90,9 @@ let push t p ~max_len ~asn =
 
 let asn t i = t.s_asn.(i)
 let max_len t i = t.s_max.(i)
-let len t i = t.s_len.(i)
+  [@@lint.test_only "witness: tests read the store's rows"]
 let rank t i = t.s_rank.(i)
+  [@@lint.test_only "witness: tests read the store's rows"]
 let fam t i = if t.s_fam.(i) = 0 then Pfx.Afi_v4 else Pfx.Afi_v6
 
 let prefix t i =

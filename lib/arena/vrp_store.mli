@@ -70,7 +70,6 @@ val rank : t -> int -> int
 
 val asn : t -> int -> int
 val max_len : t -> int -> int
-val len : t -> int -> int
 val fam : t -> int -> Netaddr.Pfx.afi
 
 val prefix : t -> int -> Netaddr.Pfx.t

@@ -27,6 +27,7 @@ let rec equal a b =
       | Sequence _ | Set _ | Context _ | Context_prim _ ),
       _ ) ->
     false
+  [@@lint.test_only "alcotest equality: test_der's DER testable"]
 
 let rec pp ppf = function
   | Boolean b -> Format.fprintf ppf "BOOLEAN %b" b
@@ -265,7 +266,3 @@ let as_bit_string = function
   | v -> Error (Format.asprintf "expected BIT STRING, got %a" pp v)
 
 let as_oid = function Oid l -> Ok l | v -> Error (Format.asprintf "expected OID, got %a" pp v)
-
-let as_context n = function
-  | Context (m, l) when m = n -> Ok l
-  | v -> Error (Format.asprintf "expected [%d], got %a" n pp v)

@@ -44,4 +44,3 @@ val as_int : t -> (int, string) result
 val as_octet_string : t -> (string, string) result
 val as_bit_string : t -> (int * string, string) result
 val as_oid : t -> (int list, string) result
-val as_context : int -> t -> (t list, string) result

@@ -5,7 +5,7 @@ module Sha256 = Hashcrypto.Sha256
 type keystore = {
   seed : string;
   key_height : int;
-  keys : (Merkle.secret_key option * Merkle.public_key) Asnum.Tbl.t;
+  keys : (Merkle.secret_key * Merkle.public_key) Asnum.Tbl.t;
 }
 
 let create_keystore ?(key_height = 8) ~seed () =
@@ -16,20 +16,11 @@ let enroll ks asn =
     let sk, pk =
       Merkle.generate ~seed:(ks.seed ^ "/router/" ^ Asnum.to_string asn) ~height:ks.key_height
     in
-    Asnum.Tbl.replace ks.keys asn (Some sk, pk)
+    Asnum.Tbl.replace ks.keys asn (sk, pk)
   end
-
-let enrolled ks asn = Asnum.Tbl.mem ks.keys asn
 
 let router_pubkey ks asn =
   Option.map snd (Asnum.Tbl.find_opt ks.keys asn)
-
-let export_public ks = Asnum.Tbl.fold (fun asn (_, pk) acc -> (asn, pk) :: acc) ks.keys []
-
-let verifier_of_list pairs =
-  let ks = create_keystore ~seed:"verifier-only" () in
-  List.iter (fun (asn, pk) -> Asnum.Tbl.replace ks.keys asn (None, pk)) pairs;
-  ks
 
 type signed_route = {
   route : Route.t;
@@ -52,8 +43,8 @@ let hop_message ~prev_signature ~signer ~next =
 
 let sign ks asn msg =
   match Asnum.Tbl.find_opt ks.keys asn with
-  | None | Some (None, _) -> Error (Asnum.to_string asn ^ " has no router signing key")
-  | Some (Some sk, _) ->
+  | None -> Error (Asnum.to_string asn ^ " has no router signing key")
+  | Some (sk, _) ->
     (match Merkle.sign sk msg with
      | sg -> Ok (Merkle.encode sg)
      | exception Failure e -> Error e)
@@ -87,6 +78,7 @@ let forward ks sr ~by ~to_ =
       { route = Route.prepend by sr.route;
         target = to_;
         signatures = signature :: sr.signatures }
+  [@@lint.test_only "builds the multi-hop chains the tests hold validate to"]
 
 let validate ks sr =
   (* Path: [a_k; ...; a_1] newest first; signatures align with it. The

@@ -5,8 +5,9 @@
     validates the claim that the attacker neighbors the victim. This
     module implements the counterfactual as an extension experiment.
 
-    Model: every participating AS holds a router key pair certified
-    through the (simulated) RPKI. A route's origin signs
+    Model: every participating AS holds a router key pair, enrolled
+    straight into one keystore (in deployment, RFC 8209 router
+    certificates in the RPKI bind it to the AS). A route's origin signs
     (prefix, origin, next AS); every subsequent AS signs
     (digest of the previous signature, itself, next AS). Binding each
     signature to the {e intended next hop} is what stops both
@@ -19,7 +20,8 @@
     (p, victim, m). *)
 
 type keystore
-(** The router-key registry: what RFC 8209 router certificates provide. *)
+(** The router-key registry: every enrolled AS's key pair; it both
+    signs and verifies. *)
 
 val create_keystore : ?key_height:int -> seed:string -> unit -> keystore
 (** [key_height] sets each router key's Merkle height (capacity 2^h
@@ -28,18 +30,7 @@ val create_keystore : ?key_height:int -> seed:string -> unit -> keystore
 val enroll : keystore -> Rpki.Asnum.t -> unit
 (** Idempotent; deterministic keys derived from the keystore seed. *)
 
-val enrolled : keystore -> Rpki.Asnum.t -> bool
 val router_pubkey : keystore -> Rpki.Asnum.t -> Hashcrypto.Merkle.public_key option
-
-val export_public : keystore -> (Rpki.Asnum.t * Hashcrypto.Merkle.public_key) list
-(** The public halves, e.g. to certify through the RPKI (RFC 8209
-    router certificates). *)
-
-val verifier_of_list :
-  (Rpki.Asnum.t * Hashcrypto.Merkle.public_key) list -> keystore
-(** A verification-only keystore, e.g. built from the router
-    certificates a relying party validated; {!originate} and
-    {!forward} fail on it, {!validate} works. *)
 
 type signed_route = {
   route : Route.t;  (** Path head = latest signer, last = origin. *)

@@ -33,3 +33,4 @@ let to_string r =
        (List.map (fun a -> "AS " ^ string_of_int (Asnum.to_int a)) r.as_path))
 
 let pp ppf r = Format.pp_print_string ppf (to_string r)
+  [@@lint.test_only "alcotest printer: test_bgp's route testable"]

@@ -179,11 +179,3 @@ let run ?mode vrps = fst (run_with_stats ?mode vrps)
 
 let compression_ratio ~before ~after =
   if before = 0 then 0.0 else float_of_int (before - after) /. float_of_int before
-
-let figure2_example () =
-  let asn = Asnum.of_int 31283 in
-  let v s m = Vrp.make_exn (Pfx.of_string_exn s) ~max_len:m asn in
-  let input =
-    [ v "87.254.32.0/19" 19; v "87.254.32.0/20" 20; v "87.254.48.0/20" 20; v "87.254.32.0/21" 21 ]
-  in
-  (input, run input)

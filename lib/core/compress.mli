@@ -50,7 +50,3 @@ val run_with_stats : ?mode:mode -> Rpki.Vrp.t list -> Rpki.Vrp.t list * stats
 
 val compression_ratio : before:int -> after:int -> float
 (** [(before - after) / before], as the paper reports (e.g. 15.90%). *)
-
-val figure2_example : unit -> Rpki.Vrp.t list * Rpki.Vrp.t list
-(** The paper's Figure 2 input and its compression, for documentation
-    and tests: AS 31283's four tuples collapse to two. *)

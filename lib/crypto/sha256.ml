@@ -168,26 +168,3 @@ let to_hex s =
   let buf = Buffer.create (String.length s * 2) in
   String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
   Buffer.contents buf
-
-let of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then Error "of_hex: odd length"
-  else
-    let nib c =
-      match c with
-      | '0' .. '9' -> Some (Char.code c - Char.code '0')
-      | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-      | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-      | _ -> None
-    in
-    let out = Bytes.create (n / 2) in
-    let rec go i =
-      if i = n / 2 then Ok (Bytes.unsafe_to_string out)
-      else
-        match nib s.[2 * i], nib s.[(2 * i) + 1] with
-        | Some h, Some l ->
-          Bytes.set out i (Char.chr ((h lsl 4) lor l));
-          go (i + 1)
-        | _ -> Error "of_hex: invalid hex digit"
-    in
-    go 0

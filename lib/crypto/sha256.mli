@@ -35,6 +35,3 @@ val digest_concat : string list -> string
 
 val to_hex : string -> string
 (** Lowercase hex rendering of a raw digest (or any raw byte string). *)
-
-val of_hex : string -> (string, string) result
-(** Inverse of {!to_hex}. *)

@@ -25,9 +25,6 @@ val remove : t -> Netaddr.Pfx.t -> Rpki.Asnum.t -> bool
 val mem : t -> Netaddr.Pfx.t -> Rpki.Asnum.t -> bool
 val cardinal : t -> int
 
-val iter : t -> (Netaddr.Pfx.t -> Rpki.Asnum.t -> unit) -> unit
-(** Visit every pair in {!fold} order. *)
-
 val fold : t -> init:'a -> f:('a -> Netaddr.Pfx.t -> Rpki.Asnum.t -> 'a) -> 'a
 (** Fold over every announced pair exactly once, in strictly
     ascending order: IPv4 pairs before IPv6 pairs, prefixes in

@@ -1,5 +1,5 @@
 (* A per-module def/use graph over Typedtree, with the per-node facts
-   the typed rules (R8, R10–R13) consume and a transitive-closure
+   the typed rules (R8, R10–R14) consume and a transitive-closure
    engine that produces witness call chains.
 
    Nodes are module-level value bindings ("Rtr.Cache_server.handle") —
@@ -7,18 +7,23 @@
    attributed to that binding. Edges are *references*: any identifier
    use that resolves to another node counts, so passing a function as
    a value keeps it reachable (an over-approximation in the safe
-   direction for every rule). Closures handed to the netsim clock
-   become synthetic nodes ("...publish.<fun:42>") so submissions have
-   a root to start from.
+   direction for every rule). Binding operators ([let*]) are
+   references too. Closures handed to the netsim clock become
+   synthetic nodes ("...publish.<fun:42>") so submissions have a root
+   to start from; their bodies also count as the owner's references.
+   A module-level functor application is a toplevel effect
+   ("Netaddr.Pfx.<toplevel:120>") that references every value of its
+   argument module.
 
    Resolution is name-based, mirroring how dune-wrapped units appear
    in typed paths: the unit "Rtr__Cache_server" is normalized to
    "Rtr.Cache_server", and a reference recorded as
-   "Rtr.Cache_server.handle" resolves directly. References through a
-   local module alias ("Vrp.exact" for Rpki.Vrp) fall back to a
-   last-component unit index; an ambiguous fallback resolves to
-   nothing rather than to the wrong node. Same-unit references resolve
-   exactly, by Ident stamp. *)
+   "Rtr.Cache_server.handle" resolves directly. A path headed by a
+   unit-local module — an alias under any name ([module Db =
+   Arena.Vrp_db], [let module K = Pfx_key in]) or a submodule — is
+   expanded by Ident stamp before lookup, so "Db.find" resolves to
+   "Arena.Vrp_db.find". Same-unit value references resolve exactly,
+   by Ident stamp. *)
 
 type fact_kind =
   | Alloc
@@ -63,15 +68,12 @@ type submission = {
 type t = {
   nodes : (string, node) Hashtbl.t;
   mutable order : string list;  (** insertion order, reversed *)
-  unit_index : (string, string list) Hashtbl.t;
-      (** last unit-path component -> normalized unit ids *)
   mutable submissions : submission list;
 }
 
 let create () =
   { nodes = Hashtbl.create 256;
     order = [];
-    unit_index = Hashtbl.create 64;
     submissions = [] }
 
 let find t id = Hashtbl.find_opt t.nodes id
@@ -79,8 +81,6 @@ let find t id = Hashtbl.find_opt t.nodes id
 let nodes t =
   List.rev_map (fun id -> Hashtbl.find t.nodes id) t.order
   |> List.sort (fun a b -> String.compare a.id b.id)
-
-let node_count t = List.length t.order
 
 let submissions t = List.rev t.submissions
 
@@ -147,30 +147,68 @@ let has_attr name (attrs : Parsetree.attributes) =
     (fun (a : Parsetree.attribute) -> String.equal a.attr_name.txt name)
     attrs
 
-let attr_payload_nonempty (a : Parsetree.attribute) =
-  match a.attr_payload with Parsetree.PStr [] -> false | _ -> true
+(* A justification is a non-blank string payload: [[@@w "why"]]. *)
+let justified (a : Parsetree.attribute) =
+  match a.attr_payload with
+  | Parsetree.PStr
+      [ { pstr_desc =
+            Pstr_eval ({ pexp_desc = Pexp_constant (Pconst_string (why, _, _)); _ }, _);
+          _ } ] ->
+    not (String.equal (String.trim why) "")
+  | _ -> false
 
 let has_justified_attr name (attrs : Parsetree.attributes) =
   List.exists
-    (fun (a : Parsetree.attribute) ->
-      String.equal a.attr_name.txt name && attr_payload_nonempty a)
+    (fun (a : Parsetree.attribute) -> String.equal a.attr_name.txt name && justified a)
     attrs
 
-(* Binding attributes as seen by the rules. [lint.unsafe_idx_ok]
-   demands a justification payload — an empty waiver is dropped here,
-   so it waives nothing and R13 still fires. *)
+(* Waivers that must name their reason. *)
+let justified_waivers = [ "lint.unsafe_idx_ok"; "lint.test_only" ]
+
+(* Binding attributes as seen by the rules. A waiver that demands a
+   justification and has none ([[@@lint.test_only ""]]) is dropped
+   here, so it waives nothing and R13/R14 still fire. *)
 let binding_attr_names (attrs : Parsetree.attributes) =
   List.filter_map
     (fun (a : Parsetree.attribute) ->
-      if String.equal a.attr_name.txt "lint.unsafe_idx_ok" && not (attr_payload_nonempty a)
-      then None
-      else Some a.attr_name.txt)
+      let name = a.attr_name.txt in
+      if List.exists (String.equal name) justified_waivers && not (justified a) then None
+      else Some name)
     attrs
 
 (* Split a normalized dotted path into components, expanding any
    dune-wrapped component left in a raw path. *)
 let path_parts p =
   String.split_on_char '.' (Cmt_loader.normalize_modname (Path.name p))
+
+(* What a unit's own names stand for: its module-level values (Ident
+   -> node id) and its local modules (Ident -> the qualified path an
+   alias points at, or a submodule's own qualified name). Stamps are
+   unique within a unit, so one flat table per unit needs no scoping. *)
+type scope = {
+  stamps : (string, string) Hashtbl.t;
+  modules : (string, string list) Hashtbl.t;
+}
+
+(* A path's components with a unit-local module at its head replaced
+   by what it stands for: under [module Db = Arena.Vrp_db], "Db.find"
+   becomes "Arena.Vrp_db.find". *)
+let rec scoped_parts scope (p : Path.t) =
+  match p with
+  | Path.Pident id -> (
+    match Hashtbl.find_opt scope.modules (Ident.unique_name id) with
+    | Some parts -> parts
+    | None -> path_parts p)
+  | Path.Pdot (q, s) -> scoped_parts scope q @ [ s ]
+  | _ -> path_parts p
+
+let rec alias_target scope (me : Typedtree.module_expr) =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some (scoped_parts scope p)
+  | Tmod_constraint (me', _, _, _) -> alias_target scope me'
+  | _ -> None
+
+let bind_module scope id parts = Hashtbl.replace scope.modules (Ident.unique_name id) parts
 
 let drop_stdlib = function "Stdlib" :: rest -> rest | parts -> parts
 
@@ -238,34 +276,17 @@ let handle_store ty = handle_store_of_type 0 ty
 
 let is_clock_submission parts =
   match List.rev (drop_stdlib parts) with
-  | ("at" | "after") :: "Clock" :: _ | "advance" :: "Wheel" :: _ -> true
+  | "at" :: "Clock" :: _ | "advance" :: "Wheel" :: _ -> true
   | _ -> false
 
-(* Global-name resolution: exact id first, then the unit index keyed
-   by the path's head component (module aliases like
-   [module Vrp = Rpki.Vrp] leave "Vrp.exact" in the tree). Ambiguity
-   resolves to nothing. *)
+(* Global-name resolution: a qualified path names a node exactly, or
+   nothing (a stdlib or external value). *)
 let resolve_global t parts =
   match parts with
-  | [] | [ _ ] -> None
-  | "Stdlib" :: _ -> None
-  | head :: rest -> (
+  | [] | [ _ ] | "Stdlib" :: _ -> None
+  | _ ->
     let full = String.concat "." parts in
-    if Hashtbl.mem t.nodes full then Some full
-    else
-      match Hashtbl.find_opt t.unit_index head with
-      | None -> None
-      | Some units ->
-        let candidates =
-          List.filter_map
-            (fun u ->
-              let id = u ^ "." ^ String.concat "." rest in
-              if Hashtbl.mem t.nodes id then Some id else None)
-            units
-        in
-        (match List.sort_uniq String.compare candidates with
-        | [ id ] -> Some id
-        | _ -> None))
+    if Hashtbl.mem t.nodes full then Some full else None
 
 (* --- per-binding analysis -------------------------------------------- *)
 
@@ -301,7 +322,7 @@ type walk_ctx = {
   graph : t;
   node : node;
   locals : (string, unit) Hashtbl.t;
-  stamp_map : (string, string) Hashtbl.t;  (** unit-local Ident -> node id *)
+  scope : scope;
   (* suppression depths: an expression-level waiver attribute prunes
      its kind from the whole subtree, mirroring the syntactic rules *)
   mutable alloc_off : int;
@@ -341,11 +362,11 @@ let add_call ctx id (loc : Location.t) =
 let resolve_ident ctx (p : Path.t) (loc : Location.t) =
   match p with
   | Path.Pident id -> (
-    match Hashtbl.find_opt ctx.stamp_map (Ident.unique_name id) with
+    match Hashtbl.find_opt ctx.scope.stamps (Ident.unique_name id) with
     | Some node_id -> add_call ctx node_id loc
     | None -> ())
   | _ -> (
-    let parts = path_parts p in
+    let parts = scoped_parts ctx.scope p in
     (match raising_external parts with
     | Some what -> add_fact ctx Raises what loc
     | None -> ());
@@ -370,9 +391,9 @@ let catch_all_case (c : Typedtree.value Typedtree.case) =
   c.c_guard = None && catch_all c.c_lhs
 
 (* Pass 2: walk a node body recording facts, edges and submissions.
-   [spine] marks the leading Texp_function chain of the binding — the
-   function's parameter interface, not a closure allocated inside it. *)
-let walk_body ctx ?(spine = true) top =
+   The leading Texp_function chain of the binding is the function's
+   parameter interface, not a closure allocated inside it. *)
+let walk_body ctx top =
   let default = Tast_iterator.default_iterator in
   let with_suppressed (e : Typedtree.expression) f =
     let a = has_attr "lint.alloc_ok" e.exp_attributes in
@@ -397,7 +418,7 @@ let walk_body ctx ?(spine = true) top =
         | Texp_ident (p, _, _) -> resolve_ident ctx p e.exp_loc
         | Texp_apply ({ exp_desc = Texp_ident (p, _, _); exp_loc = head_loc; _ }, args)
           -> (
-          let parts = path_parts p in
+          let parts = scoped_parts ctx.scope p in
           (* submissions: closures handed to the clock *)
           let waived (x : Typedtree.expression) = has_attr "lint.raise_ok" x.exp_attributes in
           if is_clock_submission parts && not (waived e) then
@@ -411,8 +432,8 @@ let walk_body ctx ?(spine = true) top =
                   | Texp_ident (fp, _, _) -> (
                     let target =
                       match fp with
-                      | Path.Pident id -> Hashtbl.find_opt ctx.stamp_map (Ident.unique_name id)
-                      | _ -> resolve_global ctx.graph (path_parts fp)
+                      | Path.Pident id -> Hashtbl.find_opt ctx.scope.stamps (Ident.unique_name id)
+                      | _ -> resolve_global ctx.graph (scoped_parts ctx.scope fp)
                     in
                     match target with
                     | Some root ->
@@ -510,6 +531,14 @@ let walk_body ctx ?(spine = true) top =
         | Texp_assert (_, _) ->
           add_fact ctx Raises "assert" e.exp_loc;
           default.expr it e
+        | Texp_letop { let_; ands; _ } ->
+          List.iter
+            (fun (b : Typedtree.binding_op) -> resolve_ident ctx b.bop_op_path b.bop_loc)
+            (let_ :: ands);
+          default.expr it e
+        | Texp_letmodule (Some id, _, _, me, _) ->
+          Option.iter (bind_module ctx.scope id) (alias_target ctx.scope me);
+          default.expr it e
         | Texp_setfield (_, { txt; _ }, _, rhs) ->
           (match handle_store rhs.exp_type with
           | Some s ->
@@ -595,7 +624,7 @@ let walk_body ctx ?(spine = true) top =
       | _ -> with_suppressed e (fun () -> expr_it it e)
     else with_suppressed e (fun () -> expr_it it e)
   in
-  if spine then strip top else expr_it it top
+  strip top
 
 (* --- structure walking ----------------------------------------------- *)
 
@@ -628,21 +657,18 @@ let build (loader : Cmt_loader.t) =
   (* every module-level binding across every unit is declared before
      any body is analyzed, so forward references (module A using
      module B, whatever the load order) resolve *)
-  let bodies :
-      (node * Typedtree.expression * (string, string) Hashtbl.t) list ref =
-    ref []
-  in
+  let bodies : (node * Typedtree.expression * scope) list ref = ref [] in
+  (* module-level functor applications: the toplevel node standing for
+     each, and the qualified module names of its arguments *)
+  let applications : (node * string list) list ref = ref [] in
   List.iter
     (fun (u : Cmt_loader.unit_info) ->
-      (match String.rindex_opt u.unit_id '.' with
-      | Some i ->
-        let last = String.sub u.unit_id (i + 1) (String.length u.unit_id - i - 1) in
-        let prev = Option.value ~default:[] (Hashtbl.find_opt t.unit_index last) in
-        Hashtbl.replace t.unit_index last (prev @ [ u.unit_id ])
-      | None ->
-        let prev = Option.value ~default:[] (Hashtbl.find_opt t.unit_index u.unit_id) in
-        Hashtbl.replace t.unit_index u.unit_id (prev @ [ u.unit_id ]));
-      let stamp_map : (string, string) Hashtbl.t = Hashtbl.create 64 in
+      let scope = { stamps = Hashtbl.create 64; modules = Hashtbl.create 16 } in
+      let toplevel prefix (loc : Location.t) attrs =
+        let line, _ = loc_line_col loc in
+        add_node t ~id:(Printf.sprintf "%s.<toplevel:%d>" prefix line) ~file:u.source ~line
+          ~attrs:(binding_attr_names attrs) ()
+      in
       let rec walk_structure prefix (str : Typedtree.structure) =
         List.iter
           (fun (item : Typedtree.structure_item) ->
@@ -650,56 +676,84 @@ let build (loader : Cmt_loader.t) =
             | Tstr_value (_, vbs) ->
               List.iter
                 (fun (vb : Typedtree.value_binding) ->
-                  let line, _ = loc_line_col vb.vb_loc in
-                  let id =
+                  let n =
                     match pattern_var vb.vb_pat with
-                    | Some (_, name) -> prefix ^ "." ^ name
-                    | None -> Printf.sprintf "%s.<toplevel:%d>" prefix line
+                    | Some (_, name) ->
+                      let line, _ = loc_line_col vb.vb_loc in
+                      add_node t ~id:(prefix ^ "." ^ name) ~file:u.source ~line
+                        ~attrs:(binding_attr_names vb.vb_attributes) ()
+                    | None -> toplevel prefix vb.vb_loc vb.vb_attributes
                   in
                   List.iter
-                    (fun vid -> Hashtbl.replace stamp_map (Ident.unique_name vid) id)
+                    (fun vid -> Hashtbl.replace scope.stamps (Ident.unique_name vid) n.id)
                     (pattern_all_vars vb.vb_pat);
-                  let n =
-                    add_node t ~id ~file:u.source ~line
-                      ~attrs:(binding_attr_names vb.vb_attributes) ()
-                  in
-                  bodies := (n, vb.vb_expr, stamp_map) :: !bodies)
+                  bodies := (n, vb.vb_expr, scope) :: !bodies)
                 vbs
             | Tstr_module mb -> walk_module prefix mb
             | Tstr_recmodule mbs -> List.iter (walk_module prefix) mbs
             | Tstr_eval (e, attrs) ->
-              let line, _ = loc_line_col item.str_loc in
-              let id = Printf.sprintf "%s.<toplevel:%d>" prefix line in
-              let n =
-                add_node t ~id ~file:u.source ~line ~attrs:(binding_attr_names attrs) ()
-              in
-              bodies := (n, e, stamp_map) :: !bodies
+              bodies := (toplevel prefix item.str_loc attrs, e, scope) :: !bodies
             | _ -> ())
           str.str_items
       and walk_module prefix (mb : Typedtree.module_binding) =
-        let name =
-          match mb.mb_name.txt with Some n -> n | None -> "_"
+        let qualified = prefix ^ "." ^ Option.value ~default:"_" mb.mb_name.txt in
+        let bind parts = Option.iter (fun id -> bind_module scope id parts) mb.mb_id in
+        (* a functor argument: a module path, or a structure literal
+           whose values are declared under the applied module's name *)
+        let rec argument (me : Typedtree.module_expr) =
+          match me.mod_desc with
+          | Tmod_structure str ->
+            walk_structure qualified str;
+            Some qualified
+          | Tmod_constraint (me', _, _, _) -> argument me'
+          | _ -> Option.map (String.concat ".") (alias_target scope me)
+        in
+        let rec applied (me : Typedtree.module_expr) =
+          match me.mod_desc with
+          | Tmod_apply (f, arg, _) -> Option.to_list (argument arg) @ applied f
+          | Tmod_constraint (me', _, _, _) -> applied me'
+          | _ -> []
         in
         let rec descend (me : Typedtree.module_expr) =
           match me.mod_desc with
-          | Tmod_structure str -> walk_structure (prefix ^ "." ^ name) str
+          | Tmod_structure str ->
+            bind (String.split_on_char '.' qualified);
+            walk_structure qualified str
           | Tmod_constraint (me', _, _, _) -> descend me'
           | Tmod_functor (_, me') -> descend me'
+          | Tmod_ident _ -> Option.iter bind (alias_target scope me)
+          | Tmod_apply _ -> (
+            match applied me with
+            | [] -> ()
+            | args -> applications := (toplevel prefix mb.mb_loc [], args) :: !applications)
           | _ -> ()
         in
         descend mb.mb_expr
       in
       walk_structure u.unit_id u.structure)
     loader.units;
+  (* a functor application captures every value of its arguments *)
+  List.iter
+    (fun ((n : node), args) ->
+      let members =
+        List.filter
+          (fun id ->
+            List.exists
+              (fun m -> String.starts_with ~prefix:(m ^ ".") id && not (String.equal id n.id))
+              args)
+          (List.rev t.order)
+      in
+      n.calls <- List.map (fun callee -> { callee; call_line = n.line; guarded = false }) members)
+    (List.rev !applications);
   (* analyze bodies (deterministic order), then drain closure
      submissions — closures can nest further submissions *)
   let pending = ref [] in
-  let analyze (n : node) expr stamp_map ~spine =
+  let analyze (n : node) expr scope =
     let ctx =
       { graph = t;
         node = n;
         locals = collect_locals expr;
-        stamp_map;
+        scope;
         alloc_off = 0;
         raise_off = 0;
         handle_off = 0;
@@ -707,18 +761,17 @@ let build (loader : Cmt_loader.t) =
         try_depth = 0;
         pending_closures = [] }
     in
-    walk_body ctx ~spine expr;
+    walk_body ctx expr;
     n.calls <- List.rev n.calls;
     n.facts <- List.rev n.facts;
-    pending := !pending @ List.rev ctx.pending_closures;
-    stamp_map
+    pending := !pending @ List.rev_map (fun (o, c) -> (o, c, scope)) ctx.pending_closures
   in
-  List.iter (fun (n, e, sm) -> ignore (analyze n e sm ~spine:true)) (List.rev !bodies);
+  List.iter (fun (n, e, scope) -> analyze n e scope) (List.rev !bodies);
   let closure_counter : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let rec drain () =
     match !pending with
     | [] -> ()
-    | (owner_id, closure) :: rest ->
+    | (owner_id, closure, scope) :: rest ->
       pending := rest;
       (match find t owner_id with
       | None -> ()
@@ -735,16 +788,9 @@ let build (loader : Cmt_loader.t) =
             Printf.sprintf "%s#%d" base k
         in
         let n = add_node t ~id ~file:owner.file ~line () in
-        (* the closure keeps the owner's unit-level stamp map: it can
-           refer to any module-level binding of its unit *)
-        let sm =
-          match List.find_opt (fun (o, _, _) -> String.equal o.id owner_id)
-                  (List.rev !bodies)
-          with
-          | Some (_, _, sm) -> sm
-          | None -> Hashtbl.create 1
-        in
-        ignore (analyze n closure sm ~spine:true);
+        (* the closure keeps its owner's unit scope: it can refer to
+           any module-level binding or module of its unit *)
+        analyze n closure scope;
         add_submission t ~root:id ~file:owner.file ~line);
       drain ()
   in

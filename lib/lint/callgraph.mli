@@ -1,15 +1,22 @@
 (** Interprocedural def/use graph over [Typedtree], feeding the typed
     rules (R8 hot-closure-alloc, R10 exception-escape, R11–R13 handle
-    safety).
+    safety, R14 test-only-lib).
 
     Nodes are module-level value bindings, identified by their
     normalized qualified name ("Rtr.Cache_server.handle"); every local
     definition inside a binding is attributed to it. Edges are
     identifier {e references} (not just call heads), so a function
     passed as a value stays reachable — a deliberate
-    over-approximation. Closures handed to the netsim clock become
-    synthetic nodes ("Owner.publish.<fun:42>") recorded as
-    submissions. *)
+    over-approximation. A binding operator ([let*]) is a reference to
+    its binding. A path headed by a unit-local module resolves through
+    it — an alias under any name ([module Db = Arena.Vrp_db]) or a
+    submodule — and must then name a node exactly; there is no
+    guessing by last path component. Closures handed to the netsim
+    clock become synthetic nodes ("Owner.publish.<fun:42>") recorded
+    as submissions, and their bodies count as the owner's references
+    too. A module-level functor application is a synthetic toplevel
+    node ("Netaddr.Pfx.<toplevel:120>") referencing every value of its
+    argument module. *)
 
 type fact_kind =
   | Alloc  (** heap allocation in the body (R8) *)
@@ -73,8 +80,6 @@ val find : t -> string -> node option
 
 val nodes : t -> node list
 (** All nodes, sorted by id. *)
-
-val node_count : t -> int
 
 val submissions : t -> submission list
 (** Deduplicated, in discovery order. *)

@@ -2,7 +2,7 @@
    are syntactic: they walk the parsetree with [Ast_iterator] — no
    typing environment — so each documents the approximation it makes
    and offers an attribute escape hatch for the sites the approximation
-   gets wrong. R8 and R10–R13 are typed and interprocedural: they
+   gets wrong. R8 and R10–R14 are typed and interprocedural: they
    consume the {!Callgraph} built from [.cmt] artifacts and report
    findings with a witness call chain. R3 and R9 are retired and their
    ids are not reused. See DESIGN.md §9 for the rationale per rule. *)
@@ -411,7 +411,7 @@ let r7_check ctx st =
   let it = { default with value_binding } in
   it.structure it st
 
-(* --- the typed phase (R8, R10–R13) --------------------------------------- *)
+(* --- the typed phase (R8, R10–R14) --------------------------------------- *)
 
 (* Shared plumbing: scope roots to the scanned file set (the fixture
    corpus and anything under a .lint-ignore directory produce cmts
@@ -634,6 +634,63 @@ let r13_check tctx =
       end)
     (Callgraph.nodes tctx.graph)
 
+(* R14: lib/ holds only what production reaches. Production is every
+   binding of bin/, bench/ and examples/, plus lib/'s own toplevel
+   effects (a [let () =], a functor application); a lib/ value binding
+   none of them reaches is test-only code and must say why with a
+   justified [@@lint.test_only "reason"] (an empty reason is dropped
+   at graph-build time, as R13's). A waived binding is a declared test
+   entry point, so what it reaches needs no waiver of its own. The
+   whole graph counts, scanned or not, so roots under examples/ need
+   no scan path of their own. Synthetic nodes are never findings; a
+   clock closure's body is its owner's, so it is reached with it. *)
+let production_dirs = [ "bin/"; "bench/"; "examples/" ]
+
+let has_part prefix (n : Callgraph.node) =
+  List.exists (String.starts_with ~prefix) (String.split_on_char '.' n.id)
+
+let is_synthetic n = has_part "<toplevel:" n || has_part "<fun:" n
+
+let r14_check tctx =
+  let graph = tctx.graph in
+  let all = Callgraph.nodes graph in
+  let reached : (string, unit) Hashtbl.t = Hashtbl.create 1024 in
+  let queue = Queue.create () in
+  let visit id =
+    if not (Hashtbl.mem reached id) then begin
+      Hashtbl.replace reached id ();
+      Queue.add id queue
+    end
+  in
+  List.iter
+    (fun (n : Callgraph.node) ->
+      if List.exists (fun d -> under_prefix d n.file) production_dirs
+         || under_prefix "lib/" n.file
+            && (has_part "<toplevel:" n || mem_string "lint.test_only" n.attrs)
+      then visit n.id)
+    all;
+  while not (Queue.is_empty queue) do
+    match Callgraph.find graph (Queue.pop queue) with
+    | Some n -> List.iter (fun (c : Callgraph.call) -> visit c.callee) n.calls
+    | None -> ()
+  done;
+  List.iter
+    (fun (n : Callgraph.node) ->
+      if under_prefix "lib/" n.file
+         && in_typed_scope tctx n.file
+         && (not (is_synthetic n))
+         && not (Hashtbl.mem reached n.id)
+      then
+        tctx.typed_add
+          (Finding.make ~witness:(self_witness n) ~rule:"R14" ~severity:Finding.Error
+             ~file:n.file ~line:n.line ~col:0
+             (Printf.sprintf
+                "%s is reached from no binding under bin/, bench/ or examples/ and from no \
+                 lib/ toplevel effect: delete it, move it into the test that uses it, or \
+                 annotate [@@lint.test_only \"reason\"]"
+                n.id)))
+    all
+
 (* --- registry ------------------------------------------------------- *)
 
 let all : t list =
@@ -701,7 +758,7 @@ let all : t list =
       doc =
         "[typed] Router_client handlers (connected/disconnected/receive/tick/\
          poisoned/pending), Cache_server.handle*, and closures handed to \
-         Clock.at/Clock.after/Wheel.advance must not reach a raise \
+         Clock.at/Wheel.advance must not reach a raise \
          (raise/failwith/invalid_arg/assert, or a known-partial stdlib call) outside \
          the allowlist: `raise Exit` and raises under a catch-all try are fine. \
          Escape: [@lint.raise_ok] on any binding along the chain.";
@@ -735,6 +792,17 @@ let all : t list =
          or carry [@@lint.unsafe_idx_ok \"justification\"] — the justification string is \
          mandatory; an empty waiver does not count.";
       kind = Typed_rule r13_check };
+    { id = "R14";
+      name = "test-only-lib";
+      severity = Finding.Error;
+      doc =
+        "[typed] Every lib/ value binding is reached, through the .cmt call graph, from \
+         a binding under bin/, bench/ or examples/ or from a lib/ toplevel effect; \
+         references through module aliases, binding operators, functor arguments and \
+         clock closures count. A binding only tests reach is deleted, moved into its \
+         test, or carries [@@lint.test_only \"reason\"] — the reason is mandatory; an \
+         empty waiver does not count.";
+      kind = Typed_rule r14_check };
   ]
 
 let find ids =

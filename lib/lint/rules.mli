@@ -2,7 +2,7 @@
     phases.
 
     R1, R2 and R4–R7 are syntactic — they walk the {!Parsetree} with
-    [Ast_iterator], with no typing environment. R8 and R10–R13 are
+    [Ast_iterator], with no typing environment. R8 and R10–R14 are
     typed and interprocedural: they consume the {!Callgraph} built
     from [.cmt] artifacts and attach a witness call chain to every
     finding. R3 and R9 are retired; their ids are not reused.
@@ -16,9 +16,11 @@
     [[@lint.encode_ok]] (R6), [[@lint.alloc_ok]] (R7, R8),
     [[@lint.raise_ok]] (R10), [[@lint.handle_ok]] (R11, R12), and —
     with a mandatory justification payload —
-    [[@@lint.unsafe_idx_ok "why"]] (R13). For the typed rules the
-    waiver is honored on {e any} binding along the call chain, killing
-    everything beyond it. *)
+    [[@@lint.unsafe_idx_ok "why"]] (R13) and [[@@lint.test_only "why"]]
+    (R14). For R8 and R10–R13 the waiver is honored on {e any} binding
+    along the call chain, killing everything beyond it; for R14 a
+    waived binding is a test entry point, and what it reaches counts
+    as reached. *)
 
 type file_context = {
   path : string;  (** '/'-separated path relative to the lint root *)
@@ -47,7 +49,7 @@ type kind =
           enabled and [.cmt] artifacts were loadable *)
 
 type t = {
-  id : string;  (** "R1" .. "R13" *)
+  id : string;  (** "R1" .. "R14" *)
   name : string;  (** short slug, e.g. "poly-compare" *)
   severity : Finding.severity;
   doc : string;  (** one-paragraph rationale shown by [--list-rules] *)

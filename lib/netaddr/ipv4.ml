@@ -6,12 +6,6 @@ let zero = 0
 let of_int32_bits n = n land max_addr
 let to_int a = a
 
-let of_octets a b c d =
-  ((a land 0xff) lsl 24)
-  lor ((b land 0xff) lsl 16)
-  lor ((c land 0xff) lsl 8)
-  lor (d land 0xff)
-
 let to_octets a = ((a lsr 24) land 0xff, (a lsr 16) land 0xff, (a lsr 8) land 0xff, a land 0xff)
 
 (* Hand-rolled parser: [String.split_on_char] plus [int_of_string] would
@@ -40,16 +34,14 @@ let of_string s =
   in
   go 0 0 0
 
-let of_string_exn s =
-  match of_string s with Ok a -> a | Error e -> invalid_arg e
-
 let to_string a =
   let x, y, z, w = to_octets a in
   Printf.sprintf "%d.%d.%d.%d" x y z w
 
-let compare = Int.compare
 let equal = Int.equal
+  [@@lint.test_only "alcotest equality: Testutil.ipv4"]
 let pp ppf a = Format.pp_print_string ppf (to_string a)
+  [@@lint.test_only "alcotest printer: Testutil.ipv4"]
 
 let bit a i =
   if i < 0 || i >= bits then invalid_arg "Ipv4.bit: index out of range";
@@ -59,8 +51,6 @@ let set_bit a i v =
   if i < 0 || i >= bits then invalid_arg "Ipv4.set_bit: index out of range";
   let m = 1 lsl (31 - i) in
   if v then a lor m else a land lnot m
-
-let succ a = (a + 1) land max_addr
 
 (* Leading zeros of a 32-bit value (32 when zero). The local refs are
    compiled to mutable stack slots, so this allocates nothing. *)
@@ -92,7 +82,7 @@ module Prefix = struct
   let network p = p lsr 6
   let length p = p land 0x3f
 
-  let parse masking s =
+  let of_string s =
     match String.index_opt s '/' with
     | None -> Error (Printf.sprintf "invalid IPv4 prefix %S: missing '/'" s)
     | Some i ->
@@ -110,26 +100,20 @@ module Prefix = struct
          (match l with
           | None -> Error (Printf.sprintf "invalid IPv4 prefix %S: bad length" s)
           | Some l ->
-            if (not masking) && a land mask l <> a then
+            if a land mask l <> a then
               Error (Printf.sprintf "invalid IPv4 prefix %S: host bits set" s)
             else Ok (make a l)))
-
-  let of_string s = parse false s
-  let of_string_loose s = parse true s
-
-  let of_string_exn s =
-    match of_string s with Ok p -> p | Error e -> invalid_arg e
 
   let to_string p = Printf.sprintf "%s/%d" (to_string (network p)) (length p)
   let compare = Int.compare
   let equal = Int.equal
+    [@@lint.test_only "alcotest equality: test_ipv4's prefix testable"]
   let pp ppf p = Format.pp_print_string ppf (to_string p)
-  let mem a p = a land mask (length p) = network p
+    [@@lint.test_only "alcotest printer: test_ipv4's prefix testable"]
 
   let subset sub sup =
     length sub >= length sup && network sub land mask (length sup) = network sup
 
-  let strict_subset sub sup = length sub > length sup && subset sub sup
   let bit p i = bit (network p) i
 
   let truncate p l =
@@ -153,15 +137,6 @@ module Prefix = struct
       let right = make (network p lor (1 lsl (31 - l))) (l + 1) in
       Some (left, right)
 
-  let parent p =
-    let l = length p in
-    if l = 0 then None else Some (make (network p) (l - 1))
-
-  let sibling p =
-    let l = length p in
-    if l = 0 then None else Some (make (network p lxor (1 lsl (32 - l))) l)
-
-  let first = network
   let last p = network p lor (max_addr land lnot (mask (length p)))
 
   let subprefixes p l =
@@ -172,25 +147,4 @@ module Prefix = struct
     in
     go (network p) []
 
-  (* Greedy largest-aligned-block sweep: at [lo], the block size is
-     bounded both by [lo]'s alignment and by the remaining range. *)
-  let summarize lo hi =
-    if lo > hi then invalid_arg "Ipv4.Prefix.summarize: empty range";
-    let rec go lo acc =
-      if lo > hi then List.rev acc
-      else begin
-        let align = if lo = 0 then bits else
-          let rec tz n i = if n land 1 = 1 then i else tz (n lsr 1) (i + 1) in
-          tz lo 0
-        in
-        let rec fit size_log =
-          if size_log > 0 && (size_log > align || lo + (1 lsl size_log) - 1 > hi) then
-            fit (size_log - 1)
-          else size_log
-        in
-        let size_log = fit (min align 32) in
-        go (lo + (1 lsl size_log)) (make lo (32 - size_log) :: acc)
-      end
-    in
-    go lo []
 end

@@ -19,20 +19,12 @@ val of_int32_bits : int -> t
 val to_int : t -> int
 (** [to_int a] is the address as an unsigned integer in [0, 2^32). *)
 
-val of_octets : int -> int -> int -> int -> t
-(** [of_octets a b c d] is the address [a.b.c.d]. Each octet is masked to
-    its low 8 bits. *)
-
 val of_string : string -> (t, string) result
 (** Parse dotted-quad notation. Rejects out-of-range octets, empty
     components and trailing garbage. *)
 
-val of_string_exn : string -> t
-(** @raise Invalid_argument on parse error. *)
-
 val to_string : t -> string
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
@@ -42,9 +34,6 @@ val bit : t -> int -> bool
 
 val set_bit : t -> int -> bool -> t
 (** [set_bit a i v] is [a] with bit [i] (0 = most significant) set to [v]. *)
-
-val succ : t -> t
-(** Next address, wrapping at the top of the address space. *)
 
 module Prefix : sig
   type addr = t
@@ -66,10 +55,6 @@ module Prefix : sig
   (** Parse ["a.b.c.d/l"] notation. The address must be in canonical form
       (no host bits set beyond the prefix length). *)
 
-  val of_string_loose : string -> (t, string) result
-  (** Like {!of_string} but masks host bits instead of rejecting them. *)
-
-  val of_string_exn : string -> t
   val to_string : t -> string
 
   val compare : t -> t -> int
@@ -78,14 +63,9 @@ module Prefix : sig
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
 
-  val mem : addr -> t -> bool
-  (** [mem a p] is [true] when address [a] lies inside [p]. *)
-
   val subset : t -> t -> bool
   (** [subset sub sup] is [true] when every address of [sub] is in [sup],
       i.e. [sup] covers [sub]. A prefix is a subset of itself. *)
-
-  val strict_subset : t -> t -> bool
 
   val bit : t -> int -> bool
   (** [bit p i] is bit [i] of the network address; only bits
@@ -106,13 +86,6 @@ module Prefix : sig
   (** [split p] is the two half-length-[+1] children of [p], or [None]
       when [p] is a host route (/32). *)
 
-  val parent : t -> t option
-  (** The covering prefix one bit shorter, or [None] for 0.0.0.0/0. *)
-
-  val sibling : t -> t option
-  (** The other child of [parent p], or [None] for 0.0.0.0/0. *)
-
-  val first : t -> addr
   val last : t -> addr
 
   val subprefixes : t -> int -> t list
@@ -120,9 +93,4 @@ module Prefix : sig
       exactly [l], in address order.
       @raise Invalid_argument if [l < length p] or [l > 32]. *)
 
-  val summarize : addr -> addr -> t list
-  (** [summarize lo hi] is the minimal list of prefixes that covers
-      exactly the inclusive address range [lo, hi], in address order —
-      the classic range-to-CIDR conversion.
-      @raise Invalid_argument when [lo > hi]. *)
 end

@@ -104,9 +104,6 @@ let of_string s =
     end
   end
 
-let of_string_exn s =
-  match of_string s with Ok a -> a | Error e -> invalid_arg e
-
 (* RFC 5952: compress the longest run of >= 2 zero groups, leftmost wins. *)
 let to_string a =
   let g = to_groups a in
@@ -152,6 +149,7 @@ let compare a b =
 
 let equal a b = Int64.equal a.hi b.hi && Int64.equal a.lo b.lo
 let pp ppf a = Format.pp_print_string ppf (to_string a)
+  [@@lint.test_only "alcotest printer: Testutil.ipv6"]
 
 let bit a i =
   if i < 0 || i >= bits then invalid_arg "Ipv6.bit: index out of range";
@@ -194,8 +192,6 @@ let clz64 x =
   else 32 + clz32 (Int64.to_int (Int64.logand x 0xffffffffL))
 
 let logand a b = { hi = Int64.logand a.hi b.hi; lo = Int64.logand a.lo b.lo }
-let logor a b = { hi = Int64.logor a.hi b.hi; lo = Int64.logor a.lo b.lo }
-let lognot a = { hi = Int64.lognot a.hi; lo = Int64.lognot a.lo }
 
 module Prefix = struct
   type addr = t
@@ -217,7 +213,7 @@ module Prefix = struct
   let network p = p.net
   let length p = p.len
 
-  let parse masking s =
+  let of_string s =
     match String.index_opt s '/' with
     | None -> Error (Printf.sprintf "invalid IPv6 prefix %S: missing '/'" s)
     | Some i ->
@@ -235,15 +231,9 @@ module Prefix = struct
          (match l with
           | None -> Error (Printf.sprintf "invalid IPv6 prefix %S: bad length" s)
           | Some l ->
-            if (not masking) && not (equal (logand a (mask l)) a) then
+            if not (equal (logand a (mask l)) a) then
               Error (Printf.sprintf "invalid IPv6 prefix %S: host bits set" s)
             else Ok (make a l)))
-
-  let of_string s = parse false s
-  let of_string_loose s = parse true s
-
-  let of_string_exn s =
-    match of_string s with Ok p -> p | Error e -> invalid_arg e
 
   let to_string p = Printf.sprintf "%s/%d" (to_string p.net) p.len
 
@@ -252,13 +242,13 @@ module Prefix = struct
     if c <> 0 then c else Int.compare p.len q.len
 
   let equal p q = addr_equal p.net q.net && Int.equal p.len q.len
+    [@@lint.test_only "alcotest equality: test_ipv6's prefix testable"]
   let pp ppf p = Format.pp_print_string ppf (to_string p)
-  let mem a p = addr_equal (logand a (mask p.len)) p.net
+    [@@lint.test_only "alcotest printer: test_ipv6's prefix testable"]
 
   let subset sub sup =
     sub.len >= sup.len && addr_equal (logand sub.net (mask sup.len)) sup.net
 
-  let strict_subset sub sup = sub.len > sup.len && subset sub sup
   let bit p i = bit p.net i
 
   let truncate p l =
@@ -284,12 +274,6 @@ module Prefix = struct
       let right = { net = set_bit p.net p.len true; len = p.len + 1 } in
       Some (left, right)
 
-  let parent p = if p.len = 0 then None else Some (make p.net (p.len - 1))
-
-  let sibling p =
-    if p.len = 0 then None
-    else Some { net = set_bit p.net (p.len - 1) (not (bit p (p.len - 1))); len = p.len }
-
   let subprefixes p l =
     if l < p.len || l > bits then invalid_arg "Ipv6.Prefix.subprefixes: bad length";
     if l - p.len > 20 then invalid_arg "Ipv6.Prefix.subprefixes: enumeration too large";
@@ -305,6 +289,4 @@ module Prefix = struct
     in
     go [ p ] (l - p.len)
 
-  (* [last] address of a prefix, used by [mem]-style range logic if needed. *)
-  let _last p = logor p.net (lognot (mask p.len))
 end

@@ -28,7 +28,6 @@ val of_string : string -> (t, string) result
 (** Parse RFC 4291 textual forms: full eight-group notation, [::]
     compression, and an optional embedded dotted-quad IPv4 tail. *)
 
-val of_string_exn : string -> t
 val to_string : t -> string
 
 val compare : t -> t -> int
@@ -52,17 +51,13 @@ module Prefix : sig
   val length : t -> int
 
   val of_string : string -> (t, string) result
-  val of_string_loose : string -> (t, string) result
-  val of_string_exn : string -> t
   val to_string : t -> string
 
   val compare : t -> t -> int
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
 
-  val mem : addr -> t -> bool
   val subset : t -> t -> bool
-  val strict_subset : t -> t -> bool
   val bit : t -> int -> bool
 
   val truncate : t -> int -> t
@@ -74,8 +69,6 @@ module Prefix : sig
       [min (length p) (length q)]. See {!Ipv4.Prefix.common_length}. *)
 
   val split : t -> (t * t) option
-  val parent : t -> t option
-  val sibling : t -> t option
 
   val subprefixes : t -> int -> t list
   (** [subprefixes p l] enumerates subprefixes of [p] of length exactly

@@ -7,7 +7,9 @@ type afi = Afi_v4 | Afi_v6
 let afi = function V4 _ -> Afi_v4 | V6 _ -> Afi_v6
 let afi_to_int = function Afi_v4 -> 0 | Afi_v6 -> 1
 let afi_equal a b = Int.equal (afi_to_int a) (afi_to_int b)
+  [@@lint.test_only "read by the test oracle Compress_ref"]
 let afi_compare a b = Int.compare (afi_to_int a) (afi_to_int b)
+  [@@lint.test_only "read by the test oracle Compress_ref"]
 let addr_bits = function V4 _ -> Ipv4.bits | V6 _ -> Ipv6.bits
 let length = function V4 p -> Ipv4.Prefix.length p | V6 p -> Ipv6.Prefix.length p
 let v4 p = V4 p
@@ -60,12 +62,6 @@ let subset sub sup =
   | V6 p, V6 q -> Ipv6.Prefix.subset p q
   | V4 _, V6 _ | V6 _, V4 _ -> false
 
-let strict_subset sub sup =
-  match sub, sup with
-  | V4 p, V4 q -> Ipv4.Prefix.strict_subset p q
-  | V6 p, V6 q -> Ipv6.Prefix.strict_subset p q
-  | V4 _, V6 _ | V6 _, V4 _ -> false
-
 let bit p i =
   match p with V4 q -> Ipv4.Prefix.bit q i | V6 q -> Ipv6.Prefix.bit q i
 
@@ -74,27 +70,17 @@ let common_length a b =
   | V4 p, V4 q -> Ipv4.Prefix.common_length p q
   | V6 p, V6 q -> Ipv6.Prefix.common_length p q
   | V4 _, V6 _ | V6 _, V4 _ -> invalid_arg "Pfx.common_length: address family mismatch"
+  [@@lint.test_only "read by the test oracles Ptrie and Compress_ref"]
 
 let truncate p l =
   match p with
   | V4 q -> V4 (Ipv4.Prefix.truncate q l)
   | V6 q -> V6 (Ipv6.Prefix.truncate q l)
+  [@@lint.test_only "read by the test oracles Ptrie and Compress_ref"]
 
 let split = function
   | V4 p -> Option.map (fun (a, b) -> (V4 a, V4 b)) (Ipv4.Prefix.split p)
   | V6 p -> Option.map (fun (a, b) -> (V6 a, V6 b)) (Ipv6.Prefix.split p)
-
-let parent = function
-  | V4 p -> Option.map v4 (Ipv4.Prefix.parent p)
-  | V6 p -> Option.map v6 (Ipv6.Prefix.parent p)
-
-let sibling = function
-  | V4 p -> Option.map v4 (Ipv4.Prefix.sibling p)
-  | V6 p -> Option.map v6 (Ipv6.Prefix.sibling p)
-
-let is_left_child p =
-  let l = length p in
-  l = 0 || not (bit p (l - 1))
 
 let subprefixes p l =
   match p with
@@ -120,43 +106,3 @@ end
 module Set = Set.Make (Ord)
 module Map = Map.Make (Ord)
 module Tbl = Hashtbl.Make (Hashed)
-
-(* Aggregation: absorb covered prefixes with one sorted sweep, then
-   merge complete sibling pairs bottom-up until nothing merges. *)
-let aggregate prefixes =
-  let drop_covered sorted =
-    List.fold_left
-      (fun acc q ->
-        match acc with
-        | keeper :: _ when subset q keeper -> acc
-        | _ -> q :: acc)
-      [] sorted
-    |> List.rev
-  in
-  (* Worklist sweep: every prefix is examined once, and each merge
-     enqueues only the freshly created parent (the one element that can
-     enable a new merge). Sibling merges are confluent — the input is an
-     antichain after [drop_covered], a merge consumes exactly its two
-     halves and produces their parent, so the fixpoint is unique and
-     this linear sweep lands on the same set the old
-     rescan-from-scratch pass did, in O(n log n) instead of O(n^2). *)
-  let merge_sweep init =
-    let queue = Queue.create () in
-    Set.iter (fun q -> Queue.add q queue) init;
-    let set = ref init in
-    while not (Queue.is_empty queue) do
-      let q = Queue.take queue in
-      if length q > 0 && Set.mem q !set then
-        match sibling q, parent q with
-        | Some sib, Some par when Set.mem sib !set ->
-          set := Set.add par (Set.remove q (Set.remove sib !set));
-          Queue.add par queue
-        | _ -> ()
-    done;
-    !set
-  in
-  (* [Ord.compare] is this module's own compare — spelled with the
-     qualified name so the unsigned IPv6 ordering is explicit rather
-     than inherited through shadowing (see ipv6.ml's addr_compare). *)
-  let deduped = drop_covered (List.sort_uniq Ord.compare prefixes) in
-  Set.elements (merge_sweep (Set.of_list deduped))

@@ -48,8 +48,6 @@ val subset : t -> t -> bool
 (** [subset sub sup]: [sup] covers [sub] (same family, [sup] shorter or
     equal, network bits agree). Reflexive. *)
 
-val strict_subset : t -> t -> bool
-
 val bit : t -> int -> bool
 (** [bit p i] for [0 <= i < length p]. *)
 
@@ -66,22 +64,9 @@ val truncate : t -> int -> t
 val split : t -> (t * t) option
 (** Both one-bit-longer children, or [None] at the host-route limit. *)
 
-val parent : t -> t option
-val sibling : t -> t option
-
-val is_left_child : t -> bool
-(** [is_left_child p] is true when [p]'s last bit is 0, i.e. [p] is the
-    low half of its parent. /0 prefixes are conventionally left. *)
-
 val subprefixes : t -> int -> t list
 (** All subprefixes of exactly the given length (bounded enumeration;
     see {!Ipv6.Prefix.subprefixes} for limits). *)
-
-val aggregate : t list -> t list
-(** Route aggregation (RIPE-399 §3): the minimal prefix list covering
-    exactly the same address space — contained prefixes are absorbed
-    and complete sibling pairs merge into their parent, recursively.
-    Works across mixed families; output is in canonical order. *)
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

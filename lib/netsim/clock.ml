@@ -81,7 +81,6 @@ let at t ~time f =
   t.size <- t.size + 1;
   sift_up t (t.size - 1) time t.seq f
 
-let after t ~delay f = at t ~time:(t.now + max 0 delay) f
 let next_time t = if t.size = 0 then None else Some t.times.(0)
 
 let run_next t =
@@ -100,12 +99,6 @@ let run_next t =
   end
 
 let advance t time = if time > t.now then t.now <- time
-
-let run_until t time =
-  while t.size > 0 && t.times.(0) <= time do
-    ignore (run_next t)
-  done;
-  advance t time
 
 let executed t = t.executed
 

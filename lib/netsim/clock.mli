@@ -16,9 +16,6 @@ val now : t -> int
 val at : t -> time:int -> (unit -> unit) -> unit
 (** Schedule a callback; times in the past are clamped to [now]. *)
 
-val after : t -> delay:int -> (unit -> unit) -> unit
-(** [at t ~time:(now t + max 0 delay)]. *)
-
 val next_time : t -> int option
 (** Time of the earliest pending event. *)
 
@@ -30,11 +27,6 @@ val advance : t -> int -> unit
 (** Move the clock forward to the given time without running anything
     (no-op when not in the future). Used to reach timer deadlines that
     fall in event-queue gaps. *)
-
-val run_until : t -> int -> unit
-(** Run every event due at or before the given time (including events
-    they schedule within the window), then leave the clock exactly
-    there. *)
 
 val executed : t -> int
 (** Number of events run so far. *)

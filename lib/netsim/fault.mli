@@ -37,29 +37,3 @@ val rechunking : t
 val delaying : t
 (** In-order but slow (up to 800 ms per chunk) — exercises response
     timeouts against legitimate latency. *)
-
-val reordering : t
-(** Chunks race each other (jitter beyond the delay floor). *)
-
-val duplicating : t
-(** Chunks may arrive twice. *)
-
-val truncating : t
-(** Chunks may lose their tails mid-stream. *)
-
-val corrupting : t
-(** Random byte flips. *)
-
-val lossy : t
-(** Chunks vanish. *)
-
-val flaky : t
-(** Connections drop mid-exchange. *)
-
-val chaos : t
-(** Everything at once: loss + corruption + reordering + truncation +
-    duplication + connection drops — the acceptance sweep's combined
-    policy. *)
-
-val all : t list
-(** Every policy above, [perfect] first — the sweep matrix. *)

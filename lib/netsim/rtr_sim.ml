@@ -563,3 +563,4 @@ let pp_report ppf r =
      fp=%s"
     r.seed r.policy r.ok (List.length r.outcomes) degraded reconnects r.framer_errors r.events
     r.fingerprint
+  [@@lint.test_only "test failure messages print the report"]

@@ -51,10 +51,6 @@ let int_in t lo hi =
   lo + int t (hi - lo + 1)
 [@@lint.raise_ok]
 
-let bytes t n =
-  if n < 0 then invalid_arg "Rng.bytes: negative length";
-  String.init n (fun _ -> Char.chr (int t 256))
-
 let[@inline] float t =
   Int64.to_float (Int64.shift_right_logical (int64 t) 11) *. (1.0 /. 9007199254740992.0)
 
@@ -64,14 +60,6 @@ let bernoulli t p = float t < p
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
   arr.(int t (Array.length arr))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
 
 let geometric t ~p =
   if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric: p must be in (0, 1]";

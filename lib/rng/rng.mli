@@ -29,11 +29,6 @@ val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [lo, hi], inclusive on both ends.
     @raise Invalid_argument when [hi < lo]. *)
 
-val bytes : t -> int -> string
-(** [bytes t n] is an [n]-byte string of uniform bytes — fault
-    injection's corruption payloads. @raise Invalid_argument when
-    [n < 0]. *)
-
 val float : t -> float
 (** Uniform in [0, 1). *)
 
@@ -44,9 +39,6 @@ val bernoulli : t -> float -> bool
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates. *)
 
 val geometric : t -> p:float -> int
 (** Number of failures before the first success, success probability

@@ -21,9 +21,6 @@ let of_string s =
     | Some n when n <= max_asn -> Ok n
     | Some _ | None -> Error (Printf.sprintf "AS number %S out of range" s)
 
-let of_string_exn s =
-  match of_string s with Ok a -> a | Error e -> invalid_arg e
-
 let to_string n = "AS" ^ string_of_int n
 let zero = 0
 let is_zero n = n = 0

@@ -11,8 +11,6 @@ val to_int : t -> int
 val of_string : string -> (t, string) result
 (** Accepts ["64500"] or ["AS64500"] (case-insensitive prefix). *)
 
-val of_string_exn : string -> t
-
 val to_string : t -> string
 (** Rendered as ["AS64500"]. *)
 

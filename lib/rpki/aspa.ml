@@ -8,48 +8,6 @@ let make ~customer ~providers =
 let make_exn ~customer ~providers =
   match make ~customer ~providers with Ok a -> a | Error e -> invalid_arg e
 
-let equal a b =
-  Asnum.equal a.customer b.customer && List.equal Asnum.equal a.providers b.providers
-
-let pp ppf a =
-  Format.fprintf ppf "ASPA(%a -> {%a})" Asnum.pp a.customer
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ",@ ") Asnum.pp)
-    a.providers
-
-let content_type = [ 1; 2; 840; 113549; 1; 9; 16; 1; 49 ]
-
-let encode_econtent a =
-  Asn1.Der.encode
-    (Asn1.Der.Sequence
-       [ Asn1.Der.Integer (Int64.of_int (Asnum.to_int a.customer));
-         Asn1.Der.Sequence
-           (List.map (fun p -> Asn1.Der.Integer (Int64.of_int (Asnum.to_int p))) a.providers) ])
-
-let ( let* ) = Result.bind
-
-let as_asn v =
-  let* n = Asn1.Der.as_int v in
-  if n < 0 || n > (1 lsl 32) - 1 then Error "AS number out of range" else Ok (Asnum.of_int n)
-
-let decode_econtent bytes =
-  let* v = Asn1.Der.decode bytes in
-  let* parts = Asn1.Der.as_sequence v in
-  match parts with
-  | [ customer; providers ] ->
-    let* customer = as_asn customer in
-    let* provider_list = Asn1.Der.as_sequence providers in
-    let* providers =
-      List.fold_left
-        (fun acc p ->
-          let* acc = acc in
-          let* asn = as_asn p in
-          Ok (asn :: acc))
-        (Ok []) provider_list
-      |> Result.map List.rev
-    in
-    make ~customer ~providers
-  | _ -> Error "malformed ASProviderAttestation"
-
 (* --- verification --- *)
 
 type db = Asnum.Set.t Asnum.Map.t
@@ -63,7 +21,6 @@ let db_of_list attestations =
         db)
     Asnum.Map.empty attestations
 
-
 type received_from = From_customer | From_peer | From_provider
 type state = Path_valid | Path_invalid | Path_unknown
 
@@ -73,6 +30,7 @@ let pp_state ppf s =
      | Path_valid -> "Path-Valid"
      | Path_invalid -> "Path-Invalid"
      | Path_unknown -> "Path-Unknown")
+  [@@lint.test_only "alcotest printer: test_aspa's state testable"]
 
 type hop = Provider_plus | Not_provider | No_attestation
 

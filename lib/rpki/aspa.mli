@@ -24,16 +24,6 @@ val make : customer:Asnum.t -> providers:Asnum.t list -> (t, string) result
     providers (they are normalized to a sorted set). *)
 
 val make_exn : customer:Asnum.t -> providers:Asnum.t list -> t
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-
-(** DER profile (mirrors the ASProviderAttestation eContent shape). *)
-
-val content_type : int list
-(** id-ct-ASPA, 1.2.840.113549.1.9.16.1.49. *)
-
-val encode_econtent : t -> string
-val decode_econtent : string -> (t, string) result
 
 (** {1 Path verification} *)
 

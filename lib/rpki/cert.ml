@@ -41,10 +41,6 @@ let covers_asn c a = List.exists (Asnum.equal a) c.as_resources
 let holds c ~resources ~as_resources =
   List.for_all (covers_prefix c) resources && List.for_all (covers_asn c) as_resources
 
-let pp ppf c =
-  Format.fprintf ppf "cert(%s <- %s, #%d, %d prefixes, %d ASNs)" c.subject c.issuer c.serial
-    (List.length c.resources) (List.length c.as_resources)
-
 (* Full certificate = SEQUENCE { tbs, signature OCTET STRING }. The TBS
    layout is the one [tbs_bytes] signs, so decode/verify compose. *)
 let to_der c =

@@ -37,8 +37,6 @@ val holds : t -> resources:Netaddr.Pfx.t list -> as_resources:Asnum.t list -> bo
 (** Every listed prefix and AS number is covered by the certificate's
     own resources. *)
 
-val pp : Format.formatter -> t -> unit
-
 val to_der : t -> string
 (** Full certificate (TBS + signature) as DER, the form embedded in
     {!Signed_object} envelopes. *)

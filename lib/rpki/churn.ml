@@ -18,8 +18,10 @@ let event_to_string = function
   | Withdraw (p, a) -> Printf.sprintf "withdraw %s %s" (Pfx.to_string p) (Asnum.to_string a)
   | Add_vrp v -> Printf.sprintf "add-vrp %s" (Vrp.to_string v)
   | Remove_vrp v -> Printf.sprintf "remove-vrp %s" (Vrp.to_string v)
+  [@@lint.test_only "test failure messages name the event"]
 
 let pp_event ppf e = Format.pp_print_string ppf (event_to_string e)
+  [@@lint.test_only "alcotest printer: test_churn's event testable"]
 
 let event_compare a b =
   let pair_cmp p1 a1 p2 a2 =
@@ -39,6 +41,7 @@ let event_compare a b =
   | Remove_vrp v1, Remove_vrp v2 -> Vrp.compare v1 v2
 
 let event_equal a b = event_compare a b = 0
+  [@@lint.test_only "alcotest equality: test_churn's event testable"]
 
 type stats = { noops : int; group_recomputes : int; store_sorts : int }
 
@@ -297,11 +300,13 @@ let vrps t = Validation.vrps t.vdb
 let vrp_count t = Validation.cardinal t.vdb
 
 let pairs t = Bgp.to_list t.bgp Bgp.All ~make:(fun p asn -> (p, Asnum.of_int asn))
+  [@@lint.test_only "witness: the differential reads the engine's state"]
 
 let pair_count t = Bgp.cardinal t.bgp
 let valid_pairs t = List.map (fun (v : Vrp.t) -> (v.Vrp.prefix, v.Vrp.asn)) (Validation.vrps t.valid)
+  [@@lint.test_only "witness: the differential reads the engine's state"]
 let non_minimal t = Validation.vrps t.nonmin
-let validation t = t.vdb
+  [@@lint.test_only "witness: the differential reads the engine's state"]
 
 let stats t =
   {
@@ -309,6 +314,7 @@ let stats t =
     group_recomputes = t.n_recomputes;
     store_sorts = Store.sort_count t.scratch;
   }
+  [@@lint.test_only "witness: tests read the engine's counters"]
 
 let self_check t =
   let tagged tag = function
@@ -324,3 +330,4 @@ let self_check t =
           match tagged "valid" (Validation.self_check t.valid) with
           | Error _ as e -> e
           | Ok () -> tagged "non-minimal" (Validation.self_check t.nonmin)))
+  [@@lint.test_only "witness: the engine audits its own invariants for the tests"]

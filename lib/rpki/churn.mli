@@ -98,10 +98,6 @@ val non_minimal : t -> Vrp.t list
 (** Live maxLength VRPs that are currently non-minimal — each one an
     open door for a forged-origin subprefix hijack. Canonical order. *)
 
-val validation : t -> Validation.db
-(** The live RFC 6811 database (shared, not a copy) — the view the
-    RTR fan-out serves. *)
-
 type stats = {
   noops : int;  (** Events that changed nothing. *)
   group_recomputes : int;  (** Dirty (asn, family) groups recompressed. *)

@@ -70,7 +70,4 @@ let stale t ~now = now > t.next_update
 let equal a b =
   a.number = b.number && a.this_update = b.this_update && a.next_update = b.next_update
   && List.equal (fun (x : entry) y -> x.file = y.file && String.equal x.digest y.digest) a.entries b.entries
-
-let pp ppf t =
-  Format.fprintf ppf "manifest #%d [%d, %d] (%d files)" t.number t.this_update t.next_update
-    (List.length t.entries)
+  [@@lint.test_only "alcotest equality: the eContent round trip"]

@@ -35,4 +35,3 @@ val stale : t -> now:int -> bool
     publication point as unreliable. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

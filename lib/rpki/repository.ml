@@ -63,8 +63,8 @@ let find_ca t name =
    prefixes and AS numbers its certificate lists, and the trust anchor
    also holds every AS number; below it, AS numbers must be delegated.
    [name] is a CA the issuer table or the chain walk resolved, never
-   the subject of an EE or router certificate: a CA chooses those, so
-   one named after the trust anchor must not earn the exemption. *)
+   the subject of an EE certificate: a CA chooses those, so one named
+   after the trust anchor must not earn the exemption. *)
 let ca_holds t name (cert : Cert.t) ~resources ~as_resources =
   Cert.holds cert ~resources ~as_resources:(if String.equal name (root t) then [] else as_resources)
 
@@ -90,6 +90,11 @@ let add_ca_unchecked t ~parent ~name ~resources ~as_resources ?(height = 10) () 
   match find_ca t parent with
   | Error e -> invalid_arg e
   | Ok parent_ca -> make_ca t ~parent:parent_ca ~name ~resources ~as_resources ~height
+  [@@lint.test_only "adversarial hook: forces in a CA the issuer check refuses"]
+
+(* The resources a ROA claims: what its EE certificate, and the CA
+   above that, must hold. *)
+let claim roa = (List.map (fun (e : Roa.entry) -> e.Roa.prefix) (Roa.entries roa), [ Roa.asn roa ])
 
 (* The one signer: a one-time EE key per signed object, as RFC 6488
    prescribes, an EE certificate for exactly [resources] and
@@ -99,82 +104,38 @@ let sign t ca ~name ~seed ~resources ~as_resources ~content_type ~econtent =
   let ee_cert = certify t ca ~subject:("ee:" ^ name) ~resources ~as_resources ee_pub in
   Signed_object.encode (Signed_object.make ~content_type ~econtent ~ee_key ~ee_cert)
 
-(* The one publish step: name the object [<ca>/<kind>-<serial>.<ext>],
-   make its bytes and list them on the CA's manifest. *)
-let publish t ca ~kind ~ext wire_of_name =
+(* The one publish step: sign [roa] under a one-time EE key that holds
+   exactly its claim, name the object [<ca>/roa-<serial>.roa] and list
+   it on the CA's manifest. *)
+let publish_roa t ca roa =
   let issuer_ca = ca.cert.Cert.subject in
-  let name = Printf.sprintf "%s/%s-%d.%s" issuer_ca kind (next_serial t) ext in
-  let wire = wire_of_name name in
+  let name = Printf.sprintf "%s/roa-%d.roa" issuer_ca (next_serial t) in
+  let resources, as_resources = claim roa in
+  let wire =
+    sign t ca ~name ~seed:"/ee/" ~resources ~as_resources
+      ~content_type:Signed_object.roa_content_type ~econtent:(Roa_der.encode roa)
+  in
   t.objects <- { name; issuer_ca; wire } :: t.objects;
   ca.files <- (name, Sha256.digest wire) :: ca.files;
   ca.mft_wire <- None;
   name
 
-(* What a published object asserts. *)
-type payload = Roa_payload of Roa.t | Aspa_payload of Aspa.t | Router_key of Cert.t
-
-(* The resources a payload claims: what its certificate, and the CA
-   above that, must hold. A router certificate claims its own. *)
-let claim = function
-  | Roa_payload roa ->
-    (List.map (fun (e : Roa.entry) -> e.Roa.prefix) (Roa.entries roa), [ Roa.asn roa ])
-  | Aspa_payload aspa -> ([], [ aspa.Aspa.customer ])
-  | Router_key cert -> (cert.Cert.resources, cert.Cert.as_resources)
-
-(* The one issue check: the CA exists, can sign once more and still
-   sign its manifest, and holds what the object claims. *)
-let issuing_ca t handle ~overclaim (resources, as_resources) =
-  let* ca = find_ca t handle in
-  if Merkle.capacity ca.key < 2 then Error (Printf.sprintf "CA %S key exhausted" handle)
-  else if not (ca_holds t handle ca.cert ~resources ~as_resources) then Error overclaim
-  else Ok ca
-
-(* A ROA or an ASPA, signed under a one-time EE key that holds exactly
-   the payload's claim. *)
-let publish_signed t ca ~kind ~ext ~content_type ~econtent payload =
-  let resources, as_resources = claim payload in
-  publish t ca ~kind ~ext (fun name ->
-      sign t ca ~name ~seed:"/ee/" ~resources ~as_resources ~content_type ~econtent)
-
-let publish_roa t ca roa =
-  publish_signed t ca ~kind:"roa" ~ext:"roa" ~content_type:Signed_object.roa_content_type
-    ~econtent:(Roa_der.encode roa) (Roa_payload roa)
-
 let issue_roa t handle roa =
-  let* ca =
-    issuing_ca t handle ~overclaim:"ROA resources exceed the CA's" (claim (Roa_payload roa))
-  in
-  Ok (publish_roa t ca roa)
+  let* ca = find_ca t handle in
+  let resources, as_resources = claim roa in
+  if Merkle.capacity ca.key < 2 then Error (Printf.sprintf "CA %S key exhausted" handle)
+  else if not (ca_holds t handle ca.cert ~resources ~as_resources) then
+    Error "ROA resources exceed the CA's"
+  else Ok (publish_roa t ca roa)
 
 let issue_roa_unchecked t handle roa =
   match find_ca t handle with
   | Error e -> invalid_arg e
   | Ok ca -> publish_roa t ca roa
-
-let issue_aspa t handle aspa =
-  let payload = Aspa_payload aspa in
-  let* ca =
-    issuing_ca t handle ~overclaim:"ASPA customer AS exceeds the CA's resources" (claim payload)
-  in
-  Ok
-    (publish_signed t ca ~kind:"aspa" ~ext:"asa" ~content_type:Aspa.content_type
-       ~econtent:(Aspa.encode_econtent aspa) payload)
-
-(* RFC 8209-style router certificate: the CA certifies that a BGPsec
-   router key speaks for an AS number it holds. *)
-let issue_router_cert t handle asn pubkey =
-  let as_resources = [ asn ] in
-  let* ca =
-    issuing_ca t handle ~overclaim:"router certificate AS exceeds the CA's resources"
-      ([], as_resources)
-  in
-  Ok
-    (publish t ca ~kind:"router" ~ext:"cer" (fun _ ->
-         Cert.to_der
-           (certify t ca ~subject:("router:" ^ Asnum.to_string asn) ~resources:[] ~as_resources
-              pubkey)))
+  [@@lint.test_only "adversarial hook: publishes a ROA the issuer check refuses"]
 
 let object_names t = List.rev_map (fun o -> o.name) t.objects
+  [@@lint.test_only "witness: tests read what the repository publishes"]
 let object_count t = List.length t.objects
 
 let find_object t name =
@@ -183,27 +144,17 @@ let find_object t name =
   | None -> Error (Printf.sprintf "unknown object %S" name)
 
 let object_bytes t name = Result.map (fun o -> o.wire) (find_object t name)
+  [@@lint.test_only "witness: tests read the bytes a relying party fetches"]
 
 let revoke t name =
-  match find_object t name with
-  | Error _ as e -> e
-  | Ok o ->
-    (match find_ca t o.issuer_ca with
-     | Error _ as e -> e
-     | Ok ca ->
-       let serial =
-         if Filename.check_suffix name ".cer" then
-           Result.map (fun (c : Cert.t) -> c.Cert.serial) (Cert.of_der o.wire)
-         else
-           Result.map
-             (fun (so : Signed_object.t) -> so.Signed_object.ee_cert.Cert.serial)
-             (Signed_object.decode o.wire)
-       in
-       (match serial with
-        | Error e -> Error ("cannot parse object to revoke: " ^ e)
-        | Ok serial ->
-          if not (List.exists (Int.equal serial) ca.crl) then ca.crl <- serial :: ca.crl;
-          Ok ()))
+  let* o = find_object t name in
+  let* ca = find_ca t o.issuer_ca in
+  match Signed_object.decode o.wire with
+  | Error e -> Error ("cannot parse object to revoke: " ^ e)
+  | Ok so ->
+    let serial = so.Signed_object.ee_cert.Cert.serial in
+    if not (List.exists (Int.equal serial) ca.crl) then ca.crl <- serial :: ca.crl;
+    Ok ()
 
 (* Flip the low bit of the middle byte. *)
 let flip_bit s =
@@ -219,6 +170,7 @@ let tamper t name =
     o.wire <- flip_bit o.wire;
     Ok ()
   end
+  [@@lint.test_only "adversarial hook: repository compromise"]
 
 let drop_from_manifest t name =
   let* o = find_object t name in
@@ -226,10 +178,12 @@ let drop_from_manifest t name =
   ca.files <- List.filter (fun (n, _) -> n <> name) ca.files;
   ca.mft_wire <- None;
   Ok ()
+  [@@lint.test_only "adversarial hook: withholding"]
 
 let advance_time t dt =
   if dt < 0 then invalid_arg "Repository.advance_time: negative";
   t.now <- t.now + dt
+  [@@lint.test_only "adversarial hook: lets manifests go stale"]
 
 (* (Re)sign a CA's manifest when its publication set changed. Signing
    consumes one CA signature (for the manifest's EE certificate). *)
@@ -259,13 +213,12 @@ let tamper_manifest t handle =
   let* wire = manifest_wire t ca in
   ca.mft_wire <- Some (flip_bit wire);
   Ok ()
+  [@@lint.test_only "adversarial hook: a corrupted manifest"]
 
 type rejection = { object_name : string; reason : string }
 
 type outcome = {
   valid_roas : Roa.t list;
-  valid_aspas : Aspa.t list;
-  valid_router_keys : (Asnum.t * string) list;
   rejections : rejection list;
   missing_from_manifest : string list;
 }
@@ -326,60 +279,6 @@ let chain_checker t =
     if Hashtbl.mem verdicts name || levels name 0 <= 32 then verdict name
     else Error "certificate chain too deep"
 
-(* The per-kind part of the object check. [verify] decodes the object,
-   checks its signature under the CA's key and its payload within its
-   certificate, and yields that certificate and the payload; [label]
-   names the certificate in diagnostics. *)
-type profile = {
-  label : string;
-  verify : string -> ca_key:Merkle.public_key -> (Cert.t * payload, string) result;
-}
-
-(* A ROA's or an ASPA's profile: [decode] reads the eContent of
-   [content_type], and the EE certificate must hold the payload's
-   claim. [what] names the payload in diagnostics. *)
-let signed_profile ~what ~content_type decode =
-  { label = "EE certificate";
-    verify =
-      (fun wire ~ca_key ->
-        let* so =
-          Result.map_error (( ^ ) "undecodable signed object: ") (Signed_object.decode wire)
-        in
-        let* econtent, ee_cert =
-          Signed_object.verify_envelope so ~content_type ~issuer_pubkey:ca_key
-        in
-        let* payload =
-          Result.map_error (fun e -> "malformed " ^ what ^ " eContent: " ^ e) (decode econtent)
-        in
-        let resources, as_resources = claim payload in
-        if Cert.holds ee_cert ~resources ~as_resources then Ok (ee_cert, payload)
-        else Error (what ^ " exceeds its EE certificate's resources")) }
-
-let roa_profile =
-  signed_profile ~what:"ROA" ~content_type:Signed_object.roa_content_type (fun econtent ->
-      Result.map (fun roa -> Roa_payload roa) (Roa_der.decode econtent))
-
-let aspa_profile =
-  signed_profile ~what:"ASPA" ~content_type:Aspa.content_type (fun econtent ->
-      Result.map (fun aspa -> Aspa_payload aspa) (Aspa.decode_econtent econtent))
-
-(* A router certificate is its own payload. *)
-let router_profile =
-  { label = "router certificate";
-    verify =
-      (fun wire ~ca_key ->
-        let* cert =
-          Result.map_error (( ^ ) "undecodable router certificate: ") (Cert.of_der wire)
-        in
-        if Cert.verify_signature cert ~issuer_pubkey:ca_key then Ok (cert, Router_key cert)
-        else Error "bad signature on router certificate") }
-
-(* The profile by file extension, as RFC 6481 names them. *)
-let profile_of name =
-  if Filename.check_suffix name ".cer" then router_profile
-  else if Filename.check_suffix name ".asa" then aspa_profile
-  else roa_profile
-
 let validate t =
   let chain = chain_checker t in
   (* Per CA: fetch and verify its signed manifest first; every object
@@ -409,7 +308,8 @@ let validate t =
     | None -> false
   in
   (* The one object check: the CA's chain, the manifest's listing and
-     digest, the profile, then the certificate within its CA and off
+     digest, the signed object under the CA's key with its ROA within
+     its EE certificate, then that certificate within its CA and off
      the CA's CRL. *)
   let check o =
     let* ca_cert = chain o.issuer_ca in
@@ -426,27 +326,29 @@ let validate t =
         Error "digest differs from manifest (tampered object)"
       | Some _ -> Ok ()
     in
-    let profile = profile_of o.name in
-    let* cert, payload = profile.verify o.wire ~ca_key:ca_cert.Cert.pubkey in
-    if
+    let* so =
+      Result.map_error (( ^ ) "undecodable signed object: ") (Signed_object.decode o.wire)
+    in
+    let* { Signed_object.roa; ee_cert } =
+      Signed_object.verify so ~issuer_pubkey:ca_cert.Cert.pubkey
+    in
+    let resources, as_resources = claim roa in
+    if not (Cert.holds ee_cert ~resources ~as_resources) then
+      Error "ROA exceeds its EE certificate's resources"
+    else if
       not
-        (ca_holds t o.issuer_ca ca_cert ~resources:cert.Cert.resources
-           ~as_resources:cert.Cert.as_resources)
-    then Error (profile.label ^ " overclaims its CA's resources")
-    else if revoked o.issuer_ca cert then Error (profile.label ^ " is revoked (on the CA's CRL)")
-    else Ok payload
+        (ca_holds t o.issuer_ca ca_cert ~resources:ee_cert.Cert.resources
+           ~as_resources:ee_cert.Cert.as_resources)
+    then Error "EE certificate overclaims its CA's resources"
+    else if revoked o.issuer_ca ee_cert then Error "EE certificate is revoked (on the CA's CRL)"
+    else Ok roa
   in
-  let roas = ref [] and aspas = ref [] and router_keys = ref [] and rejections = ref [] in
+  let roas = ref [] and rejections = ref [] in
   List.iter
     (fun o ->
       match check o with
       | Error reason -> rejections := { object_name = o.name; reason } :: !rejections
-      | Ok (Roa_payload roa) -> roas := roa :: !roas
-      | Ok (Aspa_payload aspa) -> aspas := aspa :: !aspas
-      | Ok (Router_key cert) ->
-        List.iter
-          (fun asn -> router_keys := (asn, cert.Cert.pubkey) :: !router_keys)
-          cert.Cert.as_resources)
+      | Ok roa -> roas := roa :: !roas)
     t.objects;
   let published = List.map (fun o -> o.name) t.objects in
   let missing = ref [] in
@@ -462,8 +364,6 @@ let validate t =
       | Error _ -> ())
     manifests;
   { valid_roas = List.rev !roas;
-    valid_aspas = List.rev !aspas;
-    valid_router_keys = List.rev !router_keys;
     rejections = List.rev !rejections;
     missing_from_manifest = !missing }
 

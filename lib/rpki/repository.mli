@@ -66,18 +66,6 @@ val issue_roa_unchecked : t -> handle -> Roa.t -> string
 (** Publish without the issuer-side resource check, to test that the
     relying party rejects it. *)
 
-val issue_aspa : t -> handle -> Aspa.t -> (string, string) result
-(** Publish an ASPA attestation as a signed object under the given CA,
-    which must hold the customer AS number. *)
-
-val issue_router_cert :
-  t -> handle -> Asnum.t -> string -> (string, string) result
-(** Publish an RFC 8209-style BGPsec router certificate binding the
-    given public key to an AS number the CA holds. Relying parties
-    collect the validated bindings in
-    {!outcome.valid_router_keys} — the key material
-    {!Bgp.Bgpsec.verifier_of_list} consumes. *)
-
 val object_names : t -> string list
 val object_count : t -> int
 
@@ -113,9 +101,6 @@ type rejection = { object_name : string; reason : string }
 
 type outcome = {
   valid_roas : Roa.t list;
-  valid_aspas : Aspa.t list;
-  valid_router_keys : (Asnum.t * string) list;
-      (** Validated (AS, BGPsec router public key) bindings. *)
   rejections : rejection list;
   missing_from_manifest : string list;
       (** Manifest entries with no matching published object. *)
@@ -124,11 +109,11 @@ type outcome = {
 val validate : t -> outcome
 (** The relying-party walk over everything published.
 
-    Every object goes through one check, in order: its CA's chain, its
-    CA's manifest (listed, same digest), the per-kind profile chosen by
-    file extension ([.cer] a router certificate, [.asa] an ASPA,
-    anything else a ROA: decode, signature, payload within its
-    certificate), that certificate within the CA, and the CA's CRL.
+    Every object is a ROA and goes through one check, in order: its
+    CA's chain, its CA's manifest (listed, same digest), the signed
+    object (decode, signature under the CA's key, the ROA within its
+    EE certificate), that certificate within the CA, and the CA's
+    CRL.
 
     Each CA's certificate chain is checked once per call: the verdict
     is shared by the CA's manifest, every object it publishes and its

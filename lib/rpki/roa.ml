@@ -53,21 +53,12 @@ let entries r = r.entries
 let vrps r =
   List.map (fun e -> Vrp.make_exn e.prefix ~max_len:(effective_max_len e) r.asn) r.entries
 
-let uses_max_len r =
-  List.exists (fun e -> effective_max_len e > Pfx.length e.prefix) r.entries
-
-let authorized r p origin =
-  Asnum.equal r.asn origin
-  && (not (Asnum.is_zero r.asn))
-  && List.exists
-       (fun e -> Pfx.subset p e.prefix && Pfx.length p <= effective_max_len e)
-       r.entries
-
 let compare a b =
   let c = Asnum.compare a.asn b.asn in
   if c <> 0 then c else List.compare compare_entry a.entries b.entries
 
 let equal a b = compare a b = 0
+  [@@lint.test_only "alcotest equality: Testutil.roa"]
 
 let pp ppf r =
   let pp_entry ppf e =

@@ -31,14 +31,6 @@ val vrps : t -> Vrp.t list
 
 val effective_max_len : entry -> int
 
-val uses_max_len : t -> bool
-(** True when any entry carries a maxLength greater than its prefix
-    length. *)
-
-val authorized : t -> Netaddr.Pfx.t -> Asnum.t -> bool
-(** [authorized roa p origin]: this ROA makes announcement [(p, origin)]
-    RPKI-valid. *)
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

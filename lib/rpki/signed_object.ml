@@ -13,9 +13,6 @@ let make ~content_type ~econtent ~ee_key ~ee_cert =
     ee_cert;
     signature = Hashcrypto.Merkle.(encode (sign ee_key econtent)) }
 
-let make_roa roa ~ee_key ~ee_cert =
-  make ~content_type:roa_content_type ~econtent:(Roa_der.encode roa) ~ee_key ~ee_cert
-
 let encode t =
   Asn1.Der.encode
     (Asn1.Der.Sequence
@@ -58,7 +55,3 @@ let verify t ~issuer_pubkey =
   let* econtent, ee_cert = verify_envelope t ~content_type:roa_content_type ~issuer_pubkey in
   let* roa = Result.map_error (fun e -> "malformed ROA eContent: " ^ e) (Roa_der.decode econtent) in
   Ok { roa; ee_cert }
-
-let verify_bytes bytes ~issuer_pubkey =
-  let* t = decode bytes in
-  verify t ~issuer_pubkey

@@ -31,14 +31,6 @@ val make :
 (** Sign an arbitrary payload into an envelope (used for ROAs and
     manifests). *)
 
-val make_roa :
-  Roa.t ->
-  ee_key:Hashcrypto.Merkle.secret_key ->
-  ee_cert:Cert.t ->
-  t
-(** Sign a ROA into an envelope. The caller provides the (fresh)
-    end-entity key pair and its certificate. *)
-
 val encode : t -> string
 (** The publication-point wire form. *)
 
@@ -58,7 +50,3 @@ type verified = { roa : Roa.t; ee_cert : Cert.t }
 val verify : t -> issuer_pubkey:Hashcrypto.Merkle.public_key -> (verified, string) result
 (** {!verify_envelope} for ROAs plus the RFC 6482 profile decode; the
     caller still owns resource-containment policy. *)
-
-val verify_bytes :
-  string -> issuer_pubkey:Hashcrypto.Merkle.public_key -> (verified, string) result
-(** [decode] + [verify]: what a relying party does to a fetched file. *)

@@ -8,6 +8,7 @@ let state_to_string = function
   | Not_found -> "NotFound"
 
 let pp_state ppf s = Format.pp_print_string ppf (state_to_string s)
+  [@@lint.test_only "alcotest printer: Testutil.validation_state"]
 
 (* Thin view over the flat arena ({!Arena.Vrp_db}): prefixes live as
    unboxed chunk columns, (max_len, asn) pairs as packed ints. Boxed

@@ -22,8 +22,7 @@ let matches v p origin =
   && Asnum.equal v.asn origin
   && covers v p
   && Pfx.length p <= v.max_len
-
-let authorized v p = covers v p && Pfx.length p <= v.max_len
+  [@@lint.test_only "read by test_validation's naive RFC 6811 reference"]
 
 (* [Pfx.compare], then max_len, then ASN. Both int-backed fields
    compare inline: a V4 payload and an ASN are [private int]s whose
@@ -47,29 +46,6 @@ let to_string v =
   else Printf.sprintf "%s %s" (Pfx.to_string v.prefix) (Asnum.to_string v.asn)
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)
-
-let of_string s =
-  let ( let* ) = Result.bind in
-  match String.split_on_char ' ' s with
-  | [ pfx_part; asn_part ] ->
-    let* asn = Asnum.of_string asn_part in
-    (* Split an optional "-maxlen" suffix after the prefix length. *)
-    let* prefix, max_len =
-      match String.index_opt pfx_part '/' with
-      | None -> Error (Printf.sprintf "invalid VRP %S" s)
-      | Some slash ->
-        (match String.index_from_opt pfx_part slash '-' with
-         | None ->
-           let* p = Pfx.of_string pfx_part in
-           Ok (p, Pfx.length p)
-         | Some dash ->
-           let* p = Pfx.of_string (String.sub pfx_part 0 dash) in
-           (match int_of_string_opt (String.sub pfx_part (dash + 1) (String.length pfx_part - dash - 1)) with
-            | Some m -> Ok (p, m)
-            | None -> Error (Printf.sprintf "invalid maxLength in %S" s)))
-    in
-    make prefix ~max_len asn
-  | _ -> Error (Printf.sprintf "invalid VRP %S" s)
 
 module Set = Set.Make (struct
   type nonrec t = t

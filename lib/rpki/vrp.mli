@@ -28,10 +28,6 @@ val matches : t -> Netaddr.Pfx.t -> Asnum.t -> bool
 (** RFC 6811 "Matched": covered, [length p <= max_len], origin equals
     [v.asn], and [v.asn] is not AS0. *)
 
-val authorized : t -> Netaddr.Pfx.t -> bool
-(** [authorized v p]: [v] authorizes origination of exactly prefix [p]
-    by [v.asn] (covered and within maxLength). *)
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
@@ -39,7 +35,5 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 (** Rendered like ["168.122.0.0/16-24 AS111"]; the ["-24"] is omitted
     when maxLength equals the prefix length. *)
-
-val of_string : string -> (t, string) result
 
 module Set : Set.S with type elt = t

@@ -67,9 +67,11 @@ let create ?(history_limit = 16) ?(initial_serial = 0l) ?(refresh_interval = def
     notify = None; stats = zero_stats }
 
 let session_id _ = session
+  [@@lint.test_only "read by the test oracle Cache_ref"]
 let serial t = t.serial
 let vrps t = t.current
 let oldest_serial t = t.oldest
+  [@@lint.test_only "witness: tests read the retained serial window"]
 let stats t = t.stats
 
 let retained_bytes t =
@@ -78,6 +80,7 @@ let retained_bytes t =
   + List.fold_left (fun acc e -> acc + String.length e.wire) 0 t.history
   + List.fold_left (fun acc (_, w) -> acc + String.length w) 0 t.merged
   + opt t.snapshot + opt t.eod + opt t.notify
+  [@@lint.test_only "witness: tests read the retained diff memory"]
 
 (* The PDU run of a delta, prepended onto [tail]: announces then
    withdraws, each in descending [Vrp.compare] order (the set fold's
@@ -162,6 +165,7 @@ let roll_back t newer =
     t.current newer
 
 let state_at t s = Option.map (roll_back t) (newer_than t s)
+  [@@lint.test_only "read by the test oracle Cache_ref"]
 
 let end_of_data t =
   Pdu.End_of_data

@@ -15,7 +15,9 @@ type t = {
 
 let create () = { part = Buffer.create 64; error = None }
 let pending_bytes t = Buffer.length t.part
+  [@@lint.test_only "witness: tests read the framer's buffered bytes"]
 let failed t = t.error
+  [@@lint.test_only "witness: tests read the framer's terminal error"]
 
 let fail t e =
   t.error <- Some e;

@@ -85,6 +85,7 @@ let equal a b =
       | End_of_data _ | Cache_reset | Error_report _ ),
       _ ) ->
     false
+  [@@lint.test_only "alcotest equality: the PDU testables"]
 
 let pp ppf = function
   | Serial_notify { session_id; serial } ->
@@ -101,6 +102,7 @@ let pp ppf = function
     Format.fprintf ppf "EndOfData(session=%d, serial=%ld)" session_id serial
   | Cache_reset -> Format.pp_print_string ppf "CacheReset"
   | Error_report { code; _ } -> Format.fprintf ppf "ErrorReport(%a)" pp_error_code code
+  [@@lint.test_only "alcotest printer: the PDU testables"]
 
 (* --- encoding helpers --- *)
 

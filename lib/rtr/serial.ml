@@ -12,12 +12,8 @@ let compare a b =
   else if Int32.compare (Int32.sub b a) 0l > 0 then -1
   else 1
 
-let lt a b = compare a b < 0
 let gt a b = compare a b > 0
 let leq a b = compare a b <= 0
 
 let succ s = Int32.add s 1l
 let add s n = Int32.add s (Int32.of_int n)
-
-let distance ~from ~to_ =
-  Int32.to_int (Int32.sub to_ from) land 0xffffffff

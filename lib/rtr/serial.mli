@@ -18,7 +18,6 @@ val compare : int32 -> int32 -> int
     delta history is far shorter than [2^31] updates). *)
 
 val equal : int32 -> int32 -> bool
-val lt : int32 -> int32 -> bool
 val gt : int32 -> int32 -> bool
 val leq : int32 -> int32 -> bool
 
@@ -27,6 +26,3 @@ val succ : int32 -> int32
 
 val add : int32 -> int -> int32
 (** Move along the circle; negative offsets move backwards. *)
-
-val distance : from:int32 -> to_:int32 -> int
-(** Forward steps from [from] to [to_], in [0, 2^32). *)

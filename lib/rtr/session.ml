@@ -4,7 +4,6 @@ type t = {
   mutable bytes : int;
 }
 
-let cache t = t.cache
 let routers t = Array.to_list t.routers
 let bytes_on_wire t = t.bytes
 

@@ -14,7 +14,6 @@ val connect : Cache_server.t -> int -> t
 (** [connect cache n] attaches [n] routers and runs their initial
     synchronization. *)
 
-val cache : t -> Cache_server.t
 val routers : t -> Router_client.t list
 
 val publish : t -> Rpki.Vrp.t list -> unit

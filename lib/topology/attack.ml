@@ -131,3 +131,4 @@ let baseline sc ~target =
   let dummy = Route.originate (List.hd sc.announced) sc.victim in
   measure sc ~route_maps:!route_map ~target ~kind:Prefix_hijack ~hijack:dummy
     ~validity:Rpki.Validation.Not_found
+  [@@lint.test_only "witness: the no-attack run the attack tests compare against"]

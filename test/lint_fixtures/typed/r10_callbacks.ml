@@ -3,5 +3,5 @@
    guards it. *)
 
 let boom () = failwith "timer misfired"
-let arm clock = Netsim.Clock.after clock ~delay:10 (fun () -> boom ())
-let arm_safe clock = Netsim.Clock.after clock ~delay:10 (fun () -> try boom () with _ -> ())
+let arm clock = Netsim.Clock.at clock ~time:10 (fun () -> boom ())
+let arm_safe clock = Netsim.Clock.at clock ~time:10 (fun () -> try boom () with _ -> ())

@@ -11,3 +11,8 @@ let tick n = check_window n
 
 (* known-partial stdlib call, flagged at the reference site *)
 let connected xs : int = List.hd xs
+
+(* the raise is reached only through a renamed module alias *)
+module H = Helper
+
+let disconnected () = H.explode ()

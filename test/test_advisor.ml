@@ -53,8 +53,10 @@ let test_suggestion_fixes_vulnerability () =
      Alcotest.(check bool) "suggestion is safe" true (r.Advisor.verdict = Advisor.Safe);
      (* and still authorizes everything announced *)
      let db = Rpki.Validation.create (Roa.vrps fixed) in
-     Bgp_table.iter t (fun q origin ->
-         Alcotest.(check bool) "still authorizes" true (Rpki.Validation.authorized db q origin)));
+     List.iter
+       (fun (q, origin) ->
+         Alcotest.(check bool) "still authorizes" true (Rpki.Validation.authorized db q origin))
+       (Bgp_table.pairs t));
   match Advisor.suggest_compressed t bad with
   | None -> Alcotest.fail "no compressed suggestion"
   | Some fixed ->

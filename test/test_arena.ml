@@ -558,10 +558,9 @@ let prop_compress_order_independent =
         [ Mlcore.Compress.Strict; Mlcore.Compress.Paper ])
 
 let test_figure2_arena_matches_reference () =
-  let input, compressed = Mlcore.Compress.figure2_example () in
   Alcotest.(check (list Testutil.vrp))
-    "figure 2 via the arena equals the reference" (Compress_ref.run input)
-    compressed
+    "figure 2 via the arena equals the reference" (Compress_ref.run Testutil.figure2)
+    (Mlcore.Compress.run Testutil.figure2)
 
 let test_validation_empty_and_single () =
   Alcotest.(check int) "empty cardinal" 0 (Rpki.Validation.cardinal (Rpki.Validation.create []));

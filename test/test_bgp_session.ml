@@ -86,7 +86,7 @@ let open_msg ?(asn = 64512) ?(hold = 90) () =
     { Msg.version = 4;
       asn = a asn;
       hold_time = hold;
-      bgp_id = Netaddr.Ipv4.of_string_exn "192.0.2.1" }
+      bgp_id = Testutil.check_ok (Netaddr.Ipv4.of_string "192.0.2.1") }
 
 (* --- message encoding --- *)
 
@@ -169,7 +169,7 @@ let test_msg_mutation_total () =
 (* --- sessions --- *)
 
 let cfg ?(hold = 90) asn id =
-  { Session.asn = a asn; bgp_id = Netaddr.Ipv4.of_string_exn id; hold_time = hold }
+  { Session.asn = a asn; bgp_id = Testutil.check_ok (Netaddr.Ipv4.of_string id); hold_time = hold }
 
 let test_establishment () =
   let peering = Peering.connect (cfg 64512 "192.0.2.1") (cfg 64513 "192.0.2.2") in

@@ -129,64 +129,6 @@ let prop_chains_validate =
       in
       valid && Bgpsec.validate ks spliced <> Ok ())
 
-(* --- BGPsec keys certified through the RPKI (RFC 8209) --- *)
-
-let test_router_certs_through_rpki () =
-  (* ASes hold signing keystores; their public keys are certified by
-     the RIR CA; the relying party validates the router certificates
-     and builds a verification-only keystore that accepts honest
-     chains and rejects forgeries. *)
-  let signing = Bgpsec.create_keystore ~key_height:3 ~seed:"rfc8209" () in
-  List.iter (fun n -> Bgpsec.enroll signing (a n)) [ 111; 3356 ];
-  let repo = Rpki.Repository.create ~seed:"rfc8209-repo" "ta" in
-  let ca =
-    Testutil.check_ok
-      (Rpki.Repository.add_ca repo ~parent:(Rpki.Repository.root repo) ~name:"rir"
-         ~resources:[] ~as_resources:[ a 111; a 3356 ] ~height:4 ())
-  in
-  List.iter
-    (fun (asn, pk) ->
-      ignore (Testutil.check_ok (Rpki.Repository.issue_router_cert repo ca asn pk)))
-    (Bgpsec.export_public signing);
-  (* A rogue binding for an AS outside the CA's resources is refused. *)
-  (match Rpki.Repository.issue_router_cert repo ca (a 999) "fake-key" with
-   | Ok _ -> Alcotest.fail "unauthorized router cert issued"
-   | Error _ -> ());
-  let outcome = Rpki.Repository.validate repo in
-  Alcotest.(check int) "two validated bindings" 2
-    (List.length outcome.Rpki.Repository.valid_router_keys);
-  Alcotest.(check int) "no rejections" 0 (List.length outcome.Rpki.Repository.rejections);
-  let verifier = Bgpsec.verifier_of_list outcome.Rpki.Repository.valid_router_keys in
-  (* Honest chain signed with the real keys verifies under the
-     RPKI-derived verifier. *)
-  let sr = Testutil.check_ok (Bgpsec.originate signing ~prefix ~origin:(a 111) ~to_:(a 3356)) in
-  Testutil.check_ok (Bgpsec.validate verifier sr);
-  (* The verifier cannot sign. *)
-  (match Bgpsec.originate verifier ~prefix ~origin:(a 111) ~to_:(a 3356) with
-   | Ok _ -> Alcotest.fail "verification-only keystore signed"
-   | Error _ -> ());
-  (* A forged origin still fails under the verifier. *)
-  let forged = Bgpsec.forge_origin signing ~prefix ~attacker:(a 3356) ~victim:(a 111) ~to_:(a 3356) in
-  match Bgpsec.validate verifier forged with
-  | Ok () -> Alcotest.fail "forged origin validated"
-  | Error _ -> ()
-
-let test_revoked_router_cert () =
-  let signing = Bgpsec.create_keystore ~key_height:2 ~seed:"revoke-rc" () in
-  Bgpsec.enroll signing (a 111);
-  let repo = Rpki.Repository.create ~seed:"revoke-rc-repo" "ta" in
-  let ca =
-    Testutil.check_ok
-      (Rpki.Repository.add_ca repo ~parent:(Rpki.Repository.root repo) ~name:"rir"
-         ~resources:[] ~as_resources:[ a 111 ] ~height:3 ())
-  in
-  let pk = Option.get (Bgpsec.router_pubkey signing (a 111)) in
-  let name = Testutil.check_ok (Rpki.Repository.issue_router_cert repo ca (a 111) pk) in
-  Testutil.check_ok (Rpki.Repository.revoke repo name);
-  let outcome = Rpki.Repository.validate repo in
-  Alcotest.(check int) "binding revoked" 0
-    (List.length outcome.Rpki.Repository.valid_router_keys)
-
 let () =
   Alcotest.run "bgpsec"
     [ ( "chains",
@@ -197,8 +139,5 @@ let () =
           Alcotest.test_case "path shortening rejected" `Quick test_path_shortening_rejected;
           Alcotest.test_case "unenrolled AS rejected" `Quick test_unenrolled_as_rejected;
           Alcotest.test_case "signature count mismatch" `Quick test_signature_count_mismatch ] );
-      ( "rfc8209",
-        [ Alcotest.test_case "router certs through the RPKI" `Quick test_router_certs_through_rpki;
-          Alcotest.test_case "revoked router cert" `Quick test_revoked_router_cert ] );
       ( "properties", List.map QCheck_alcotest.to_alcotest [ prop_chains_validate ] ) ]
 

@@ -14,7 +14,8 @@ let v s m asn = Vrp.make_exn (p s) ~max_len:m (a asn)
 let check_vrps = Alcotest.(check (list Testutil.vrp))
 
 let test_figure2 () =
-  let input, output = Compress.figure2_example () in
+  let input = Testutil.figure2 in
+  let output = Compress.run input in
   Alcotest.(check int) "input size" 4 (List.length input);
   check_vrps "figure 2 result"
     [ v "87.254.32.0/19" 20 31283; v "87.254.32.0/21" 21 31283 ]
@@ -68,8 +69,7 @@ let test_families_independent () =
 let test_partial_figure2_variant () =
   (* The paper's §7 warning: do NOT compress to 87.254.32.0/19-21,
      which would authorize the unannounced 87.254.40.0/21. *)
-  let _, output = Compress.figure2_example () in
-  let db = V.create output in
+  let db = V.create (Compress.run Testutil.figure2) in
   Alcotest.check Testutil.validation_state "40.0/21 must stay invalid" V.Invalid
     (V.validate db (p "87.254.40.0/21") (a 31283))
 
@@ -89,8 +89,7 @@ let test_eliminate_covered () =
     (Compress.run [ v "10.0.0.0/16" 16 7; v "10.0.0.0/16" 16 7 ])
 
 let test_idempotent () =
-  let input, once = Compress.figure2_example () in
-  ignore input;
+  let once = Compress.run Testutil.figure2 in
   check_vrps "second run is identity" once (Compress.run once)
 
 let test_strict_vs_paper_divergence () =
@@ -130,8 +129,7 @@ let test_direct_child_tie () =
 
 let test_run_with_stats () =
   (* Figure 2: one merge absorbing one child, nothing covered. *)
-  let input, _ = Compress.figure2_example () in
-  let out, stats = Compress.run_with_stats input in
+  let out, stats = Compress.run_with_stats Testutil.figure2 in
   Alcotest.(check int) "input" 4 stats.Compress.input;
   Alcotest.(check int) "output" 2 stats.Compress.output;
   Alcotest.(check int) "output consistent" (List.length out) stats.Compress.output;

@@ -4,7 +4,7 @@ module Merkle = Hashcrypto.Merkle
 module Sha256_int32 = Oracle.Sha256_int32
 
 let hex = Sha256.to_hex
-let unhex s = Testutil.check_ok (Sha256.of_hex s)
+let unhex s = Testutil.check_ok (Testutil.of_hex s)
 
 (* FIPS 180-4 / NIST CAVS vectors. *)
 let sha256_vectors =
@@ -132,8 +132,8 @@ let test_sha256_allocation () =
 let test_hex_roundtrip () =
   let d = Sha256.digest "x" in
   Alcotest.(check string) "roundtrip" (hex d) (hex (unhex (hex d)));
-  (match Sha256.of_hex "0g" with Ok _ -> Alcotest.fail "bad digit" | Error _ -> ());
-  match Sha256.of_hex "abc" with Ok _ -> Alcotest.fail "odd length" | Error _ -> ()
+  (match Testutil.of_hex "0g" with Ok _ -> Alcotest.fail "bad digit" | Error _ -> ());
+  match Testutil.of_hex "abc" with Ok _ -> Alcotest.fail "odd length" | Error _ -> ()
 
 let test_lamport_sign_verify () =
   let sk, pk = Lamport.generate ~seed:"test-1" in

@@ -293,7 +293,7 @@ let prop_table_root_count_naive =
                  (List.exists
                     (fun (rs, o') ->
                       let r = Pfx.of_string_exn rs in
-                      o = o' && Pfx.strict_subset q r)
+                      o = o' && Pfx.length q > Pfx.length r && Pfx.subset q r)
                     uniq))
              uniq)
       in

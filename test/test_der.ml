@@ -1,6 +1,6 @@
 module Der = Asn1.Der
 
-let hex s = Testutil.check_ok (Hashcrypto.Sha256.of_hex s)
+let hex s = Testutil.check_ok (Testutil.of_hex s)
 let der = Alcotest.testable Der.pp Der.equal
 
 let check_encoding name value expected_hex =
@@ -76,12 +76,7 @@ let test_accessors () =
    | Error _ -> ());
   (match as_sequence (Integer 0L) with
    | Ok _ -> Alcotest.fail "as_sequence on INTEGER"
-   | Error _ -> ());
-  (match as_context 1 (Context (2, [])) with
-   | Ok _ -> Alcotest.fail "wrong context tag accepted"
-   | Error _ -> ());
-  Alcotest.(check (list string)) "as_context payload" []
-    (List.map (Format.asprintf "%a" pp) (Testutil.check_ok (as_context 2 (Context (2, [])))))
+   | Error _ -> ())
 
 (* DER value generator for roundtrip fuzzing. *)
 let gen_der =

@@ -1,6 +1,7 @@
-(* The static-analysis pass, checked four ways: the fixture corpus
-   against golden findings lists — syntactic and typed phases, every
-   rule firing where it must and staying quiet where it must not —
+(* The static-analysis pass, checked four ways: the fixture corpora
+   against golden findings lists — syntactic and typed phases, and
+   R14 over a tree of its own, every rule firing where it must and
+   staying quiet where it must not —
    the JSON/baseline round trip (v1 and v2), a unit suite for the
    call-graph reachability engine, and self-checks that the
    production tree lints clean under both phases. *)
@@ -39,11 +40,21 @@ let cmt_dir_for root =
   let d = Filename.concat (Filename.concat root "_build") "default" in
   if Sys.file_exists d then d else root
 
-let typed_fixture_report
-    ?(rules = Rules.find [ "R8"; "R10"; "R11"; "R12"; "R13" ]) () =
+let typed_rules = [ "R8"; "R10"; "R11"; "R12"; "R13"; "R14" ]
+
+let typed_fixture_report ?(rules = Rules.find typed_rules) () =
   let root = repo_root () in
   Engine.run ~rules ~typed:true ~cmt_dir:(cmt_dir_for root) ~root
     [ Filename.concat (Filename.concat "test" "lint_fixtures") "typed" ]
+
+(* R14 reads lib/, bin/, bench/ and examples/ off the lint root, so its
+   corpus is a tree of its own: lint_fixtures/r14/lib, reached from
+   lint_fixtures/r14/bin. *)
+let r14_fixture_report () =
+  let root = repo_root () in
+  Engine.run ~rules:(Rules.find typed_rules) ~typed:true ~cmt_dir:(cmt_dir_for root)
+    ~root:(List.fold_left Filename.concat root [ "test"; "lint_fixtures"; "r14" ])
+    [ "lib"; "bin" ]
 
 (* Files a typed run reported as having no loaded unit. *)
 let uncovered (report : Engine.report) =
@@ -112,23 +123,36 @@ let test_typed_golden () =
 
 let test_typed_rules_fire () =
   let report = typed_fixture_report () in
+  let findings = report.Engine.findings @ (r14_fixture_report ()).Engine.findings in
   List.iter
     (fun rule ->
-      let hits =
-        List.filter (fun f -> String.equal f.Finding.rule rule) report.Engine.findings
-      in
+      let hits = List.filter (fun f -> String.equal f.Finding.rule rule) findings in
       Alcotest.(check bool)
         (Printf.sprintf "rule %s fires on its fixture" rule)
         true
         (List.length hits > 0))
-    [ "R8"; "R10"; "R11"; "R12"; "R13" ];
+    typed_rules;
   List.iter
     (fun f ->
       Alcotest.(check bool)
         (Printf.sprintf "finding at %s:%d has a witness chain" f.Finding.file f.Finding.line)
         true
         (f.Finding.witness <> []))
-    report.Engine.findings
+    findings
+
+(* R14 flags the binding nothing reaches and the one whose waiver has
+   no reason; a waiver with a reason, and bindings reached only through
+   a renamed alias, a [let*], a functor argument or a clock closure,
+   stay clean. *)
+let test_r14_golden () =
+  let report = r14_fixture_report () in
+  Alcotest.(check bool) "typed phase ran" true (report.Engine.typed_units > 0);
+  Alcotest.(check (list string)) "every scanned .ml has a typed unit" [] (uncovered report);
+  let got = String.trim (Engine.to_text report) in
+  let expected =
+    String.trim (read_file (Filename.concat fixtures_root "expected_r14_findings.txt"))
+  in
+  Alcotest.(check string) "R14 fixture findings match the golden file" expected got
 
 let test_typed_good_fixtures_clean () =
   let report = typed_fixture_report () in
@@ -172,7 +196,7 @@ let test_missing_cmt_degrades () =
         (Printf.sprintf "%s not reported as run" id)
         false
         (List.exists (String.equal id) report.Engine.rules_run))
-    [ "R8"; "R10"; "R11"; "R12"; "R13" ];
+    typed_rules;
   (* degradation is not a failure: syntactic rules still ran *)
   Alcotest.(check bool) "syntactic rules ran" true
     (List.exists (String.equal "R1") report.Engine.rules_run)
@@ -186,7 +210,7 @@ let test_uncovered_file_named () =
   let orphan = Filename.concat (Filename.concat fixtures "bin") "r2_scope.ml" in
   let report =
     Engine.run
-      ~rules:(Rules.find [ "R8"; "R10"; "R11"; "R12"; "R13" ])
+      ~rules:(Rules.find typed_rules)
       ~typed:true ~cmt_dir:(cmt_dir_for root) ~root
       [ Filename.concat fixtures "typed"; orphan ]
   in
@@ -494,7 +518,7 @@ let test_tree_is_clean () =
       (List.length report.Engine.findings)
       (Finding.to_text f)
 
-(* The typed self-check: with R8 and R10-R13 enabled over the full
+(* The typed self-check: with R8 and R10-R14 enabled over the full
    tree, zero unwaived findings — and the phase must have actually run
    (a silent degradation would make this test vacuous). The fixture
    corpus' cmts are loaded too, but its deliberately-bad roots are
@@ -514,7 +538,7 @@ let test_tree_is_clean_typed () =
         (Printf.sprintf "%s ran" id)
         true
         (List.exists (String.equal id) report.Engine.rules_run))
-    [ "R8"; "R10"; "R11"; "R12"; "R13" ];
+    typed_rules;
   match report.Engine.findings with
   | [] -> ()
   | f :: _ ->
@@ -532,6 +556,7 @@ let () =
       ( "typed-fixtures",
         [ Alcotest.test_case "typed golden findings" `Quick test_typed_golden;
           Alcotest.test_case "R8-R13 fire with witnesses" `Quick test_typed_rules_fire;
+          Alcotest.test_case "R14 golden findings" `Quick test_r14_golden;
           Alcotest.test_case "good typed fixtures stay clean" `Quick
             test_typed_good_fixtures_clean;
           Alcotest.test_case "missing cmts degrade gracefully" `Quick

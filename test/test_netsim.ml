@@ -3,10 +3,66 @@
    policy, every router either converges on the cache's final VRP set
    or lands in an explicit degraded state, deterministically. *)
 
-module Clock = Netsim.Clock
-module Fault = Netsim.Fault
+module Clock = struct
+  include Netsim.Clock
+
+  (* Run every event due by [time], then leave the clock there. *)
+  let run_until c time =
+    while match next_time c with Some t -> t <= time | None -> false do
+      ignore (run_next c)
+    done;
+    advance c time
+end
+
 module Link = Netsim.Link
 module Sim = Netsim.Rtr_sim
+
+(* The fault policies beyond the library's three: each misbehaviour
+   alone, then all at once. [all] is the sweep matrix, perfect first. *)
+module Fault = struct
+  include Netsim.Fault
+
+  let reordering =
+    { perfect with
+      name = "reordering";
+      fifo = false;
+      delay_min = 1;
+      delay_max = 30;
+      jitter = 120;
+      chunk_min = 8;
+      chunk_max = 128 }
+
+  let duplicating =
+    { perfect with name = "duplicating"; duplicate = 0.15; chunk_min = 16; chunk_max = 256 }
+
+  let truncating =
+    { perfect with name = "truncating"; truncate = 0.05; chunk_min = 16; chunk_max = 256 }
+
+  let corrupting =
+    { perfect with name = "corrupting"; corrupt = 0.04; chunk_min = 32; chunk_max = 512 }
+
+  let lossy = { perfect with name = "lossy"; drop = 0.05; chunk_min = 16; chunk_max = 256 }
+
+  let flaky = { perfect with name = "flaky"; conn_drop = 0.03; chunk_min = 32; chunk_max = 512 }
+
+  let chaos =
+    { name = "chaos";
+      delay_min = 1;
+      delay_max = 40;
+      jitter = 80;
+      fifo = false;
+      chunk_min = 8;
+      chunk_max = 192;
+      drop = 0.02;
+      duplicate = 0.02;
+      truncate = 0.02;
+      corrupt = 0.02;
+      conn_drop = 0.015 }
+
+  let all =
+    [ perfect; rechunking; delaying; reordering; duplicating; truncating; corrupting; lossy;
+      flaky; chaos ]
+end
 
 (* --- clock -------------------------------------------------------- *)
 
@@ -45,7 +101,7 @@ let test_clock_cascading () =
   let got = ref [] in
   Clock.at c ~time:10 (fun () ->
       got := `A :: !got;
-      Clock.after c ~delay:5 (fun () -> got := `B :: !got));
+      Clock.at c ~time:(Clock.now c + 5) (fun () -> got := `B :: !got));
   Clock.run_until c 20;
   Alcotest.(check int) "both ran" 2 (List.length !got);
   Alcotest.(check bool) "in order" true (List.rev !got = [ `A; `B ])
@@ -147,7 +203,7 @@ let rec clock_sched c log e =
     Option.iter (clock_sched c log) e.child
   in
   match e.due with
-  | After d -> Clock.after c ~delay:d f
+  | After d -> Clock.at c ~time:(Clock.now c + max 0 d) f
   | Past _ | Soon _ | Far _ -> Clock.at c ~time:(due_time ~now:(Clock.now c) e.due) f
 
 let agrees_with_model ops =

@@ -1,4 +1,13 @@
-module Pfx = Netaddr.Pfx
+(* The prefix operations only the tests use ({!Testutil}) beside the
+   library's own. *)
+module Pfx = struct
+  include Netaddr.Pfx
+
+  let parent = Testutil.parent
+  let sibling = Testutil.sibling
+  let is_left_child p = length p = 0 || not (bit p (length p - 1))
+  let aggregate = Testutil.aggregate
+end
 
 let p = Testutil.p4
 let check_p = Alcotest.check Testutil.prefix

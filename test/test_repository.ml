@@ -337,32 +337,27 @@ let test_verdicts_per_walk () =
     "re-judged" [ (name, "CA \"sub\" overclaims resources") ]
     (rejection_list (Repo.validate repo))
 
-(* --- every kind through the one object check ---------------------------- *)
+(* --- every kind through the one object check ----------------------------
+
+   The repository publishes one kind of signed object, the ROA; its EE
+   certificate, the CA certificates and the signed manifests are the
+   other kinds a walk reads. *)
 
 let test_trust_anchor_signs_every_kind () =
-  (* The trust anchor holds every AS number, so it may sign a ROA, an
-     ASPA and a router certificate for one, and the relying party
-     accepts each. *)
+  (* The trust anchor holds every AS number, so it may sign a ROA for
+     one, and the relying party accepts it. *)
   let repo = Repo.create ~ta_height:3 ~seed:"ta-signs" "ta" in
-  let ta = Repo.root repo in
   let roa = roa_of 64500 [ "192.0.2.0/24" ] in
-  let aspa = Rpki.Aspa.make_exn ~customer:(a 64500) ~providers:[ a 64501 ] in
-  ignore (Testutil.check_ok (Repo.issue_roa repo ta roa));
-  ignore (Testutil.check_ok (Repo.issue_aspa repo ta aspa));
-  ignore (Testutil.check_ok (Repo.issue_router_cert repo ta (a 64500) "router-key"));
+  ignore (Testutil.check_ok (Repo.issue_roa repo (Repo.root repo) roa));
   let outcome = Repo.validate repo in
   Alcotest.(check (list Testutil.roa)) "valid_roas" [ roa ] outcome.Repo.valid_roas;
-  Alcotest.(check bool) "valid_aspas" true
-    (List.equal Rpki.Aspa.equal [ aspa ] outcome.Repo.valid_aspas);
-  Alcotest.(check (list (pair Testutil.asn string)))
-    "valid_router_keys" [ (a 64500, "router-key") ] outcome.Repo.valid_router_keys;
   Alcotest.(check (list (pair string string))) "no rejections" [] (rejection_list outcome)
 
 let test_every_kind_pinned () =
-  (* One RIR CA publishes two objects of each kind and a ROA forced
-     beyond its resources, then revokes one object of each kind. Names,
-     bytes, size and verdicts are pinned: signing, publishing and
-     judging must not move them. *)
+  (* One RIR CA publishes three ROAs (one over both families) and a ROA
+     forced beyond its resources, then revokes one. Names, bytes, size
+     (certificates and manifests included) and verdicts are pinned:
+     signing, publishing and judging must not move them. *)
   let repo = Repo.create ~ta_height:2 ~seed:"every-kind" "ta" in
   let rir =
     Testutil.check_ok
@@ -370,45 +365,33 @@ let test_every_kind_pinned () =
          ~resources:[ p "10.0.0.0/8"; p "2001:db8::/32" ]
          ~as_resources:[ a 64500; a 64501; a 64502 ] ~height:4 ())
   in
-  let aspa c ps = Rpki.Aspa.make_exn ~customer:(a c) ~providers:(List.map a ps) in
   let roa1 = roa_of 64500 [ "10.0.0.0/16"; "2001:db8::/48" ] in
+  let roa3 = roa_of 64502 [ "10.2.0.0/16"; "2001:db8:2::/48" ] in
   ignore (Testutil.check_ok (Repo.issue_roa repo rir roa1));
   let roa2 = Testutil.check_ok (Repo.issue_roa repo rir (roa_of 64501 [ "10.1.0.0/16" ])) in
-  ignore (Testutil.check_ok (Repo.issue_aspa repo rir (aspa 64500 [ 64501; 64502 ])));
-  let aspa2 = Testutil.check_ok (Repo.issue_aspa repo rir (aspa 64502 [])) in
-  ignore (Testutil.check_ok (Repo.issue_router_cert repo rir (a 64500) "router-key-a"));
-  let router2 = Testutil.check_ok (Repo.issue_router_cert repo rir (a 64501) "router-key-b") in
+  ignore (Testutil.check_ok (Repo.issue_roa repo rir roa3));
   ignore (Repo.issue_roa_unchecked repo rir (roa_of 64500 [ "11.0.0.0/8" ]));
-  List.iter (fun name -> Testutil.check_ok (Repo.revoke repo name)) [ roa2; aspa2; router2 ];
+  Testutil.check_ok (Repo.revoke repo roa2);
   let outcome = Repo.validate repo in
   Alcotest.(check (list (pair string string)))
     "names and SHA-256"
     [ ("rir/roa-3.roa", "0130eb40f636bd2c7ac284459310958f2c84251d996524f52e7ab548f087ead0");
       ("rir/roa-5.roa", "1fdeb0c2f2bcd8a58a184833c3e38a92616a9cfcf20ed2e8ad5de3737db56224");
-      ("rir/aspa-7.asa", "f543ba2943b8e11e099871b4c6a68c90ba7f35f4255a50657ba718635501fd85");
-      ("rir/aspa-9.asa", "1bd781de55dde300eb6346a71cd7b7897dfb8785f2ba81915e4e07f0acf3b8f0");
-      ("rir/router-11.cer", "4faea323de8d8af2a5683b5687356148bfbaccef9283a4fc04c4e03030f03eeb");
-      ("rir/router-13.cer", "8c280f90c3f80ce26edb55557fcde1fb7a0ca5d36b2acac66a7fd862dd8b74ad");
-      ("rir/roa-15.roa", "b536445443df5c57ca393fc25e63f2ffa41f44fc2d8787d770fd2dc2cf1bb51c") ]
+      ("rir/roa-7.roa", "aa154cf4c0275b5f6649c1479a0d6408c0dda38f2696236f3a00fc6f1ae29014");
+      ("rir/roa-9.roa", "b62b65ebd83506e8ef2c5a16ed4686df57b970e87e903e5fb7bb6409711670d5") ]
     (List.map
        (fun name ->
          ( name,
            Hashcrypto.Sha256.(to_hex (digest (Testutil.check_ok (Repo.object_bytes repo name))))
          ))
        (Repo.object_names repo));
-  Alcotest.(check int) "size_on_wire" 298_470 (Repo.size_on_wire repo);
+  Alcotest.(check int) "size_on_wire" 232_043 (Repo.size_on_wire repo);
   Alcotest.(check (list (pair string string)))
     "rejections"
-    [ ("rir/roa-15.roa", "EE certificate overclaims its CA's resources");
-      ("rir/router-13.cer", "router certificate is revoked (on the CA's CRL)");
-      ("rir/aspa-9.asa", "EE certificate is revoked (on the CA's CRL)");
+    [ ("rir/roa-9.roa", "EE certificate overclaims its CA's resources");
       ("rir/roa-5.roa", "EE certificate is revoked (on the CA's CRL)") ]
     (rejection_list outcome);
-  Alcotest.(check (list Testutil.roa)) "valid_roas" [ roa1 ] outcome.Repo.valid_roas;
-  Alcotest.(check bool) "valid_aspas" true
-    (List.equal Rpki.Aspa.equal [ aspa 64500 [ 64501; 64502 ] ] outcome.Repo.valid_aspas);
-  Alcotest.(check (list (pair Testutil.asn string)))
-    "valid_router_keys" [ (a 64500, "router-key-a") ] outcome.Repo.valid_router_keys;
+  Alcotest.(check (list Testutil.roa)) "valid_roas" [ roa3; roa1 ] outcome.Repo.valid_roas;
   Alcotest.(check (list string)) "missing_from_manifest" [] outcome.Repo.missing_from_manifest
 
 let () =

@@ -48,11 +48,12 @@ let test_vrp_make () =
 
 let test_vrp_semantics () =
   let v = Vrp.make_exn (p "168.122.0.0/16") ~max_len:24 (a 111) in
+  let authorized v q = Vrp.covers v q && Pfx.length q <= v.Vrp.max_len in
   Alcotest.(check bool) "covers subprefix" true (Vrp.covers v (p "168.122.5.0/24"));
   Alcotest.(check bool) "covers beyond maxlen too" true (Vrp.covers v (p "168.122.0.0/28"));
   Alcotest.(check bool) "no cover outside" false (Vrp.covers v (p "168.123.0.0/24"));
-  Alcotest.(check bool) "authorizes within maxlen" true (Vrp.authorized v (p "168.122.5.0/24"));
-  Alcotest.(check bool) "no auth beyond maxlen" false (Vrp.authorized v (p "168.122.0.0/25"));
+  Alcotest.(check bool) "authorizes within maxlen" true (authorized v (p "168.122.5.0/24"));
+  Alcotest.(check bool) "no auth beyond maxlen" false (authorized v (p "168.122.0.0/25"));
   Alcotest.(check bool) "matches right origin" true (Vrp.matches v (p "168.122.5.0/24") (a 111));
   Alcotest.(check bool) "no match wrong origin" false (Vrp.matches v (p "168.122.5.0/24") (a 666));
   (* AS0 VRPs never match (RFC 6483). *)
@@ -63,16 +64,7 @@ let test_vrp_string () =
   let v = Vrp.make_exn (p "168.122.0.0/16") ~max_len:24 (a 111) in
   Alcotest.(check string) "with maxlen" "168.122.0.0/16-24 AS111" (Vrp.to_string v);
   let e = Vrp.exact (p "10.0.0.0/8") (a 1) in
-  Alcotest.(check string) "without maxlen" "10.0.0.0/8 AS1" (Vrp.to_string e);
-  Alcotest.check Testutil.vrp "parse with maxlen" v
-    (Testutil.check_ok (Vrp.of_string "168.122.0.0/16-24 AS111"));
-  Alcotest.check Testutil.vrp "parse without" e (Testutil.check_ok (Vrp.of_string "10.0.0.0/8 AS1"));
-  List.iter
-    (fun s ->
-      match Vrp.of_string s with
-      | Ok _ -> Alcotest.failf "accepted %S" s
-      | Error _ -> ())
-    [ ""; "10.0.0.0/8"; "10.0.0.0/8-40 AS1"; "10.0.0.0/8-7 AS1"; "10.0.0.0/8 AS1 extra" ]
+  Alcotest.(check string) "without maxlen" "10.0.0.0/8 AS1" (Vrp.to_string e)
 
 (* --- ROAs --- *)
 
@@ -82,7 +74,7 @@ let test_roa_make () =
       (Roa.of_simple (a 111) [ ("168.122.0.0/16", None); ("168.122.225.0/24", None) ])
   in
   Alcotest.(check int) "entries" 2 (List.length (Roa.entries roa));
-  Alcotest.(check bool) "no maxlen" false (Roa.uses_max_len roa);
+  Alcotest.(check bool) "no maxlen" false (List.exists Vrp.uses_max_len (Roa.vrps roa));
   (match Roa.make (a 1) [] with
    | Ok _ -> Alcotest.fail "empty ROA accepted"
    | Error _ -> ());
@@ -95,9 +87,10 @@ let test_roa_make () =
 
 let test_roa_authorization () =
   let roa = Testutil.check_ok (Roa.of_simple (a 111) [ ("168.122.0.0/16", Some 24) ]) in
-  Alcotest.(check bool) "authorizes /24" true (Roa.authorized roa (p "168.122.0.0/24") (a 111));
-  Alcotest.(check bool) "not /25" false (Roa.authorized roa (p "168.122.0.0/25") (a 111));
-  Alcotest.(check bool) "not other AS" false (Roa.authorized roa (p "168.122.0.0/24") (a 666));
+  let authorized roa q asn = List.exists (fun v -> Vrp.matches v q asn) (Roa.vrps roa) in
+  Alcotest.(check bool) "authorizes /24" true (authorized roa (p "168.122.0.0/24") (a 111));
+  Alcotest.(check bool) "not /25" false (authorized roa (p "168.122.0.0/25") (a 111));
+  Alcotest.(check bool) "not other AS" false (authorized roa (p "168.122.0.0/24") (a 666));
   let vrps = Roa.vrps roa in
   Alcotest.(check int) "one VRP" 1 (List.length vrps);
   Alcotest.check Testutil.vrp "vrp" (Vrp.make_exn (p "168.122.0.0/16") ~max_len:24 (a 111))

@@ -67,7 +67,7 @@ let test_wire_layout () =
 let test_decode_rejects () =
   List.iter
     (fun (name, hexstr) ->
-      let bytes = Testutil.check_ok (Hashcrypto.Sha256.of_hex hexstr) in
+      let bytes = Testutil.check_ok (Testutil.of_hex hexstr) in
       match Pdu.decode bytes 0 with
       | Ok _ -> Alcotest.failf "%s accepted" name
       | Error _ -> ())

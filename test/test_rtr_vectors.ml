@@ -27,7 +27,7 @@ let load name =
       if not (String.length line > 0 && line.[0] = '#') then
         String.iter (fun c -> if c <> ' ' && c <> '\t' && c <> '\r' then Buffer.add_char buf c) line)
     (String.split_on_char '\n' raw);
-  match Hashcrypto.Sha256.of_hex (Buffer.contents buf) with
+  match Testutil.of_hex (Buffer.contents buf) with
   | Ok bytes -> bytes
   | Error e -> Alcotest.failf "%s: bad hex: %s" name e
 

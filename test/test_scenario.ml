@@ -112,7 +112,7 @@ let test_minimal_roa_conversion_drops_nothing_announced () =
     (List.length converted <= List.length s.Snapshot.roas);
   List.iter
     (fun roa ->
-      if Rpki.Roa.uses_max_len roa then Alcotest.fail "converted ROA still uses maxLength")
+      if List.exists Rpki.Vrp.uses_max_len (Rpki.Roa.vrps roa) then Alcotest.fail "converted ROA still uses maxLength")
     converted
 
 let test_is_minimal_vrp () =
@@ -142,8 +142,10 @@ let test_max_permissive () =
     mp;
   (* The bound's VRPs authorize everything announced. *)
   let db = Rpki.Validation.create mp in
-  Dataset.Bgp_table.iter t (fun q origin ->
+  List.iter
+    (fun (q, origin) ->
       Alcotest.(check bool) "covers announced" true (Rpki.Validation.authorized db q origin))
+    (Dataset.Bgp_table.pairs t)
 
 let test_figure3_series_shape () =
   let weeks = Dataset.Timeline.generate ~params:(Snapshot.scaled 0.01) ~seed:3 () in

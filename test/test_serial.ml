@@ -2,7 +2,15 @@
    the cache/router pair: a serial rolling over 0xFFFFFFFF -> 0 must
    keep producing incremental deltas, never a Cache Reset loop. *)
 
-module Serial = Rtr.Serial
+(* RFC 1982 order and distance as the tests state them, beside the
+   library's [compare]. *)
+module Serial = struct
+  include Rtr.Serial
+
+  let lt a b = Rtr.Serial.compare a b < 0
+  let distance ~from ~to_ = Int32.to_int (Int32.sub to_ from) land 0xffffffff
+end
+
 module Pdu = Rtr.Pdu
 module Cache = Rtr.Cache_server
 module Router = Rtr.Router_client

@@ -19,6 +19,13 @@ let ee_pair name =
 
 let roa = lazy (Testutil.check_ok (Rpki.Roa.of_simple (a 111) [ ("168.122.0.0/16", Some 24) ]))
 
+(* A ROA signed into an envelope, and a fetched file decoded and
+   verified: the two ends the repository and its relying party run. *)
+let make_roa roa ~ee_key ~ee_cert =
+  So.make ~content_type:So.roa_content_type ~econtent:(Rpki.Roa_der.encode roa) ~ee_key ~ee_cert
+
+let verify_bytes bytes ~issuer_pubkey = Result.bind (So.decode bytes) (So.verify ~issuer_pubkey)
+
 let test_cert_der_roundtrip () =
   let _, cert = ee_pair "roundtrip" in
   let decoded = Testutil.check_ok (Cert.of_der (Cert.to_der cert)) in
@@ -41,17 +48,17 @@ let test_cert_der_rejects_garbage () =
 
 let test_envelope_roundtrip_and_verify () =
   let ee_key, ee_cert = ee_pair "env" in
-  let obj = So.make_roa (Lazy.force roa) ~ee_key ~ee_cert in
+  let obj = make_roa (Lazy.force roa) ~ee_key ~ee_cert in
   let wire = So.encode obj in
-  let verified = Testutil.check_ok (So.verify_bytes wire ~issuer_pubkey:ca_pub) in
+  let verified = Testutil.check_ok (verify_bytes wire ~issuer_pubkey:ca_pub) in
   Alcotest.check Testutil.roa "roa round-trips" (Lazy.force roa) verified.So.roa;
   Alcotest.(check string) "ee cert" ee_cert.Cert.subject verified.So.ee_cert.Cert.subject
 
 let test_verify_rejects_wrong_issuer () =
   let ee_key, ee_cert = ee_pair "wrong-issuer" in
-  let obj = So.make_roa (Lazy.force roa) ~ee_key ~ee_cert in
+  let obj = make_roa (Lazy.force roa) ~ee_key ~ee_cert in
   let _, other_pub = Merkle.generate ~seed:"not-the-ca" ~height:1 in
-  match So.verify_bytes (So.encode obj) ~issuer_pubkey:other_pub with
+  match verify_bytes (So.encode obj) ~issuer_pubkey:other_pub with
   | Ok _ -> Alcotest.fail "verified under the wrong issuer"
   | Error e -> Alcotest.(check bool) "EE cert blamed" true (String.length e > 0)
 
@@ -59,14 +66,14 @@ let test_verify_rejects_mismatched_key () =
   (* Signature by a key other than the one in the EE cert. *)
   let _, ee_cert = ee_pair "mismatch" in
   let other_key, _ = Merkle.generate ~seed:"other-ee" ~height:0 in
-  let obj = So.make_roa (Lazy.force roa) ~ee_key:other_key ~ee_cert in
-  match So.verify_bytes (So.encode obj) ~issuer_pubkey:ca_pub with
+  let obj = make_roa (Lazy.force roa) ~ee_key:other_key ~ee_cert in
+  match verify_bytes (So.encode obj) ~issuer_pubkey:ca_pub with
   | Ok _ -> Alcotest.fail "mismatched signature accepted"
   | Error _ -> ()
 
 let test_verify_rejects_wrong_content_type () =
   let ee_key, ee_cert = ee_pair "ct" in
-  let obj = So.make_roa (Lazy.force roa) ~ee_key ~ee_cert in
+  let obj = make_roa (Lazy.force roa) ~ee_key ~ee_cert in
   let bad = { obj with So.content_type = [ 1; 2; 3 ] } in
   match So.verify (Testutil.check_ok (So.decode (So.encode bad))) ~issuer_pubkey:ca_pub with
   | Ok _ -> Alcotest.fail "wrong content type accepted"
@@ -76,7 +83,7 @@ let test_bitflip_never_verifies () =
   (* Flip every byte of the wire form: decoding may fail or succeed,
      verification must never succeed. *)
   let ee_key, ee_cert = ee_pair "bitflip" in
-  let wire = So.encode (So.make_roa (Lazy.force roa) ~ee_key ~ee_cert) in
+  let wire = So.encode (make_roa (Lazy.force roa) ~ee_key ~ee_cert) in
   let ok = ref true in
   (* Step through the wire (every 7th byte keeps the test fast while
      covering all regions: OID, eContent, cert, signature). *)
@@ -84,7 +91,7 @@ let test_bitflip_never_verifies () =
   while !i < String.length wire do
     let b = Bytes.of_string wire in
     Bytes.set b !i (Char.chr (Char.code (Bytes.get b !i) lxor 0x40));
-    (match So.verify_bytes (Bytes.to_string b) ~issuer_pubkey:ca_pub with
+    (match verify_bytes (Bytes.to_string b) ~issuer_pubkey:ca_pub with
      | Ok _ -> ok := false
      | Error _ -> ());
     i := !i + 7
@@ -124,8 +131,8 @@ let prop_envelope_roundtrip =
   QCheck2.Test.make ~name:"envelope encode/decode/verify roundtrip" ~count:40 gen_roa
     (fun roa ->
       let ee_key, ee_cert = ee_pair "prop" in
-      let obj = So.make_roa roa ~ee_key ~ee_cert in
-      match So.verify_bytes (So.encode obj) ~issuer_pubkey:ca_pub with
+      let obj = make_roa roa ~ee_key ~ee_cert in
+      match verify_bytes (So.encode obj) ~issuer_pubkey:ca_pub with
       | Ok v ->
         List.equal Rpki.Vrp.equal (Rpki.Roa.vrps roa) (Rpki.Roa.vrps v.So.roa)
       | Error _ -> false)

@@ -42,8 +42,8 @@ let gen_clustered_v6_prefix =
   let open QCheck2.Gen in
   let* len = int_range 32 48 in
   let* offset = int_bound 0xffff in
-  let base = Netaddr.Ipv6.of_string_exn "2001:db8::" in
-  let hi = Int64.logor (Netaddr.Ipv6.high_bits base) (Int64.shift_left (Int64.of_int offset) 16) in
+  (* 2001:db8:: *)
+  let hi = Int64.logor 0x2001_0db8_0000_0000L (Int64.shift_left (Int64.of_int offset) 16) in
   return (Pfx.v6 (Netaddr.Ipv6.Prefix.make (Netaddr.Ipv6.make hi 0L) len))
 
 let gen_clustered_prefix =
@@ -72,6 +72,39 @@ let validation_state =
 let p4 = Pfx.of_string_exn
 let a = Rpki.Asnum.of_int
 
+(* Raw bytes from hex, the inverse of {!Hashcrypto.Sha256.to_hex}: how
+   the suites spell test vectors. *)
+let of_hex s =
+  let n = String.length s in
+  if n mod 2 <> 0 then Error "of_hex: odd length"
+  else
+    let nib c =
+      match c with
+      | '0' .. '9' -> Some (Char.code c - Char.code '0')
+      | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
+      | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
+      | _ -> None
+    in
+    let out = Bytes.create (n / 2) in
+    let rec go i =
+      if i = n / 2 then Ok (Bytes.unsafe_to_string out)
+      else
+        match nib s.[2 * i], nib s.[(2 * i) + 1] with
+        | Some h, Some l ->
+          Bytes.set out i (Char.chr ((h lsl 4) lor l));
+          go (i + 1)
+        | _ -> Error "of_hex: invalid hex digit"
+    in
+    go 0
+
+(* Figure 2's AS 31283 trie, the input compress_roas turns into
+   87.254.32.0/19-20 and 87.254.32.0/21. *)
+let figure2 =
+  List.map
+    (fun (s, m) -> Rpki.Vrp.make_exn (Pfx.of_string_exn s) ~max_len:m (Rpki.Asnum.of_int 31283))
+    [ ("87.254.32.0/19", 19); ("87.254.32.0/20", 20); ("87.254.48.0/20", 20);
+      ("87.254.32.0/21", 21) ]
+
 let check_ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error: %s" e
@@ -92,3 +125,37 @@ let allocated_words f =
 (* Words of heap reachable from [x], headers included: what a store
    holds live, independent of how much garbage its build left. *)
 let live_words x = Obj.reachable_words (Obj.repr x)
+
+(* Prefix operations only the tests use: the halving navigation and
+   aggregation of a prefix set into the fewest covering prefixes. *)
+let parent p = if Pfx.length p = 0 then None else Some (Pfx.truncate p (Pfx.length p - 1))
+
+let sibling p =
+  Option.bind (parent p) (fun q ->
+      Option.map (fun (l, r) -> if Pfx.equal l p then r else l) (Pfx.split q))
+
+(* Absorb covered prefixes with one sorted sweep, then merge complete
+   sibling pairs bottom-up until nothing merges: every prefix is
+   examined once and each merge enqueues only the parent it creates.
+   Sibling merges are confluent on the antichain the sweep leaves, so
+   the fixpoint is unique. *)
+let aggregate prefixes =
+  let drop_covered sorted =
+    List.fold_left
+      (fun acc q -> match acc with keeper :: _ when Pfx.subset q keeper -> acc | _ -> q :: acc)
+      [] sorted
+    |> List.rev
+  in
+  let set = ref (Pfx.Set.of_list (drop_covered (List.sort_uniq Pfx.compare prefixes))) in
+  let queue = Queue.create () in
+  Pfx.Set.iter (fun q -> Queue.add q queue) !set;
+  while not (Queue.is_empty queue) do
+    let q = Queue.take queue in
+    if Pfx.length q > 0 && Pfx.Set.mem q !set then
+      match (sibling q, parent q) with
+      | Some sib, Some par when Pfx.Set.mem sib !set ->
+        set := Pfx.Set.add par (Pfx.Set.remove q (Pfx.Set.remove sib !set));
+        Queue.add par queue
+      | _ -> ()
+  done;
+  Pfx.Set.elements !set

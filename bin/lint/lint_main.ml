@@ -16,12 +16,12 @@
 module Engine = Lintcore.Engine
 module Rules = Lintcore.Rules
 
-let default_paths = [ "lib"; "bin"; "bench"; "test" ]
+let default_paths = [ "lib"; "bin"; "bench"; "examples"; "test" ]
 
 let usage =
   "lint [PATHS...] [options]\n\
    Static analysis for the rpki-maxlen tree. With no PATHS, lints lib/ bin/ bench/ \
-   test/ under --root (default: the current directory).\n\n\
+   examples/ test/ under --root (default: the current directory).\n\n\
    The syntactic rules (R1, R2, R4-R7) parse sources directly. The typed rules \
    (R8, R10-R14) need .cmt artifacts from a prior `dune build @check` and run with --typed \
    (implied when --rules selects a typed rule).\n\n\

@@ -4,19 +4,26 @@ let digest_bits = 256
 type secret_key = { seed : string }
 type public_key = string
 
-(* For each digest bit the signature reveals the selected preimage and
-   carries the hash of the unselected one, so the verifier can rebuild
-   the full 512-hash commitment and compare it to the public key. *)
-type signature = { revealed : string array; other_hash : string array }
+(* A signature is its wire encoding, read at offsets: for each digest
+   bit i, at [64 i], the preimage that bit selects, then the hash of the
+   other one, so the verifier can rebuild the full 512-hash commitment
+   and compare it to the public key. [sign] and [decode] make only
+   strings of [size] bytes. *)
+type signature = string
 
-let preimage seed i b =
-  Sha256.digest_concat [ "lamport-preimage"; seed; String.make 1 (Char.chr b); Printf.sprintf "%03d" i ]
+let size = digest_bits * 2 * hash_len
+
+(* The bit and index that end each preimage's derivation, built once. *)
+let bit_labels = [| "\x00"; "\x01" |]
+let index_labels = Array.init digest_bits (Printf.sprintf "%03d")
+
+let preimage seed i b = Sha256.digest_concat [ "lamport-preimage"; seed; bit_labels.(b); index_labels.(i) ]
 
 let commitment seed =
   let ctx = Sha256.init () in
   for i = 0 to digest_bits - 1 do
-    Sha256.feed ctx (Sha256.digest (preimage seed i 0));
-    Sha256.feed ctx (Sha256.digest (preimage seed i 1))
+    Sha256.feed_digest ctx (preimage seed i 0) ~off:0 ~len:hash_len;
+    Sha256.feed_digest ctx (preimage seed i 1) ~off:0 ~len:hash_len
   done;
   Sha256.get ctx
 
@@ -28,47 +35,30 @@ let msg_bit digest i = (Char.code digest.[i / 8] lsr (7 - (i mod 8))) land 1
 
 let sign sk msg =
   let d = Sha256.digest msg in
-  let revealed = Array.make digest_bits "" and other_hash = Array.make digest_bits "" in
+  let out = Bytes.create size in
   for i = 0 to digest_bits - 1 do
-    let b = msg_bit d i in
-    revealed.(i) <- preimage sk.seed i b;
-    other_hash.(i) <- Sha256.digest (preimage sk.seed i (1 - b))
+    let b = msg_bit d i and off = i * 2 * hash_len in
+    Bytes.blit_string (preimage sk.seed i b) 0 out off hash_len;
+    Bytes.blit_string (Sha256.digest (preimage sk.seed i (1 - b))) 0 out (off + hash_len) hash_len
   done;
-  { revealed; other_hash }
+  Bytes.unsafe_to_string out
 
 let verify pk msg sg =
-  Array.length sg.revealed = digest_bits
-  && Array.length sg.other_hash = digest_bits
-  && begin
-    let d = Sha256.digest msg in
-    let ctx = Sha256.init () in
-    for i = 0 to digest_bits - 1 do
-      let b = msg_bit d i in
-      let selected = Sha256.digest sg.revealed.(i) in
-      let h0, h1 = if b = 0 then (selected, sg.other_hash.(i)) else (sg.other_hash.(i), selected) in
-      Sha256.feed ctx h0;
-      Sha256.feed ctx h1
-    done;
-    String.equal (Sha256.get ctx) pk
-  end
-
-let signature_size _ = digest_bits * 2 * hash_len
-
-let encode sg =
-  let buf = Buffer.create (digest_bits * 2 * hash_len) in
+  let d = Sha256.digest msg in
+  let ctx = Sha256.init () in
   for i = 0 to digest_bits - 1 do
-    Buffer.add_string buf sg.revealed.(i);
-    Buffer.add_string buf sg.other_hash.(i)
+    let off = i * 2 * hash_len in
+    if msg_bit d i = 0 then begin
+      Sha256.feed_digest ctx sg ~off ~len:hash_len;
+      Sha256.feed_substring ctx sg ~off:(off + hash_len) ~len:hash_len
+    end
+    else begin
+      Sha256.feed_substring ctx sg ~off:(off + hash_len) ~len:hash_len;
+      Sha256.feed_digest ctx sg ~off ~len:hash_len
+    end
   done;
-  Buffer.contents buf
+  String.equal (Sha256.get ctx) pk
 
-let decode s =
-  if String.length s <> digest_bits * 2 * hash_len then Error "Lamport.decode: bad length"
-  else begin
-    let revealed = Array.make digest_bits "" and other_hash = Array.make digest_bits "" in
-    for i = 0 to digest_bits - 1 do
-      revealed.(i) <- String.sub s (i * 2 * hash_len) hash_len;
-      other_hash.(i) <- String.sub s ((i * 2 * hash_len) + hash_len) hash_len
-    done;
-    Ok { revealed; other_hash }
-  end
+let signature_size _ = size
+let encode sg = sg
+let decode s = if String.length s <> size then Error "Lamport.decode: bad length" else Ok s

@@ -15,6 +15,9 @@ type public_key = string
     per-bit hashes, which keeps certified keys small. *)
 
 type signature
+(** Held as its 16 KiB wire encoding and read at offsets, so {!decode}
+    checks the length and copies nothing, and {!encode} returns it as
+    is. *)
 
 val generate : seed:string -> secret_key * public_key
 (** Deterministic key generation from a seed (the project has no OS
@@ -25,6 +28,10 @@ val sign : secret_key -> string -> signature
 (** Sign an arbitrary message (its SHA-256 digest is what's signed). *)
 
 val verify : public_key -> string -> signature -> bool
+(** Rebuilds the 512-hash commitment and compares it to the key. Each
+    revealed preimage is hashed in the commitment context's own scratch
+    ({!Sha256.feed_digest}), so a check allocates only that context,
+    the message digest and the commitment, about 100 words. *)
 
 val signature_size : signature -> int
 (** Wire size in bytes, for the repository-size accounting. *)

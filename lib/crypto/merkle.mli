@@ -33,4 +33,6 @@ val encode : signature -> string
 val decode : string -> (signature, string) result
 (** Strict inverse of {!encode}: the header's leaf index and path length
     must be exactly the lowercase hex digits [encode] writes, so
-    [encode (decode s) = s] for every accepted [s]. *)
+    [encode (decode s) = s] for every accepted [s]. It copies the
+    one-time signature out of [s] as one 16 KiB string, and no
+    preimage or hash on its own. *)

@@ -69,8 +69,9 @@ let is_ml path = Filename.check_suffix path ".ml"
 
 (* Builds an [Ast_iterator] that threads a {!Scope.t} through every
    binding form ([let]/[let rec], function parameters, match cases,
-   [for] indices, module-level [let]s — unwound at the end of each
-   submodule), calling [visit] on each expression before recursing.
+   [for] indices, module-level [let]s and [include]s of a module path —
+   unwound at the end of each submodule), calling [visit] on each
+   expression before recursing.
    [visit] returns [false] to prune the subtree (suppression
    attributes); [visit_binding] likewise gates whole value bindings. *)
 let scoped_iterator ~scope ~visit ?(visit_binding = fun _ -> true) () =
@@ -121,6 +122,10 @@ let scoped_iterator ~scope ~visit ?(visit_binding = fun _ -> true) () =
         it.structure_item it item;
         match item.pstr_desc with
         | Pstr_value (Nonrecursive, vbs) -> Scope.push scope (Scope.binding_vars vbs)
+        (* [include M] may bring M's comparators: from here on, a bare
+           [compare] names the one M may define. *)
+        | Pstr_include { pincl_mod = { pmod_desc = Pmod_ident _; _ }; _ } ->
+          Scope.push scope [ "compare"; "equal"; "hash" ]
         | _ -> ())
       items;
     Scope.restore scope saved

@@ -3,8 +3,9 @@
    identifier the polymorphic [compare]?" is answered by tracking every
    binding form that could shadow the name: module-level [let]s seen so
    far in the current structure, [let ... in], function parameters,
-   match/try/function case patterns and [for] indices. Counts (not
-   booleans) so re-entrant shadowing unwinds correctly. *)
+   match/try/function case patterns and [for] indices; an [include] of
+   a module path counts as binding [compare], [equal] and [hash]. Counts
+   (not booleans) so re-entrant shadowing unwinds correctly. *)
 
 type t = (string, int) Hashtbl.t
 

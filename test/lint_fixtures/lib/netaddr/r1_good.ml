@@ -26,3 +26,11 @@ module Ord = struct
   let compare (a : t) b = Int.compare a b
   let sorted l = List.sort compare l
 end
+
+(* [include] of a module path brings its comparators, as a local
+   [let compare] would. *)
+module Serial = struct
+  include Rtr.Serial
+
+  let lt a b = compare a b < 0
+end

@@ -1,8 +1,10 @@
-(* SHA-256 per FIPS 180-4 on boxed Int32 words: the library's kernel
-   before it moved to native ints masked to 32 bits, kept verbatim as
-   the differential oracle for Hashcrypto.Sha256 (test_crypto.ml).
-   State and message schedule use int32 so the arithmetic wraps exactly
-   as the specification requires. *)
+(* SHA-256 per FIPS 180-4 on boxed Int32 arrays: the differential
+   oracle for Hashcrypto.Sha256 (test_crypto.ml). It is written the
+   plain way the library's kernel is not: the state and the 64-word
+   message schedule are int32 arrays, the rounds a loop over refs, and
+   the padding a separate string, so the two share no code path, only
+   the specification. It boxes on every array access and allocates
+   hundreds of words per block, which a test oracle can afford. *)
 
 let k =
   [| 0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl; 0x59f111f1l;

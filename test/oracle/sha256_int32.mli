@@ -1,7 +1,7 @@
-(** SHA-256 on boxed [Int32] words: the library kernel before it moved
-    to native ints, kept as the differential oracle for
-    {!Hashcrypto.Sha256}. Same contract as that module's streaming and
-    one-shot functions. *)
+(** SHA-256 on boxed [Int32] arrays, written plainly: the differential
+    oracle for {!Hashcrypto.Sha256}, whose kernel is straight-line code
+    over unboxed [Int32] lets. Same contract as that module's streaming
+    and one-shot functions. *)
 
 type ctx
 

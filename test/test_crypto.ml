@@ -129,6 +129,42 @@ let test_sha256_allocation () =
       (words < 128.)
   end
 
+(* [feed_digest] against [feed ctx (digest m)] on the oracle, for every
+   message length 0-64 (one padded block up to 55 bytes, two from 56)
+   and every fill level 0-63 of the context it feeds, with the message
+   at an offset into a longer string. *)
+let test_sha256_feed_digest () =
+  let src = String.init 200 (fun i -> Char.chr (((i * 37) + 11) land 0xff)) in
+  let prefix = String.init 63 (fun i -> Char.chr (255 - i)) in
+  for len = 0 to 64 do
+    let msg = String.sub src 3 len in
+    for fill = 0 to 63 do
+      let ctx = Sha256.init () and ref_ctx = Sha256_int32.init () in
+      Sha256.feed ctx (String.sub prefix 0 fill);
+      Sha256.feed_digest ctx src ~off:3 ~len;
+      Sha256.feed ctx "tail";
+      Sha256_int32.feed ref_ctx (String.sub prefix 0 fill);
+      Sha256_int32.feed ref_ctx (Sha256_int32.digest msg);
+      Sha256_int32.feed ref_ctx "tail";
+      let got = Sha256.get ctx and want = Sha256_int32.get ref_ctx in
+      if not (String.equal got want) then
+        Alcotest.failf "length %d after %d bytes: %s, want %s" len fill (hex got) (hex want)
+    done
+  done;
+  (match Sha256.feed_digest (Sha256.init ()) src ~off:190 ~len:11 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "accepted bytes past the end");
+  if Sys.backend_type = Sys.Native then begin
+    let ctx = Sha256.init () in
+    let before = Gc.minor_words () in
+    for i = 0 to 999 do
+      Sha256.feed_digest ctx src ~off:(i land 127) ~len:32
+    done;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool) (Printf.sprintf "1,000 one-block digests allocate %.0f words" words) true
+      (words < 1.)
+  end
+
 let test_hex_roundtrip () =
   let d = Sha256.digest "x" in
   Alcotest.(check string) "roundtrip" (hex d) (hex (unhex (hex d)));
@@ -201,6 +237,33 @@ let test_merkle_height_zero () =
   match Merkle.generate ~seed:"bad" ~height:25 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted excessive height"
+
+(* What the relying party's signature checks allocate, native code
+   only as for the kernel: a Lamport check hashes its 256 revealed
+   preimages in the context's own scratch and reads the signature at
+   offsets, and decoding copies no preimage. *)
+let test_signature_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let sk, pk = Merkle.generate ~seed:"alloc" ~height:6 in
+    let wire = Merkle.encode (Merkle.sign sk "the signed content") in
+    let sg, decode_words = Testutil.allocated_words (fun () -> Merkle.decode wire) in
+    let sg = Testutil.check_ok sg in
+    let ok, verify_words = Testutil.allocated_words (fun () -> Merkle.verify pk "the signed content" sg) in
+    Alcotest.(check bool) "verifies" true ok;
+    Alcotest.(check bool)
+      (Printf.sprintf "height-6 Merkle.verify allocates %.0f words" verify_words)
+      true (verify_words < 1_000.);
+    Alcotest.(check bool)
+      (Printf.sprintf "height-6 Merkle.decode allocates %.0f words" decode_words)
+      true (decode_words < 2_500.);
+    let lsk, lpk = Lamport.generate ~seed:"alloc" in
+    let lsg = Lamport.sign lsk "the signed content" in
+    let ok, lamport_words = Testutil.allocated_words (fun () -> Lamport.verify lpk "the signed content" lsg) in
+    Alcotest.(check bool) "Lamport verifies" true ok;
+    Alcotest.(check bool)
+      (Printf.sprintf "Lamport.verify allocates %.0f words" lamport_words)
+      true (lamport_words < 200.)
+  end
 
 (* Random messages of 0-300 bytes cut at random points: the kernel must
    agree bit for bit with the boxed-Int32 oracle one-shot, over
@@ -312,6 +375,7 @@ let () =
           Alcotest.test_case "all-ones words" `Quick test_sha256_high_bits;
           Alcotest.test_case "1 MiB in 7-byte chunks" `Quick test_sha256_mib_in_small_chunks;
           Alcotest.test_case "no allocation per block" `Quick test_sha256_allocation;
+          Alcotest.test_case "one-block digests" `Quick test_sha256_feed_digest;
           Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip ] );
       ( "lamport",
         [ Alcotest.test_case "sign/verify" `Quick test_lamport_sign_verify;
@@ -322,7 +386,8 @@ let () =
         [ Alcotest.test_case "multi-sign" `Quick test_merkle_multi_sign;
           Alcotest.test_case "encode/decode" `Quick test_merkle_encode_decode;
           Alcotest.test_case "canonical header only" `Quick test_merkle_canonical_header;
-          Alcotest.test_case "height zero and bounds" `Quick test_merkle_height_zero ] );
+          Alcotest.test_case "height zero and bounds" `Quick test_merkle_height_zero;
+          Alcotest.test_case "verify and decode allocation" `Quick test_signature_allocation ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_sha256_matches_oracle; prop_merkle_verify; prop_merkle_decode_canonical ] ) ]

@@ -510,7 +510,7 @@ let test_unparseable_file () =
 
 let test_tree_is_clean () =
   let root = repo_root () in
-  let report = Engine.run ~root [ "lib"; "bin"; "bench"; "test" ] in
+  let report = Engine.run ~root [ "lib"; "bin"; "bench"; "examples"; "test" ] in
   match report.Engine.findings with
   | [] -> ()
   | f :: _ ->
@@ -527,7 +527,7 @@ let test_tree_is_clean_typed () =
   let root = repo_root () in
   let report =
     Engine.run ~typed:true ~cmt_dir:(cmt_dir_for root) ~root
-      [ "lib"; "bin"; "bench"; "test" ]
+      [ "lib"; "bin"; "bench"; "examples"; "test" ]
   in
   Alcotest.(check bool) "typed phase analyzed units" true (report.Engine.typed_units > 0);
   Alcotest.(check (option string)) "no degradation warning" None report.Engine.typed_warning;

@@ -7,7 +7,7 @@
 module Serial = struct
   include Rtr.Serial
 
-  let lt a b = Rtr.Serial.compare a b < 0
+  let lt a b = compare a b < 0
   let distance ~from ~to_ = Int32.to_int (Int32.sub to_ from) land 0xffffffff
 end
 

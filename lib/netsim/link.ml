@@ -151,57 +151,55 @@ let schedule_chunk t chunk =
    matters — splitting a response into three shared buffers must not
    triple its exposure to per-chunk drops and duplicates. A chunk that
    spans exactly one whole segment is shared by reference; only chunks
-   that slice or straddle segments materialize fresh bytes. *)
-let chunk_out t segments total =
-  let segs = Array.of_list segments in
-  let si = ref 0 and soff = ref 0 in
-  (* Skip empty segments so the cursor always sits on real bytes. *)
-  let rec settle () =
-    if !si < Array.length segs && !soff = String.length segs.(!si) then begin
-      incr si;
-      soff := 0;
-      settle ()
-    end
-  in
-  let remaining = ref total in
-  while !remaining > 0 do
-    settle ();
-    let size =
-      (* hi is clamped to lo so the draw range is valid by
-         construction even under a misconfigured chunk_max < chunk_min *)
-      let lo = max 1 t.policy.Fault.chunk_min in
-      let hi = max lo t.policy.Fault.chunk_max in
-      min !remaining (Rng.int_in t.rng lo hi)
-    in
-    let cur = segs.(!si) in
-    let chunk =
-      if size <= String.length cur - !soff then begin
-        (* Within one segment: share the whole string when the chunk
-           covers it, else slice. *)
-        let c =
-          if !soff = 0 && size = String.length cur then cur else String.sub cur !soff size
-        in
-        soff := !soff + size;
-        c
-      end
+   that slice or straddle segments materialize fresh bytes.
+
+   The walk stands at offset [off] of the head of [segs], with
+   [remaining] bytes of the write still to chunk. *)
+let rec chunk_out t segs off remaining =
+  if remaining > 0 then
+    match segs with
+    | [] -> ()
+    | seg :: rest ->
+      let len = String.length seg in
+      (* Skip exhausted and empty segments: a chunk starts on real bytes. *)
+      if off = len then chunk_out t rest 0 remaining
       else begin
-        (* Straddles a segment boundary: gather from the cursor. *)
-        let b = Buffer.create size in
-        let need = ref size in
-        while !need > 0 do
-          settle ();
-          let cur = segs.(!si) in
-          let take = min (String.length cur - !soff) !need in
-          Buffer.add_substring b cur !soff take;
-          soff := !soff + take;
-          need := !need - take
-        done;
-        Buffer.contents b
+        let size =
+          (* hi is clamped to lo so the draw range is valid by
+             construction even under a misconfigured chunk_max < chunk_min *)
+          let lo = max 1 t.policy.Fault.chunk_min in
+          let hi = max lo t.policy.Fault.chunk_max in
+          min remaining (Rng.int_in t.rng lo hi)
+        in
+        if size <= len - off then begin
+          (* Within one segment: share the whole string when the chunk
+             covers it, else slice. *)
+          schedule_chunk t (if off = 0 && size = len then seg else String.sub seg off size);
+          chunk_out t segs (off + size) (remaining - size)
+        end
+        else begin
+          (* Straddles a segment boundary: gather from the cursor. *)
+          let b = Bytes.create size in
+          Bytes.blit_string seg off b 0 (len - off);
+          gather t b (len - off) rest (remaining - size)
+        end
       end
-    in
-    schedule_chunk t chunk;
-    remaining := !remaining - size
-  done
+
+(* Fill the straddling chunk [b], of which [filled] bytes are in, from
+   the head of [segs] on; schedule it, then walk on from where it
+   ended. *)
+and gather t b filled segs remaining =
+  match segs with
+  | [] -> ()
+  | seg :: rest ->
+    let need = Bytes.length b - filled in
+    let take = min need (String.length seg) in
+    Bytes.blit_string seg 0 b filled take;
+    if take < need then gather t b (filled + take) rest remaining
+    else begin
+      schedule_chunk t (Bytes.unsafe_to_string b);
+      chunk_out t segs take remaining
+    end
 
 let send_segments t segments =
   let total = List.fold_left (fun acc s -> acc + String.length s) 0 segments in
@@ -214,7 +212,7 @@ let send_segments t segments =
       t.dropping <- true;
       t.conn_drop ()
     end
-    else chunk_out t segments total
+    else chunk_out t segments 0 total
   end
 
 let send t data = send_segments t [ data ]

@@ -397,16 +397,12 @@ let drive t =
     Clock.Wheel.advance t.wheel fire;
     let now = Clock.now t.clock in
     if now < t.end_time then begin
+      (* Both queues read [max_int] when empty. *)
       let next = Clock.next_time t.clock in
       let target =
-        let e = match next with Some e -> min e t.end_time | None -> t.end_time in
-        match Clock.Wheel.next_due t.wheel with
-        | Some w -> min e (max w (now + 1))
-        | None -> e
+        Int.min (Int.min next t.end_time) (Int.max (Clock.Wheel.next_due t.wheel) (now + 1))
       in
-      (match next with
-       | Some e when e <= target -> ignore (Clock.run_next t.clock)
-       | Some _ | None -> Clock.advance t.clock target);
+      if next <= target then ignore (Clock.run_next t.clock) else Clock.advance t.clock target;
       go ()
     end
   in

@@ -8,8 +8,8 @@ module Clock = struct
 
   (* Run every event due by [time], then leave the clock there. *)
   let run_until c time =
-    while match next_time c with Some t -> t <= time | None -> false do
-      ignore (run_next c)
+    while next_time c <= time && run_next c do
+      ()
     done;
     advance c time
 end
@@ -112,13 +112,15 @@ let test_clock_cascading () =
    against a model kept here: a list of pending events ordered by
    (time, sequence number). An event's time is relative to the clock
    when it is scheduled — in the past (clamped to now), a few ms ahead
-   (so equal times are common), far in the future, or through [after]
-   with a possibly negative delay — and an event may schedule a child
-   when it runs. After every operation the two must agree on [now],
-   [next_time], [executed] and the order events ran in. *)
-type due = Past of int | Soon of int | Far of int | After of int
+   (so equal times are common), on either side of the calendar
+   window's end, far in the future, or through [after] with a possibly
+   negative delay — and an event may schedule a child when it runs.
+   Besides running events, a program may move the clock a little, or
+   past every pending event. After every operation the two must agree
+   on [now], [next_time], [executed] and the order events ran in. *)
+type due = Past of int | Soon of int | Edge of int | Far of int | After of int
 type ev = { id : int; due : due; child : ev option }
-type op = Sched of ev | Run_next | Run_until of int | Advance of int
+type op = Sched of ev | Run_next | Run_until of int | Advance of int | Advance_past
 
 let far = 1_000_000
 
@@ -127,6 +129,7 @@ let gen_due =
   oneof
     [ map (fun k -> Past k) (int_range 1 50);
       map (fun k -> Soon k) (int_range 0 3);
+      map (fun k -> Edge k) (int_range (-1) 1);
       map (fun k -> Far k) (int_range 0 3);
       map (fun d -> After d) (int_range (-3) 10) ]
 
@@ -143,7 +146,8 @@ let gen_op =
       (3, return Run_next);
       (1, map (fun d -> Run_until d) (int_range (-5) 40));
       (1, return (Run_until far));
-      (1, map (fun d -> Advance d) (int_range (-5) 20)) ]
+      (1, map (fun d -> Advance d) (int_range (-5) 20));
+      (1, return Advance_past) ]
 
 (* Give every event (children included) a distinct id. *)
 let number ops =
@@ -153,11 +157,18 @@ let number ops =
     let id = !next in
     { e with id; child = Option.map ev e.child }
   in
-  List.map (function Sched e -> Sched (ev e) | (Run_next | Run_until _ | Advance _) as op -> op) ops
+  List.map
+    (function
+      | Sched e -> Sched (ev e) | (Run_next | Run_until _ | Advance _ | Advance_past) as op -> op)
+    ops
 
+(* [Edge k] is due at [now + window + k]: at the window's end once an
+   event has run at [now], since the window starts at the time of the
+   last event run. *)
 let due_time ~now = function
   | Past k -> now - k
   | Soon k -> now + k
+  | Edge k -> now + Clock.window + k
   | Far k -> now + far + k
   | After d -> now + max 0 d
 
@@ -204,7 +215,7 @@ let rec clock_sched c log e =
   in
   match e.due with
   | After d -> Clock.at c ~time:(Clock.now c + max 0 d) f
-  | Past _ | Soon _ | Far _ -> Clock.at c ~time:(due_time ~now:(Clock.now c) e.due) f
+  | Past _ | Soon _ | Edge _ | Far _ -> Clock.at c ~time:(due_time ~now:(Clock.now c) e.due) f
 
 let agrees_with_model ops =
   let c = Clock.create () and log = ref [] in
@@ -225,8 +236,12 @@ let agrees_with_model ops =
        | Advance d ->
          let time = Clock.now c + d in
          Clock.advance c time;
-         m.m_now <- max m.m_now time);
-      let next = match m.m_q with [] -> None | (t, _, _) :: _ -> Some t in
+         m.m_now <- max m.m_now time
+       | Advance_past ->
+         let time = 1 + List.fold_left (fun acc (t, _, _) -> max acc t) m.m_now m.m_q in
+         Clock.advance c time;
+         m.m_now <- time);
+      let next = match m.m_q with [] -> max_int | (t, _, _) :: _ -> t in
       if Clock.now c <> m.m_now then
         QCheck2.Test.fail_reportf "op %d: now %d, model %d" i (Clock.now c) m.m_now;
       if Clock.next_time c <> next then QCheck2.Test.fail_reportf "op %d: next_time" i;
@@ -251,6 +266,174 @@ let test_clock_model_large () =
   in
   let ops = number (List.map (fun e -> Sched e) evs @ [ Run_until (2 * far) ]) in
   Alcotest.(check bool) "agrees with the model" true (agrees_with_model ops)
+
+(* --- the wheel vs a list model ------------------------------------ *)
+
+(* Random programs of wheel operations against a model: a list of
+   pending (bucket, sequence number, entry) ordered by (bucket, seq),
+   and the first bucket not yet drained. An entry lands in the bucket
+   of its due time, clamped to now and to that first undrained bucket;
+   a drain takes every due bucket in order and fires its entries in
+   scheduling order, each of which may schedule a child — never into
+   the bucket being drained. Dues are those of the clock model:
+   before now, soon, on either side of the window's end, far out. Only
+   a [W_next_due] reads [next_due], so a probe that scanned ahead
+   stays cached while earlier entries arrive. At the end of every
+   program the clock passes everything and the wheel drains. *)
+type wop = W_sched of ev | W_next_due | W_tick of int | W_drain
+
+type wmodel = {
+  mutable w_now : int;
+  mutable w_cursor : int;
+  mutable w_seq : int;
+  mutable w_q : (int * int * ev) list; (* ascending (bucket, seq) *)
+  mutable w_log : int list;
+}
+
+let gen_wop =
+  let open QCheck2.Gen in
+  frequency
+    [ (5, map (fun e -> W_sched e) gen_ev);
+      (2, return W_next_due);
+      (2, map (fun d -> W_tick d) (int_range 0 8));
+      (1, map (fun d -> W_tick d) (int_range 0 (2 * Clock.window)));
+      (2, return W_drain) ]
+
+(* Give every entry (children included) a distinct id. *)
+let number_wops ops =
+  List.map2
+    (fun op numbered ->
+      match op, numbered with
+      | W_sched _, Sched e -> W_sched e
+      | op, _ -> op)
+    ops
+    (number (List.map (function W_sched e -> Sched e | _ -> Run_next) ops))
+
+let wmodel_sched m e =
+  let bucket = max m.w_cursor (max m.w_now (due_time ~now:m.w_now e.due)) in
+  m.w_seq <- m.w_seq + 1;
+  let seq = m.w_seq in
+  let rec ins = function
+    | ((b, s, _) as x) :: rest when b < bucket || (b = bucket && s < seq) -> x :: ins rest
+    | l -> (bucket, seq, e) :: l
+  in
+  m.w_q <- ins m.w_q
+
+let rec wmodel_drain m =
+  match m.w_q with
+  | (b, _, _) :: _ when b <= m.w_now ->
+    let batch = List.filter (fun (b', _, _) -> b' = b) m.w_q in
+    m.w_q <- List.filter (fun (b', _, _) -> b' <> b) m.w_q;
+    m.w_cursor <- b + 1;
+    List.iter
+      (fun (_, _, e) ->
+        m.w_log <- e.id :: m.w_log;
+        Option.iter (wmodel_sched m) e.child)
+      batch;
+    wmodel_drain m
+  | _ -> ()
+
+let wheel_agrees_with_model ops =
+  let c = Clock.create () in
+  let w = Clock.Wheel.create c in
+  let entries = Hashtbl.create 64 and log = ref [] in
+  let sched e =
+    Hashtbl.replace entries e.id e;
+    Clock.Wheel.schedule w ~time:(due_time ~now:(Clock.now c) e.due) e.id
+  in
+  let fire id =
+    log := id :: !log;
+    Option.iter sched (Hashtbl.find entries id).child
+  in
+  let m = { w_now = 0; w_cursor = 0; w_seq = 0; w_q = []; w_log = [] } in
+  let ops = ops @ [ W_tick (3 * far); W_drain; W_next_due ] in
+  List.iteri
+    (fun i op ->
+      (match op with
+       | W_sched e ->
+         sched e;
+         wmodel_sched m e
+       | W_next_due ->
+         let want = match m.w_q with [] -> max_int | (b, _, _) :: _ -> b in
+         let got = Clock.Wheel.next_due w in
+         if got <> want then QCheck2.Test.fail_reportf "op %d: next_due %d, model %d" i got want
+       | W_tick d ->
+         Clock.advance c (Clock.now c + d);
+         m.w_now <- Clock.now c
+       | W_drain ->
+         Clock.Wheel.advance w fire;
+         wmodel_drain m);
+      if not (List.equal Int.equal !log m.w_log) then
+        QCheck2.Test.fail_reportf "op %d: firing order differs from the model" i)
+    ops;
+  true
+
+let prop_wheel_model =
+  QCheck2.Test.make ~name:"wheel agrees with a (bucket, seq)-ordered list model" ~count:500
+    QCheck2.Gen.(list_size (int_range 0 120) gen_wop)
+    (fun ops -> wheel_agrees_with_model (number_wops ops))
+
+(* An entry a billion ms out costs the clock or the wheel a slot, not
+   a bucket per ms: the live words of both grow by a constant. *)
+let test_far_future_memory () =
+  let c = Clock.create () in
+  let w = Clock.Wheel.create c in
+  let before = Testutil.live_words (c, w) in
+  let fired = ref 0 in
+  let due = Clock.now c + 1_000_000_000 in
+  Clock.at c ~time:due (fun () -> incr fired);
+  Clock.Wheel.schedule w ~time:due 7;
+  let grown = Testutil.live_words (c, w) - before in
+  Alcotest.(check bool) (Printf.sprintf "grows by %d words" grown) true (grown < 64);
+  Alcotest.(check int) "next_time" due (Clock.next_time c);
+  Alcotest.(check int) "next_due" due (Clock.Wheel.next_due w);
+  Alcotest.(check bool) "runs" true (Clock.run_next c);
+  Alcotest.(check int) "at its time" due (Clock.now c);
+  Clock.Wheel.advance w (fun id -> fired := !fired + id);
+  Alcotest.(check int) "both fired" 8 !fired
+
+(* Once the slot and overflow columns have grown to the load, an
+   insert and a pop allocate nothing: [at] + [run_next] on the clock
+   (delays reaching past the window), [schedule] + [advance] on the
+   wheel. Both start with their columns grown past every later load
+   (entries parked in the overflow). Native code only, as for the
+   other allocation witnesses. *)
+let test_steady_state_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let n = 20_000 and span = 12_000 in
+    let c = Clock.create () in
+    let w = Clock.Wheel.create c in
+    let f () = () and ran = ref 0 in
+    let fire id = ran := !ran + id in
+    (* 1,000 events stay pending throughout. *)
+    for i = 1 to 1_000 do
+      Clock.at c ~time:(Clock.window + (i * 13)) f
+    done;
+    (* One wheel entry a ms, each at most [span] ms out. *)
+    for i = 0 to span do
+      Clock.Wheel.schedule w ~time:(Clock.window + i) 0
+    done;
+    Clock.advance c (Clock.window + span);
+    Clock.Wheel.advance w fire;
+    let clock_steps () =
+      for i = 1 to n do
+        Clock.at c ~time:(Clock.now c + (i * 7919 mod span)) f;
+        ignore (Clock.run_next c)
+      done
+    in
+    let wheel_steps () =
+      for i = 1 to n do
+        Clock.Wheel.schedule w ~time:(Clock.now c + (i * 7919 mod span)) 1;
+        Clock.advance c (Clock.now c + 1);
+        Clock.Wheel.advance w fire
+      done
+    in
+    let overhead = snd (Testutil.allocated_words (fun () -> ())) in
+    let words f = snd (Testutil.allocated_words f) -. overhead in
+    Alcotest.(check (float 0.)) "at + run_next: words" 0. (words clock_steps);
+    Alcotest.(check (float 0.)) "schedule + advance: words" 0. (words wheel_steps);
+    Alcotest.(check bool) "the wheel fired" true (!ran > 0)
+  end
 
 (* --- links -------------------------------------------------------- *)
 
@@ -313,6 +496,96 @@ let test_link_fault_accounting () =
   Alcotest.(check int) "chunks = dropped + (delivered - duplicated)" s.Link.chunks
     (s.Link.dropped + s.Link.delivered - s.Link.duplicated);
   Alcotest.(check bool) "some drops happened" true (s.Link.dropped > 0)
+
+(* Every delivery, [conn_drop] included, and the link's stats after
+   [write] runs on a fresh link. *)
+let deliveries ~policy ~seed write =
+  let clock = Clock.create () in
+  let got = ref [] in
+  let link =
+    Link.create ~clock ~rng:(Rng.create seed) ~policy
+      ~deliver:(fun ~tainted chunk -> got := `Chunk (tainted, chunk) :: !got)
+      ~conn_drop:(fun () -> got := `Conn_drop :: !got)
+  in
+  write link;
+  Clock.run_until clock 1_000_000;
+  (List.rev !got, Link.stats link)
+
+(* [send_segments] chunks the concatenation: for any split of each
+   write, under every policy, it delivers the chunks [send] delivers,
+   with the same taint, in the same order, and leaves the same stats. *)
+let prop_segments_like_concatenation =
+  let gen =
+    QCheck2.Gen.(
+      let write =
+        let* payload = string_size ~gen:printable (int_range 0 1_500) in
+        let* cuts = list_size (int_bound 6) (int_bound (String.length payload)) in
+        return (payload, List.sort Int.compare cuts)
+      in
+      let* writes = list_size (int_range 1 4) write in
+      let* policy = oneofl Fault.all in
+      let* seed = int_bound 1_000 in
+      return (writes, policy, seed))
+  in
+  let split (payload, cuts) =
+    let rec go from = function
+      | [] -> [ String.sub payload from (String.length payload - from) ]
+      | c :: rest -> String.sub payload from (c - from) :: go c rest
+    in
+    go 0 cuts
+  in
+  let print (writes, (policy : Fault.t), seed) =
+    Printf.sprintf "policy %s, seed %d, writes [%s]" policy.Fault.name seed
+      (String.concat "; " (List.map (fun w -> String.concat "|" (split w)) writes))
+  in
+  QCheck2.Test.make ~name:"send_segments delivers what send of the concatenation does" ~count:300
+    ~print gen (fun (writes, policy, seed) ->
+      let got_whole, stats_whole =
+        deliveries ~policy ~seed (fun l -> List.iter (fun (p, _) -> Link.send l p) writes)
+      in
+      let got_split, stats_split =
+        deliveries ~policy ~seed (fun l ->
+            List.iter (fun w -> Link.send_segments l (split w)) writes)
+      in
+      List.length got_whole = List.length got_split
+      && List.for_all2
+           (fun a b ->
+             match a, b with
+             | `Chunk (ta, ca), `Chunk (tb, cb) -> Bool.equal ta tb && String.equal ca cb
+             | `Conn_drop, `Conn_drop -> true
+             | (`Chunk _ | `Conn_drop), _ -> false)
+           got_whole got_split
+      && stats_whole = stats_split)
+
+(* A chunk that covers exactly one whole segment is that segment, not
+   a copy: on a perfect link (64 KiB chunks) of 64 KiB segments, and
+   on 16-byte chunks, where the others slice and straddle. *)
+let test_whole_segments_shared () =
+  let chunks policy segments =
+    fst (deliveries ~policy ~seed:3 (fun l -> Link.send_segments l segments))
+    |> List.map (function `Chunk (_, c) -> c | `Conn_drop -> Alcotest.fail "connection drop")
+  in
+  let bigs = List.init 3 (fun i -> String.make 65536 (Char.chr (Char.code 'a' + i))) in
+  let got = chunks Fault.perfect (List.concat_map (fun s -> [ s; "" ]) bigs) in
+  Alcotest.(check int) "three chunks" 3 (List.length got);
+  List.iter2
+    (fun seg c -> Alcotest.(check bool) "perfect: the segment itself" true (seg == c))
+    bigs got;
+  let a = String.make 16 'a' and b = String.make 16 'b' and e = String.make 16 'e' in
+  let c = String.init 40 (fun i -> Char.chr (Char.code 'A' + i)) and d = "01234567" in
+  let got =
+    chunks { Fault.perfect with Fault.chunk_min = 16; chunk_max = 16 } [ a; ""; b; c; d; e ]
+  in
+  Alcotest.(check (list string)) "16-byte chunks"
+    [ a; b; String.sub c 0 16; String.sub c 16 16; String.sub c 32 8 ^ d; e ]
+    got;
+  List.iter
+    (fun (seg, i) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "chunk %d is its segment" i)
+        true
+        (seg == List.nth got i))
+    [ (a, 0); (b, 1); (e, 5) ]
 
 (* --- the simulator ------------------------------------------------ *)
 
@@ -514,13 +787,19 @@ let () =
           Alcotest.test_case "past clamps to now" `Quick test_clock_past_clamps;
           Alcotest.test_case "cascading events" `Quick test_clock_cascading;
           Alcotest.test_case "12,000 pending agree with the model" `Quick test_clock_model_large;
-          QCheck_alcotest.to_alcotest ~speed_level:`Quick prop_clock_model ] );
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick prop_clock_model;
+          Alcotest.test_case "a billion ms out costs a constant" `Quick test_far_future_memory;
+          Alcotest.test_case "steady state allocates nothing" `Quick
+            test_steady_state_allocation ] );
+      ("wheel", [ QCheck_alcotest.to_alcotest ~speed_level:`Quick prop_wheel_model ]);
       ( "link",
         [ Alcotest.test_case "perfect delivery" `Quick test_link_perfect_delivers;
           Alcotest.test_case "rechunking is stream-transparent" `Quick
             test_link_rechunk_preserves_stream;
           Alcotest.test_case "close suppresses in-flight" `Quick test_link_closed_suppresses;
-          Alcotest.test_case "fault accounting" `Quick test_link_fault_accounting ] );
+          Alcotest.test_case "fault accounting" `Quick test_link_fault_accounting;
+          Alcotest.test_case "whole segments are shared" `Quick test_whole_segments_shared;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick prop_segments_like_concatenation ] );
       ( "sim",
         [ Alcotest.test_case "every policy, one seed" `Quick test_policy_smoke;
           Alcotest.test_case "benign links: strict" `Quick test_perfect_strict;
